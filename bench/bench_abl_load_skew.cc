@@ -7,7 +7,7 @@
 //
 // The measurement runs entirely on the obs::Profiler attached to the
 // engine (span counts per peer), so its numbers are the same shape any
-// profile export (ripple_cli --profile-out, WriteProfileJson) reports.
+// profile export (ripple_cli run --profile-out, WriteProfileJson) reports.
 
 #include <algorithm>
 

@@ -76,7 +76,7 @@ void PrintHeader(const BenchConfig& config, const std::string& figure,
 /// The process-wide bench result sink (valid after PrintHeader; before it,
 /// a placeholder reporter is used and its cases are folded into the real
 /// one at PrintHeader time). All BENCH_<suite>.json and result-CSV
-/// emission must flow through this reporter — tools/lint_deprecated.sh
+/// emission must flow through this reporter — tools/lint_docs.sh
 /// enforces it.
 obs::BenchReporter& Reporter();
 

@@ -83,11 +83,11 @@ void ForEachTransportCounterField(S&& s, Fn&& fn) {
   fn("unknown_peer_dropped", s.unknown_peer_dropped);
 }
 
-/// Instantaneous queue/wheel depths — the "how loaded is it right now"
+/// Instantaneous queue/table depths — the "how loaded is it right now"
 /// half of a stats reply (DaemonStats is the monotone half).
 struct QueueDepths {
   uint64_t open_sessions = 0;     // sessions started but not finished
-  uint64_t sessions_total = 0;    // sessions ever opened (reply cache size)
+  uint64_t sessions_total = 0;    // sessions held: open + replayable
   uint64_t pending_requests = 0;  // child forwards awaiting a response
   uint64_t timers_pending = 0;    // armed retransmission timers
   uint64_t dedup_tracked = 0;     // message ids in the dedup window

@@ -1,7 +1,6 @@
 #ifndef RIPPLE_NET_CLIENT_H_
 #define RIPPLE_NET_CLIENT_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <utility>
@@ -66,13 +65,8 @@ class NetClient {
     const uint64_t id = MakeMessageId(client_id_, next_seq_++);
     const Envelope env{id, client_id_, target, MessageKind::kQuery, 0, {}};
     wire::Buffer buf;
-    const size_t start = BeginEnvelopeFrame(env, &buf);
-    buf.PutU8(static_cast<uint8_t>(PolicyTagOf<Policy>::value));
-    buf.PutZigzag(r);
-    policy.EncodeQuery(query, &buf);
-    policy.EncodeState(initial_state, &buf);
-    overlay_->EncodeArea(overlay_->FullArea(), &buf);
-    wire::EndFrame(&buf, start);
+    EncodeLiveQuery(codec, env, query, initial_state, overlay_->FullArea(), r,
+                    &buf);
     const std::vector<uint8_t> frame = buf.Take();
 
     LiveOutcome<Policy> out;
@@ -125,7 +119,7 @@ class NetClient {
         return out;  // incomplete
       }
       strikes += 1;
-      patience_ms = std::min(patience_ms * retry_.backoff, retry_.timeout_cap);
+      patience_ms = BackedOffTimeout(patience_ms, retry_);
       transport_->Send(env, std::vector<uint8_t>(frame));
       out.attempts += 1;
       deadline = Clock::now() +

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,34 +17,31 @@
 #include "net/peers.h"
 #include "net/protocol.h"
 #include "net/transport.h"
-#include "net/wall_clock.h"
 #include "obs/journal.h"
 #include "obs/profile.h"
-#include "ripple/wire_codec.h"
+#include "ripple/peer_core.h"
+#include "ripple/timer_queue.h"
 
 namespace ripple::net {
 
 /// One process of the live overlay: serves the rank-query protocol for
 /// the peers assigned to it, over a Transport (UDP in production, any
-/// Transport in tests). The daemon is the wall-clock sibling of
-/// AsyncEngine's Runtime — same per-session procedure (Algorithms 1-3:
-/// fast fan-out / prioritized slow walk, state merge, local answer), same
-/// wire formats through the same WireCodec, but driven by real datagrams
-/// and WallTimers instead of the discrete-event queue, and serving all
-/// four policies at once (live query frames carry a PolicyTag byte;
-/// docs/NET.md).
+/// Transport in tests). The daemon is the wall-time driver of the same
+/// per-peer core the simulator drives (ripple/peer_core.h): it decodes
+/// datagrams, routes them to one core per policy (live query frames carry
+/// a PolicyTag byte; docs/NET.md), and runs the core's timers on
+/// steady_clock milliseconds.
 ///
-/// Reliability is requester-driven, exactly like the simulator's fault
-/// protocol: a requester retransmits its query with capped backoff until
-/// a response arrives or the retry budget is spent; a callee acks queries
-/// whose session is still running and replays the cached reply datagram
-/// for finished ones (dedup by message id). Answers convergecast up the
-/// query tree inside reply datagrams — each session merges its children's
-/// partial answers with its own local answer — so the peer serving the
-/// client folds the complete answer and ships it back in one datagram;
-/// the client's own retransmissions cover its loss. Every policy's
-/// FinalizeAnswer canonicalizes order, which is what makes the tree-merge
-/// byte-identical to the simulator's flat merge.
+/// Answers convergecast up the query tree inside reply datagrams — each
+/// session merges its children's partial answers with its own local
+/// answer — so the peer serving the client folds the complete answer and
+/// ships it back in one datagram; the client's own retransmissions cover
+/// its loss. Every policy's FinalizeAnswer canonicalizes order, which is
+/// what makes the tree-merge byte-identical to the simulator's flat merge.
+///
+/// Memory is bounded by the dedup window: a finished session is freed
+/// once the window forgets its query id (it could never be replayed), and
+/// a forward is dropped once it resolves or gives up.
 ///
 /// Single-threaded: one thread owns the daemon and pumps ServeLoop (or
 /// ServeOnce / Dispatch in tests).
@@ -84,17 +80,24 @@ class PeerDaemon {
   }
 
   const DaemonStats& stats() const { return stats_; }
-  WallTimers& timers() { return timers_; }
+  /// Retransmission timers, on the daemon's UptimeMs clock.
+  TimerQueue& timers() { return timers_; }
 
   double UptimeMs() const { return NowMs(); }
 
-  /// Instantaneous queue/wheel depths (the kAdminStats "right now" half).
+  /// Instantaneous queue/table depths (the kAdminStats "right now" half),
+  /// read off the cores' tables.
   QueueDepths Depths() const {
     QueueDepths q;
-    q.open_sessions = open_sessions_;
-    q.sessions_total = topk_.sessions.size() + skyline_.sessions.size() +
-                       skyband_.sessions.size() + range_.sessions.size();
-    q.pending_requests = inflight_requests_;
+    auto add = [&q](const auto& shard) {
+      q.open_sessions += shard.core.open_sessions();
+      q.sessions_total += shard.core.sessions_held();
+      q.pending_requests += shard.core.pending().size();
+    };
+    add(topk_);
+    add(skyline_);
+    add(skyband_);
+    add(range_);
     q.timers_pending = timers_.pending();
     q.dedup_tracked = dedup_.size();
     return q;
@@ -128,16 +131,19 @@ class PeerDaemon {
   /// datagram (bounded by the next timer), dispatch everything readable.
   /// Returns the number of datagrams handled.
   int ServeOnce(int max_wait_ms) {
-    timers_.RunDue();
-    int wait = timers_.NextDelayMs();
-    if (wait < 0 || wait > max_wait_ms) wait = max_wait_ms;
+    timers_.RunDue(NowMs());
+    const double until_next = timers_.NextAt() - NowMs();  // inf: none
+    int wait = max_wait_ms;
+    if (until_next < max_wait_ms) {
+      wait = until_next <= 0 ? 0 : static_cast<int>(until_next) + 1;
+    }
     int handled = 0;
     Datagram d;
     while (transport_->Poll(&d, handled == 0 ? wait : 0)) {
       Dispatch(std::move(d));
       handled += 1;
     }
-    timers_.RunDue();
+    timers_.RunDue(NowMs());
     return handled;
   }
 
@@ -154,10 +160,12 @@ class PeerDaemon {
         HandleQuery(d);
         break;
       case MessageKind::kResponse:
-        HandleResponse(d);
+        WithShard(OwnerOf(d.env.id),
+                  [&d](auto& shard) { shard.core.OnResponse(d.env, d.bytes); });
         break;
       case MessageKind::kAck:
-        HandleAck(d);
+        WithShard(OwnerOf(d.env.id),
+                  [&d](auto& shard) { shard.core.OnAck(d.env.id, d.bytes); });
         break;
       case MessageKind::kAnswer:
         // Bare answers address clients; a daemon receiving one saw a
@@ -176,84 +184,119 @@ class PeerDaemon {
  private:
   using Clock = std::chrono::steady_clock;
 
-  template <typename Policy>
-  struct NetSession {
-    using Area = typename Overlay::Area;
-    PeerId peer = kInvalidPeer;       // the local peer running this session
-    PeerId requester = kInvalidPeer;  // parent peer, or a client id
-    uint64_t origin_req = 0;          // the request id this session answers
-    typename Policy::Query query{};
-    typename Policy::GlobalState incoming{};
-    typename Policy::GlobalState global{};
-    typename Policy::LocalState local{};
-    int r = 0;
-    bool fast = false;
-    bool finished = false;
-    // Fast sessions collect children's states unmerged (Alg. 3's
-    // convergecast); slow ones merge into `local`.
-    std::vector<typename Policy::LocalState> bundle;
-    struct Candidate {
-      PeerId target;
-      Area area;
-      double priority;
-    };
-    std::vector<Candidate> pending;
-    size_t next_candidate = 0;
-    int outstanding_children = 0;
-    // Own local answer merged with every child's partial answer.
-    typename Policy::Answer answer_acc{};
-    // The encoded reply datagram, kept after finish as the reply cache.
-    std::vector<uint8_t> reply_frame;
-  };
-
-  /// A child query forward awaiting its response. Same byte-snapshot
-  /// discipline as sim's PendingRequest: retransmissions reship `frame`
-  /// verbatim under the same message id.
-  struct Pending {
-    PolicyTag tag = PolicyTag::kTopK;
-    int session = -1;  // requester session slot in the tag's shard
-    PeerId from = kInvalidPeer;
-    PeerId target = kInvalidPeer;
-    std::vector<uint8_t> frame;
-    int strikes = 0;
-    double timeout_ms = 0;
-    bool resolved = false;
-    uint64_t timer = 0;
-  };
-
+  /// The wall-time driver of one policy's core: the hooks PeerCore calls,
+  /// forwarding to the daemon's clock, timers, transport and counters.
   template <typename Policy>
   struct Shard {
-    explicit Shard(PeerDaemon* d)
-        : codec(d->overlay_, &policy) {}
+    using Core = PeerCore<Overlay, Policy, Shard>;
+    using Session = typename Core::Session;
+    /// Answers fold up the query tree; the root replies to its client.
+    static constexpr bool kConvergecast = true;
+
+    explicit Shard(PeerDaemon* daemon)
+        : d(daemon), core(d->overlay_, &policy, this) {}
+
+    PeerDaemon* d;
     Policy policy;
-    WireCodec<Overlay, Policy> codec;
-    std::vector<NetSession<Policy>> sessions;
+    Core core;
+
+    double Now() const { return d->NowMs(); }
+    uint64_t ArmTimer(double delay_ms, std::function<void()> fn) {
+      return d->timers_.Arm(d->NowMs() + delay_ms, std::move(fn));
+    }
+    void CancelTimer(uint64_t id) { d->timers_.Cancel(id); }
+    bool retransmits() const { return true; }
+    const RetryOptions& retry() const { return d->retry_; }
+    obs::Tracer* tracer() const { return nullptr; }
+    obs::Profiler* profiler() const { return d->profiler_; }
+    obs::JournalSet* journal() const { return d->journal_; }
+    const std::function<double(PeerId)>* link_bias() const { return nullptr; }
+    void Send(const Envelope& env, std::vector<uint8_t> bytes) {
+      d->transport_->Send(env, std::move(bytes));
+    }
+    template <typename... Args>
+    void EncodeQuery(const Args&... args) {
+      EncodeLiveQuery(args...);
+    }
+    uint64_t NewRequestId(const Session& requester) {
+      return MakeMessageId(requester.peer, d->next_seq_++);
+    }
+    void Remember(const Envelope& env, int64_t session) {
+      d->Remember(env.id, session, PolicyTagOf<Policy>::value);
+    }
+    bool Alive(PeerId) const { return true; }
+    void RejectFrame(bool) { d->stats_.frames_rejected += 1; }
+    void OnSessionOpened(const Session&) { d->stats_.queries_served += 1; }
+    void OnQuerySent(const PendingRequest& rq) {
+      if (rq.attempt == 1) d->stats_.child_requests += 1;
+      if (d->profiler_ == nullptr) return;
+      d->profiler_->OnMessage(rq.from, rq.target, 0, rq.frame.size());
+      if (rq.attempt > 1) d->profiler_->OnRetransmission(rq.from);
+    }
+    void OnReplySent(const Session& s, bool retransmit) {
+      if (retransmit) {
+        d->stats_.retransmissions += 1;
+        if (d->profiler_ != nullptr) d->profiler_->OnRetransmission(s.peer);
+      } else {
+        d->stats_.replies_sent += 1;
+      }
+      if (d->profiler_ == nullptr) return;
+      // Clients are not overlay peers: their synthetic ids must never
+      // index the profiler's dense per-peer vector.
+      if (IsClientId(s.requester)) {
+        d->profiler_->OnMessageOut(s.peer, 0, s.reply.size());
+      } else {
+        d->profiler_->OnMessage(s.peer, s.requester, 0, s.reply.size());
+      }
+    }
+    void OnAckSent(const Session&, size_t) { d->stats_.acks_sent += 1; }
+    void OnTimeout(const PendingRequest&, bool retrying) {
+      if (retrying) d->stats_.retransmissions += 1;
+    }
+    void OnGiveUp(uint64_t, const PendingRequest& rq) {
+      d->stats_.links_unresolved += 1;
+      RIPPLE_LOG(kWarn, "net: giving up on peer %u after %d attempts",
+                 rq.target, rq.attempt);
+    }
+    void OnStaleResponse(uint64_t) { d->stats_.late_responses += 1; }
+    void OnRootFinished() { d->stats_.answers_finalized += 1; }
   };
 
-  Shard<TopKPolicy>& ShardOf(TopKPolicy*) { return topk_; }
-  Shard<SkylinePolicy>& ShardOf(SkylinePolicy*) { return skyline_; }
-  Shard<SkybandPolicy>& ShardOf(SkybandPolicy*) { return skyband_; }
-  Shard<RangePolicy>& ShardOf(RangePolicy*) { return range_; }
+  template <typename F>
+  void WithShard(PolicyTag tag, F&& f) {
+    switch (tag) {
+      case PolicyTag::kTopK: f(topk_); break;
+      case PolicyTag::kSkyline: f(skyline_); break;
+      case PolicyTag::kSkyband: f(skyband_); break;
+      case PolicyTag::kRange: f(range_); break;
+    }
+  }
+
+  /// The shard whose forward `id` is. Frames no shard expects go to the
+  /// top-k shard, whose core counts a response as late and still checks
+  /// and journals an ack.
+  PolicyTag OwnerOf(uint64_t id) const {
+    if (skyline_.core.Expects(id)) return PolicyTag::kSkyline;
+    if (skyband_.core.Expects(id)) return PolicyTag::kSkyband;
+    if (range_.core.Expects(id)) return PolicyTag::kRange;
+    return PolicyTag::kTopK;
+  }
 
   double NowMs() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
         .count();
   }
 
-  void JournalFrame(obs::JournalEventKind kind, PeerId peer,
-                    const Envelope& env, uint64_t bytes) {
-    if (journal_ == nullptr) return;
-    obs::JournalEvent e;
-    e.kind = kind;
-    e.peer = peer;
-    e.sim_time = NowMs();
-    e.trace_id = env.trace.trace_id;
-    e.msg_id = env.id;
-    e.msg_kind = static_cast<uint8_t>(env.kind);
-    e.parent_span = env.trace.parent_span;
-    e.bytes = bytes;
-    e.attempt = env.attempt;
-    journal_->Record(e);
+  /// Enters a session's query id into the dedup window; the session whose
+  /// id this pushes out can never be replayed again, so its core frees it.
+  void Remember(uint64_t id, int64_t session, PolicyTag tag) {
+    int64_t evicted = 0;
+    if (!dedup_.Insert(id, (session << 8) | static_cast<int64_t>(tag),
+                       &evicted)) {
+      return;
+    }
+    WithShard(static_cast<PolicyTag>(evicted & 0xff),
+              [evicted](auto& shard) { shard.core.Forget(evicted >> 8); });
   }
 
   // --- admin plane --------------------------------------------------------
@@ -305,11 +348,12 @@ class PeerDaemon {
         break;
       }
       case MessageKind::kAdminHealth: {
+        const QueueDepths q = Depths();
         AdminHealthReport h;
         h.healthy = true;  // it answered; the monitor marks silence
         h.uptime_ms = static_cast<uint64_t>(NowMs());
-        h.open_sessions = open_sessions_;
-        h.pending_requests = inflight_requests_;
+        h.open_sessions = q.open_sessions;
+        h.pending_requests = q.pending_requests;
         h.queries_served = stats_.queries_served;
         EncodeHealthReport(h, &buf);
         break;
@@ -329,17 +373,12 @@ class PeerDaemon {
       return;
     }
     if (const int64_t* slot = dedup_.Lookup(d.env.id)) {
-      // Retransmission or network duplicate: replay the cached reply of a
-      // finished session, or ack that the session is still running.
+      // Retransmission or network duplicate: the core replays the cached
+      // reply of a finished session, or acks a running one.
       stats_.duplicates_suppressed += 1;
-      const PolicyTag tag = static_cast<PolicyTag>(*slot & 0xff);
-      const int sid = static_cast<int>(*slot >> 8);
-      switch (tag) {
-        case PolicyTag::kTopK: ReplyOrAck(topk_, sid, d.env); break;
-        case PolicyTag::kSkyline: ReplyOrAck(skyline_, sid, d.env); break;
-        case PolicyTag::kSkyband: ReplyOrAck(skyband_, sid, d.env); break;
-        case PolicyTag::kRange: ReplyOrAck(range_, sid, d.env); break;
-      }
+      const int64_t v = *slot;
+      WithShard(static_cast<PolicyTag>(v & 0xff),
+                [v](auto& shard) { shard.core.Replay(v >> 8); });
       return;
     }
     wire::Reader r(d.bytes);
@@ -353,367 +392,9 @@ class PeerDaemon {
       stats_.frames_rejected += 1;
       return;
     }
-    const uint64_t wire_bytes = d.bytes.size();
-    switch (static_cast<PolicyTag>(raw_tag)) {
-      case PolicyTag::kTopK: OpenSession(topk_, env, &r, wire_bytes); break;
-      case PolicyTag::kSkyline:
-        OpenSession(skyline_, env, &r, wire_bytes);
-        break;
-      case PolicyTag::kSkyband:
-        OpenSession(skyband_, env, &r, wire_bytes);
-        break;
-      case PolicyTag::kRange: OpenSession(range_, env, &r, wire_bytes); break;
-    }
-  }
-
-  template <typename Policy>
-  void ReplyOrAck(Shard<Policy>& shard, int sid, const Envelope& env) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    if (s.finished) {
-      SendReply(shard, sid, /*retransmit=*/true);
-      return;
-    }
-    stats_.acks_sent += 1;
-    const Envelope ack{env.id, s.peer, s.requester, MessageKind::kAck, 0,
-                       env.trace};
-    wire::Buffer buf;
-    shard.codec.EncodeAckMessage(ack, &buf);
-    JournalFrame(obs::JournalEventKind::kFrameSend, s.peer, ack, buf.size());
-    transport_->Send(ack, buf.Take());
-  }
-
-  template <typename Policy>
-  void OpenSession(Shard<Policy>& shard, const Envelope& env, wire::Reader* r,
-                   uint64_t wire_bytes) {
-    typename Policy::Query q{};
-    typename Policy::GlobalState g{};
-    typename Overlay::Area area{};
-    int64_t hops = 0;
-    if (!shard.codec.DecodeQueryPayload(r, &q, &g, &area, &hops) || !r->ok() ||
-        r->remaining() != 0) {
-      // Dropped without entering the dedup window: the requester's
-      // retransmission (possibly clean this time) must not be suppressed.
-      stats_.frames_rejected += 1;
-      return;
-    }
-    JournalFrame(obs::JournalEventKind::kFrameRecv, env.to, env, wire_bytes);
-    const int sid = static_cast<int>(shard.sessions.size());
-    shard.sessions.emplace_back();
-    dedup_.Insert(env.id, (static_cast<int64_t>(sid) << 8) |
-                              static_cast<int64_t>(
-                                  PolicyTagOf<Policy>::value));
-    NetSession<Policy>& s = shard.sessions.back();
-    s.peer = env.to;
-    s.requester = env.from;
-    s.origin_req = env.id;
-    s.query = std::move(q);
-    s.incoming = std::move(g);
-    s.r = static_cast<int>(hops);
-    s.fast = s.r <= 0;
-    stats_.queries_served += 1;
-    open_sessions_ += 1;
-    if (profiler_ != nullptr) profiler_->OnSpan(s.peer);
-
-    const auto& node = overlay_->GetPeer(s.peer);
-    s.local = shard.policy.ComputeLocalState(node.store, s.query, s.incoming);
-    s.global = shard.policy.ComputeGlobalState(s.query, s.incoming, s.local);
-
-    if (s.fast) {
-      // Algorithm 1 / Algorithm 3 second loop: forward everywhere at once.
-      std::vector<std::pair<PeerId, typename Overlay::Area>> targets;
-      for (const auto& link : node.links) {
-        typename Overlay::Area restricted;
-        if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
-        if (!shard.policy.IsLinkRelevant(s.query, s.global, restricted)) {
-          continue;
-        }
-        targets.emplace_back(link.target, std::move(restricted));
-      }
-      s.outstanding_children = static_cast<int>(targets.size());
-      for (auto& [target, restricted] : targets) {
-        NewRequest(shard, sid, target, shard.sessions[sid].global,
-                   std::move(restricted), 0);
-      }
-      if (shard.sessions[sid].outstanding_children == 0) {
-        FinishSession(shard, sid);
-      }
-    } else {
-      // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
-      for (const auto& link : node.links) {
-        typename Overlay::Area restricted;
-        if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
-        const double priority = shard.policy.LinkPriority(s.query, restricted);
-        s.pending.push_back(typename NetSession<Policy>::Candidate{
-            link.target, std::move(restricted), priority});
-      }
-      std::stable_sort(
-          s.pending.begin(), s.pending.end(),
-          [](const auto& a, const auto& b) { return a.priority > b.priority; });
-      AdvanceSlow(shard, sid);
-    }
-  }
-
-  template <typename Policy>
-  void AdvanceSlow(Shard<Policy>& shard, int sid) {
-    while (shard.sessions[sid].next_candidate <
-           shard.sessions[sid].pending.size()) {
-      NetSession<Policy>& s = shard.sessions[sid];
-      auto& c = s.pending[s.next_candidate++];
-      if (!shard.policy.IsLinkRelevant(s.query, s.global, c.area)) continue;
-      NewRequest(shard, sid, c.target, s.global, std::move(c.area), s.r - 1);
-      return;  // wait for the response (or the retry budget)
-    }
-    FinishSession(shard, sid);
-  }
-
-  template <typename Policy>
-  void OnChildResponse(Shard<Policy>& shard, int sid,
-                       std::vector<typename Policy::LocalState> bundle) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    if (s.fast) {
-      for (auto& st : bundle) s.bundle.push_back(std::move(st));
-      if (--s.outstanding_children == 0) FinishSession(shard, sid);
-    } else {
-      shard.policy.MergeLocalStates(s.query, &s.local, bundle);
-      s.global = shard.policy.ComputeGlobalState(s.query, s.incoming, s.local);
-      AdvanceSlow(shard, sid);
-    }
-  }
-
-  template <typename Policy>
-  void ChildFailed(Shard<Policy>& shard, int sid) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    if (s.fast) {
-      if (--s.outstanding_children == 0) FinishSession(shard, sid);
-    } else {
-      AdvanceSlow(shard, sid);
-    }
-  }
-
-  /// Report upward: encode the reply datagram (the reply cache), merge
-  /// the local answer into the convergecast accumulator, send.
-  template <typename Policy>
-  void FinishSession(Shard<Policy>& shard, int sid) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    s.finished = true;
-    open_sessions_ -= 1;
-    auto local_answer = shard.policy.ComputeLocalAnswer(
-        overlay_->GetPeer(s.peer).store, s.query, s.local);
-    shard.policy.MergeAnswer(&s.answer_acc, std::move(local_answer), s.query);
-    wire::Buffer buf;
-    if (IsClientId(s.requester)) {
-      // This session is the query's root: the accumulator now holds the
-      // whole tree's answer. Finalize and ship it alone.
-      shard.policy.FinalizeAnswer(&s.answer_acc, s.query);
-      stats_.answers_finalized += 1;
-      const Envelope env{s.origin_req, s.peer, s.requester,
-                         MessageKind::kAnswer, 0, {}};
-      shard.codec.EncodeAnswerMessage(env, s.answer_acc, &buf);
-    } else {
-      // Interior node: states for the parent's merge, then the partial
-      // answer, all under the parent's request id in one datagram.
-      const Envelope renv{s.origin_req, s.peer, s.requester,
-                          MessageKind::kResponse, 0, {}};
-      if (s.fast) {
-        for (const auto& st : s.bundle) {
-          shard.codec.EncodeResponseFrame(renv, st, &buf);
-        }
-      }
-      shard.codec.EncodeResponseFrame(renv, s.local, &buf);
-      if (shard.policy.AnswerTupleCount(s.answer_acc) > 0) {
-        const Envelope aenv{s.origin_req, s.peer, s.requester,
-                            MessageKind::kAnswer, 0, {}};
-        shard.codec.EncodeAnswerMessage(aenv, s.answer_acc, &buf);
-      }
-    }
-    s.reply_frame = buf.Take();
-    s.bundle.clear();
-    s.pending.clear();
-    SendReply(shard, sid, /*retransmit=*/false);
-  }
-
-  template <typename Policy>
-  void SendReply(Shard<Policy>& shard, int sid, bool retransmit) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    const MessageKind kind = IsClientId(s.requester) ? MessageKind::kAnswer
-                                                     : MessageKind::kResponse;
-    const Envelope env{s.origin_req, s.peer, s.requester, kind,
-                       retransmit ? 1 : 0, {}};
-    if (retransmit) {
-      stats_.retransmissions += 1;
-      if (profiler_ != nullptr) profiler_->OnRetransmission(s.peer);
-    } else {
-      stats_.replies_sent += 1;
-    }
-    if (profiler_ != nullptr) {
-      // Clients are not overlay peers: their synthetic ids must never
-      // index the profiler's dense per-peer vector.
-      if (IsClientId(s.requester)) {
-        profiler_->OnMessageOut(s.peer, 0, s.reply_frame.size());
-      } else {
-        profiler_->OnMessage(s.peer, s.requester, 0, s.reply_frame.size());
-      }
-    }
-    JournalFrame(retransmit ? obs::JournalEventKind::kRetransmit
-                            : obs::JournalEventKind::kFrameSend,
-                 s.peer, env, s.reply_frame.size());
-    transport_->Send(env, std::vector<uint8_t>(s.reply_frame));
-  }
-
-  // --- child requests ----------------------------------------------------
-
-  template <typename Policy>
-  void NewRequest(Shard<Policy>& shard, int sid, PeerId target,
-                  const typename Policy::GlobalState& state,
-                  typename Overlay::Area area, int r) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    const uint64_t id = MakeMessageId(s.peer, next_seq_++);
-    Pending p;
-    p.tag = PolicyTagOf<Policy>::value;
-    p.session = sid;
-    p.from = s.peer;
-    p.target = target;
-    p.timeout_ms = retry_.timeout;
-    const Envelope env{id, s.peer, target, MessageKind::kQuery, 0, {}};
-    wire::Buffer buf;
-    const size_t start = BeginEnvelopeFrame(env, &buf);
-    buf.PutU8(static_cast<uint8_t>(PolicyTagOf<Policy>::value));
-    buf.PutZigzag(r);
-    shard.policy.EncodeQuery(s.query, &buf);
-    shard.policy.EncodeState(state, &buf);
-    overlay_->EncodeArea(area, &buf);
-    wire::EndFrame(&buf, start);
-    p.frame = buf.Take();
-    auto [it, inserted] = pending_.emplace(id, std::move(p));
-    (void)inserted;
-    stats_.child_requests += 1;
-    inflight_requests_ += 1;
-    TransmitRequest(it->first);
-  }
-
-  void TransmitRequest(uint64_t id) {
-    Pending& p = pending_[id];
-    const Envelope env{id, p.from, p.target, MessageKind::kQuery, p.strikes,
-                       {}};
-    if (profiler_ != nullptr) {
-      profiler_->OnMessage(p.from, p.target, 0, p.frame.size());
-      if (p.strikes > 0) profiler_->OnRetransmission(p.from);
-    }
-    JournalFrame(p.strikes > 0 ? obs::JournalEventKind::kRetransmit
-                               : obs::JournalEventKind::kFrameSend,
-                 p.from, env, p.frame.size());
-    // Arm before Send: a synchronous test transport may re-enter Dispatch
-    // inside Send and grow pending_, invalidating `p`. Nothing of `p` is
-    // touched after the Send.
-    p.timer = timers_.Arm(p.timeout_ms, [this, id] { OnRequestTimeout(id); });
-    std::vector<uint8_t> copy(p.frame);
-    transport_->Send(env, std::move(copy));
-  }
-
-  void OnRequestTimeout(uint64_t id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || it->second.resolved) return;
-    Pending& p = it->second;
-    if (p.strikes >= retry_.max_retries) {
-      p.resolved = true;
-      inflight_requests_ -= 1;
-      stats_.links_unresolved += 1;
-      RIPPLE_LOG(kWarn, "net: giving up on peer %u after %d attempts",
-                 p.target, p.strikes + 1);
-      // Copy out before the callback chain below mutates pending_.
-      const PolicyTag tag = p.tag;
-      const int session = p.session;
-      ResolveChildFailure(tag, session);
-      return;
-    }
-    p.strikes += 1;
-    p.timeout_ms = BackedOffWallTimeout(p.timeout_ms);
-    stats_.retransmissions += 1;
-    TransmitRequest(id);
-  }
-
-  double BackedOffWallTimeout(double current) const {
-    return std::min(current * retry_.backoff, retry_.timeout_cap);
-  }
-
-  void ResolveChildFailure(PolicyTag tag, int session) {
-    switch (tag) {
-      case PolicyTag::kTopK: ChildFailed(topk_, session); break;
-      case PolicyTag::kSkyline: ChildFailed(skyline_, session); break;
-      case PolicyTag::kSkyband: ChildFailed(skyband_, session); break;
-      case PolicyTag::kRange: ChildFailed(range_, session); break;
-    }
-  }
-
-  // --- incoming responses / acks ------------------------------------------
-
-  void HandleResponse(const Datagram& d) {
-    auto it = pending_.find(d.env.id);
-    if (it == pending_.end() || it->second.resolved) {
-      stats_.late_responses += 1;
-      return;
-    }
-    switch (it->second.tag) {
-      case PolicyTag::kTopK: ConsumeResponse(topk_, it->second, d); break;
-      case PolicyTag::kSkyline: ConsumeResponse(skyline_, it->second, d); break;
-      case PolicyTag::kSkyband: ConsumeResponse(skyband_, it->second, d); break;
-      case PolicyTag::kRange: ConsumeResponse(range_, it->second, d); break;
-    }
-  }
-
-  /// Walks a reply datagram's back-to-back frames: state frames for the
-  /// requester's merge, then at most one answer frame (the child subtree's
-  /// partial answer). All-or-nothing: any undecodable frame drops the
-  /// datagram and leaves recovery to the retransmission timer.
-  template <typename Policy>
-  void ConsumeResponse(Shard<Policy>& shard, Pending& p, const Datagram& d) {
-    std::vector<typename Policy::LocalState> bundle;
-    typename Policy::Answer partial{};
-    bool has_partial = false;
-    wire::Reader r(d.bytes);
-    bool ok = !d.bytes.empty();
-    while (ok && r.remaining() > 0) {
-      wire::FrameHeader h;
-      if (!wire::DecodeFrameHeader(&r, &h) || h.id != d.env.id) {
-        ok = false;
-        break;
-      }
-      const size_t frame_end = r.position() + wire::FramePayloadSize(h);
-      if (h.tag == static_cast<uint8_t>(MessageKind::kResponse)) {
-        typename Policy::LocalState st{};
-        ok = !has_partial && shard.codec.DecodeResponsePayload(&r, &st) &&
-             r.ok() && r.position() == frame_end;
-        if (ok) bundle.push_back(std::move(st));
-      } else if (h.tag == static_cast<uint8_t>(MessageKind::kAnswer)) {
-        ok = !has_partial && shard.codec.DecodeAnswerPayload(&r, &partial) &&
-             r.ok() && r.position() == frame_end;
-        has_partial = true;
-      } else {
-        ok = false;
-      }
-    }
-    if (!ok || bundle.empty()) {
-      stats_.frames_rejected += 1;
-      return;
-    }
-    JournalFrame(obs::JournalEventKind::kFrameRecv, p.from, d.env,
-                 d.bytes.size());
-    p.resolved = true;
-    inflight_requests_ -= 1;
-    timers_.Cancel(p.timer);
-    NetSession<Policy>& s = shard.sessions[p.session];
-    if (has_partial) {
-      shard.policy.MergeAnswer(&s.answer_acc, std::move(partial), s.query);
-    }
-    OnChildResponse(shard, p.session, std::move(bundle));
-  }
-
-  void HandleAck(const Datagram& d) {
-    auto it = pending_.find(d.env.id);
-    if (it == pending_.end() || it->second.resolved) return;
-    JournalFrame(obs::JournalEventKind::kFrameRecv, it->second.from, d.env,
-                 d.bytes.size());
-    it->second.strikes = 0;
+    WithShard(static_cast<PolicyTag>(raw_tag), [&](auto& shard) {
+      shard.core.OnQuery(env, &r, d.bytes.size());
+    });
   }
 
   const Overlay* overlay_;
@@ -726,12 +407,9 @@ class PeerDaemon {
   obs::Profiler* profiler_ = nullptr;
   obs::Registry* registry_ = nullptr;
   std::function<TransportCounters()> transport_counters_;
-  WallTimers timers_;
+  TimerQueue timers_;
   DaemonStats stats_;
-  uint64_t open_sessions_ = 0;
-  uint64_t inflight_requests_ = 0;
   uint32_t next_seq_ = 1;
-  std::unordered_map<uint64_t, Pending> pending_;
   Shard<TopKPolicy> topk_;
   Shard<SkylinePolicy> skyline_;
   Shard<SkybandPolicy> skyband_;

@@ -110,14 +110,22 @@ class DedupWindow {
   }
 
   /// Records `id` (first sighting wins; re-inserting refreshes nothing).
-  void Insert(uint64_t id, int64_t value) {
-    if (capacity_ == 0) return;
-    if (!seen_.emplace(id, value).second) return;
-    order_.push_back(id);
-    while (order_.size() > capacity_) {
-      seen_.erase(order_.front());
+  /// Returns true when the insert pushed an id out of the window, and
+  /// stores that id's value in `*evicted` (with capacity 0 nothing is
+  /// kept, so the value just offered is the one forgotten).
+  bool Insert(uint64_t id, int64_t value, int64_t* evicted = nullptr) {
+    int64_t gone = value;
+    if (capacity_ != 0) {
+      if (!seen_.emplace(id, value).second) return false;
+      order_.push_back(id);
+      if (order_.size() <= capacity_) return false;
+      auto it = seen_.find(order_.front());
+      gone = it->second;
+      seen_.erase(it);
       order_.pop_front();
     }
+    if (evicted != nullptr) *evicted = gone;
+    return true;
   }
 
   size_t size() const { return seen_.size(); }

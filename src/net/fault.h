@@ -1,6 +1,7 @@
 #ifndef RIPPLE_NET_FAULT_H_
 #define RIPPLE_NET_FAULT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,6 +70,11 @@ struct RetryOptions {
   /// peer remembers (FIFO eviction).
   size_t dedup_window = 1024;
 };
+
+/// The retry discipline's capped exponential backoff.
+inline double BackedOffTimeout(double current, const RetryOptions& r) {
+  return std::min(current * r.backoff, r.timeout_cap);
+}
 
 }  // namespace ripple::net
 

@@ -1,6 +1,7 @@
 #ifndef RIPPLE_NET_PROTOCOL_H_
 #define RIPPLE_NET_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "net/envelope.h"
@@ -9,6 +10,9 @@
 #include "queries/skyband.h"
 #include "queries/skyline.h"
 #include "queries/topk.h"
+#include "ripple/wire_codec.h"
+#include "wire/buffer.h"
+#include "wire/frame.h"
 
 namespace ripple::net {
 
@@ -57,6 +61,23 @@ template <>
 struct PolicyTagOf<RangePolicy> {
   static constexpr PolicyTag value = PolicyTag::kRange;
 };
+
+/// Appends one live query frame: `env`'s header, the policy tag byte,
+/// then WireCodec's [zigzag r][query][state][area] payload. Clients and
+/// daemon forwards both write through here. Returns the frame's size.
+template <typename Overlay, typename Policy>
+size_t EncodeLiveQuery(const WireCodec<Overlay, Policy>& codec,
+                       const Envelope& env,
+                       const typename Policy::Query& query,
+                       const typename Policy::GlobalState& state,
+                       const typename Overlay::Area& area, int64_t r,
+                       wire::Buffer* buf) {
+  const size_t start = BeginEnvelopeFrame(env, buf);
+  buf->PutU8(static_cast<uint8_t>(PolicyTagOf<Policy>::value));
+  codec.EncodeQueryPayload(query, state, area, r, buf);
+  wire::EndFrame(buf, start);
+  return buf->size() - start;
+}
 
 /// Message ids must be unique across every process of the overlay for
 /// receiver-side dedup and reply caching to stay sound, so each sender

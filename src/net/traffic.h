@@ -45,7 +45,7 @@ struct WireTraffic {
 };
 
 /// Records one execution's traffic into the global metrics registry under
-/// `net.bytes_*` / `net.frames_*` (the counters ripple_cli --metrics-out
+/// `net.bytes_*` / `net.frames_*` (the counters ripple_cli run --metrics-out
 /// exports). No-op unless obs::Registry::EnableGlobal(true) was called —
 /// same contract as RecordCoverageMetrics.
 void RecordTrafficMetrics(const WireTraffic& t);

@@ -37,7 +37,7 @@ struct BenchMeta {
 /// writes them into a schema-versioned, machine-readable
 /// `BENCH_<suite>.json`, merging with cases other binaries already wrote
 /// there (each binary owns the id prefix `<binary>/`). This is the one
-/// sanctioned path for bench result emission — tools/lint_deprecated.sh
+/// sanctioned path for bench result emission — tools/lint_docs.sh
 /// rejects raw fprintf-to-CSV elsewhere — and the document it writes is
 /// the perf trajectory tools/bench_check.py gates regressions against.
 class BenchReporter {

@@ -42,12 +42,19 @@ class WireCodec {
                             const GlobalState& g, const Area& area,
                             int64_t r, wire::Buffer* buf) const {
     const size_t start = net::BeginEnvelopeFrame(env, buf);
+    EncodeQueryPayload(q, g, area, r, buf);
+    wire::EndFrame(buf, start);
+    return buf->size() - start;
+  }
+  /// The query payload alone, for framings that prefix it (the live
+  /// overlay's policy tag, net/protocol.h).
+  void EncodeQueryPayload(const Query& q, const GlobalState& g,
+                          const Area& area, int64_t r,
+                          wire::Buffer* buf) const {
     buf->PutZigzag(r);
     policy_->EncodeQuery(q, buf);
     policy_->EncodeState(g, buf);
     overlay_->EncodeArea(area, buf);
-    wire::EndFrame(buf, start);
-    return buf->size() - start;
   }
   bool DecodeQueryPayload(wire::Reader* r, Query* q, GlobalState* g,
                           Area* area, int64_t* hops) const {

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,12 +24,11 @@
 #include "obs/trace.h"
 #include "overlay/types.h"
 #include "ripple/api.h"
+#include "ripple/peer_core.h"
 #include "ripple/policy.h"
 #include "ripple/wire_codec.h"
 #include "sim/event_sim.h"
 #include "sim/fault_model.h"
-#include "sim/retransmit.h"
-#include "sim/session.h"
 #include "wire/buffer.h"
 #include "wire/frame.h"
 
@@ -52,7 +49,10 @@ inline LatencyModel UnitLatency() {
 /// explicit messages through a discrete-event scheduler, the way deployed
 /// peers would: query forwards, per-subtree state responses (fast-phase
 /// subtrees convergecast their state bundles), and answer deliveries to
-/// the initiator, each taking LatencyModel time on the wire.
+/// the initiator, each taking LatencyModel time on the wire. The per-peer
+/// procedure is PeerCore (ripple/peer_core.h), the same state machine the
+/// live daemon drives on wall time; this engine is its virtual-time
+/// driver, with local answers sent straight to the initiator.
 ///
 /// Every transmission crosses a real serialization boundary: the message
 /// is encoded into a framed wire datagram (ripple/wire_codec.h,
@@ -105,7 +105,6 @@ class AsyncEngine {
   using Answer = typename Policy::Answer;
   using Request = QueryRequest<Policy>;
   using Result = QueryResult<Answer>;
-  using Session = ripple::Session<Policy, Area>;
 
   AsyncEngine(const Overlay* overlay, Policy policy,
               LatencyModel latency = UnitLatency())
@@ -190,25 +189,57 @@ class AsyncEngine {
   }
 
  private:
+  /// One query's virtual-time driver of the shared per-peer core
+  /// (ripple/peer_core.h). The event queue is its clock and timer source
+  /// and the FaultModel its network; it owns what only the simulator has:
+  /// QueryStats/Coverage accounting, per-peer dedup windows and the
+  /// reliable direct-to-initiator answer channel.
   struct Runtime {
+    using Core = PeerCore<Overlay, Policy, Runtime>;
+    using Session = typename Core::Session;
+    /// Local answers travel straight to the initiator.
+    static constexpr bool kConvergecast = false;
+
+    /// One answer delivery to the initiator, with sender-side
+    /// retransmission on loss or corruption (the channel models a reliable
+    /// transport whose acks/nacks are elided from the accounting;
+    /// retransmissions are not). The sender cannot observe a swallowed or
+    /// rejected datagram through the fire-and-forget transport, so every
+    /// transmission arms a watchdog timer; delivery cancels it, anything
+    /// else retransmits when it fires.
+    struct PendingAnswer {
+      PeerId from = kInvalidPeer;
+      wire::TraceContext trace;
+      std::vector<uint8_t> frame;  // encoded answer frame (byte snapshot)
+      size_t tuples = 0;
+      int attempt = 0;
+      bool settled = false;  // delivered once, or lost for good
+      uint64_t timer = 0;    // live watchdog handle
+    };
+
+    /// Per message id: whether a slow session sent the forward (only
+    /// those are charged for the states coming back, see OnReplySent) and
+    /// whether its requester gave up on it.
+    struct RequestNote {
+      bool slow_requester = false;
+      bool gave_up = false;
+    };
+
     Runtime(const AsyncEngine* engine, const Request* req)
         : self(engine),
           request(req),
           ft(req->fault.AnyFault() || engine->transport_ != nullptr),
           fault(req->fault, req->initiator),
-          timers(&sim),
-          codec(engine->overlay_, &engine->policy_) {}
+          core(engine->overlay_, &engine->policy_, this) {}
 
     const AsyncEngine* self;
     const Request* request;
     const bool ft;  // fault machinery armed
     FaultModel fault;
     EventSimulator sim;
-    TimerWheel timers;
-    WireCodec<Overlay, Policy> codec;
+    Core core;
     net::WireTraffic traffic;
-    SessionTable<Policy, Area> sessions;
-    std::vector<PendingRequest> requests;  // indexed by message id
+    std::vector<RequestNote> notes;  // indexed by message id
     std::vector<PendingAnswer> answers;
     std::unordered_map<PeerId, net::DedupWindow> query_dedup;
     Result result;
@@ -219,44 +250,6 @@ class AsyncEngine {
     double last_answer_time = 0;
 
     const Policy& policy() const { return self->policy_; }
-    const Overlay& overlay() const { return *self->overlay_; }
-    const net::RetryOptions& retry() const { return request->retry; }
-    obs::Profiler* profiler() const { return self->profiler_; }
-
-    /// The wire trace context a peer whose live span is `span` stamps into
-    /// an outgoing frame: the query's trace id, the sender's span as the
-    /// receiver's parent, and the initiator's head-sampling decision.
-    wire::TraceContext TraceFor(uint32_t span) const {
-      wire::TraceContext t;
-      t.trace_id = request->trace_id;
-      t.parent_span = span;
-      if (request->trace_id != 0) t.flags = wire::kFrameFlagSampled;
-      return t;
-    }
-
-    /// The journal to feed, or nullptr when none is attached or the query
-    /// is unsampled (head sampling gates every event).
-    obs::JournalSet* journal() const {
-      return request->trace_id != 0 ? self->journal_ : nullptr;
-    }
-
-    /// Appends one frame-level journal event to `peer`'s log.
-    void JournalFrame(obs::JournalEventKind kind, PeerId peer,
-                      const net::Envelope& env, uint64_t bytes) {
-      obs::JournalSet* j = journal();
-      if (j == nullptr) return;
-      obs::JournalEvent e;
-      e.kind = kind;
-      e.peer = peer;
-      e.sim_time = sim.now();
-      e.trace_id = request->trace_id;
-      e.msg_id = env.id;
-      e.msg_kind = static_cast<uint8_t>(env.kind);
-      e.parent_span = env.trace.parent_span;
-      e.bytes = bytes;
-      e.attempt = env.attempt;
-      j->Record(e);
-    }
 
     // --- entry / exit ----------------------------------------------------
 
@@ -273,21 +266,17 @@ class AsyncEngine {
       if (ft && std::isfinite(request->deadline)) {
         sim.Schedule(request->deadline, [this] { OnDeadline(); });
       }
-      GlobalState initial =
-          request->initial_state.has_value()
-              ? *request->initial_state
-              : policy().InitialGlobalState(request->query);
-      // The initiator's root session has no parent and no envelope; its
-      // query never crossed a wire, so it copies the request's directly.
-      StartSession(request->initiator, request->query, std::move(initial),
-                   overlay().FullArea(), request->ripple.hops(),
-                   /*parent=*/kNoSession, kNoRequest, obs::kNoSpan);
+      core.OpenRoot(request->initiator, request->query,
+                    request->initial_state.has_value()
+                        ? *request->initial_state
+                        : policy().InitialGlobalState(request->query),
+                    request->ripple.hops(), request->trace_id);
     }
 
     Result Finalize() {
       self->transport()->SetReceiver(nullptr);
       if (!ft && !std::isfinite(request->deadline)) {
-        RIPPLE_CHECK(sessions.open() == 0 &&
+        RIPPLE_CHECK(core.open_sessions() == 0 &&
                      "async run left dangling sessions");
       }
       policy().FinalizeAnswer(&result.answer, request->query);
@@ -301,69 +290,49 @@ class AsyncEngine {
       return std::move(result);
     }
 
-    // --- wire ------------------------------------------------------------
+    // --- PeerCore driver hooks -------------------------------------------
 
-    /// Hands one encoded datagram to the transport. Fire-and-forget: a
-    /// delivering transport calls back into OnWireDeliver (the loopback
-    /// does so synchronously, before this returns); a swallowing one
-    /// stays silent and the sender's timers take over.
-    void SendDatagram(const net::Envelope& env, std::vector<uint8_t> bytes) {
+    double Now() const { return sim.now(); }
+    uint64_t ArmTimer(double delay, std::function<void()> fn) {
+      return sim.Arm(delay, std::move(fn));
+    }
+    void CancelTimer(uint64_t id) { sim.Cancel(id); }
+    /// A perfect network needs no timers (the exact fault-free protocol).
+    bool retransmits() const { return ft; }
+    const net::RetryOptions& retry() const { return request->retry; }
+    obs::Tracer* tracer() const { return self->tracer_; }
+    obs::Profiler* profiler() const { return self->profiler_; }
+    /// Head sampling gates every journal event.
+    obs::JournalSet* journal() const {
+      return request->trace_id != 0 ? self->journal_ : nullptr;
+    }
+    const std::function<double(PeerId)>* link_bias() const {
+      return self->link_bias_ ? &self->link_bias_ : nullptr;
+    }
+    void Send(const net::Envelope& env, std::vector<uint8_t> bytes) {
       self->transport()->Send(env, std::move(bytes));
     }
-
-    /// The transport delivered one datagram (possibly modified in
-    /// flight). This is where bytes re-enter the simulation: the message
-    /// kind routes to its decode path, and the simulated network
-    /// (latency model + fault draws) sits between here and the decode,
-    /// exactly where the wire would be. The envelope's id recovers the
-    /// sender-side bookkeeping entry — it is transport metadata, like a
-    /// UDP packet's source address, not part of the authenticated frame
-    /// (the decode re-reads everything from the bytes).
-    void OnWireDeliver(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      switch (env.kind) {
-        case net::MessageKind::kQuery: {
-          const int64_t id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, id, datagram = std::move(bytes)] {
-                     DeliverQuery(id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kResponse: {
-          const int64_t req_id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, req_id, datagram = std::move(bytes)] {
-                     DeliverResponse(req_id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kAck: {
-          const int64_t id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, id, datagram = std::move(bytes)] {
-                     DeliverAck(id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kAnswer:
-          OnAnswerWire(env, std::move(bytes));
-          break;
-        default:
-          // Admin-plane kinds only exist on the live overlay; the
-          // simulated wire never carries them.
-          RIPPLE_CHECK(!net::IsAdminKind(env.kind));
-          break;
-      }
+    void EncodeQuery(const typename Core::Codec& codec,
+                     const net::Envelope& env, const Query& q,
+                     const GlobalState& g, const Area& area, int r,
+                     wire::Buffer* buf) {
+      codec.EncodeQueryMessage(env, q, g, area, r, buf);
     }
+    uint64_t NewRequestId(const Session& requester) {
+      notes.push_back(RequestNote{!requester.fast, false});
+      return notes.size() - 1;
+    }
+    void Remember(const net::Envelope& env, int64_t session) {
+      if (ft) DedupOf(env.to).Insert(env.id, session);
+    }
+    bool Alive(PeerId peer) const { return !fault.CrashedAt(peer, sim.now()); }
 
-    /// A received datagram failed to decode. Corruption can only come from
-    /// a custom transport, and installing one arms `ft` — on a loopback
-    /// wire a rejection means an engine bug, so fail loudly. Truncated
-    /// length fields are counted apart from semantic rejections
-    /// (bad version / tag / payload), so the two failure families stay
-    /// distinguishable in the net.* metrics.
-    void RejectFrame(wire::FrameError err) {
-      if (err == wire::FrameError::kTruncated) {
+    /// A received datagram failed to decode. Corruption can only come
+    /// from a custom transport, and installing one arms `ft` — on a
+    /// loopback wire a rejection means an engine bug, so fail loudly.
+    /// Truncations are counted apart from semantic rejections.
+    void RejectFrame(bool truncated) {
+      if (truncated) {
         traffic.frames_truncated += 1;
       } else {
         traffic.frames_rejected += 1;
@@ -371,562 +340,175 @@ class AsyncEngine {
       RIPPLE_CHECK(ft && "frame rejected without fault machinery armed");
     }
 
-    /// Schedules a delivery callback at `to` after wire delay, dropping it
-    /// if the receiver has crashed by then. `deliver` must be idempotent
-    /// against duplicate copies (all receive paths dedup). `env` only
-    /// feeds the journal's crash-drop event.
-    void ScheduleDelivery(const net::Envelope& env, PeerId to, double delay,
-                          std::function<void()> deliver) {
-      sim.Schedule(delay, [this, env, to, deliver = std::move(deliver)] {
-        if (ft && fault.CrashedAt(to, sim.now())) {
-          result.coverage.crash_drops += 1;
-          NoteCrashed(to);
-          JournalFrame(obs::JournalEventKind::kCrash, to, env, 0);
-          return;
-        }
-        deliver();
-      });
-    }
-
-    /// One wire transmission from -> to, subject to loss / jitter /
-    /// duplication. The caller has already charged the message to stats.
-    void Transmit(const net::Envelope& env, PeerId from, PeerId to,
-                  std::function<void()> deliver) {
-      const double base = self->latency_(from, to);
-      if (!ft) {
-        sim.Schedule(base, std::move(deliver));
-        return;
-      }
-      if (fault.DropMessage()) {
-        result.coverage.messages_lost += 1;
-        JournalFrame(obs::JournalEventKind::kDrop, from, env, 0);
-        return;
-      }
-      const double d = fault.Jitter(base);
-      if (fault.DuplicateMessage()) {
-        result.coverage.messages_duplicated += 1;
-        ScheduleDelivery(env, to, fault.Jitter(base), deliver);
-      }
-      ScheduleDelivery(env, to, d, std::move(deliver));
-    }
-
-    void NoteCrashed(PeerId peer) {
-      auto& v = result.coverage.crashed_peers;
-      auto it = std::lower_bound(v.begin(), v.end(), peer);
-      if (it == v.end() || *it != peer) v.insert(it, peer);
-    }
-
-    void NoteUnreachable(PeerId peer) {
-      auto& v = result.coverage.unreachable_peers;
-      auto it = std::lower_bound(v.begin(), v.end(), peer);
-      if (it == v.end() || *it != peer) v.insert(it, peer);
-    }
-
-    // --- sessions (the RIPPLE procedure itself) --------------------------
-
-    /// Opens the per-peer procedure with the query/state/area as decoded
-    /// at this peer (the caller already charged the message).
-    /// `wire_parent_span` is the parent span as carried by the query
-    /// frame's v2 header — trace parentage genuinely travels the wire, it
-    /// is never reconstructed from in-process session links (the root
-    /// session, which received no frame, passes obs::kNoSpan).
-    void StartSession(PeerId peer, Query query, GlobalState state, Area area,
-                      int r, int parent, int64_t origin_req,
-                      uint32_t wire_parent_span) {
-      const int id = sessions.Create();
-      Session& s = sessions[id];
-      s.peer = peer;
-      s.query = std::move(query);
-      s.incoming = std::move(state);
-      s.area = std::move(area);
-      s.r = r;
-      s.parent = parent;
-      s.origin_req = origin_req;
-      s.fast = r <= 0;
+    void OnSessionOpened(const Session& s) {
       result.stats.peers_visited += 1;
-      if (self->visit_observer_) self->visit_observer_(peer);
-      if (profiler() != nullptr) profiler()->OnSpan(peer);
-      if (obs::Tracer* tracer = self->tracer_) {
-        s.span = tracer->StartSpan(
-            peer, wire_parent_span,
-            s.fast ? obs::SpanKind::kFast : obs::SpanKind::kSlow, r,
-            sim.now());
-        tracer->span(s.span).tuples_in =
-            policy().GlobalStateTupleCount(s.incoming);
-      }
-
-      const auto& node = overlay().GetPeer(peer);
-      {
-        obs::ScopedTimer cpu(profiler(), peer);
-        s.local = policy().ComputeLocalState(node.store, s.query, s.incoming);
-        s.global = policy().ComputeGlobalState(s.query, s.incoming, s.local);
-      }
-
-      if (s.fast) {
-        // Algorithm 1 / Algorithm 3 second loop: forward everywhere at
-        // once with the state snapshot.
-        std::vector<std::pair<PeerId, Area>> targets;
-        for (const auto& link : node.links) {
-          Area restricted;
-          if (!Overlay::IntersectArea(link.region, s.area, &restricted)) {
-            continue;
-          }
-          if (!policy().IsLinkRelevant(s.query, s.global, restricted)) {
-            if (s.span != obs::kNoSpan) {
-              self->tracer_->span(s.span).links_pruned += 1;
-            }
-            continue;
-          }
-          targets.emplace_back(link.target, std::move(restricted));
-        }
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).links_forwarded = targets.size();
-        }
-        // Fast-phase fan-out: every relevant link outstanding at once.
-        if (profiler() != nullptr && !targets.empty()) {
-          profiler()->OnQueueDepth(peer, targets.size());
-        }
-        sessions[id].outstanding_children = static_cast<int>(targets.size());
-        for (auto& [target, restricted] : targets) {
-          NewRequest(id, target, sessions[id].global, std::move(restricted),
-                     0);
-        }
-        if (sessions[id].outstanding_children == 0) FinishSession(id);
-      } else {
-        // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
-        for (const auto& link : node.links) {
-          Area restricted;
-          if (!Overlay::IntersectArea(link.region, s.area, &restricted)) {
-            continue;
-          }
-          const double priority = policy().LinkPriority(s.query, restricted);
-          s.pending.push_back(typename Session::Candidate{
-              link.target, std::move(restricted), priority});
-        }
-        const auto& bias = self->link_bias_;
-        std::stable_sort(s.pending.begin(), s.pending.end(),
-                         [&bias](const auto& a, const auto& b) {
-                           if (a.priority != b.priority) {
-                             return a.priority > b.priority;
-                           }
-                           if (bias) return bias(a.target) > bias(b.target);
-                           return false;
-                         });
-        AdvanceSlow(id);
-      }
+      if (self->visit_observer_) self->visit_observer_(s.peer);
     }
-
-    /// Slow phase: contact the next relevant candidate or finish.
-    void AdvanceSlow(int id) {
-      while (sessions[id].next_candidate < sessions[id].pending.size()) {
-        Session& s = sessions[id];
-        auto& c = s.pending[s.next_candidate++];
-        if (!policy().IsLinkRelevant(s.query, s.global, c.area)) {
-          if (s.span != obs::kNoSpan) {
-            self->tracer_->span(s.span).links_pruned += 1;
-          }
-          continue;
-        }
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).links_forwarded += 1;
-        }
-        if (profiler() != nullptr) profiler()->OnQueueDepth(s.peer, 1);
-        NewRequest(id, c.target, s.global, std::move(c.area), s.r - 1);
-        return;  // wait for the response (or the retry budget)
-      }
-      FinishSession(id);
+    void OnQuerySent(const PendingRequest& rq) {
+      Charge(rq.from, rq.target, rq.tuples, rq.frame.size(),
+             &traffic.bytes_query, rq.attempt > 1);
     }
-
-    /// A child (or fast-subtree) responded with a bundle of local states.
-    void OnResponse(int id, std::vector<LocalState> bundle) {
-      Session& s = sessions[id];
-      if (s.fast) {
-        for (LocalState& st : bundle) s.bundle.push_back(std::move(st));
-        if (--s.outstanding_children == 0) FinishSession(id);
-      } else {
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).states_merged += bundle.size();
-        }
-        {
-          obs::ScopedTimer cpu(profiler(), s.peer);
-          policy().MergeLocalStates(s.query, &s.local, bundle);
-          s.global = policy().ComputeGlobalState(s.query, s.incoming, s.local);
-        }
-        AdvanceSlow(id);
-      }
-    }
-
-    /// A child could not be reached within the retry budget: fold in what
-    /// we have and continue without its subtree.
-    void ChildFailed(int id) {
-      Session& s = sessions[id];
-      if (s.fast) {
-        if (--s.outstanding_children == 0) FinishSession(id);
-      } else {
-        AdvanceSlow(id);
-      }
-    }
-
-    /// Lines 12-13 / 19-21: report the state upward, ship the answer.
-    void FinishSession(int id) {
-      Session& s = sessions[id];
-      // The final local state drives the answer extraction (fast sessions
-      // never merged, so s.local is the line-1 state, as in Alg. 1).
-      Answer answer;
-      {
-        obs::ScopedTimer cpu(profiler(), s.peer);
-        answer = policy().ComputeLocalAnswer(overlay().GetPeer(s.peer).store,
-                                             s.query, s.local);
-      }
-      const size_t tuples = policy().AnswerTupleCount(answer);
-      if (tuples > 0) {
-        SendAnswer(s.peer, std::move(answer), tuples, s.span);
-      }
-      if (s.span != obs::kNoSpan) {
-        obs::Tracer* tracer = self->tracer_;
-        obs::Span& sp = tracer->span(s.span);
-        sp.state_tuples = policy().StateTupleCount(s.local);
-        sp.answer_tuples = tuples;
-        tracer->EndSpan(s.span, sim.now());
-      }
-
-      // In the protocol, fast-phase peers address their states directly to
-      // the nearest slow ancestor u (Alg. 3 keeps forwarding u through the
-      // fast phase), so state messages are accounted exactly once — at the
-      // slow session that consumes them; the convergecast through fast
-      // sessions only exists for completion detection. The reply cache is
-      // encoded once here (one frame per state) and reshipped verbatim on
-      // retransmitted queries.
-      if (s.parent >= 0) {
-        std::vector<LocalState> bundle_out;
-        if (s.fast) bundle_out = std::move(s.bundle);
-        bundle_out.push_back(s.local);
-        const net::Envelope env = ResponseEnvelope(id);
-        wire::Buffer buf;
-        for (const LocalState& st : bundle_out) {
-          const size_t bytes = codec.EncodeResponseFrame(env, st, &buf);
-          s.response_parts.push_back({bytes, policy().StateTupleCount(st)});
-        }
-        s.response_frame = buf.Take();
-      }
-      sessions.Close(id);
-      if (s.parent >= 0) {
-        SendResponse(id);
-      } else {
-        root_done = true;
-        root_finish_time = sim.now();
-        MaybeStop();
-      }
-    }
-
-    // --- requests, timeouts, retries -------------------------------------
-
-    /// Issues a new logical query forward from session `requester`,
-    /// snapshotting the encoded frame so every (re)transmission is
-    /// byte-identical.
-    void NewRequest(int requester, PeerId target, const GlobalState& state,
-                    Area area, int r) {
-      const int64_t id = static_cast<int64_t>(requests.size());
-      requests.push_back(PendingRequest{});
-      PendingRequest& rq = requests[id];
-      rq.requester = requester;
-      rq.from = sessions[requester].peer;
-      rq.target = target;
-      rq.tuples = policy().GlobalStateTupleCount(state);
-      rq.timeout = retry().timeout;
-      const net::Envelope env{static_cast<uint64_t>(id), rq.from, target,
-                              net::MessageKind::kQuery, 0,
-                              TraceFor(sessions[requester].span)};
-      wire::Buffer buf;
-      codec.EncodeQueryMessage(env, sessions[requester].query, state, area, r,
-                               &buf);
-      rq.frame = buf.Take();
-      TransmitQuery(id);
-    }
-
-    net::Envelope QueryEnvelope(int64_t id) const {
-      const PendingRequest& rq = requests[id];
-      return net::Envelope{static_cast<uint64_t>(id), rq.from, rq.target,
-                           net::MessageKind::kQuery, rq.attempt,
-                           TraceFor(sessions[rq.requester].span)};
-    }
-
-    net::Envelope ResponseEnvelope(int id) const {
-      const Session& s = sessions[id];
-      return net::Envelope{static_cast<uint64_t>(s.origin_req), s.peer,
-                           sessions[s.parent].peer,
-                           net::MessageKind::kResponse, 0,
-                           TraceFor(s.span)};
-    }
-
-    net::Envelope AnswerEnvelope(size_t idx) const {
-      const PendingAnswer& a = answers[idx];
-      return net::Envelope{static_cast<uint64_t>(idx), a.from,
-                           request->initiator, net::MessageKind::kAnswer,
-                           a.attempt, TraceFor(a.span)};
-    }
-
-    void TransmitQuery(int64_t id) {
-      PendingRequest& rq = requests[id];
-      rq.attempt += 1;
-      result.stats.messages += 1;
-      result.stats.tuples_shipped += rq.tuples;
-      result.stats.bytes_on_wire += rq.frame.size();
-      traffic.bytes_query += rq.frame.size();
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(rq.from, rq.target, rq.tuples, rq.frame.size());
-        if (rq.attempt > 1) profiler()->OnRetransmission(rq.from);
-      }
-      const net::Envelope env = QueryEnvelope(id);
-      JournalFrame(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
-                                  : obs::JournalEventKind::kFrameSend,
-                   rq.from, env, rq.frame.size());
-      SendDatagram(env, std::vector<uint8_t>(rq.frame));
-      if (ft) {
-        requests[id].timer =
-            timers.Arm(requests[id].timeout, [this, id] { OnTimeout(id); });
-      }
-    }
-
-    void DeliverQuery(int64_t id, const std::vector<uint8_t>& datagram) {
-      PendingRequest& rq = requests[id];
-      if (ft) {
-        net::DedupWindow& window = DedupOf(rq.target);
-        if (const int64_t* session =
-                window.Lookup(static_cast<uint64_t>(id))) {
-          // Retransmission or network duplicate of a query we have seen:
-          // answer from the reply cache, or ack that we are still on it.
-          result.coverage.duplicates_suppressed += 1;
-          const int s = static_cast<int>(*session);
-          if (sessions[s].finished) {
-            ResendResponse(s);
-          } else {
-            SendAck(id, s);
-          }
-          return;
+    /// State messages are accounted exactly once — at the slow session
+    /// that consumes them; the convergecast through fast sessions only
+    /// exists for completion detection, so its bytes cross the transport
+    /// uncharged. Retransmissions are charged again.
+    void OnReplySent(const Session& s, bool retransmit) {
+      if (notes[s.origin_req].slow_requester) {
+        for (const auto& part : s.reply_parts) {
+          Charge(s.peer, s.requester, part.tuples, part.bytes,
+                 &traffic.bytes_response);
         }
       }
-      wire::Reader r(datagram);
-      net::Envelope env;
-      Query q{};
-      GlobalState g{};
-      Area area{};
-      int64_t hops = 0;
-      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &env);
-      const bool ok = ferr == wire::FrameError::kOk &&
-                      env.kind == net::MessageKind::kQuery &&
-                      codec.DecodeQueryPayload(&r, &q, &g, &area, &hops) &&
-                      r.ok() && r.remaining() == 0;
-      if (!ok) {
-        // Dropped: the requester's timer retransmits the byte-identical
-        // frame. The id must NOT enter the dedup window, or the (equally
-        // corrupted-looking to us, but possibly clean) retransmission
-        // would be wrongly suppressed.
-        RejectFrame(ferr);
-        return;
-      }
-      JournalFrame(obs::JournalEventKind::kFrameRecv, rq.target, env,
-                   datagram.size());
-      if (ft) {
-        DedupOf(rq.target).Insert(static_cast<uint64_t>(id),
-                                  static_cast<int64_t>(sessions.size()));
-      }
-      // The receiver's span parents off whatever the frame header carried.
-      StartSession(rq.target, std::move(q), std::move(g), std::move(area),
-                   static_cast<int>(hops), rq.requester, id,
-                   env.trace.parent_span);
-    }
-
-    void OnTimeout(int64_t id) {
-      PendingRequest& rq = requests[id];
-      if (rq.resolved) return;
-      // A crashed requester stops timing out; its own parent handles it.
-      if (fault.CrashedAt(rq.from, sim.now())) return;
-      result.coverage.timeouts += 1;
-      const uint32_t span = sessions[rq.requester].span;
-      if (span != obs::kNoSpan) self->tracer_->span(span).timeouts += 1;
-      if (rq.strikes >= retry().max_retries) {
-        GiveUp(id);
-        return;
-      }
-      rq.strikes += 1;
-      rq.timeout = BackedOffTimeout(rq.timeout, retry());
-      result.coverage.retries += 1;
-      if (span != obs::kNoSpan) self->tracer_->span(span).retries += 1;
-      TransmitQuery(id);
-    }
-
-    /// The retry budget for this link is spent: degrade gracefully.
-    void GiveUp(int64_t id) {
-      PendingRequest& rq = requests[id];
-      rq.resolved = true;
-      rq.failed = true;
-      result.coverage.links_unresolved += 1;
-      NoteUnreachable(rq.target);
-      if (fault.CrashedAt(rq.target, sim.now())) NoteCrashed(rq.target);
-      ChildFailed(rq.requester);
-    }
-
-    /// Progress ack for a request whose still-running session is
-    /// `session_id` (a bare header-only frame; charged like any other
-    /// message).
-    void SendAck(int64_t id, int session_id) {
-      PendingRequest& rq = requests[id];
-      result.coverage.acks += 1;
-      result.stats.messages += 1;
-      const net::Envelope env{static_cast<uint64_t>(id), rq.target, rq.from,
-                              net::MessageKind::kAck, 0,
-                              TraceFor(sessions[session_id].span)};
-      wire::Buffer buf;
-      const size_t bytes = codec.EncodeAckMessage(env, &buf);
-      result.stats.bytes_on_wire += bytes;
-      traffic.bytes_ack += bytes;
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(rq.target, rq.from, 0, bytes);
-      }
-      JournalFrame(obs::JournalEventKind::kFrameSend, rq.target, env, bytes);
-      SendDatagram(env, buf.Take());
-    }
-
-    /// A progress ack arrived at the requester: restore its patience. An
-    /// ack is pure optimization — a corrupted one is silently dropped (no
-    /// retransmission; the next timeout re-asks the question anyway).
-    void DeliverAck(int64_t id, const std::vector<uint8_t>& datagram) {
-      wire::Reader r(datagram);
-      net::Envelope ack;
-      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &ack);
-      if (ferr != wire::FrameError::kOk ||
-          ack.kind != net::MessageKind::kAck || r.remaining() != 0) {
-        RejectFrame(ferr);  // corrupted ack: silently dropped
-        return;
-      }
-      PendingRequest& pending = requests[id];
-      JournalFrame(obs::JournalEventKind::kFrameRecv, pending.from, ack,
-                   datagram.size());
-      if (!pending.resolved) pending.strikes = 0;
-    }
-
-    // --- responses --------------------------------------------------------
-
-    /// Ships session `id`'s encoded reply-cache datagram to its requester.
-    /// Response messages are charged one per state frame, and only at slow
-    /// requesters (see FinishSession); retransmissions are charged again.
-    /// A fast requester's convergecast bundle still crosses the transport
-    /// (bytes exist on the wire) but stays uncharged, mirroring the
-    /// message accounting.
-    void SendResponseWire(int id, bool charge_retry) {
-      Session& s = sessions[id];
-      const int parent = s.parent;
-      if (!sessions[parent].fast) {
-        result.stats.messages += s.response_parts.size();
-        for (const auto& part : s.response_parts) {
-          result.stats.tuples_shipped += part.tuples;
-          result.stats.bytes_on_wire += part.bytes;
-          traffic.bytes_response += part.bytes;
-          traffic.frames += 1;
-          if (profiler() != nullptr) {
-            profiler()->OnMessage(s.peer, sessions[parent].peer, part.tuples,
-                                  part.bytes);
-          }
-        }
-      }
-      if (charge_retry) {
+      if (retransmit) {
         result.coverage.retries += 1;
         if (profiler() != nullptr) profiler()->OnRetransmission(s.peer);
       }
-      const net::Envelope env = ResponseEnvelope(id);
-      JournalFrame(charge_retry ? obs::JournalEventKind::kRetransmit
-                                : obs::JournalEventKind::kFrameSend,
-                   s.peer, env, s.response_frame.size());
-      SendDatagram(env, std::vector<uint8_t>(s.response_frame));
+    }
+    void OnAckSent(const Session& s, size_t bytes) {
+      result.coverage.acks += 1;
+      Charge(s.peer, s.requester, 0, bytes, &traffic.bytes_ack);
+    }
+    void OnTimeout(const PendingRequest&, bool retrying) {
+      result.coverage.timeouts += 1;
+      if (retrying) result.coverage.retries += 1;
+    }
+    void OnGiveUp(uint64_t id, const PendingRequest& rq) {
+      notes[id].gave_up = true;
+      result.coverage.links_unresolved += 1;
+      NoteUnreachable(rq.target);
+      if (fault.CrashedAt(rq.target, sim.now())) NoteCrashed(rq.target);
+    }
+    void OnStaleResponse(uint64_t id) {
+      if (id < notes.size() && notes[id].gave_up) {
+        result.coverage.late_responses += 1;
+      } else {
+        result.coverage.duplicates_suppressed += 1;
+      }
+    }
+    void OnRootFinished() {
+      root_done = true;
+      root_finish_time = sim.now();
+      MaybeStop();
     }
 
-    void SendResponse(int id) { SendResponseWire(id, /*charge_retry=*/false); }
-    void ResendResponse(int id) { SendResponseWire(id, /*charge_retry=*/true); }
+    /// Charges one frame at its sender, exactly where the recursive
+    /// engine charges the message.
+    void Charge(PeerId from, PeerId to, uint64_t tuples, size_t bytes,
+                uint64_t* kind_bytes, bool retransmit = false) {
+      result.stats.messages += 1;
+      result.stats.tuples_shipped += tuples;
+      result.stats.bytes_on_wire += bytes;
+      *kind_bytes += bytes;
+      traffic.frames += 1;
+      if (profiler() == nullptr) return;
+      profiler()->OnMessage(from, to, tuples, bytes);
+      if (retransmit) profiler()->OnRetransmission(from);
+    }
 
-    void DeliverResponse(int64_t req_id, const std::vector<uint8_t>& datagram) {
-      if (req_id < 0) return;
-      PendingRequest& rq = requests[req_id];
-      if (rq.resolved) {
-        // Duplicate of a consumed response, or a response arriving after
-        // the requester gave up on the link.
-        if (rq.failed) {
-          result.coverage.late_responses += 1;
-        } else {
+    // --- the simulated network --------------------------------------------
+
+    /// The transport delivered one datagram (possibly modified in
+    /// flight). This is where bytes re-enter the simulation: the
+    /// simulated network (latency model + fault draws) sits between here
+    /// and the decode, exactly where the wire would be.
+    void OnWireDeliver(const net::Envelope& env, std::vector<uint8_t> bytes) {
+      // Admin-plane kinds only exist on the live overlay.
+      RIPPLE_CHECK(!net::IsAdminKind(env.kind));
+      const double base = self->latency_(env.from, env.to);
+      double delay = base;
+      if (ft) {
+        if (fault.DropMessage()) {
+          result.coverage.messages_lost += 1;
+          core.Journal(obs::JournalEventKind::kDrop, env.from, env, 0);
+          return;  // the sender's timer retransmits
+        }
+        delay = fault.Jitter(base);
+        if (fault.DuplicateMessage()) {
+          result.coverage.messages_duplicated += 1;
+          ScheduleDelivery(env, fault.Jitter(base), bytes);
+        }
+      }
+      ScheduleDelivery(env, delay, std::move(bytes));
+    }
+
+    /// Delivers the datagram at `env.to` after `delay`, dropping it if the
+    /// receiver has crashed by then. Every receive path dedups, so
+    /// duplicate copies are harmless.
+    void ScheduleDelivery(const net::Envelope& env, double delay,
+                          std::vector<uint8_t> bytes) {
+      sim.Schedule(delay, [this, env, bytes = std::move(bytes)] {
+        if (ft && fault.CrashedAt(env.to, sim.now())) {
+          result.coverage.crash_drops += 1;
+          NoteCrashed(env.to);
+          core.Journal(obs::JournalEventKind::kCrash, env.to, env, 0);
+          return;
+        }
+        switch (env.kind) {
+          case net::MessageKind::kQuery: DeliverQuery(env, bytes); break;
+          case net::MessageKind::kResponse: core.OnResponse(env, bytes); break;
+          case net::MessageKind::kAck: core.OnAck(env.id, bytes); break;
+          default: ReceiveAnswer(static_cast<size_t>(env.id), bytes); break;
+        }
+      });
+    }
+
+    void DeliverQuery(const net::Envelope& env,
+                      const std::vector<uint8_t>& datagram) {
+      if (ft) {
+        if (const int64_t* session = DedupOf(env.to).Lookup(env.id)) {
+          // Retransmission or network duplicate of a query we have seen.
           result.coverage.duplicates_suppressed += 1;
+          core.Replay(*session);
+          return;
         }
-        return;
       }
-      // Walk the datagram's back-to-back state frames.
-      std::vector<LocalState> bundle;
+      // The sender's envelope names the message, like a UDP packet's
+      // source address; a header that disagrees was corrupted in flight.
       wire::Reader r(datagram);
-      wire::FrameError ferr = datagram.empty() ? wire::FrameError::kTruncated
-                                               : wire::FrameError::kOk;
-      bool ok = !datagram.empty();
-      net::Envelope env;  // the first frame's header, for the journal
-      while (ok && r.remaining() > 0) {
-        wire::FrameHeader h;
-        const wire::FrameError e = wire::DecodeFrameHeaderEx(&r, &h);
-        if (e != wire::FrameError::kOk) {
-          ok = false;
-          ferr = e;
-          break;
-        }
-        if (h.tag != static_cast<uint8_t>(net::MessageKind::kResponse) ||
-            h.id != static_cast<uint64_t>(req_id)) {
-          ok = false;
-          break;
-        }
-        const size_t frame_end = r.position() + wire::FramePayloadSize(h);
-        LocalState st{};
-        if (!codec.DecodeResponsePayload(&r, &st) || !r.ok() ||
-            r.position() != frame_end) {
-          ok = false;
-          break;
-        }
-        if (bundle.empty()) {
-          env.id = h.id;
-          env.from = h.from;
-          env.to = h.to;
-          env.kind = net::MessageKind::kResponse;
-          env.trace = h.trace;
-        }
-        bundle.push_back(std::move(st));
-      }
-      if (!ok) {
-        // Dropped: the requester times out, retransmits its query, and the
-        // finished callee reships the cached response bytes.
-        RejectFrame(ferr);
+      net::Envelope header;
+      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &header);
+      if (ferr != wire::FrameError::kOk ||
+          header.kind != net::MessageKind::kQuery || header.id != env.id ||
+          header.from != env.from || header.to != env.to) {
+        RejectFrame(ferr == wire::FrameError::kTruncated);
         return;
       }
-      JournalFrame(obs::JournalEventKind::kFrameRecv, rq.from, env,
-                   datagram.size());
-      rq.resolved = true;
-      if (ft) timers.Cancel(rq.timer);
-      OnResponse(rq.requester, std::move(bundle));
+      core.OnQuery(header, &r, datagram.size());
+    }
+
+    void NoteCrashed(PeerId peer) {
+      NoteSorted(&result.coverage.crashed_peers, peer);
+    }
+    void NoteUnreachable(PeerId peer) {
+      NoteSorted(&result.coverage.unreachable_peers, peer);
+    }
+    static void NoteSorted(std::vector<PeerId>* v, PeerId peer) {
+      auto it = std::lower_bound(v->begin(), v->end(), peer);
+      if (it == v->end() || *it != peer) v->insert(it, peer);
+    }
+
+    net::DedupWindow& DedupOf(PeerId peer) {
+      return query_dedup.try_emplace(peer, retry().dedup_window)
+          .first->second;
     }
 
     // --- answers ----------------------------------------------------------
 
-    /// Answer deliveries ride a (bounded-retry) reliable channel: the
-    /// sender retransmits lost or corrupted answers after the retry
-    /// timeout until the budget is spent, then the loss is recorded in
-    /// coverage and the result is flagged partial.
-    void SendAnswer(PeerId from, Answer&& payload, size_t tuples,
-                    uint32_t span) {
+    /// The core's hook for a session's nonempty local answer: it rides a
+    /// bounded-retry reliable channel to the initiator; once the budget is
+    /// spent the loss is recorded in coverage and the result is partial.
+    void SendAnswer(const Session& s, Answer&& payload, size_t tuples) {
       const size_t idx = answers.size();
       answers.push_back(PendingAnswer{});
       PendingAnswer& a = answers[idx];
-      a.from = from;
+      a.from = s.peer;
       a.tuples = tuples;
-      a.span = span;
-      const net::Envelope env{static_cast<uint64_t>(idx), from,
+      a.trace = Core::TraceFor(s.trace_id, s.span);
+      const net::Envelope env{static_cast<uint64_t>(idx), s.peer,
                               request->initiator, net::MessageKind::kAnswer,
-                              0, TraceFor(span)};
+                              0, a.trace};
       wire::Buffer buf;
-      codec.EncodeAnswerMessage(env, payload, &buf);
+      core.codec().EncodeAnswerMessage(env, payload, &buf);
       a.frame = buf.Take();
       ++answers_outstanding;
       TransmitAnswer(idx);
@@ -935,62 +517,19 @@ class AsyncEngine {
     void TransmitAnswer(size_t idx) {
       PendingAnswer& a = answers[idx];
       a.attempt += 1;
-      result.stats.messages += 1;
-      result.stats.tuples_shipped += a.tuples;
-      result.stats.bytes_on_wire += a.frame.size();
-      traffic.bytes_answer += a.frame.size();
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(a.from, request->initiator, a.tuples,
-                              a.frame.size());
-        if (a.attempt > 1) profiler()->OnRetransmission(a.from);
-      }
-      const net::Envelope env = AnswerEnvelope(idx);
-      JournalFrame(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
+      Charge(a.from, request->initiator, a.tuples, a.frame.size(),
+             &traffic.bytes_answer, a.attempt > 1);
+      const net::Envelope env{static_cast<uint64_t>(idx), a.from,
+                              request->initiator, net::MessageKind::kAnswer,
+                              a.attempt, a.trace};
+      core.Journal(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
                                  : obs::JournalEventKind::kFrameSend,
                    a.from, env, a.frame.size());
-      SendDatagram(env, std::vector<uint8_t>(a.frame));
+      Send(env, std::vector<uint8_t>(a.frame));
       if (ft) {
-        // The fire-and-forget wire gives the sender no failure signal, so
-        // every transmission is covered by a watchdog: delivery cancels
-        // it, loss / swallowing / receiver-side rejection lets it fire.
-        answers[idx].timer = timers.Arm(
-            retry().timeout, [this, idx] { OnAnswerTimeout(idx); });
+        answers[idx].timer =
+            sim.Arm(retry().timeout, [this, idx] { OnAnswerTimeout(idx); });
       }
-    }
-
-    /// The answer datagram came back from the transport: run it through
-    /// the simulated network towards the initiator. Same fault-draw
-    /// order as Transmit (drop, jitter, duplicate) — kept separate
-    /// because a dropped answer needs no requester-side bookkeeping, the
-    /// sender's watchdog recovers it.
-    void OnAnswerWire(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      const size_t idx = static_cast<size_t>(env.id);
-      const double base = self->latency_(env.from, env.to);
-      if (!ft) {
-        // Answer delivery rides the clock but needs no handler state.
-        sim.Schedule(base, [this, idx, datagram = std::move(bytes)] {
-          DeliverAnswer(idx, datagram);
-        });
-        return;
-      }
-      if (fault.DropMessage()) {
-        result.coverage.messages_lost += 1;
-        JournalFrame(obs::JournalEventKind::kDrop, env.from, env, 0);
-        return;  // the sender's watchdog retransmits
-      }
-      const double d = fault.Jitter(base);
-      if (fault.DuplicateMessage()) {
-        result.coverage.messages_duplicated += 1;
-        ScheduleDelivery(env, env.to, fault.Jitter(base),
-                         [this, idx, datagram = bytes] {
-                           DeliverAnswer(idx, datagram);
-                         });
-      }
-      ScheduleDelivery(env, env.to, d,
-                       [this, idx, datagram = std::move(bytes)] {
-                         DeliverAnswer(idx, datagram);
-                       });
     }
 
     /// The watchdog fired with no delivery: the transmission failed (loss
@@ -1015,7 +554,7 @@ class AsyncEngine {
       TransmitAnswer(idx);
     }
 
-    void DeliverAnswer(size_t idx, const std::vector<uint8_t>& datagram) {
+    void ReceiveAnswer(size_t idx, const std::vector<uint8_t>& datagram) {
       PendingAnswer& a = answers[idx];
       if (a.settled) {
         result.coverage.duplicates_suppressed += 1;
@@ -1027,20 +566,20 @@ class AsyncEngine {
       const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &env);
       const bool ok = ferr == wire::FrameError::kOk &&
                       env.kind == net::MessageKind::kAnswer &&
-                      codec.DecodeAnswerPayload(&r, &payload) && r.ok() &&
-                      r.remaining() == 0;
+                      core.codec().DecodeAnswerPayload(&r, &payload) &&
+                      r.ok() && r.remaining() == 0;
       if (!ok) {
         // The initiator saw garbage; the elided nack of the reliable
         // answer channel becomes a sender-side watchdog retransmission.
-        RejectFrame(ferr);
+        RejectFrame(ferr == wire::FrameError::kTruncated);
         return;
       }
-      JournalFrame(obs::JournalEventKind::kFrameRecv, request->initiator,
+      core.Journal(obs::JournalEventKind::kFrameRecv, request->initiator,
                    env, datagram.size());
       policy().MergeAnswer(&result.answer, std::move(payload),
                            request->query);
       last_answer_time = std::max(last_answer_time, sim.now());
-      if (ft) timers.Cancel(a.timer);
+      if (ft) sim.Cancel(a.timer);
       SettleAnswer(idx);
     }
 
@@ -1065,25 +604,11 @@ class AsyncEngine {
     void OnDeadline() {
       if (root_done && answers_outstanding == 0) return;
       deadline_hit = true;
-      for (size_t i = 0; i < requests.size(); ++i) {
-        PendingRequest& rq = requests[i];
-        if (rq.resolved) continue;
-        rq.resolved = true;
-        rq.failed = true;
+      for (const auto& [id, rq] : core.pending()) {
         result.coverage.links_unresolved += 1;
         NoteUnreachable(rq.target);
       }
       sim.Stop();
-    }
-
-    net::DedupWindow& DedupOf(PeerId peer) {
-      auto it = query_dedup.find(peer);
-      if (it == query_dedup.end()) {
-        it = query_dedup
-                 .emplace(peer, net::DedupWindow(retry().dedup_window))
-                 .first;
-      }
-      return it->second;
     }
   };
 

@@ -3,19 +3,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
+#include "ripple/timer_queue.h"
 
 namespace ripple {
 
-/// A minimal discrete-event scheduler: events fire in timestamp order
-/// (FIFO among ties), each event is an arbitrary callback, and the clock
-/// only moves when events fire. Deterministic given deterministic
-/// callbacks.
+/// A minimal discrete-event scheduler: a TimerQueue run on virtual time.
+/// Events fire in timestamp order (FIFO among ties), each event is an
+/// arbitrary callback, and the clock only moves when events fire.
+/// Deliveries (Schedule) and cancellable timers (Arm) share one (time,
+/// seq) order. Deterministic given deterministic callbacks.
 class EventSimulator {
  public:
   using Clock = double;
@@ -26,16 +26,25 @@ class EventSimulator {
   /// Schedules `fn` to run `delay` time units from now (delay >= 0).
   void Schedule(Clock delay, std::function<void()> fn) {
     RIPPLE_CHECK(delay >= 0);
-    queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
+    queue_.Schedule(now_ + delay, std::move(fn));
   }
+
+  /// Arms a cancellable one-shot timer `delay` units from now.
+  uint64_t Arm(Clock delay, std::function<void()> fn) {
+    RIPPLE_CHECK(delay >= 0);
+    return queue_.Arm(now_ + delay, std::move(fn));
+  }
+
+  /// Revokes a timer; firing and double-cancel are harmless no-ops.
+  void Cancel(uint64_t id) { queue_.Cancel(id); }
 
   /// Runs events until the queue drains or Stop() is called. Returns the
   /// final clock value.
   Clock Run() {
     stopped_ = false;
-    while (!queue_.empty() && !stopped_) {
-      Event e = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
+    TimerQueue::Event e;
+    while (!stopped_ &&
+           queue_.PopDue(std::numeric_limits<double>::infinity(), &e)) {
       RIPPLE_DCHECK(e.at >= now_);
       now_ = e.at;
       ++processed_;
@@ -49,57 +58,12 @@ class EventSimulator {
   /// async engine once the root query completed — any surviving events are
   /// lapsed retry timers with nothing left to do.
   void Stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
 
  private:
-  struct Event {
-    Clock at;
-    uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  TimerQueue queue_;
   Clock now_ = 0;
-  uint64_t next_seq_ = 0;
   size_t processed_ = 0;
   bool stopped_ = false;
-};
-
-/// Cancellable timers on top of EventSimulator, the way a kernel timer
-/// wheel exposes them: Arm() returns a handle, Cancel() revokes it, firing
-/// consumes it. Cancellation is lazy — the underlying event still pops at
-/// its timestamp but finds its handle dead and does nothing — so Cancel is
-/// O(1) and the scheduler needs no queue surgery.
-class TimerWheel {
- public:
-  /// The simulator must outlive the wheel.
-  explicit TimerWheel(EventSimulator* sim) : sim_(sim) {}
-
-  /// Arms a one-shot timer `delay` units from now.
-  uint64_t Arm(double delay, std::function<void()> fn) {
-    const uint64_t id = next_id_++;
-    live_.insert(id);
-    sim_->Schedule(delay, [this, id, fn = std::move(fn)] {
-      if (live_.erase(id) == 0) return;  // cancelled
-      fn();
-    });
-    return id;
-  }
-
-  /// Revokes a timer; firing and double-cancel are harmless no-ops.
-  void Cancel(uint64_t id) { live_.erase(id); }
-
-  /// Timers armed and neither fired nor cancelled yet.
-  size_t armed() const { return live_.size(); }
-
- private:
-  EventSimulator* sim_;
-  std::unordered_set<uint64_t> live_;
-  uint64_t next_id_ = 1;
 };
 
 }  // namespace ripple

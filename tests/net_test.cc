@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,10 +29,11 @@
 #include "net/protocol.h"
 #include "net/transport.h"
 #include "net/udp_transport.h"
-#include "net/wall_clock.h"
 #include "overlay/midas/midas.h"
 #include "queries/skyline_driver.h"
 #include "queries/topk_driver.h"
+#include "ripple/timer_queue.h"
+#include "ripple/wire_codec.h"
 #include "sim/async_engine.h"
 
 namespace ripple {
@@ -97,51 +99,58 @@ TEST(PeersFileTest, RejectsMalformedLines) {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock timers
+// Wall-clock timers: the daemon runs the shared TimerQueue on steady_clock
+// milliseconds.
+
+double WallMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 TEST(WallTimersTest, FiresDueTimersInOrder) {
-  net::WallTimers timers;
+  TimerQueue timers;
   std::vector<int> fired;
-  timers.Arm(0.0, [&] { fired.push_back(1); });
-  timers.Arm(0.0, [&] { fired.push_back(2); });
+  timers.Arm(WallMs(), [&] { fired.push_back(1); });
+  timers.Arm(WallMs(), [&] { fired.push_back(2); });
   EXPECT_EQ(timers.pending(), 2u);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timers.RunDue();
+  timers.RunDue(WallMs());
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
   EXPECT_EQ(timers.pending(), 0u);
-  EXPECT_EQ(timers.NextDelayMs(), -1);
+  EXPECT_TRUE(std::isinf(timers.NextAt()));
 }
 
 TEST(WallTimersTest, CancelledTimerNeverFires) {
-  net::WallTimers timers;
+  TimerQueue timers;
   bool fired = false;
-  const uint64_t id = timers.Arm(0.0, [&] { fired = true; });
+  const uint64_t id = timers.Arm(WallMs(), [&] { fired = true; });
   timers.Cancel(id);
   timers.Cancel(id);  // double-cancel is a no-op
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timers.RunDue();
+  timers.RunDue(WallMs());
   EXPECT_FALSE(fired);
-  EXPECT_EQ(timers.NextDelayMs(), -1);
+  EXPECT_TRUE(std::isinf(timers.NextAt()));
 }
 
 TEST(WallTimersTest, NextDelayBoundsThePoll) {
-  net::WallTimers timers;
-  timers.Arm(200.0, [] {});
-  const int delay = timers.NextDelayMs();
-  EXPECT_GT(delay, 0);
-  EXPECT_LE(delay, 201);
+  TimerQueue timers;
+  timers.Arm(WallMs() + 200.0, [] {});
+  const double delay = timers.NextAt() - WallMs();
+  EXPECT_GT(delay, 0.0);
+  EXPECT_LE(delay, 200.0);
 }
 
 TEST(WallTimersTest, CallbackMayRearm) {
-  net::WallTimers timers;
+  TimerQueue timers;
   int fires = 0;
   std::function<void()> rearm = [&] {
-    if (++fires < 3) timers.Arm(0.0, rearm);
+    if (++fires < 3) timers.Arm(WallMs(), rearm);
   };
-  timers.Arm(0.0, rearm);
+  timers.Arm(WallMs(), rearm);
   for (int i = 0; i < 5 && fires < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    timers.RunDue();
+    timers.RunDue(WallMs());
   }
   EXPECT_EQ(fires, 3);
 }
@@ -157,14 +166,10 @@ std::vector<uint8_t> ClientQueryFrame(const MidasOverlay& overlay,
                                       uint64_t id, PeerId client,
                                       PeerId target, int64_t r) {
   const net::Envelope env{id, client, target, net::MessageKind::kQuery, 0, {}};
+  const WireCodec<MidasOverlay, Policy> codec(&overlay, &policy);
   wire::Buffer buf;
-  const size_t start = net::BeginEnvelopeFrame(env, &buf);
-  buf.PutU8(static_cast<uint8_t>(net::PolicyTagOf<Policy>::value));
-  buf.PutZigzag(r);
-  policy.EncodeQuery(query, &buf);
-  policy.EncodeState(policy.InitialGlobalState(query), &buf);
-  overlay.EncodeArea(overlay.FullArea(), &buf);
-  wire::EndFrame(&buf, start);
+  net::EncodeLiveQuery(codec, env, query, policy.InitialGlobalState(query),
+                       overlay.FullArea(), r, &buf);
   return buf.Take();
 }
 
@@ -477,7 +482,7 @@ TEST_F(DaemonTest, GivingUpOnSilentChildrenCountsLinksUnresolved) {
   while (daemon.Depths().open_sessions > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    daemon.timers().RunDue();
+    daemon.ServeOnce(0);
   }
   EXPECT_EQ(daemon.Depths().open_sessions, 0u);
   EXPECT_EQ(daemon.stats().links_unresolved, daemon.stats().child_requests);
@@ -616,6 +621,108 @@ TEST_F(DaemonTest, ReorderedAndDuplicatedDeliveryYieldsIdenticalAnswers) {
   EXPECT_GT(a.stats().duplicates_suppressed + b.stats().duplicates_suppressed,
             0u);
   EXPECT_GT(a.stats().late_responses + b.stats().late_responses, 0u);
+}
+
+TEST_F(DaemonTest, FinishedSessionsAreFreedOnceTheDedupWindowForgetsThem) {
+  // A finished session only serves replays of its query, so once the
+  // dedup window has forgotten the id the session must go too: after 32
+  // queries with an 8-id window, at most 8 sessions may remain.
+  CaptureTransport wire;
+  net::RetryOptions retry;
+  retry.dedup_window = 8;
+  net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
+                                       {0, 1, 2, 3, 4, 5}, retry);
+  TopKPolicy policy;
+  LinearScorer scorer(std::vector<double>{1.0, 0.5});
+  TopKQuery query;
+  query.scorer = &scorer;
+  query.k = 4;
+  size_t answers = 0;
+  for (uint32_t i = 0; i < 32; ++i) {
+    const PeerId target = i % 6;
+    const uint64_t id = net::MakeMessageId(client_, 100 + i);
+    daemon.Dispatch(net::Datagram{
+        net::Envelope{id, client_, target, net::MessageKind::kQuery, 0, {}},
+        ClientQueryFrame(*overlay_, policy, query, id, client_, target,
+                         /*r=*/i % 3)});
+    for (int round = 0; round < 64 && !wire.sent.empty(); ++round) {
+      std::vector<net::Datagram> batch = std::move(wire.sent);
+      wire.sent.clear();
+      for (auto& d : batch) {
+        if (net::IsClientId(d.env.to)) {
+          answers += d.env.kind == net::MessageKind::kAnswer ? 1 : 0;
+          continue;
+        }
+        daemon.Dispatch(std::move(d));
+      }
+    }
+  }
+  EXPECT_EQ(answers, 32u);
+  const net::QueueDepths depths = daemon.Depths();
+  EXPECT_LE(depths.sessions_total, 8u);
+  EXPECT_EQ(depths.pending_requests, 0u);
+  EXPECT_EQ(depths.open_sessions, 0u);
+  EXPECT_LE(depths.dedup_tracked, 8u);
+}
+
+TEST_F(DaemonTest, AckWithTrailingPayloadIsRejectedAndRestoresNoPatience) {
+  // The daemon serves only peer 0, so every child forward goes unanswered
+  // and is retransmitted until the budget is spent. A well-formed ack
+  // would reset the forward's strikes and buy it extra retransmissions;
+  // an ack with payload bytes after its header is malformed and must
+  // change nothing but frames_rejected.
+  net::RetryOptions retry;
+  retry.timeout = 2.0;  // wall-clock ms
+  retry.timeout_cap = 4.0;
+  retry.max_retries = 3;
+  SkylinePolicy policy;
+  const uint64_t id = net::MakeMessageId(client_, 41);
+  const net::Envelope env{id, client_, 0, net::MessageKind::kQuery, 0, {}};
+  auto run = [&](bool bad_ack) {
+    CaptureTransport wire;
+    net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0}, retry);
+    daemon.Dispatch(net::Datagram{
+        env, ClientQueryFrame(*overlay_, policy, SkylineQuery{}, id, client_,
+                              0, /*r=*/2)});
+    EXPECT_FALSE(wire.sent.empty());
+    const net::Envelope child = wire.sent.front().env;
+    bool acked = !bad_ack;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon.Depths().open_sessions > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      daemon.ServeOnce(0);
+      const bool retransmitted =
+          std::count_if(wire.sent.begin(), wire.sent.end(),
+                        [&](const net::Datagram& d) {
+                          return d.env.id == child.id;
+                        }) > 1;
+      if (!acked && retransmitted) {
+        // The child's forward has struck at least once: ack it, with one
+        // stray payload byte.
+        const net::Envelope ack{child.id, child.to, child.from,
+                                net::MessageKind::kAck, 0, {}};
+        wire::Buffer buf;
+        const size_t start = net::BeginEnvelopeFrame(ack, &buf);
+        buf.PutU8(0x5a);
+        wire::EndFrame(&buf, start);
+        daemon.Dispatch(net::Datagram{ack, buf.Take()});
+        acked = true;
+      }
+    }
+    EXPECT_EQ(daemon.Depths().open_sessions, 0u);
+    EXPECT_TRUE(acked);
+    return daemon.stats();
+  };
+  const net::DaemonStats clean = run(/*bad_ack=*/false);
+  const net::DaemonStats acked = run(/*bad_ack=*/true);
+  EXPECT_EQ(clean.frames_rejected, 0u);
+  EXPECT_EQ(acked.frames_rejected, 1u);
+  EXPECT_EQ(acked.child_requests, clean.child_requests);
+  EXPECT_EQ(acked.retransmissions, clean.retransmissions);
+  EXPECT_EQ(clean.retransmissions,
+            clean.child_requests * static_cast<uint64_t>(retry.max_retries));
 }
 
 // ---------------------------------------------------------------------------

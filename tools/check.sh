@@ -8,7 +8,7 @@
 #   tools/check.sh thread     # TSan over the concurrent executor tests
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
-#   tools/check.sh net        # live-overlay suite (sockets), ASan then UBSan
+#   tools/check.sh net        # live-overlay + fault suites, ASan then UBSan
 #   tools/check.sh monitor    # admin/monitoring plane, ASan then UBSan
 #   tools/check.sh cache      # cache/controller/batching, ASan then UBSan
 #   tools/check.sh obs        # observability suite (obs+exec labels), TSan
@@ -22,7 +22,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-tools/lint_deprecated.sh
 tools/lint_docs.sh
 
 # --bench: run every bench binary at smoke scale (ctest label
@@ -74,7 +73,9 @@ fi
 # transport, wall timers, daemon protocol, end-to-end over real
 # sockets). Same two-sanitizer harness as `wire` — the daemon's decode
 # path reads whatever the socket hands it, so it earns ASan for the
-# buffer class and UBSan for the integer class.
+# buffer class and UBSan for the integer class. The `fault` label rides
+# along: the simulator's fault tests drive the same per-peer protocol
+# core (ripple/peer_core.h) the daemon runs.
 if [[ "${1:-}" == "net" ]]; then
   for kind in address undefined; do
     BUILD_DIR="build-san-$kind"
@@ -85,8 +86,9 @@ if [[ "${1:-}" == "net" ]]; then
       -DRIPPLE_BUILD_EXAMPLES=OFF
     cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L net
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -L fault
   done
-  echo "check.sh: net suite clean under address+undefined"
+  echo "check.sh: net and fault suites clean under address+undefined"
   exit 0
 fi
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Keeps the prose honest. Three checks over the repo's documentation:
+# Keeps the prose honest. Three checks over the repo's documentation,
+# plus one over the code's result files:
 #
 #   1. Internal links resolve: every relative markdown link target in
 #      README.md, EXPERIMENTS.md, ROADMAP.md and docs/*.md must exist
@@ -13,7 +14,11 @@
 #   3. Dead symbols: identifiers that were removed from the tree must not
 #      survive in the docs (e.g. kRippleSlow, replaced by
 #      RippleParam::Slow() two PRs ago). The denylist below is the
-#      graveyard; lint_deprecated.sh keeps the same names out of code.
+#      graveyard.
+#   4. Result files: no C++ code outside obs::BenchReporter
+#      (src/obs/bench_report.cc) opens ".csv" files. All benchmark result
+#      emission flows through the reporter so BENCH_<suite>.json, the CSV
+#      panels and the bench_check.py gate stay consistent.
 #
 # Usage: tools/lint_docs.sh   (exit 0 clean, 1 on violations)
 set -euo pipefail
@@ -76,8 +81,21 @@ for sym in "${DEAD_SYMBOLS[@]}"; do
   fi
 done
 
+# --- 4. CSV emission outside the sanctioned reporter --------------------
+# A `.csv` string literal in C++ code means someone is hand-rolling result
+# files again.
+CSV_HITS=$(grep -rn --include='*.cc' --include='*.h' --include='*.cpp' \
+             -e '\.csv"' src bench examples tests tools \
+           | grep -v '^src/obs/bench_report\.cc:' || true)
+if [[ -n "$CSV_HITS" ]]; then
+  echo "lint_docs: raw .csv emission outside obs::BenchReporter:" >&2
+  echo "$CSV_HITS" >&2
+  echo "route results through bench::Reporter() / BenchReporter::WritePanelCsv" >&2
+  FAIL=1
+fi
+
 if [[ "$FAIL" -ne 0 ]]; then
-  echo "lint_docs: fix the stale documentation above" >&2
+  echo "lint_docs: fix the violations above" >&2
   exit 1
 fi
 echo "lint_docs: clean"

@@ -12,9 +12,6 @@
 //   $ ripple_cli run --query=topk --engine=async --loss=0.05 --crash-rate=0.01
 //   $ ripple_cli run --workload=default:64 --threads=4 --qps-target=200
 //
-// Bare invocation (`ripple_cli --query=...`) still works as an alias for
-// `run` with a deprecation note on stderr.
-//
 // Prints the answer tuples plus the cost metrics the paper reports
 // (latency in hops, peers visited, messages, tuples shipped). With
 // --engine=async the query runs through the discrete-event simulator;
@@ -909,11 +906,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (argc >= 2) {
-    // Flags with no subcommand: the pre-subcommand invocation style.
-    std::fprintf(stderr,
-                 "note: bare `ripple_cli --flags` is deprecated; use "
-                 "`ripple_cli run --flags`\n");
-    return ripple::RunQuery(argc, argv);
+    std::fprintf(stderr, "expected a command before '%s'\n\n%s", argv[1],
+                 kUsage);
+    return 2;
   }
   std::fputs(kUsage, stdout);
   return 0;
