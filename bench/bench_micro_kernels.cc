@@ -2,11 +2,13 @@
 // distributed query run is built from: local skyline computation, k-d
 // index top-k / argmin, Z-order encode/decompose, phi evaluation,
 // MIDAS overlay maintenance, SoA-vs-scalar kernel pairs swept over
-// dimensionality and score-series shape, and wire frame encode/decode.
+// dimensionality and score-series shape, wire frame encode/decode, and
+// the async engine's message path (timer queue, one lossy query).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,7 +18,9 @@
 #include "overlay/midas/midas.h"
 #include "queries/diversify.h"
 #include "queries/topk.h"
+#include "ripple/timer_queue.h"
 #include "ripple/wire_codec.h"
+#include "sim/async_engine.h"
 #include "store/kd_index.h"
 #include "store/local_algos.h"
 
@@ -266,6 +270,66 @@ void BM_FrameDecode(benchmark::State& state) {
       static_cast<int64_t>(qbuf.size() + abuf.size()));
 }
 BENCHMARK(BM_FrameDecode)->Arg(16)->Arg(256);
+
+// --- The async engine's message path ------------------------------------
+
+// One batch of retransmission timers the way a lossy query uses them: arm,
+// cancel most when their responses arrive, let the rest fire.
+void BM_TimerQueueArmCancelFire(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(61);
+  std::vector<double> at(n);
+  for (double& t : at) t = rng.UniformDouble() * 64.0;
+  TimerQueue q;
+  std::vector<uint64_t> handles(n);
+  int fired = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      handles[i] = q.Arm(at[i], [&fired] { ++fired; });
+    }
+    for (int i = 0; i < n; i += 4) q.Schedule(at[i], [&fired] { ++fired; });
+    for (int i = 0; i < n; ++i) {
+      if (i % 8 != 0) q.Cancel(handles[i]);
+    }
+    q.RunDue(std::numeric_limits<double>::infinity());
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TimerQueueArmCancelFire)->Arg(64)->Arg(1024);
+
+// One top-k query (r = 2: a slow ring around a fast fringe) on a 1,024-peer
+// MIDAS overlay through the discrete-event engine, under 2% loss and 1%
+// duplication: encode, transport, event queue, timers, dedup and retries.
+void BM_AsyncTopKLossy(benchmark::State& state) {
+  MidasOptions opt;
+  opt.dims = 4;
+  opt.seed = 67;
+  opt.split_rule = MidasSplitRule::kDataMedian;
+  MidasOverlay overlay(opt);
+  for (const Tuple& t : MakeTuples(8192, 4, 71)) overlay.InsertTuple(t);
+  while (overlay.NumPeers() < 1024) overlay.Join();
+  const AsyncEngine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
+  const LinearScorer scorer({-0.4, -0.3, -0.2, -0.1});
+  Rng rng(73);
+  const PeerId initiator = overlay.RandomPeer(&rng);
+  uint64_t seed = 0;
+  uint64_t messages = 0;
+  for (auto _ : state) {
+    const auto result = engine.Run(
+        {.initiator = initiator,
+         .query = TopKQuery{&scorer, 10},
+         .ripple = RippleParam::Hops(2),
+         .retry = {.max_retries = 8},
+         .fault = {.loss_rate = 0.02, .dup_rate = 0.01,
+                   .seed = 1 + seed++ % 16}});
+    benchmark::DoNotOptimize(result.answer.data());
+    messages += result.stats.messages;
+  }
+  state.counters["messages"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AsyncTopKLossy);
 
 void BM_MidasRoute(benchmark::State& state) {
   MidasOptions opt;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -353,6 +354,7 @@ class PeerCore {
       // Algorithm 1 / Algorithm 3 second loop: forward everywhere at
       // once with the state snapshot.
       std::vector<std::pair<PeerId, Area>> targets;
+      targets.reserve(node.links.size());
       for (const auto& link : node.links) {
         Area restricted;
         if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
@@ -374,6 +376,7 @@ class PeerCore {
       return;
     }
     // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
+    s.candidates.reserve(node.links.size());
     for (const auto& link : node.links) {
       Area restricted;
       if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
@@ -416,7 +419,12 @@ class PeerCore {
   /// A child (or fast subtree) responded with a bundle of local states.
   void ChildResponded(Session& s, std::vector<LocalState> bundle) {
     if (s.fast) {
-      for (LocalState& st : bundle) s.bundle.push_back(std::move(st));
+      if (s.bundle.empty()) {
+        s.bundle = std::move(bundle);
+      } else {
+        s.bundle.insert(s.bundle.end(), std::make_move_iterator(bundle.begin()),
+                        std::make_move_iterator(bundle.end()));
+      }
       if (--s.outstanding_children == 0) FinishSession(s);
       return;
     }
@@ -480,11 +488,14 @@ class PeerCore {
     if (s.root) {
       codec_.EncodeAnswerMessage(env, s.answer, &buf);
     } else {
-      s.bundle.push_back(s.local);
-      for (const LocalState& st : s.bundle) {
+      // The children's states, then this peer's own.
+      const auto encode = [&](const LocalState& st) {
         const size_t bytes = codec_.EncodeResponseFrame(env, st, &buf);
         s.reply_parts.push_back({bytes, policy_->StateTupleCount(st)});
-      }
+      };
+      s.reply_parts.reserve(s.bundle.size() + 1);
+      for (const LocalState& st : s.bundle) encode(st);
+      encode(s.local);
       if (Driver::kConvergecast && policy_->AnswerTupleCount(s.answer) > 0) {
         env.kind = net::MessageKind::kAnswer;
         codec_.EncodeAnswerMessage(env, s.answer, &buf);

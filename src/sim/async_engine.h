@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,8 +75,10 @@ inline LatencyModel UnitLatency() {
 /// FaultModel (loss, duplication, delay jitter, peer crashes) and the
 /// protocol arms itself:
 ///  * every logical message carries an id; retransmissions reship the
-///    byte-identical frame snapshot and receivers suppress duplicates
-///    through per-peer dedup windows;
+///    byte-identical frame snapshot and receivers suppress duplicates by
+///    id (a forward's id is unique within the run and names one
+///    receiver, so the run's per-id table doubles as every peer's dedup
+///    window);
 ///  * requesters arm per-message timers with capped exponential backoff;
 ///    a finished callee answers retransmitted queries from its encoded
 ///    reply cache, a still-running callee sends a progress ack that
@@ -192,8 +193,9 @@ class AsyncEngine {
   /// One query's virtual-time driver of the shared per-peer core
   /// (ripple/peer_core.h). The event queue is its clock and timer source
   /// and the FaultModel its network; it owns what only the simulator has:
-  /// QueryStats/Coverage accounting, per-peer dedup windows and the
-  /// reliable direct-to-initiator answer channel.
+  /// QueryStats/Coverage accounting, the datagrams in flight, the per-id
+  /// table of forwards and the reliable direct-to-initiator answer
+  /// channel.
   struct Runtime {
     using Core = PeerCore<Overlay, Policy, Runtime>;
     using Session = typename Core::Session;
@@ -218,11 +220,21 @@ class AsyncEngine {
     };
 
     /// Per message id: whether a slow session sent the forward (only
-    /// those are charged for the states coming back, see OnReplySent) and
-    /// whether its requester gave up on it.
+    /// those are charged for the states coming back, see OnReplySent),
+    /// whether its requester gave up on it, and the session the forward
+    /// opened at its receiver. A forward's id is unique within the run and
+    /// goes to exactly one peer, so `session` is that peer's dedup entry
+    /// for it: a duplicate replays the session instead of opening another.
     struct RequestNote {
       bool slow_requester = false;
       bool gave_up = false;
+      int64_t session = -1;  // -1 until opened, or when nothing is kept
+    };
+
+    /// A datagram the simulated network holds until its delivery event.
+    struct InFlight {
+      net::Envelope env;
+      std::vector<uint8_t> bytes;
     };
 
     Runtime(const AsyncEngine* engine, const Request* req)
@@ -241,7 +253,7 @@ class AsyncEngine {
     net::WireTraffic traffic;
     std::vector<RequestNote> notes;  // indexed by message id
     std::vector<PendingAnswer> answers;
-    std::unordered_map<PeerId, net::DedupWindow> query_dedup;
+    std::vector<InFlight> in_flight;  // every datagram sent in this run
     Result result;
     int answers_outstanding = 0;
     bool root_done = false;
@@ -319,11 +331,13 @@ class AsyncEngine {
       codec.EncodeQueryMessage(env, q, g, area, r, buf);
     }
     uint64_t NewRequestId(const Session& requester) {
-      notes.push_back(RequestNote{!requester.fast, false});
+      notes.push_back(RequestNote{.slow_requester = !requester.fast});
       return notes.size() - 1;
     }
+    /// A window of size 0 remembers nothing; any other size holds the
+    /// receiver's one entry for this id.
     void Remember(const net::Envelope& env, int64_t session) {
-      if (ft) DedupOf(env.to).Insert(env.id, session);
+      if (ft && retry().dedup_window != 0) notes[env.id].session = session;
     }
     bool Alive(PeerId peer) const { return !fault.CrashedAt(peer, sim.now()); }
 
@@ -433,34 +447,40 @@ class AsyncEngine {
 
     /// Delivers the datagram at `env.to` after `delay`, dropping it if the
     /// receiver has crashed by then. Every receive path dedups, so
-    /// duplicate copies are harmless.
+    /// duplicate copies are harmless. The datagram waits in `in_flight`,
+    /// so the event captures only its index.
     void ScheduleDelivery(const net::Envelope& env, double delay,
                           std::vector<uint8_t> bytes) {
-      sim.Schedule(delay, [this, env, bytes = std::move(bytes)] {
-        if (ft && fault.CrashedAt(env.to, sim.now())) {
-          result.coverage.crash_drops += 1;
-          NoteCrashed(env.to);
-          core.Journal(obs::JournalEventKind::kCrash, env.to, env, 0);
-          return;
-        }
-        switch (env.kind) {
-          case net::MessageKind::kQuery: DeliverQuery(env, bytes); break;
-          case net::MessageKind::kResponse: core.OnResponse(env, bytes); break;
-          case net::MessageKind::kAck: core.OnAck(env.id, bytes); break;
-          default: ReceiveAnswer(static_cast<size_t>(env.id), bytes); break;
-        }
-      });
+      const size_t idx = in_flight.size();
+      in_flight.push_back(InFlight{env, std::move(bytes)});
+      sim.Schedule(delay, [this, idx] { Deliver(idx); });
+    }
+
+    void Deliver(size_t idx) {
+      // Moved out: the bytes are freed once this delivery is handled.
+      const InFlight d = std::move(in_flight[idx]);
+      const net::Envelope& env = d.env;
+      if (ft && fault.CrashedAt(env.to, sim.now())) {
+        result.coverage.crash_drops += 1;
+        NoteCrashed(env.to);
+        core.Journal(obs::JournalEventKind::kCrash, env.to, env, 0);
+        return;
+      }
+      switch (env.kind) {
+        case net::MessageKind::kQuery: DeliverQuery(env, d.bytes); break;
+        case net::MessageKind::kResponse: core.OnResponse(env, d.bytes); break;
+        case net::MessageKind::kAck: core.OnAck(env.id, d.bytes); break;
+        default: ReceiveAnswer(static_cast<size_t>(env.id), d.bytes); break;
+      }
     }
 
     void DeliverQuery(const net::Envelope& env,
                       const std::vector<uint8_t>& datagram) {
-      if (ft) {
-        if (const int64_t* session = DedupOf(env.to).Lookup(env.id)) {
-          // Retransmission or network duplicate of a query we have seen.
-          result.coverage.duplicates_suppressed += 1;
-          core.Replay(*session);
-          return;
-        }
+      if (notes[env.id].session >= 0) {
+        // Retransmission or network duplicate of a query we have seen.
+        result.coverage.duplicates_suppressed += 1;
+        core.Replay(notes[env.id].session);
+        return;
       }
       // The sender's envelope names the message, like a UDP packet's
       // source address; a header that disagrees was corrupted in flight.
@@ -485,11 +505,6 @@ class AsyncEngine {
     static void NoteSorted(std::vector<PeerId>* v, PeerId peer) {
       auto it = std::lower_bound(v->begin(), v->end(), peer);
       if (it == v->end() || *it != peer) v->insert(it, peer);
-    }
-
-    net::DedupWindow& DedupOf(PeerId peer) {
-      return query_dedup.try_emplace(peer, retry().dedup_window)
-          .first->second;
     }
 
     // --- answers ----------------------------------------------------------

@@ -1,6 +1,7 @@
 #ifndef RIPPLE_STORE_FLAT_STORE_H_
 #define RIPPLE_STORE_FLAT_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,12 +40,13 @@ class FlatStore {
     return cols_[c].data();
   }
 
-  /// All d column base pointers, kernel-call shaped. Valid until the next
-  /// mutation.
-  const double* const* cols() const {
-    col_ptrs_.resize(cols_.size());
-    for (size_t c = 0; c < cols_.size(); ++c) col_ptrs_[c] = cols_[c].data();
-    return col_ptrs_.data();
+  /// All d column base pointers, kernel-call shaped (`.data()`). Returned
+  /// by value, so concurrent readers write nothing; the pointers are valid
+  /// until the next mutation.
+  std::array<const double*, kMaxDims> cols() const {
+    std::array<const double*, kMaxDims> ptrs{};
+    for (size_t c = 0; c < cols_.size(); ++c) ptrs[c] = cols_[c].data();
+    return ptrs;
   }
 
   Point PointAt(size_t i) const {
@@ -146,7 +148,6 @@ class FlatStore {
 
   std::vector<uint64_t> ids_;
   std::vector<std::vector<double>> cols_;  // cols_[c][row], dims() columns
-  mutable std::vector<const double*> col_ptrs_;  // scratch for cols()
 };
 
 }  // namespace ripple::store

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
+#include <type_traits>
 
 #include "common/arena.h"
 #include "common/kernel_counters.h"
@@ -28,11 +30,28 @@ void LocalStore::Clear() {
   MarkMutated();
 }
 
+namespace {
+
+/// Serializes the lazy builds of every store. A build runs once per
+/// mutation batch, so the lock is taken only while one is pending.
+std::mutex& LazyBuildMutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+}  // namespace
+
+static_assert(std::is_nothrow_move_constructible_v<LocalStore>,
+              "peer vectors must relocate stores by move, not by copy");
+
 bool LocalStore::ContainsId(uint64_t id) const {
-  if (ids_stale_) {
-    sorted_ids_ = flat_.ids();
-    std::sort(sorted_ids_.begin(), sorted_ids_.end());
-    ids_stale_ = false;
+  if (!ids_ready_.Get()) {
+    std::lock_guard<std::mutex> lock(LazyBuildMutex());
+    if (!ids_ready_.Get()) {
+      sorted_ids_ = flat_.ids();
+      std::sort(sorted_ids_.begin(), sorted_ids_.end());
+      ids_ready_.Publish();
+    }
   }
   return std::binary_search(sorted_ids_.begin(), sorted_ids_.end(), id);
 }
@@ -50,9 +69,12 @@ TupleVec LocalStore::ExtractOutside(const Rect& zone, const Rect& domain) {
 
 const KdIndex* LocalStore::Index() const {
   if (flat_.size() < kIndexThreshold) return nullptr;
-  if (index_stale_) {
-    index_.Build(flat_);
-    index_stale_ = false;
+  if (!index_ready_.Get()) {
+    std::lock_guard<std::mutex> lock(LazyBuildMutex());
+    if (!index_ready_.Get()) {
+      index_.Build(flat_);
+      index_ready_.Publish();
+    }
   }
   return &index_;
 }
@@ -67,7 +89,7 @@ TupleVec LocalStore::TopKAbove(const Scorer& scorer, size_t k,
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
   double* scores = arena.AllocateArray<double>(n);
-  scorer.ScoreBlock(flat_.cols(), flat_.dims(), n, scores);
+  scorer.ScoreBlock(flat_.cols().data(), flat_.dims(), n, scores);
   LocalKernelCounters().tuples_scanned += n;
   store::BoundedTopK queue(k);
   for (size_t i = 0; i < n; ++i) {
@@ -90,7 +112,7 @@ TupleVec LocalStore::BestBelow(const Scorer& scorer, size_t count,
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
   double* scores = arena.AllocateArray<double>(n);
-  scorer.ScoreBlock(flat_.cols(), flat_.dims(), n, scores);
+  scorer.ScoreBlock(flat_.cols().data(), flat_.dims(), n, scores);
   LocalKernelCounters().tuples_scanned += n;
   store::BoundedTopK queue(count);
   for (size_t i = 0; i < n; ++i) {
@@ -116,7 +138,7 @@ TupleVec LocalStore::AllAtLeast(const Scorer& scorer, double tau) const {
       Arena& arena = PerQueryArena();
       ArenaScope scope(&arena);
       double* scores = arena.AllocateArray<double>(n);
-      scorer.ScoreBlock(flat_.cols(), flat_.dims(), n, scores);
+      scorer.ScoreBlock(flat_.cols().data(), flat_.dims(), n, scores);
       LocalKernelCounters().tuples_scanned += n;
       for (size_t i = 0; i < n; ++i) {
         if (scores[i] >= tau) out.push_back(flat_.TupleAt(i));

@@ -1,6 +1,7 @@
 #ifndef RIPPLE_STORE_LOCAL_STORE_H_
 #define RIPPLE_STORE_LOCAL_STORE_H_
 
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -22,6 +23,11 @@ namespace ripple {
 /// bounded top-k queue instead of walking Tuple records. Mutations
 /// (tuples arriving or handed off during zone splits/merges) invalidate a
 /// lazily rebuilt k-d index; small stores are scanned directly.
+///
+/// Mutations are single-threaded, but const reads may run concurrently
+/// (executor workers share one overlay): the first read after a mutation
+/// builds the index or sorted-id column under a lock and publishes it
+/// through a release flag, so later reads take one acquire load.
 class LocalStore {
  public:
   LocalStore() = default;
@@ -92,15 +98,36 @@ class LocalStore {
   const KdIndex* Index() const;
 
   void MarkMutated() {
-    index_stale_ = true;
-    ids_stale_ = true;
+    index_ready_.Clear();
+    ids_ready_.Clear();
   }
+
+  /// Whether lazily built read state is current. Copies by value (the
+  /// store is copied and moved only while no reader runs), and never
+  /// throws, so overlays' peer vectors still relocate stores by move.
+  class ReadyFlag {
+   public:
+    ReadyFlag() = default;
+    ReadyFlag(const ReadyFlag& o) noexcept
+        : v_(o.v_.load(std::memory_order_relaxed)) {}
+    ReadyFlag& operator=(const ReadyFlag& o) noexcept {
+      v_.store(o.v_.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+      return *this;
+    }
+    bool Get() const { return v_.load(std::memory_order_acquire); }
+    void Publish() { v_.store(true, std::memory_order_release); }
+    void Clear() { v_.store(false, std::memory_order_relaxed); }
+
+   private:
+    std::atomic<bool> v_{false};
+  };
 
   store::FlatStore flat_;
   mutable KdIndex index_;
-  mutable bool index_stale_ = true;
+  mutable ReadyFlag index_ready_;
   mutable std::vector<uint64_t> sorted_ids_;
-  mutable bool ids_stale_ = true;
+  mutable ReadyFlag ids_ready_;
 
   /// Below this many tuples a plain scan beats the index.
   static constexpr size_t kIndexThreshold = 32;

@@ -6,43 +6,9 @@
 
 namespace ripple::wire {
 
-void Buffer::PutFixed32(uint32_t v) {
-  bytes_.push_back(static_cast<uint8_t>(v));
-  bytes_.push_back(static_cast<uint8_t>(v >> 8));
-  bytes_.push_back(static_cast<uint8_t>(v >> 16));
-  bytes_.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void Buffer::PutFixed64(uint64_t v) {
-  PutFixed32(static_cast<uint32_t>(v));
-  PutFixed32(static_cast<uint32_t>(v >> 32));
-}
-
-void Buffer::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<uint8_t>(v));
-}
-
-void Buffer::PutZigzag(int64_t v) {
-  PutVarint((static_cast<uint64_t>(v) << 1) ^
-            static_cast<uint64_t>(v >> 63));
-}
-
-void Buffer::PutF64(double v) { PutFixed64(std::bit_cast<uint64_t>(v)); }
-
-void Buffer::PutBytes(const uint8_t* data, size_t n) {
-  bytes_.insert(bytes_.end(), data, data + n);
-}
-
 void Buffer::WriteFixed32At(size_t offset, uint32_t v) {
-  RIPPLE_CHECK(offset + 4 <= bytes_.size());
-  bytes_[offset] = static_cast<uint8_t>(v);
-  bytes_[offset + 1] = static_cast<uint8_t>(v >> 8);
-  bytes_[offset + 2] = static_cast<uint8_t>(v >> 16);
-  bytes_[offset + 3] = static_cast<uint8_t>(v >> 24);
+  RIPPLE_CHECK(offset + 4 <= size_);
+  StoreFixed32(storage_.data() + offset, v);
 }
 
 uint8_t Reader::U8() {
@@ -72,9 +38,14 @@ uint64_t Reader::Varint() {
     if (!Need(1)) return 0;
     const uint8_t byte = data_[pos_++];
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) != 0) continue;
+    // Only the canonical encoding decodes, so every accepted value
+    // re-encodes to the bytes it came from: the tenth byte carries bit 63
+    // alone, and a zero group never ends a multi-byte varint.
+    if ((shift == 63 && byte > 0x01) || (shift != 0 && byte == 0)) break;
+    return v;
   }
-  ok_ = false;  // continuation bit past 10 bytes: not a valid varint
+  ok_ = false;  // overlong, over 64 bits or non-minimal: not a valid varint
   return 0;
 }
 

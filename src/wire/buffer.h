@@ -1,8 +1,12 @@
 #ifndef RIPPLE_WIRE_BUFFER_H_
 #define RIPPLE_WIRE_BUFFER_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,35 +18,91 @@ namespace ripple::wire {
 /// encode/decode round trip preserves every value exactly (including
 /// infinities and the sign of zero), which the engines' determinism
 /// contract depends on.
+///
+/// The storage is sized ahead of the written length: each append reserves
+/// its bytes through one capacity check and writes them in place, and the
+/// storage grows geometrically from kMinCapacity, so a frame costs a
+/// handful of allocations however many fields it carries. Take() hands the
+/// storage over trimmed to the written length.
 class Buffer {
  public:
-  void PutU8(uint8_t v) { bytes_.push_back(v); }
-  void PutFixed32(uint32_t v);
-  void PutFixed64(uint64_t v);
-  /// Unsigned LEB128: 7 value bits per byte, high bit = continuation.
-  void PutVarint(uint64_t v);
+  void PutU8(uint8_t v) { *Extend(1) = v; }
+  void PutFixed32(uint32_t v) { StoreFixed32(Extend(4), v); }
+  void PutFixed64(uint64_t v) {
+    uint8_t* p = Extend(8);
+    StoreFixed32(p, static_cast<uint32_t>(v));
+    StoreFixed32(p + 4, static_cast<uint32_t>(v >> 32));
+  }
+  /// Unsigned LEB128: 7 value bits per byte, high bit = continuation. The
+  /// encoding is minimal (no trailing zero groups), as Reader requires.
+  void PutVarint(uint64_t v) {
+    if (v < 0x80) {
+      PutU8(static_cast<uint8_t>(v));
+      return;
+    }
+    uint8_t tmp[10];
+    size_t n = 0;
+    while (v >= 0x80) {
+      tmp[n++] = static_cast<uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    tmp[n++] = static_cast<uint8_t>(v);
+    PutBytes(tmp, n);
+  }
   /// Zigzag-mapped varint for signed values ((v << 1) ^ (v >> 63)).
-  void PutZigzag(int64_t v);
+  void PutZigzag(int64_t v) {
+    PutVarint((static_cast<uint64_t>(v) << 1) ^
+              static_cast<uint64_t>(v >> 63));
+  }
   /// The double's IEEE-754 bit pattern as a Fixed64 (exact round trip).
-  void PutF64(double v);
-  void PutBytes(const uint8_t* data, size_t n);
+  void PutF64(double v) { PutFixed64(std::bit_cast<uint64_t>(v)); }
+  void PutBytes(const uint8_t* data, size_t n) {
+    if (n != 0) std::memcpy(Extend(n), data, n);
+  }
 
   /// Overwrites 4 bytes at `offset` in place — how frame encoders patch a
   /// length field once the payload size is known. Requires offset + 4 <=
   /// size().
   void WriteFixed32At(size_t offset, uint32_t v);
 
-  size_t size() const { return bytes_.size(); }
-  bool empty() const { return bytes_.empty(); }
-  const uint8_t* data() const { return bytes_.data(); }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const uint8_t* data() const { return storage_.data(); }
+  std::span<const uint8_t> bytes() const { return {storage_.data(), size_}; }
 
-  void Clear() { bytes_.clear(); }
+  /// Empties the buffer, keeping its storage for the next frame.
+  void Clear() { size_ = 0; }
   /// Moves the accumulated bytes out, leaving the buffer empty.
-  std::vector<uint8_t> Take() { return std::exchange(bytes_, {}); }
+  std::vector<uint8_t> Take() {
+    storage_.resize(size_);
+    size_ = 0;
+    return std::exchange(storage_, {});
+  }
 
  private:
-  std::vector<uint8_t> bytes_;
+  static constexpr size_t kMinCapacity = 64;
+
+  static void StoreFixed32(uint8_t* p, uint32_t v) {
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+    p[2] = static_cast<uint8_t>(v >> 16);
+    p[3] = static_cast<uint8_t>(v >> 24);
+  }
+
+  /// Reserves `n` bytes past the written length and returns where they
+  /// start.
+  uint8_t* Extend(size_t n) {
+    if (storage_.size() - size_ < n) Grow(n);
+    uint8_t* p = storage_.data() + size_;
+    size_ += n;
+    return p;
+  }
+  void Grow(size_t n) {
+    storage_.resize(std::max({kMinCapacity, 2 * storage_.size(), size_ + n}));
+  }
+
+  std::vector<uint8_t> storage_;  // storage_.size() is the capacity
+  size_t size_ = 0;               // bytes written
 };
 
 /// Cursor over received bytes. Decoders never trust the wire: every read
@@ -53,12 +113,14 @@ class Buffer {
 class Reader {
  public:
   Reader(const uint8_t* data, size_t n) : data_(data), end_(n) {}
-  explicit Reader(const std::vector<uint8_t>& bytes)
+  explicit Reader(std::span<const uint8_t> bytes)
       : Reader(bytes.data(), bytes.size()) {}
 
   uint8_t U8();
   uint32_t Fixed32();
   uint64_t Fixed64();
+  /// A minimal LEB128 varint that fits in 64 bits; anything else (more
+  /// than 10 bytes, a tenth byte above 0x01, a trailing zero group) fails.
   uint64_t Varint();
   int64_t Zigzag();
   double F64();

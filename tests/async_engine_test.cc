@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "overlay/midas/midas.h"
@@ -9,6 +12,7 @@
 #include "queries/skyline.h"
 #include "queries/topk.h"
 #include "ripple/engine.h"
+#include "ripple/timer_queue.h"
 #include "sim/event_sim.h"
 
 namespace ripple {
@@ -55,6 +59,80 @@ TEST(EventSimTest, ClockOnlyMovesForward) {
   sim.Schedule(2.0, [&] { sim.Schedule(0.5, [&] {}); });
   sim.Run();
   EXPECT_DOUBLE_EQ(seen, 5.0);
+}
+
+// --- TimerQueue: the heap and slot slab under EventSimulator -----------------
+
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
+TEST(EventSimTest, StaleHandleOfFiredTimerIsNoOp) {
+  TimerQueue q;
+  std::vector<int> fired;
+  const uint64_t a = q.Arm(1.0, [&] { fired.push_back(1); });
+  q.RunDue(1.0);
+  // The next timer takes the fired one's slot; the old handle must miss it.
+  const uint64_t b = q.Arm(2.0, [&] { fired.push_back(2); });
+  EXPECT_NE(a, b);
+  q.Cancel(a);
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunDue(kForever);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventSimTest, StaleHandleOfCancelledTimerSparesItsSlotsNextTimer) {
+  TimerQueue q;
+  std::vector<int> fired;
+  const uint64_t a = q.Arm(1.0, [&] { fired.push_back(1); });
+  q.Cancel(a);
+  // Surfacing the cancelled entry recycles its slot for the next timer.
+  EXPECT_TRUE(std::isinf(q.NextAt()));
+  const uint64_t b = q.Arm(2.0, [&] { fired.push_back(2); });
+  EXPECT_NE(a, b);
+  q.Cancel(a);
+  q.Cancel(0);  // the null handle names nothing either
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunDue(kForever);
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+}
+
+TEST(EventSimTest, PendingIsExactThroughArmCancelAndFire) {
+  TimerQueue q;
+  std::vector<uint64_t> h;
+  for (int i = 0; i < 6; ++i) h.push_back(q.Arm(1.0 + i, [] {}));
+  q.Schedule(0.5, [] {});  // plain events are never pending
+  EXPECT_EQ(q.pending(), 6u);
+  q.Cancel(h[1]);
+  q.Cancel(h[1]);
+  q.Cancel(h[4]);
+  EXPECT_EQ(q.pending(), 4u);
+  q.RunDue(3.0);  // the event, then h[0] and h[2]; h[1] is skipped
+  EXPECT_EQ(q.pending(), 2u);
+  q.Cancel(h[0]);  // already fired
+  q.Cancel(h[3]);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_DOUBLE_EQ(q.NextAt(), 6.0);
+  q.RunDue(kForever);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(std::isinf(q.NextAt()));
+}
+
+TEST(EventSimTest, ScheduledEventsAndTimersTieInFifoOrder) {
+  EventSimulator sim;
+  std::vector<int> order;
+  sim.Schedule(1.0, [&] { order.push_back(0); });
+  sim.Arm(1.0, [&] { order.push_back(1); });
+  const uint64_t gone = sim.Arm(1.0, [&] { order.push_back(-1); });
+  sim.Schedule(1.0, [&] { order.push_back(2); });
+  sim.Arm(1.0, [&] { order.push_back(3); });
+  sim.Cancel(gone);
+  sim.Schedule(0.0, [&] {
+    // Queued later but due at the same time: after everything above.
+    sim.Arm(1.0, [&] { order.push_back(5); });
+    sim.Schedule(1.0, [&] { order.push_back(4); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 4}));
 }
 
 // --- Async engine cross-validation ---------------------------------------------

@@ -112,6 +112,37 @@ TEST(AsyncOverChordTest, TopKAgreesWithRecursiveEngine) {
   }
 }
 
+TEST(AsyncOverChordTest, DuplicationIsSuppressedNotDoubleCounted) {
+  ChordOverlay overlay(48, ChordOptions{.dims = 2, .seed = 709});
+  Rng rng(13);
+  TupleVec all = data::MakeUniform(600, 2, &rng);
+  for (const Tuple& t : all) overlay.InsertTuple(t);
+  LinearScorer scorer({-0.6, -0.4});
+  TopKQuery q{&scorer, 8};
+  Engine<ChordOverlay, TopKPolicy> sync_engine(&overlay, TopKPolicy{});
+  AsyncEngine<ChordOverlay, TopKPolicy> async_engine(&overlay, TopKPolicy{});
+  for (const RippleParam r :
+       {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
+    const PeerId initiator = overlay.RandomPeer(&rng);
+    const auto s =
+        sync_engine.Run({.initiator = initiator, .query = q, .ripple = r});
+    // Every message duplicated: each copy of a forward must replay the
+    // session its first copy opened, never open another.
+    const auto a = async_engine.Run({.initiator = initiator,
+                                     .query = q,
+                                     .ripple = r,
+                                     .fault = {.dup_rate = 1.0, .seed = 5}});
+    EXPECT_TRUE(a.complete) << "r=" << r;
+    ASSERT_EQ(a.answer.size(), s.answer.size()) << "r=" << r;
+    for (size_t i = 0; i < s.answer.size(); ++i) {
+      EXPECT_EQ(a.answer[i].id, s.answer[i].id);
+    }
+    EXPECT_GT(a.coverage.messages_duplicated, 0u) << "r=" << r;
+    EXPECT_GT(a.coverage.duplicates_suppressed, 0u) << "r=" << r;
+    EXPECT_EQ(a.stats.peers_visited, s.stats.peers_visited) << "r=" << r;
+  }
+}
+
 TEST(ApproximateTopKTest, EpsilonInteractsSoundlyWithSeeding) {
   Net net = MakeNet(256, 3000, 3, 711);
   LinearScorer scorer({-0.3, -0.3, -0.4});

@@ -138,6 +138,8 @@ TEST(FaultTest, DuplicationIsSuppressedNotDoubleCounted) {
     EXPECT_EQ(Ids(got.answer), Ids(want.answer)) << r;
     EXPECT_GT(got.coverage.messages_duplicated, 0u) << r;
     EXPECT_GT(got.coverage.duplicates_suppressed, 0u) << r;
+    // No duplicate query ever opens a second session.
+    EXPECT_EQ(got.stats.peers_visited, want.stats.peers_visited) << r;
   }
 }
 

@@ -192,7 +192,8 @@ TEST(ScoreBlockTest, BitIdenticalToScalarScore) {
     scorers = {&lin, &l1, &l2, &linf};
     std::vector<double> block(flat.size());
     for (const Scorer* s : scorers) {
-      s->ScoreBlock(flat.cols(), flat.dims(), flat.size(), block.data());
+      s->ScoreBlock(flat.cols().data(), flat.dims(), flat.size(),
+                    block.data());
       for (size_t i = 0; i < flat.size(); ++i) {
         const double want = s->Score(ts[i].key);
         EXPECT_EQ(std::memcmp(&block[i], &want, sizeof(double)), 0)
@@ -219,8 +220,9 @@ TEST(DominanceKernelTest, ColumnKernelAgreesWithScalarDominates) {
           break;
         }
       }
-      EXPECT_EQ(AnyDominatesColumns(flat.cols(), dims, flat.size(), p.key),
-                want)
+      EXPECT_EQ(
+          AnyDominatesColumns(flat.cols().data(), dims, flat.size(), p.key),
+          want)
           << "dims=" << dims;
     }
   }

@@ -98,10 +98,30 @@ TEST(WireBufferTest, UnderrunFailsAndLatches) {
 }
 
 TEST(WireBufferTest, OverlongVarintRejected) {
-  std::vector<uint8_t> evil(11, 0x80);  // 11 continuation bytes
-  wire::Reader r(evil.data(), evil.size());
-  (void)r.Varint();
-  EXPECT_FALSE(r.ok());
+  const std::vector<std::vector<uint8_t>> evil = {
+      std::vector<uint8_t>(11, 0x80),  // 11 continuation bytes
+      // A tenth byte above 0x01 carries bits past 64 (this one would
+      // decode to UINT64_MAX with the excess silently dropped).
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+      // A trailing zero group: a non-minimal encoding of 0.
+      {0x80, 0x00},
+  };
+  for (const auto& bytes : evil) {
+    wire::Reader r(bytes.data(), bytes.size());
+    EXPECT_EQ(r.Varint(), 0u);
+    EXPECT_FALSE(r.ok()) << "input of " << bytes.size() << " bytes";
+  }
+  // The canonical neighbours still decode: UINT64_MAX ends in 0x01, and
+  // a single 0x00 byte is the minimal encoding of 0.
+  const std::vector<uint8_t> max = {0xff, 0xff, 0xff, 0xff, 0xff,
+                                    0xff, 0xff, 0xff, 0xff, 0x01};
+  wire::Reader rm(max.data(), max.size());
+  EXPECT_EQ(rm.Varint(), std::numeric_limits<uint64_t>::max());
+  EXPECT_TRUE(rm.ok());
+  const uint8_t zero = 0;
+  wire::Reader rz(&zero, 1);
+  EXPECT_EQ(rz.Varint(), 0u);
+  EXPECT_TRUE(rz.ok());
 }
 
 // --- Framing ---------------------------------------------------------------
@@ -144,14 +164,14 @@ TEST(WireFrameTest, WrongVersionAndTagRejected) {
   const size_t start = wire::BeginFrame(&buf, 1, 5, 0, 1);
   wire::EndFrame(&buf, start);
   {
-    std::vector<uint8_t> bytes = buf.bytes();
+    std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end());
     bytes[4] = wire::kWireVersion + 1;  // version byte follows the length
     wire::Reader r(bytes.data(), bytes.size());
     wire::FrameHeader h;
     EXPECT_FALSE(wire::DecodeFrameHeader(&r, &h));
   }
   {
-    std::vector<uint8_t> bytes = buf.bytes();
+    std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end());
     bytes[5] = wire::kMaxMessageTag + 1;  // tag byte follows the version
     wire::Reader r(bytes.data(), bytes.size());
     wire::FrameHeader h;
@@ -206,7 +226,7 @@ TEST(WireFrameTest, V2TraceContextRoundTripsAndOldDecoderWouldReject) {
   // A v1-era decoder capped at version 1 rejects version 2 through the
   // same kBadVersion path the current decoder uses for versions above its
   // own: a clean semantic rejection, never a misparse of the tail.
-  std::vector<uint8_t> bytes = buf.bytes();
+  std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end());
   bytes[4] = wire::kWireVersion + 1;
   wire::Reader future(bytes.data(), bytes.size());
   EXPECT_EQ(wire::DecodeFrameHeaderEx(&future, &h),
@@ -228,7 +248,7 @@ TEST(WireFrameTest, FrameErrorSeparatesTruncationFromSemanticRejects) {
         << "prefix " << n;
   }
   // A complete header with an unknown tag is a semantic reject.
-  std::vector<uint8_t> bytes = buf.bytes();
+  std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end());
   bytes[5] = wire::kMaxMessageTag + 1;
   wire::Reader r(bytes.data(), bytes.size());
   wire::FrameHeader h;
