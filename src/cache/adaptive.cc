@@ -4,6 +4,26 @@
 #include <cstdio>
 
 namespace ripple::cache {
+namespace {
+
+// Tuning follows the paper's ablation sweep: small r captures most of the
+// message savings while the latency stays near the fast extreme, so the
+// controller works a narrow band around depth/3 instead of sweeping the
+// whole range.
+
+/// The controller never chooses r above this.
+constexpr int kMaxHops = 8;
+/// EWMA weight of history per observation: an observation's influence
+/// halves with every later one.
+constexpr double kDecay = 0.5;
+/// Messages-per-latency-hop above which the run looks broadcast-heavy and
+/// the controller raises r (more slow discipline, more pruning).
+constexpr double kFloodThreshold = 4.0;
+/// Messages-per-latency-hop below which pruning already works and the
+/// controller lowers r to cut sequential latency.
+constexpr double kCalmThreshold = 1.5;
+
+}  // namespace
 
 int DepthHint(size_t num_peers) {
   int depth = 0;
@@ -11,19 +31,16 @@ int DepthHint(size_t num_peers) {
   return depth;
 }
 
-AdaptiveController::AdaptiveController(int depth_hint, AdaptiveOptions opts)
-    : depth_hint_(depth_hint < 0 ? 0 : depth_hint), opts_(opts) {
-  if (opts_.max_hops < 0) opts_.max_hops = 0;
-  if (opts_.decay <= 0.0 || opts_.decay >= 1.0) opts_.decay = 0.5;
-}
+AdaptiveController::AdaptiveController(int depth_hint)
+    : depth_hint_(depth_hint < 0 ? 0 : depth_hint) {}
 
 RippleParam AdaptiveController::Choose() const {
-  int r = std::clamp(depth_hint_ / 3, 1, std::max(opts_.max_hops, 1));
+  int r = std::clamp(depth_hint_ / 3, 1, kMaxHops);
   if (observations_ > 0) {
     const double per_hop = ewma_messages_ / std::max(1.0, ewma_hops_);
-    if (per_hop > opts_.flood_threshold) {
-      r = std::min(r + 1, opts_.max_hops);
-    } else if (per_hop < opts_.calm_threshold) {
+    if (per_hop > kFloodThreshold) {
+      r = std::min(r + 1, kMaxHops);
+    } else if (per_hop < kCalmThreshold) {
       r = std::max(r - 1, 0);
     }
   }
@@ -31,7 +48,7 @@ RippleParam AdaptiveController::Choose() const {
 }
 
 void AdaptiveController::Observe(const QueryStats& stats) {
-  const double a = opts_.decay;
+  const double a = kDecay;
   if (observations_ == 0) {
     ewma_hops_ = static_cast<double>(stats.latency_hops);
     ewma_messages_ = static_cast<double>(stats.messages);
@@ -42,20 +59,6 @@ void AdaptiveController::Observe(const QueryStats& stats) {
     ewma_bytes_ = a * ewma_bytes_ + (1 - a) * stats.bytes_on_wire;
   }
   observations_ += 1;
-}
-
-void AdaptiveController::ObservePeerLoad(
-    const std::vector<uint64_t>& visits) {
-  if (heat_.size() < visits.size()) heat_.resize(visits.size(), 0.0);
-  for (size_t p = 0; p < heat_.size(); ++p) {
-    const double v = p < visits.size() ? static_cast<double>(visits[p]) : 0.0;
-    heat_[p] = opts_.decay * heat_[p] + v;
-  }
-}
-
-double AdaptiveController::LinkBias(PeerId p) const {
-  if (p >= heat_.size()) return 0.0;
-  return -heat_[p];
 }
 
 std::string AdaptiveController::Summary() const {

@@ -3,58 +3,32 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "net/metrics.h"
-#include "overlay/types.h"
 #include "ripple/api.h"
 
 namespace ripple::cache {
-
-/// Tuning knobs of the adaptive ripple controller. Defaults follow the
-/// paper's ablation sweep: small r captures most of the message savings
-/// while the latency stays near the fast extreme, so the controller works
-/// a narrow band around depth/3 instead of sweeping the whole range.
-struct AdaptiveOptions {
-  /// The controller never chooses r above this.
-  int max_hops = 8;
-  /// EWMA weight of history per observation, in (0, 1): the window
-  /// "decays" — an observation's influence halves roughly every
-  /// 1/(1-decay) queries at the default.
-  double decay = 0.5;
-  /// Messages-per-latency-hop above which the run looks broadcast-heavy
-  /// and the controller raises r (more slow discipline, more pruning).
-  double flood_threshold = 4.0;
-  /// Messages-per-latency-hop below which pruning already works and the
-  /// controller lowers r to cut sequential latency.
-  double calm_threshold = 1.5;
-  /// Deterministic seed, reserved for stochastic exploration policies.
-  /// The shipped controller is a pure function of its observations, so
-  /// repeated runs are byte-identical by construction; the seed is part
-  /// of the contract so future policies stay that way.
-  uint64_t seed = 1;
-};
 
 /// log2-ish overlay depth estimate from the peer count — the hint the
 /// controller anchors its no-history default to.
 int DepthHint(size_t num_peers);
 
-/// Chooses the ripple parameter `r` (and per-link contact priorities) per
-/// query from a decaying window of observed QueryStats. Deterministic:
-/// Choose() is a pure function of (options, depth hint, observation
-/// sequence), and every driver feeds observations sequentially in item
-/// order — never from worker threads — so "--ripple=auto" answers and
-/// stats are byte-identical across runs and executor thread counts.
+/// Chooses the ripple parameter `r` per query from a decaying window of
+/// observed QueryStats. Deterministic: Choose() is a pure function of
+/// (depth hint, observation sequence), and every driver feeds
+/// observations sequentially in item order — never from worker threads —
+/// so "--ripple=auto" answers and stats are byte-identical across runs
+/// and executor thread counts.
 ///
 /// Control model (docs/CACHING.md): start from r0 = clamp(depth/3, 1,
-/// max_hops); once observations exist, compare the window's messages per
+/// kMaxHops); once observations exist, compare the window's messages per
 /// latency hop against the flood/calm thresholds and nudge r by one in
 /// the direction that trades the cheaper resource — messages look like a
 /// broadcast, raise r; pruning is already effective, lower r toward the
 /// latency-optimal fast extreme.
 class AdaptiveController {
  public:
-  explicit AdaptiveController(int depth_hint, AdaptiveOptions opts = {});
+  explicit AdaptiveController(int depth_hint);
 
   /// The controller's current choice of a concrete ripple parameter.
   RippleParam Choose() const;
@@ -67,28 +41,15 @@ class AdaptiveController {
   /// Folds one executed query's cost into the decaying window.
   void Observe(const QueryStats& stats);
 
-  /// Folds a per-peer visit census (WorkloadResult::peer_visits or a
-  /// profiler export) into the decayed per-peer heat that drives
-  /// LinkBias.
-  void ObservePeerLoad(const std::vector<uint64_t>& visits);
-
-  /// Secondary contact-order key for Engine/AsyncEngine::SetLinkBias:
-  /// colder peers (less decayed heat) sort first among priority ties, so
-  /// repeated workloads spread tie-broken load instead of re-hammering
-  /// the same peer. Higher = contact earlier.
-  double LinkBias(PeerId p) const;
-
   uint64_t observations() const { return observations_; }
   std::string Summary() const;
 
  private:
   int depth_hint_;
-  AdaptiveOptions opts_;
   uint64_t observations_ = 0;
   double ewma_hops_ = 0.0;
   double ewma_messages_ = 0.0;
   double ewma_bytes_ = 0.0;
-  std::vector<double> heat_;
 };
 
 }  // namespace ripple::cache

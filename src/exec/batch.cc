@@ -63,8 +63,8 @@ WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
   full.queries = std::move(expanded);
   // Throughput counts every answered query — followers and hits complete
   // without running, which is the point of the layer. Wall-clock
-  // histograms, profile, peer_visits and coverage keep describing the
-  // leader jobs that actually executed.
+  // histograms, profile and coverage keep describing the leader jobs that
+  // actually executed.
   if (full.wall_s > 0.0) {
     full.qps = static_cast<double>(full.completed) / full.wall_s;
   }

@@ -36,8 +36,8 @@ namespace ripple::exec {
 struct BatchOptions {
   /// Answer/bound reuse; nullptr = no cache (batching may still merge).
   cache::QueryCache* cache = nullptr;
-  /// Resolves WorkloadItem r=auto and biases slow-phase tie order;
-  /// nullptr = auto degrades to the controller-less default (fast).
+  /// Resolves WorkloadItem r=auto; nullptr = auto degrades to the
+  /// controller-less default (fast).
   cache::AdaptiveController* controller = nullptr;
   /// Merge duplicate in-flight items (same normalized key) into one
   /// leader job whose answer the followers copy.
@@ -87,8 +87,8 @@ struct BatchedWorkload {
 /// leads keep their outcomes (re-indexed), follows copy their leader's
 /// answer with zero network cost, hits carry the cached answer with zero
 /// cost. total_stats / completed / shed / partial are re-aggregated over
-/// all items; wall-clock histograms, profile and peer_visits keep
-/// describing the jobs that actually ran.
+/// all items; wall-clock histograms and profile keep describing the jobs
+/// that actually ran.
 WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
                                    const std::vector<size_t>& job_items,
                                    WorkloadResult lead);
@@ -292,9 +292,6 @@ void AbsorbBatchedResults(const Overlay& overlay, const BatchPlan& plan,
           }
         }
       });
-  if (b.controller != nullptr) {
-    b.controller->ObservePeerLoad(result.peer_visits);
-  }
 }
 
 /// The whole batched pipeline: plan -> compile leaders -> run -> expand

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "exec/executor.h"
-#include "exec/sharded_lock.h"
 #include "exec/workload.h"
 #include "geom/scoring.h"
 #include "net/fault.h"
@@ -101,10 +100,6 @@ template <typename EngineT>
 void WireEngine(EngineT* engine, JobContext& ctx) {
   engine->SetProfiler(ctx.profiler);
   engine->SetJournal(ctx.journal);
-  if (ctx.load != nullptr) {
-    SharedLoadTable* load = ctx.load;
-    engine->SetVisitObserver([load](PeerId p) { load->Charge(p); });
-  }
 }
 
 template <typename Overlay, typename Policy>

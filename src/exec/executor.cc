@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "exec/queue.h"
-#include "exec/sharded_lock.h"
 
 namespace ripple::exec {
 namespace {
@@ -68,11 +67,8 @@ std::string WorkloadResult::Summary() const {
       latency_ms.Percentile(50), latency_ms.Percentile(95),
       latency_ms.Percentile(99), latency_ms.max(),
       static_cast<unsigned long long>(total_stats.peers_visited),
-      static_cast<unsigned long long>([this] {
-        uint64_t m = 0;
-        for (uint64_t v : peer_visits) m = std::max(m, v);
-        return m;
-      }()));
+      static_cast<unsigned long long>(
+          profile.Skew(&obs::PeerLoad::spans).max));
   return std::string(buf);
 }
 
@@ -84,7 +80,6 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
   WorkloadResult result;
   result.queries.resize(jobs.size());
 
-  SharedLoadTable load(peer_universe, options_.lock_shards);
   std::vector<Rng> rngs;
   rngs.reserve(threads);
   for (int w = 0; w < threads; ++w) {
@@ -117,7 +112,6 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
     ctx.rng = &rngs[w];
     ctx.profiler = &profilers[w];
     ctx.tracer = options_.collect_spans ? &tracers_[w] : nullptr;
-    ctx.load = &load;
     ctx.journal = options_.journal;
 
     Task task;
@@ -232,7 +226,6 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
   result.wall_s = MsBetween(t0, Clock::now()) / 1000.0;
   result.profile.SetPeerUniverse(peer_universe);
   for (const obs::Profiler& p : profilers) result.profile.Merge(p);
-  result.peer_visits = load.Snapshot();
 
   for (const QueryOutcome& out : result.queries) {
     if (out.shed) {

@@ -19,8 +19,6 @@
 
 namespace ripple::exec {
 
-class SharedLoadTable;
-
 /// Tuning knobs of the concurrent workload executor. The determinism
 /// contract (docs/EXECUTOR.md) is parameterized by (seed, threads): with
 /// both fixed, job-to-worker assignment, every per-worker RNG stream and
@@ -39,8 +37,6 @@ struct ExecutorOptions {
   /// accepted load; with both, the executor degrades by queueing first and
   /// shedding expired-deadline queries second.
   double qps_target = 0.0;
-  /// Shard count of the per-peer mutexes guarding the live load table.
-  size_t lock_shards = 64;
   /// Record one admission-to-completion span per query into the owning
   /// worker's tracer (see Executor::worker_tracers). Off by default: spans
   /// cost memory per query and the histograms carry the same latencies.
@@ -63,8 +59,8 @@ struct ExecutorOptions {
 };
 
 /// Everything a job may touch that belongs to the worker running it. All
-/// pointers are worker-private (no synchronization needed) except `load`,
-/// which is the shared per-peer table guarding itself with sharded locks.
+/// pointers are worker-private (no synchronization needed) except
+/// `journal`, which is thread-safe.
 struct JobContext {
   int worker = 0;
   /// The worker's seeded RNG stream: deterministic given (seed, threads),
@@ -75,8 +71,6 @@ struct JobContext {
   obs::Profiler* profiler = nullptr;
   /// The worker's tracer, or null unless ExecutorOptions::collect_spans.
   obs::Tracer* tracer = nullptr;
-  /// Live per-peer visit counts shared across workers (sharded mutexes).
-  SharedLoadTable* load = nullptr;
   /// The shared per-peer event journal from ExecutorOptions::journal, or
   /// null. Jobs attach it to the engines they build.
   obs::JournalSet* journal = nullptr;
@@ -137,7 +131,7 @@ struct QueryOutcome {
 
 /// Aggregate result of one Executor::Run. The deterministic/wall split of
 /// QueryOutcome carries over: `queries`, `total_stats`, `coverage`,
-/// `completed`/`partial` counts, `profile` and `peer_visits` are
+/// `completed`/`partial` counts and the count fields of `profile` are
 /// deterministic (fixed seed + threads, no deadlines); `wall_s`, `qps` and
 /// the latency histograms are measurements.
 struct WorkloadResult {
@@ -155,13 +149,9 @@ struct WorkloadResult {
   obs::Histogram latency_ms;  // admission -> completion, executed queries
   obs::Histogram wait_ms;     // time spent queued
   obs::Histogram run_ms;      // time spent executing
-  /// Per-worker profilers merged in worker order: per-peer spans,
-  /// messages, tuples and CPU across the whole workload.
+  /// Per-worker profilers merged in worker order: per-peer spans (the
+  /// workload's visit counts), messages, tuples and CPU.
   obs::Profiler profile;
-  /// Final per-peer visit counts from the live sharded-lock table. Equals
-  /// the profiler's span counts for recursive-engine jobs (asserted by
-  /// ExecTest); async jobs feed only the profiler.
-  std::vector<uint64_t> peer_visits;
 
   /// One-paragraph human summary (counts, qps, latency percentiles, peak
   /// peer load).
@@ -193,9 +183,9 @@ class Executor {
   const ExecutorOptions& options() const { return options_; }
 
   /// Runs every job to completion (or its deadline) and aggregates.
-  /// `peer_universe` sizes the shared load table and the merged profiler —
-  /// pass overlay.NumPeers(). Blocks until the workload drains; the
-  /// calling thread is the admission thread.
+  /// `peer_universe` sizes the merged profiler — pass overlay.NumPeers().
+  /// Blocks until the workload drains; the calling thread is the
+  /// admission thread.
   WorkloadResult Run(const std::vector<Job>& jobs, size_t peer_universe);
 
   /// Per-worker tracers of the last Run (admission spans when

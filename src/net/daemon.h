@@ -210,7 +210,6 @@ class PeerDaemon {
     obs::Tracer* tracer() const { return nullptr; }
     obs::Profiler* profiler() const { return d->profiler_; }
     obs::JournalSet* journal() const { return d->journal_; }
-    const std::function<double(PeerId)>* link_bias() const { return nullptr; }
     void Send(const Envelope& env, std::vector<uint8_t> bytes) {
       d->transport_->Send(env, std::move(bytes));
     }

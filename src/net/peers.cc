@@ -1,9 +1,14 @@
 #include "net/peers.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "geom/point.h"
 
 namespace ripple::net {
 namespace {
@@ -18,11 +23,16 @@ bool SplitKeyValue(const std::string& token, std::string* key,
   return true;
 }
 
+// Decimal digits only: strtoull alone would also take a sign (so "-1"
+// wraps to 2^64-1) and leading blanks, and saturates on overflow.
 bool ParseU64(const std::string& s, uint64_t* out) {
   if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }
@@ -38,9 +48,12 @@ Status ParseConfigLine(std::istringstream* in, NetConfig* config) {
     uint64_t num = 0;
     if (key == "dataset") {
       config->dataset = value;
-    } else if (key == "peers" && ParseU64(value, &num)) {
+    } else if (key == "peers" && ParseU64(value, &num) &&
+               num <= kInvalidPeer) {
+      // Ids run over [0, peers), so every one stays below kInvalidPeer.
       config->peers = num;
-    } else if (key == "dims" && ParseU64(value, &num)) {
+    } else if (key == "dims" && ParseU64(value, &num) && num >= 1 &&
+               num <= static_cast<uint64_t>(kMaxDims)) {
       config->dims = static_cast<int64_t>(num);
     } else if (key == "tuples" && ParseU64(value, &num)) {
       config->tuples = num;
@@ -63,13 +76,14 @@ Status ParsePeerLine(std::istringstream* in, PeerAssignment* out) {
   uint64_t lo = 0, hi = 0;
   const size_t dash = range.find('-');
   if (dash == std::string::npos) {
-    if (!ParseU64(range, &lo)) {
+    if (!ParseU64(range, &lo) || lo >= kInvalidPeer) {
       return Status::InvalidArgument("bad peer id '" + range + "'");
     }
     hi = lo;
   } else {
     if (!ParseU64(range.substr(0, dash), &lo) ||
-        !ParseU64(range.substr(dash + 1), &hi) || hi < lo) {
+        !ParseU64(range.substr(dash + 1), &hi) || hi < lo ||
+        hi >= kInvalidPeer) {
       return Status::InvalidArgument("bad peer range '" + range + "'");
     }
   }
@@ -182,24 +196,32 @@ Result<PeersFile> ParsePeersFile(const std::string& text) {
   if (!saw_config) {
     return Status::InvalidArgument("peers file has no config directive");
   }
-  // Coverage check: every peer id in [0, peers) served exactly once.
-  std::vector<int> covered(file.config.peers, 0);
+  // Coverage check: every peer id in [0, peers) served exactly once. The
+  // ranges are walked in ascending order, so nothing is sized by the
+  // declared peer count.
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
+  ranges.reserve(file.assignments.size());
   for (const PeerAssignment& a : file.assignments) {
-    for (uint64_t id = a.lo; id <= a.hi; ++id) {
-      if (id >= file.config.peers) {
-        return Status::InvalidArgument("peer id " + std::to_string(id) +
-                                       " outside config peers=" +
-                                       std::to_string(file.config.peers));
-      }
-      covered[id] += 1;
-    }
+    ranges.emplace_back(a.lo, a.hi);
   }
-  for (uint64_t id = 0; id < file.config.peers; ++id) {
-    if (covered[id] != 1) {
+  std::sort(ranges.begin(), ranges.end());
+  uint64_t next = 0;  // lowest id not yet covered
+  for (const auto& [lo, hi] : ranges) {
+    if (hi >= file.config.peers) {
       return Status::InvalidArgument(
-          "peer id " + std::to_string(id) + " assigned " +
-          std::to_string(covered[id]) + " times (want exactly 1)");
+          "peer id " + std::to_string(hi) + " outside config peers=" +
+          std::to_string(file.config.peers));
     }
+    if (lo < next) {
+      return Status::InvalidArgument("peer id " + std::to_string(lo) +
+                                     " assigned more than once");
+    }
+    if (lo > next) break;
+    next = hi + 1;
+  }
+  if (next < file.config.peers) {
+    return Status::InvalidArgument("peer id " + std::to_string(next) +
+                                   " is not assigned");
   }
   return file;
 }

@@ -35,10 +35,6 @@ class RippleParam {
   /// query. Engines never see Auto — drivers resolve it first; an
   /// unresolved Auto degrades to Fast (hops() == 0) so nothing deadlocks.
   static constexpr RippleParam Auto() { return RippleParam(kAutoHops); }
-  /// Adapter for the legacy integer convention (r >= 1<<20 meant "slow").
-  static constexpr RippleParam FromLegacy(int r) {
-    return r >= kSlowHops ? Slow() : Hops(r);
-  }
 
   /// The slow-phase hop budget the engine counts down. Slow() returns a
   /// value exceeding every reachable overlay depth; an unresolved Auto()

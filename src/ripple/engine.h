@@ -2,7 +2,6 @@
 #define RIPPLE_RIPPLE_ENGINE_H_
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -94,24 +93,6 @@ class Engine {
   }
 
   const Policy& policy() const { return policy_; }
-
-  /// Observer invoked for every peer that processes a query (visits).
-  /// Used to study per-peer load distribution across query batches — the
-  /// paper's congestion metric reports the mean; the observer exposes the
-  /// skew. Pass nullptr to clear.
-  void SetVisitObserver(std::function<void(PeerId)> observer) {
-    visit_observer_ = std::move(observer);
-  }
-
-  /// Secondary slow-phase contact order: among links whose policy
-  /// priorities TIE, larger bias goes first (the adaptive controller feeds
-  /// decayed per-peer load here so colder peers are contacted earlier).
-  /// Never overrides the policy's LinkPriority and never changes which
-  /// links are contacted, so answers and stats totals are unaffected; only
-  /// tie order (and therefore per-peer load timing) moves. nullptr clears.
-  void SetLinkBias(std::function<double(PeerId)> bias) {
-    link_bias_ = std::move(bias);
-  }
 
   /// Attaches a per-query tracer recording one span per peer visit (phase,
   /// remaining r, links pruned/forwarded, states merged, tuples carried)
@@ -205,7 +186,6 @@ class Engine {
                       double arrival = 0.0) const {
     const auto& peer = overlay_->GetPeer(w);
     ctx->stats.peers_visited += 1;
-    if (visit_observer_) visit_observer_(w);
     if (profiler_) profiler_->OnSpan(w);
 
     // `arrival` is this visit's position on the logical hop clock (the
@@ -249,14 +229,8 @@ class Engine {
             Candidate{link.target, area, policy_.LinkPriority(query, area)});
       }
       std::stable_sort(candidates.begin(), candidates.end(),
-                       [this](const Candidate& a, const Candidate& b) {
-                         if (a.priority != b.priority) {
-                           return a.priority > b.priority;
-                         }
-                         if (link_bias_) {
-                           return link_bias_(a.target) > link_bias_(b.target);
-                         }
-                         return false;
+                       [](const Candidate& a, const Candidate& b) {
+                         return a.priority > b.priority;
                        });
       for (const Candidate& c : candidates) {
         // Relevance is re-evaluated with the state updated so far: links
@@ -385,8 +359,6 @@ class Engine {
 
   const Overlay* overlay_;
   Policy policy_;
-  std::function<void(PeerId)> visit_observer_;
-  std::function<double(PeerId)> link_bias_;
   obs::Tracer* tracer_ = nullptr;
   obs::JournalSet* journal_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

@@ -384,18 +384,9 @@ class PeerCore {
       s.candidates.push_back(typename Session::Candidate{
           link.target, std::move(restricted), priority});
     }
-    // Priority ties fall back to the driver's link bias (larger first),
-    // which never changes which links are contacted, only their order.
-    const std::function<double(PeerId)>* bias = driver_->link_bias();
     std::stable_sort(s.candidates.begin(), s.candidates.end(),
-                     [bias](const auto& a, const auto& b) {
-                       if (a.priority != b.priority) {
-                         return a.priority > b.priority;
-                       }
-                       if (bias != nullptr) {
-                         return (*bias)(a.target) > (*bias)(b.target);
-                       }
-                       return false;
+                     [](const auto& a, const auto& b) {
+                       return a.priority > b.priority;
                      });
     AdvanceSlow(s);
   }

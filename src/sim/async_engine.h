@@ -132,21 +132,6 @@ class AsyncEngine {
   void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
   obs::JournalSet* journal() const { return journal_; }
 
-  /// Observer invoked for every peer that opens a session (one activation
-  /// per visited peer — same contract as Engine::SetVisitObserver, so
-  /// callers studying per-peer load can treat both engines uniformly).
-  /// Pass nullptr to clear.
-  void SetVisitObserver(std::function<void(PeerId)> observer) {
-    visit_observer_ = std::move(observer);
-  }
-
-  /// Secondary slow-phase contact order on priority ties — same contract
-  /// as Engine::SetLinkBias: larger bias first, never changes which links
-  /// are contacted or the answer, only tie order. nullptr clears.
-  void SetLinkBias(std::function<double(PeerId)> bias) {
-    link_bias_ = std::move(bias);
-  }
-
   /// Attaches a per-peer load profiler (same contract as
   /// Engine::SetProfiler: message/byte charges mirror QueryStats at the
   /// sender, so totals cross-check; here the profiler additionally sees
@@ -318,9 +303,6 @@ class AsyncEngine {
     obs::JournalSet* journal() const {
       return request->trace_id != 0 ? self->journal_ : nullptr;
     }
-    const std::function<double(PeerId)>* link_bias() const {
-      return self->link_bias_ ? &self->link_bias_ : nullptr;
-    }
     void Send(const net::Envelope& env, std::vector<uint8_t> bytes) {
       self->transport()->Send(env, std::move(bytes));
     }
@@ -354,10 +336,7 @@ class AsyncEngine {
       RIPPLE_CHECK(ft && "frame rejected without fault machinery armed");
     }
 
-    void OnSessionOpened(const Session& s) {
-      result.stats.peers_visited += 1;
-      if (self->visit_observer_) self->visit_observer_(s.peer);
-    }
+    void OnSessionOpened(const Session&) { result.stats.peers_visited += 1; }
     void OnQuerySent(const PendingRequest& rq) {
       Charge(rq.from, rq.target, rq.tuples, rq.frame.size(),
              &traffic.bytes_query, rq.attempt > 1);
@@ -630,8 +609,6 @@ class AsyncEngine {
   const Overlay* overlay_;
   Policy policy_;
   LatencyModel latency_;
-  std::function<void(PeerId)> visit_observer_;
-  std::function<double(PeerId)> link_bias_;
   obs::Tracer* tracer_ = nullptr;
   obs::JournalSet* journal_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

@@ -36,14 +36,6 @@ TEST(RippleParamTest, SlowExceedsAnyRealisticDepth) {
   EXPECT_GT(RippleParam::Slow().hops(), 1 << 19);
 }
 
-TEST(RippleParamTest, FromLegacyConvention) {
-  // The legacy convention: 0 = fast, r >= 1<<20 = slow, else r hops.
-  EXPECT_EQ(RippleParam::FromLegacy(0), RippleParam::Fast());
-  EXPECT_EQ(RippleParam::FromLegacy(4), RippleParam::Hops(4));
-  EXPECT_EQ(RippleParam::FromLegacy(1 << 20), RippleParam::Slow());
-  EXPECT_EQ(RippleParam::FromLegacy((1 << 20) + 7), RippleParam::Slow());
-}
-
 TEST(RippleParamTest, ToStringForms) {
   EXPECT_EQ(RippleParam::Fast().ToString(), "fast");
   EXPECT_EQ(RippleParam::Slow().ToString(), "slow");
@@ -59,7 +51,7 @@ TEST(RippleParamTest, ParseAcceptsCanonicalSpellings) {
   EXPECT_EQ(RippleParam::Parse("0").value(), RippleParam::Fast());
   ASSERT_TRUE(RippleParam::Parse("7").ok());
   EXPECT_EQ(RippleParam::Parse("7").value(), RippleParam::Hops(7));
-  // Huge decimal degenerates to slow, matching FromLegacy.
+  // A huge decimal degenerates to slow.
   ASSERT_TRUE(RippleParam::Parse("1048576").ok());
   EXPECT_EQ(RippleParam::Parse("1048576").value(), RippleParam::Slow());
 }

@@ -394,14 +394,6 @@ TEST(AdaptiveTest, ChoiceRespondsToObservedPressure) {
   EXPECT_EQ(c.Choose(), RippleParam::Hops(3));
 }
 
-TEST(AdaptiveTest, LinkBiasPrefersColdPeers) {
-  cache::AdaptiveController c(8);
-  c.ObservePeerLoad({10, 0, 5});
-  EXPECT_GT(c.LinkBias(1), c.LinkBias(0));
-  EXPECT_GT(c.LinkBias(1), c.LinkBias(2));
-  EXPECT_EQ(c.LinkBias(99), 0.0);  // unknown peer: neutral
-}
-
 TEST(AdaptiveTest, AutoWorkloadDeterministicAcrossRunsAndThreads) {
   Net net = MakeNet(64, 1500, 3, 907);
   std::vector<exec::WorkloadItem> items = LocalityItems();
@@ -456,31 +448,6 @@ TEST(AdaptiveTest, AutoWorkloadDeterministicAcrossRunsAndThreads) {
       EXPECT_EQ(result.total_stats.peers_visited, golden_stats.peers_visited);
     }
   }
-}
-
-TEST(AdaptiveTest, LinkBiasNeverChangesAnswers) {
-  Net net = MakeNet(64, 1200, 3, 911);
-  LinearScorer scorer({-0.4, -0.4, -0.2});
-  TopKQuery q{&scorer, 10};
-  Rng rng(9);
-  const PeerId initiator = net.overlay.RandomPeer(&rng);
-  QueryRequest<TopKPolicy> req;
-  req.initiator = initiator;
-  req.query = q;
-  req.ripple = RippleParam::Slow();
-
-  Engine<MidasOverlay, TopKPolicy> plain(&net.overlay, TopKPolicy{});
-  const auto baseline = SeededTopK(net.overlay, plain, req);
-
-  cache::AdaptiveController controller(6);
-  controller.ObservePeerLoad(
-      std::vector<uint64_t>(net.overlay.NumPeers(), 3));
-  Engine<MidasOverlay, TopKPolicy> biased(&net.overlay, TopKPolicy{});
-  biased.SetLinkBias(
-      [&controller](PeerId p) { return controller.LinkBias(p); });
-  const auto steered = SeededTopK(net.overlay, biased, req);
-  EXPECT_TRUE(SameAnswer(steered.answer, baseline.answer));
-  EXPECT_EQ(steered.stats.peers_visited, baseline.stats.peers_visited);
 }
 
 }  // namespace

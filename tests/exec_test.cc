@@ -11,7 +11,6 @@
 #include "data/datasets.h"
 #include "exec/compile.h"
 #include "exec/queue.h"
-#include "exec/sharded_lock.h"
 #include "exec/workload.h"
 #include "overlay/midas/midas.h"
 
@@ -79,54 +78,6 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   producer.join();
-}
-
-// --- Sharded locks and the load table -----------------------------------------
-
-TEST(ShardedPeerMutexTest, ShardOfIsModulo) {
-  ShardedPeerMutex locks(8);
-  EXPECT_EQ(locks.shard_count(), 8u);
-  EXPECT_EQ(locks.ShardOf(0), 0u);
-  EXPECT_EQ(locks.ShardOf(9), 1u);
-  EXPECT_EQ(locks.ShardOf(8), locks.ShardOf(16));
-  auto lock = locks.Lock(3);
-  EXPECT_TRUE(lock.owns_lock());
-}
-
-TEST(SharedLoadTableTest, ChargesAndSnapshots) {
-  SharedLoadTable table(16, /*shards=*/4);
-  table.Charge(3);
-  table.Charge(3, 2);
-  table.Charge(15);
-  table.Charge(999) /* beyond the universe: ignored */;
-  EXPECT_EQ(table.load(3), 3u);
-  EXPECT_EQ(table.load(15), 1u);
-  EXPECT_EQ(table.load(999), 0u);
-  EXPECT_EQ(table.Total(), 4u);
-  EXPECT_EQ(table.Max(), 3u);
-  const std::vector<uint64_t> snap = table.Snapshot();
-  ASSERT_EQ(snap.size(), 16u);
-  EXPECT_EQ(snap[3], 3u);
-}
-
-TEST(SharedLoadTableTest, ConcurrentChargesLoseNoUpdates) {
-  // The TSan suite runs this too: many threads hammering few shards, so
-  // every lost-update or race would surface.
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  SharedLoadTable table(32, /*shards=*/4);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&table, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        table.Charge(static_cast<PeerId>((t * 7 + i) % 32));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(table.Total(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 // --- Workload parsing ---------------------------------------------------------
@@ -215,6 +166,16 @@ std::vector<uint64_t> AnswerIds(const QueryOutcome& out) {
   return ids;
 }
 
+/// Per-peer visit counts: the merged profile's span column.
+std::vector<uint64_t> Visits(const WorkloadResult& result) {
+  std::vector<uint64_t> spans;
+  spans.reserve(result.profile.peer_count());
+  for (const obs::PeerLoad& load : result.profile.loads()) {
+    spans.push_back(load.spans);
+  }
+  return spans;
+}
+
 WorkloadResult RunMix(const Net& net, int threads, uint64_t seed,
                       size_t queries, bool async = false,
                       bool collect_spans = false) {
@@ -262,7 +223,7 @@ TEST(ExecutorTest, DeterministicAcrossRepeatedRuns) {
     EXPECT_EQ(again.total_stats.messages, base.total_stats.messages);
     EXPECT_EQ(again.total_stats.tuples_shipped,
               base.total_stats.tuples_shipped);
-    EXPECT_EQ(again.peer_visits, base.peer_visits);
+    EXPECT_EQ(Visits(again), Visits(base));
     for (size_t i = 0; i < base.queries.size(); ++i) {
       EXPECT_EQ(again.queries[i].worker, base.queries[i].worker);
       EXPECT_EQ(again.queries[i].initiator, base.queries[i].initiator);
@@ -281,7 +242,7 @@ TEST(ExecutorTest, AnswersInvariantAcrossThreadCounts) {
   ASSERT_EQ(one.queries.size(), four.queries.size());
   EXPECT_EQ(one.total_stats.messages, four.total_stats.messages);
   EXPECT_EQ(one.total_stats.peers_visited, four.total_stats.peers_visited);
-  EXPECT_EQ(one.peer_visits, four.peer_visits);
+  EXPECT_EQ(Visits(one), Visits(four));
   for (size_t i = 0; i < one.queries.size(); ++i) {
     EXPECT_EQ(one.queries[i].initiator, four.queries[i].initiator);
     EXPECT_EQ(AnswerIds(one.queries[i]), AnswerIds(four.queries[i]))
@@ -306,27 +267,36 @@ TEST(ExecutorTest, AsyncEngineMatchesRecursiveAnswers) {
 
 TEST(ExecutorTest, ProfilerAndLoadTableCrossCheck) {
   // Skyband/range jobs run the engine without a bootstrap driver, so the
-  // engine's visit observer sees every visited peer: the shared load
-  // table, the merged per-worker profilers and QueryStats must agree.
+  // engine's profiler sees every visited peer: the merged per-worker
+  // profilers and the summed QueryStats must agree, on both engines.
   const Net net = MakeNet(32, 2000, 2, 3);
   const auto items = ParseWorkload("skyband band=2 count=4\nrange radius=0.3 count=4\n");
   ASSERT_TRUE(items.ok());
-  CompileOptions copts;
-  copts.seed = 13;
-  CompiledWorkload compiled = CompileWorkload(net.overlay, *items, copts);
-  ExecutorOptions opts;
-  opts.threads = 2;
-  opts.seed = 13;
-  Executor executor(opts);
-  const WorkloadResult result =
-      executor.Run(compiled.jobs, net.overlay.NumPeers());
-  uint64_t table_total = 0;
-  for (uint64_t v : result.peer_visits) table_total += v;
-  EXPECT_EQ(table_total, result.total_stats.peers_visited);
-  EXPECT_EQ(result.profile.Totals().spans, result.total_stats.peers_visited);
-  EXPECT_EQ(result.profile.Totals().messages_out,
-            result.total_stats.messages);
-  EXPECT_EQ(result.profile.peer_count(), net.overlay.NumPeers());
+  for (const bool async : {false, true}) {
+    CompileOptions copts;
+    copts.seed = 13;
+    copts.async = async;
+    CompiledWorkload compiled = CompileWorkload(net.overlay, *items, copts);
+    ExecutorOptions opts;
+    opts.threads = 2;
+    opts.seed = 13;
+    Executor executor(opts);
+    const WorkloadResult result =
+        executor.Run(compiled.jobs, net.overlay.NumPeers());
+    const obs::PeerLoad totals = result.profile.Totals();
+    EXPECT_GT(totals.spans, 0u) << "async=" << async;
+    EXPECT_EQ(totals.spans, result.total_stats.peers_visited)
+        << "async=" << async;
+    EXPECT_EQ(totals.messages_out, result.total_stats.messages)
+        << "async=" << async;
+    EXPECT_EQ(totals.tuples_out, result.total_stats.tuples_shipped)
+        << "async=" << async;
+    EXPECT_EQ(totals.bytes_out, result.total_stats.bytes_on_wire)
+        << "async=" << async;
+    EXPECT_EQ(totals.retransmissions, 0u) << "async=" << async;
+    EXPECT_EQ(result.profile.peer_count(), net.overlay.NumPeers())
+        << "async=" << async;
+  }
 }
 
 TEST(ExecutorTest, DeadlineShedsQueuedQueries) {

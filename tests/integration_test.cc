@@ -166,22 +166,5 @@ TEST(IntegrationTest, AsyncEngineAgreesOnSkybandAndRange) {
   EXPECT_EQ(a.stats.tuples_shipped, s.stats.tuples_shipped);
 }
 
-TEST(IntegrationTest, VisitObserverCountsMatchStats) {
-  Rng data_rng(917);
-  const TupleVec tuples = data::MakeUniform(1000, 2, &data_rng);
-  Deployment d = Deploy(64, tuples, 2, 919);
-  Engine<MidasOverlay, TopKPolicy> engine(&d.overlay, TopKPolicy{});
-  uint64_t observed = 0;
-  engine.SetVisitObserver([&](PeerId) { ++observed; });
-  LinearScorer scorer({-0.6, -0.4});
-  TopKQuery q{&scorer, 5};
-  Rng rng(17);
-  const auto result = engine.Run({.initiator = d.overlay.RandomPeer(&rng), .query = q});
-  EXPECT_EQ(observed, result.stats.peers_visited);
-  engine.SetVisitObserver(nullptr);
-  (void)engine.Run({.initiator = d.overlay.RandomPeer(&rng), .query = q});
-  EXPECT_EQ(observed, result.stats.peers_visited);  // unchanged
-}
-
 }  // namespace
 }  // namespace ripple

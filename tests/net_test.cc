@@ -92,6 +92,32 @@ TEST(PeersFileTest, RejectsMalformedLines) {
   EXPECT_FALSE(net::ParsePeersFile("config peers=\n").ok());
   EXPECT_FALSE(net::ParseEndpoint("127.0.0.1").ok());
   EXPECT_FALSE(net::ParseEndpoint("127.0.0.1:notaport").ok());
+  // Numbers are plain decimal digits that fit: no sign, no wrap, no
+  // overflow saturation.
+  EXPECT_FALSE(net::ParsePeersFile("config peers=-1\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config peers=+5\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config peers= 5\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config seed=18446744073709551616\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config peers=4294967296\n").ok());
+  EXPECT_FALSE(net::ParseEndpoint("127.0.0.1:-1").ok());
+  EXPECT_FALSE(net::ParseEndpoint("127.0.0.1:+80").ok());
+  // dims must lie in [1, kMaxDims].
+  EXPECT_FALSE(net::ParsePeersFile("config dims=-3\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config dims=0\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config dims=11\n").ok());
+  // Peer ids must fit below kInvalidPeer instead of wrapping onto peer 0.
+  EXPECT_FALSE(
+      net::ParsePeersFile("config peers=1\npeer 4294967296 h:1\n").ok());
+  EXPECT_FALSE(
+      net::ParsePeersFile("config peers=1\npeer 0-4294967296 h:1\n").ok());
+  EXPECT_FALSE(net::ParsePeersFile("config peers=1\npeer -1 h:1\n").ok());
+  // A huge declared peer count is checked without allocating per id.
+  EXPECT_FALSE(
+      net::ParsePeersFile("config peers=4294967295\npeer 0 h:1\n").ok());
+  auto widest = net::ParsePeersFile(
+      "config peers=4294967295 dims=10\npeer 0-4294967294 h:1\n");
+  ASSERT_TRUE(widest.ok()) << widest.status().message();
+  EXPECT_EQ(widest->config.dims, 10);
   auto ep = net::ParseEndpoint("10.0.0.2:19000");
   ASSERT_TRUE(ep.ok());
   EXPECT_EQ(ep->host, "10.0.0.2");

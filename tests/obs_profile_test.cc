@@ -215,9 +215,9 @@ TEST(ProfilerInvariantTest, AsyncEngineChargesMatchQueryStats) {
 }
 
 TEST(ProfilerInvariantTest, SkewMatchesVisitObserverShape) {
-  // The profiler's span skew must reproduce what the pre-existing
-  // SetVisitObserver measurement (bench_abl_load_skew's original
-  // mechanism) sees: identical per-peer visit counts.
+  // Profiler::Skew over the span column must equal ComputeSkew over the
+  // dense per-peer visit vector it summarizes (the profiler is the only
+  // per-peer visit count; bench_abl_load_skew reads its skew).
   Net net = MakeNet(64, 1000, 3, 906);
   LinearScorer scorer({-0.6, -0.2, -0.2});
   const TopKQuery q{&scorer, 5};
@@ -225,21 +225,24 @@ TEST(ProfilerInvariantTest, SkewMatchesVisitObserverShape) {
   obs::Profiler profiler;
   profiler.SetPeerUniverse(net.overlay.NumPeers());
   engine.SetProfiler(&profiler);
-  std::vector<uint64_t> visits(net.overlay.NumPeers(), 0);
-  engine.SetVisitObserver([&visits](PeerId id) { ++visits[id]; });
   Rng rng(17);
   for (int trial = 0; trial < 8; ++trial) {
     (void)SeededTopK(net.overlay, engine,
                      {.initiator = net.overlay.RandomPeer(&rng), .query = q});
   }
-  for (size_t peer = 0; peer < visits.size(); ++peer) {
-    EXPECT_EQ(profiler.load(static_cast<uint32_t>(peer)).spans, visits[peer])
-        << "peer " << peer;
+  std::vector<uint64_t> visits;
+  for (const obs::PeerLoad& load : profiler.loads()) {
+    visits.push_back(load.spans);
   }
+  ASSERT_EQ(visits.size(), net.overlay.NumPeers());
   const obs::SkewStats skew = profiler.Skew(&obs::PeerLoad::spans);
   const obs::SkewStats direct = obs::ComputeSkew(visits);
+  EXPECT_GT(skew.total, 0u);
+  EXPECT_EQ(skew.total, direct.total);
+  EXPECT_EQ(skew.active, direct.active);
   EXPECT_DOUBLE_EQ(skew.gini, direct.gini);
   EXPECT_EQ(skew.max, direct.max);
+  EXPECT_EQ(skew.max_peer, direct.max_peer);
   EXPECT_DOUBLE_EQ(skew.mean, direct.mean);
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "obs/profile.h"
 #include "overlay/midas/midas.h"
 #include "queries/diversify.h"
 #include "queries/skyline.h"
@@ -225,11 +226,13 @@ TEST(EngineInvariantTest, RestrictionAreasVisitEachPeerOnce) {
 
   Engine<MidasOverlay, SkylinePolicy> engine(&overlay, SkylinePolicy{});
   for (const RippleParam r : {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
-    std::vector<int> visits(overlay.NumPeers() + 256, 0);
-    engine.SetVisitObserver([&](PeerId id) { ++visits[id]; });
-    (void)engine.Run({.initiator = overlay.RandomPeer(&rng), .query = SkylineQuery{}, .ripple = r});
-    for (size_t i = 0; i < visits.size(); ++i) {
-      EXPECT_LE(visits[i], 1) << "peer " << i << " r=" << r;
+    obs::Profiler visits;
+    engine.SetProfiler(&visits);
+    const auto result = engine.Run({.initiator = overlay.RandomPeer(&rng), .query = SkylineQuery{}, .ripple = r});
+    EXPECT_EQ(visits.Totals().spans, result.stats.peers_visited) << r;
+    for (size_t i = 0; i < visits.peer_count(); ++i) {
+      EXPECT_LE(visits.load(static_cast<uint32_t>(i)).spans, 1u)
+          << "peer " << i << " r=" << r;
     }
   }
 }

@@ -5,7 +5,7 @@
 #
 #   tools/check.sh            # ASan + UBSan-less default: address
 #   tools/check.sh undefined  # UBSan
-#   tools/check.sh thread     # TSan over the concurrent executor tests
+#   tools/check.sh thread     # TSan over the executor and batched cache tests
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
 #   tools/check.sh net        # live-overlay + fault suites, ASan then UBSan
@@ -191,12 +191,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 CTEST_ARGS=(--test-dir "$BUILD_DIR" --output-on-failure)
 if [[ "$SANITIZER" == "thread" ]]; then
   # TSan targets the code that actually runs threads: the concurrent
-  # executor suite (ctest label `exec`). The engines themselves are
-  # single-threaded by design; ASan/UBSan cover them.
+  # executor suite (ctest label `exec`) and the batched cache pipeline
+  # (label `cache`), which runs on the same worker pool. The engines
+  # themselves are single-threaded by design; ASan/UBSan cover them.
   if [[ -n "$FILTER" ]]; then
     CTEST_ARGS+=(-R "$FILTER")
   else
-    CTEST_ARGS+=(-L exec)
+    CTEST_ARGS+=(-L 'exec|cache')
   fi
   ctest "${CTEST_ARGS[@]}"
   echo "check.sh: $SANITIZER build clean"

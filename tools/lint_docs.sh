@@ -71,6 +71,15 @@ DEAD_SYMBOLS=(
   'compat::Run'
   'RunTopK('
   'RunSkyline('
+  SharedLoadTable
+  ShardedPeerMutex
+  SetVisitObserver
+  SetLinkBias
+  ObservePeerLoad
+  peer_visits
+  lock_shards
+  AdaptiveOptions
+  FromLegacy
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
