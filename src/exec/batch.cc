@@ -2,11 +2,11 @@
 
 namespace ripple::exec {
 
-WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
+WorkloadResult ExpandBatchedResult(BatchPlan& plan,
                                    const std::vector<size_t>& job_items,
                                    WorkloadResult lead) {
   // Map each leader item index to its outcome in the leader-only run.
-  std::unordered_map<size_t, const QueryOutcome*> by_item;
+  std::unordered_map<size_t, QueryOutcome*> by_item;
   by_item.reserve(job_items.size());
   for (size_t j = 0; j < job_items.size() && j < lead.queries.size(); ++j) {
     by_item.emplace(job_items[j], &lead.queries[j]);
@@ -19,22 +19,23 @@ WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
   full.shed = 0;
   full.partial = 0;
   for (size_t i = 0; i < plan.slots.size(); ++i) {
-    const BatchSlot& slot = plan.slots[i];
+    BatchSlot& slot = plan.slots[i];
     QueryOutcome& out = expanded[i];
     switch (slot.role) {
       case BatchSlot::Role::kLead: {
         auto it = by_item.find(i);
-        if (it != by_item.end()) out = *it->second;
+        if (it != by_item.end()) out = std::move(*it->second);
         out.index = i;
         break;
       }
       case BatchSlot::Role::kFollow: {
         // The follower is the same query instance as its leader: same
         // answer, byte for byte — but it never touched the network, so
-        // it carries zero cost and no trace of its own.
-        auto it = by_item.find(slot.leader);
-        if (it != by_item.end()) {
-          const QueryOutcome& led = *it->second;
+        // it carries zero cost and no trace of its own. PlanWorkload
+        // makes an item's first occurrence the leader, so the leader's
+        // outcome is already in `expanded`.
+        if (slot.leader < i) {
+          const QueryOutcome& led = expanded[slot.leader];
           out.answer = led.answer;
           out.complete = led.complete;
           out.shed = led.shed;
@@ -47,7 +48,7 @@ WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
       case BatchSlot::Role::kHit: {
         out.index = i;
         out.worker = -1;
-        out.answer = slot.cached_answer;
+        out.answer = std::move(slot.cached_answer);
         out.complete = true;
         break;
       }

@@ -59,6 +59,8 @@ struct BatchSlot {
   /// Normalized answer key; empty = uncacheable, always leads alone.
   std::string key;
   /// kHit: the cached answer and the cold cost it avoided.
+  /// ExpandBatchedResult moves the answer out into the hit's outcome, so
+  /// after a run it is empty; the cache keeps its own copy.
   TupleVec cached_answer;
   QueryStats saved_stats;
   /// Pre-hop pruning seed from the bound index (top-k leads only).
@@ -84,12 +86,13 @@ struct BatchedWorkload {
 };
 
 /// Rebuilds the full per-item WorkloadResult from the leader-only run:
-/// leads keep their outcomes (re-indexed), follows copy their leader's
-/// answer with zero network cost, hits carry the cached answer with zero
-/// cost. total_stats / completed / shed / partial are re-aggregated over
-/// all items; wall-clock histograms and profile keep describing the jobs
-/// that actually ran.
-WorkloadResult ExpandBatchedResult(const BatchPlan& plan,
+/// leads keep their outcomes (moved, re-indexed), follows copy their
+/// leader's answer with zero network cost, hits take the cached answer
+/// with zero cost — moved out of the plan's slot, so the copy made at
+/// plan time is the only one. total_stats / completed / shed / partial
+/// are re-aggregated over all items; wall-clock histograms and profile
+/// keep describing the jobs that actually ran.
+WorkloadResult ExpandBatchedResult(BatchPlan& plan,
                                    const std::vector<size_t>& job_items,
                                    WorkloadResult lead);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -80,14 +79,6 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
   WorkloadResult result;
   result.queries.resize(jobs.size());
 
-  std::vector<Rng> rngs;
-  rngs.reserve(threads);
-  for (int w = 0; w < threads; ++w) {
-    // Distinct stream per (seed, worker); the multiplier keeps
-    // (seed, worker) pairs from colliding across nearby seeds.
-    rngs.emplace_back(options_.seed * 0x100000001b3ULL +
-                      static_cast<uint64_t>(w) + 1);
-  }
   std::vector<obs::Profiler> profilers(threads);
   tracers_.assign(threads, obs::Tracer());
   if (options_.journal != nullptr) {
@@ -96,26 +87,25 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
     for (obs::Tracer& t : tracers_) t.SetJournal(options_.journal);
   }
 
-  std::vector<std::unique_ptr<BoundedQueue<Task>>> queues;
-  queues.reserve(threads);
-  for (int w = 0; w < threads; ++w) {
-    queues.push_back(
-        std::make_unique<BoundedQueue<Task>>(options_.queue_capacity));
-  }
+  // One queue for the whole pool: an idle worker takes the next job, so
+  // a worker stuck on an expensive query never holds back cheap ones.
+  BoundedQueue<Task> queue(options_.queue_capacity *
+                           static_cast<size_t>(threads));
 
   std::atomic<int64_t> queued{0};
   const Clock::time_point t0 = Clock::now();
 
   auto worker_fn = [&](int w) {
+    Rng rng;
     JobContext ctx;
     ctx.worker = w;
-    ctx.rng = &rngs[w];
+    ctx.rng = &rng;
     ctx.profiler = &profilers[w];
     ctx.tracer = options_.collect_spans ? &tracers_[w] : nullptr;
     ctx.journal = options_.journal;
 
     Task task;
-    while (queues[w]->Pop(&task)) {
+    while (queue.Pop(&task)) {
       queued.fetch_sub(1, std::memory_order_relaxed);
       if (ins.queue_depth != nullptr) {
         ins.queue_depth->Set(
@@ -136,6 +126,10 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
         continue;
       }
 
+      // Distinct stream per (seed, job); the multiplier keeps
+      // (seed, job) pairs from colliding across nearby seeds.
+      rng = Rng(options_.seed * 0x100000001b3ULL +
+                static_cast<uint64_t>(task.index) + 1);
       JobResult r = job.run(ctx);
       const Clock::time_point done = Clock::now();
       out.answer = std::move(r.answer);
@@ -203,9 +197,9 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
       Task task;
       task.index = i;
       task.admitted = Clock::now();
-      // Push blocks while worker i%threads's queue is full: backpressure
-      // throttles admission instead of buffering unboundedly.
-      queues[i % threads]->Push(std::move(task));
+      // Push blocks while the queue is full: backpressure throttles
+      // admission instead of buffering unboundedly.
+      queue.Push(std::move(task));
       queued.fetch_add(1, std::memory_order_relaxed);
       if (ins.submitted != nullptr) ins.submitted->Inc();
       if (ins.queue_depth != nullptr) {
@@ -214,7 +208,7 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
       }
       maybe_snapshot();
     }
-    for (auto& q : queues) q->Close();
+    queue.Close();
     for (std::thread& t : pool) t.join();
     if (snapshotting) {
       // Final capture after the drain, so the last window covers the

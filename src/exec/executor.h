@@ -20,17 +20,18 @@
 namespace ripple::exec {
 
 /// Tuning knobs of the concurrent workload executor. The determinism
-/// contract (docs/EXECUTOR.md) is parameterized by (seed, threads): with
-/// both fixed, job-to-worker assignment, every per-worker RNG stream and
-/// therefore every deterministic field of the WorkloadResult are
-/// byte-identical across runs.
+/// contract (docs/EXECUTOR.md) is parameterized by the seed alone: every
+/// job's RNG stream derives from (seed, job index), so the deterministic
+/// fields of the WorkloadResult are byte-identical across runs and
+/// thread counts, while job-to-worker assignment is a measurement.
 struct ExecutorOptions {
   /// Pool size. Values < 1 are treated as 1.
   int threads = 1;
-  /// Bounded admission-queue capacity PER WORKER. When a worker's queue is
-  /// full, Run()'s admission loop blocks — backpressure, not buffering.
+  /// Admission buffering per worker: the one shared queue holds
+  /// `queue_capacity × threads` jobs. When it is full, Run()'s admission
+  /// loop blocks — backpressure, not buffering.
   size_t queue_capacity = 64;
-  /// Master seed: derives each worker's private RNG stream.
+  /// Master seed: derives each job's private RNG stream.
   uint64_t seed = 1;
   /// Target admission rate in queries/second; 0 = admit as fast as
   /// backpressure allows. Pacing bounds offered load, backpressure bounds
@@ -58,13 +59,14 @@ struct ExecutorOptions {
   obs::JournalSet* journal = nullptr;
 };
 
-/// Everything a job may touch that belongs to the worker running it. All
-/// pointers are worker-private (no synchronization needed) except
-/// `journal`, which is thread-safe.
+/// Everything a job may touch while it runs. All pointers are private to
+/// the job or its worker (no synchronization needed) except `journal`,
+/// which is thread-safe.
 struct JobContext {
+  /// The worker running the job; whichever idle worker popped it first.
   int worker = 0;
-  /// The worker's seeded RNG stream: deterministic given (seed, threads),
-  /// because job-to-worker assignment is static round-robin.
+  /// The job's own RNG stream, seeded from (ExecutorOptions::seed, job
+  /// index): the same draws on any worker and for any thread count.
   Rng* rng = nullptr;
   /// The worker's private profiler; merged into WorkloadResult::profile
   /// after the pool joins.
@@ -105,15 +107,15 @@ struct Job {
 
 /// Per-query outcome, indexed by submission order.
 ///
-/// Deterministic fields (byte-identical for fixed seed + threads, and —
-/// for jobs compiled by exec/compile.h, which derive everything from the
-/// per-item seed — for ANY thread count): `answer`, `stats`, `coverage`,
-/// `complete`, `completion_time`, `initiator`, `worker`, `shed` when no
-/// deadline is set. Wall-clock fields (`*_ms`) are measurements, never
-/// deterministic; deadlines make `shed` timing-dependent too.
+/// Deterministic fields (byte-identical for a fixed seed, across runs and
+/// thread counts, for jobs that draw randomness only from their item seed
+/// or JobContext::rng): `answer`, `stats`, `coverage`, `complete`,
+/// `completion_time`, `initiator`, `shed` when no deadline is set.
+/// Measured fields are never deterministic: `worker` (which idle worker
+/// took the job) and the wall-clock `*_ms`; deadlines make `shed`
+/// timing-dependent too.
 struct QueryOutcome {
   size_t index = 0;
-  int worker = -1;
   /// True iff the deadline expired while the query was still queued; the
   /// query never ran, `answer` is empty and `complete` is false.
   bool shed = false;
@@ -124,16 +126,17 @@ struct QueryOutcome {
   net::Coverage coverage;
   bool complete = true;
   double completion_time = 0.0;
+  int worker = -1;        // the worker that ran it; -1 = never ran
   double wait_ms = 0.0;   // admission -> worker pop
   double run_ms = 0.0;    // worker pop -> job return
   double total_ms = 0.0;  // admission -> completion (the latency histogram)
 };
 
 /// Aggregate result of one Executor::Run. The deterministic/wall split of
-/// QueryOutcome carries over: `queries`, `total_stats`, `coverage`,
+/// QueryOutcome carries over: `total_stats`, `coverage`,
 /// `completed`/`partial` counts and the count fields of `profile` are
-/// deterministic (fixed seed + threads, no deadlines); `wall_s`, `qps` and
-/// the latency histograms are measurements.
+/// deterministic (fixed seed, no deadlines); `wall_s`, `qps` and the
+/// latency histograms are measurements.
 struct WorkloadResult {
   std::vector<QueryOutcome> queries;
   /// Sum of every executed query's QueryStats.
@@ -149,8 +152,9 @@ struct WorkloadResult {
   obs::Histogram latency_ms;  // admission -> completion, executed queries
   obs::Histogram wait_ms;     // time spent queued
   obs::Histogram run_ms;      // time spent executing
-  /// Per-worker profilers merged in worker order: per-peer spans (the
-  /// workload's visit counts), messages, tuples and CPU.
+  /// Per-worker profilers merged after the join: per-peer spans (the
+  /// workload's visit counts), messages, tuples and CPU. The count
+  /// columns are sums, so they do not depend on which worker ran what.
   obs::Profiler profile;
 
   /// One-paragraph human summary (counts, qps, latency percentiles, peak
@@ -158,12 +162,12 @@ struct WorkloadResult {
   std::string Summary() const;
 };
 
-/// The concurrent workload executor: a fixed pool of worker threads, one
-/// bounded admission queue per worker, static round-robin job assignment
-/// (job i -> worker i mod threads, the cornerstone of the determinism
-/// contract), per-worker seeded RNGs/profilers/tracers, deadline shedding,
-/// and obs wiring (exec.* counters + queue-depth gauge when the global
-/// registry is enabled).
+/// The concurrent workload executor: a fixed pool of worker threads pulling
+/// from one bounded admission queue (work-conserving: an idle worker takes
+/// the next job, so no worker waits while another has a backlog), per-job
+/// seeded RNGs, per-worker profilers/tracers, deadline shedding, and obs
+/// wiring (exec.* counters + queue-depth gauge when the global registry is
+/// enabled).
 ///
 /// Threading model and tuning guide: docs/EXECUTOR.md. The overlay being
 /// queried is shared read-only across workers — engines never mutate it —
@@ -190,7 +194,8 @@ class Executor {
 
   /// Per-worker tracers of the last Run (admission spans when
   /// collect_spans, plus any engine spans jobs recorded through
-  /// JobContext::tracer). Valid until the next Run.
+  /// JobContext::tracer). Which tracer holds a span depends on which
+  /// worker ran the job, a measurement. Valid until the next Run.
   const std::vector<obs::Tracer>& worker_tracers() const { return tracers_; }
 
  private:

@@ -9,8 +9,9 @@
 
 namespace ripple::exec {
 
-/// A bounded single-producer / single-consumer handoff queue with blocking
-/// backpressure — the admission queue in front of each executor worker.
+/// A bounded multi-producer / multi-consumer handoff queue with blocking
+/// backpressure — the one admission queue the executor's workers share.
+/// Every pushed item is popped by exactly one consumer.
 ///
 /// Semantics:
 ///  * `Push` blocks while the queue holds `capacity` items (backpressure:
@@ -23,7 +24,7 @@ namespace ripple::exec {
 ///
 /// The mutex/condvar pair is deliberately boring: admission happens once
 /// per query (milliseconds of work), so lock-free cleverness would buy
-/// nothing and cost the determinism argument its simplicity.
+/// nothing and cost the queue its obvious correctness.
 template <typename T>
 class BoundedQueue {
  public:

@@ -256,6 +256,51 @@ TEST(BatchTest, CacheHitsAreByteIdenticalToColdRunsBothEngines) {
   }
 }
 
+TEST(BatchTest, HitAnswersMoveOutOfThePlanNotTheCache) {
+  // ExpandBatchedResult moves each hit's answer out of its plan slot. The
+  // move may empty only the plan's copy: the outcome carries the cold
+  // answer, the cache still serves the full entry, and the plan keeps
+  // every slot's role and key.
+  Net net = MakeNet(64, 1500, 3, 811);
+  const std::vector<exec::WorkloadItem> items = LocalityItems();
+  exec::CompileOptions copts;
+  copts.seed = 13;
+  exec::ExecutorOptions eopts;
+  eopts.threads = 2;
+  eopts.queue_capacity = 8;
+  exec::Executor executor(eopts);
+  exec::CompiledWorkload compiled =
+      exec::CompileWorkload(net.overlay, items, copts);
+  const exec::WorkloadResult cold =
+      executor.Run(compiled.jobs, net.overlay.NumPeers());
+
+  cache::QueryCache qcache;
+  exec::BatchOptions bopts;
+  bopts.cache = &qcache;
+  exec::BatchPlan first;
+  (void)exec::RunBatchedWorkload(executor, net.overlay, items, copts, bopts,
+                                 &first);
+  exec::BatchPlan plan;
+  const exec::WorkloadResult warm = exec::RunBatchedWorkload(
+      executor, net.overlay, items, copts, bopts, &plan);
+  ASSERT_EQ(plan.slots.size(), items.size());
+  ASSERT_EQ(warm.queries.size(), items.size());
+  EXPECT_EQ(plan.hits, items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const exec::BatchSlot& slot = plan.slots[i];
+    EXPECT_EQ(slot.role, exec::BatchSlot::Role::kHit) << "item " << i;
+    EXPECT_EQ(slot.key, first.slots[i].key) << "item " << i;
+    ASSERT_FALSE(slot.key.empty()) << "item " << i;
+    EXPECT_TRUE(SameAnswer(warm.queries[i].answer, cold.queries[i].answer))
+        << "item " << i;
+    const cache::QueryCache::Entry* entry = qcache.Lookup(slot.key);
+    ASSERT_NE(entry, nullptr) << "item " << i;
+    EXPECT_FALSE(entry->answer.empty()) << "item " << i;
+    EXPECT_TRUE(SameAnswer(entry->answer, cold.queries[i].answer))
+        << "item " << i;
+  }
+}
+
 TEST(BatchTest, MergedFollowersCopyLeaderWithZeroCost) {
   Net net = MakeNet(48, 1000, 2, 823);
   const std::vector<exec::WorkloadItem> items = LocalityItems();

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -78,6 +80,35 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   producer.join();
+}
+
+TEST(BoundedQueueTest, ManyConsumersPopEachItemOnce) {
+  // The executor's workers share one queue: every item must reach exactly
+  // one consumer, and items still queued at Close must be drained.
+  constexpr int kItems = 10000;
+  constexpr int kConsumers = 4;
+  BoundedQueue<int> q(16);
+  std::vector<std::vector<int>> popped(kConsumers);
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&q, &popped, c] {
+      int v = -1;
+      while (q.Pop(&v)) popped[c].push_back(v);
+    });
+  }
+  for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.Push(i));
+  q.Close();  // items still queued here must be drained, not dropped
+  for (std::thread& t : consumers) t.join();
+  std::vector<int> times(kItems, 0);
+  for (const std::vector<int>& items : popped) {
+    for (int v : items) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(v, kItems);
+      times[v] += 1;
+    }
+  }
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(times[i], 1) << "item " << i;
+  EXPECT_EQ(q.size(), 0u);
 }
 
 // --- Workload parsing ---------------------------------------------------------
@@ -225,7 +256,6 @@ TEST(ExecutorTest, DeterministicAcrossRepeatedRuns) {
               base.total_stats.tuples_shipped);
     EXPECT_EQ(Visits(again), Visits(base));
     for (size_t i = 0; i < base.queries.size(); ++i) {
-      EXPECT_EQ(again.queries[i].worker, base.queries[i].worker);
       EXPECT_EQ(again.queries[i].initiator, base.queries[i].initiator);
       EXPECT_EQ(AnswerIds(again.queries[i]), AnswerIds(base.queries[i]))
           << "query " << i;
@@ -355,20 +385,76 @@ TEST(ExecutorTest, BackpressureBlocksAdmissionInsteadOfDropping) {
   EXPECT_EQ(result.shed, 0u);
 }
 
-TEST(ExecutorTest, RoundRobinAssignmentIsStatic) {
+TEST(ExecutorTest, IdleWorkerTakesNextJob) {
+  // Job 0 blocks until the last of jobs 1..N has run. Under static
+  // assignment (job i -> worker i mod 2) half of those jobs would queue
+  // behind job 0 on its own worker and never run; a shared queue lets the
+  // other worker take all of them. The wait is bounded so a regression
+  // fails instead of hanging.
+  constexpr int kOthers = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int remaining = kOthers;
+  bool released = false;
   std::vector<Job> jobs;
-  for (int i = 0; i < 9; ++i) {
+  Job first;
+  first.run = [&](JobContext&) {
+    std::unique_lock<std::mutex> lock(mu);
+    released = cv.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return remaining == 0; });
+    return JobResult{};
+  };
+  jobs.push_back(std::move(first));
+  for (int i = 0; i < kOthers; ++i) {
     Job job;
-    job.run = [](JobContext&) { return JobResult{}; };
+    job.run = [&](JobContext&) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) cv.notify_all();
+      return JobResult{};
+    };
     jobs.push_back(std::move(job));
   }
   ExecutorOptions opts;
-  opts.threads = 3;
+  opts.threads = 2;
   Executor executor(opts);
   const WorkloadResult result = executor.Run(jobs, 1);
-  for (size_t i = 0; i < result.queries.size(); ++i) {
-    EXPECT_EQ(result.queries[i].worker, static_cast<int>(i % 3));
+  EXPECT_TRUE(released) << "job 0 timed out: its worker's backlog never ran";
+  EXPECT_EQ(result.completed, jobs.size());
+  for (size_t i = 1; i < result.queries.size(); ++i) {
+    EXPECT_NE(result.queries[i].worker, result.queries[0].worker)
+        << "job " << i << " ran on the worker blocked by job 0";
   }
+}
+
+TEST(ExecutorTest, JobRngIsPerJobAcrossThreadCounts) {
+  // ctx.rng is seeded from (seed, job index), so a job draws the same
+  // values whichever worker runs it and however many workers there are.
+  constexpr size_t kJobs = 12;
+  auto draws_for = [](int threads) {
+    std::vector<std::vector<uint64_t>> draws(kJobs);
+    std::vector<Job> jobs;
+    for (size_t i = 0; i < kJobs; ++i) {
+      Job job;
+      job.run = [&draws, i](JobContext& ctx) {
+        for (size_t d = 0; d <= i % 3; ++d) {
+          draws[i].push_back(ctx.rng->NextU64());
+        }
+        return JobResult{};
+      };
+      jobs.push_back(std::move(job));
+    }
+    ExecutorOptions opts;
+    opts.threads = threads;
+    opts.seed = 21;
+    Executor executor(opts);
+    executor.Run(jobs, 1);
+    return draws;
+  };
+  const std::vector<std::vector<uint64_t>> one = draws_for(1);
+  EXPECT_EQ(draws_for(3), one);
+  EXPECT_EQ(draws_for(3), one);
+  EXPECT_EQ(draws_for(1), one);
+  EXPECT_NE(one[0], one[3]) << "jobs must not share a stream";
 }
 
 TEST(ExecutorTest, AdmissionSpansCoverExecutedQueries) {

@@ -5,7 +5,8 @@
 #
 #   tools/check.sh            # ASan + UBSan-less default: address
 #   tools/check.sh undefined  # UBSan
-#   tools/check.sh thread     # TSan over the executor and batched cache tests
+#   tools/check.sh thread     # TSan over the executor and batched cache
+#                             # tests, each repeated up to 10 times
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
 #   tools/check.sh net        # live-overlay + fault suites, ASan then UBSan
@@ -194,6 +195,10 @@ if [[ "$SANITIZER" == "thread" ]]; then
   # executor suite (ctest label `exec`) and the batched cache pipeline
   # (label `cache`), which runs on the same worker pool. The engines
   # themselves are single-threaded by design; ASan/UBSan cover them.
+  # Workers pull from one shared queue, so dispatch depends on timing:
+  # every test runs up to ten times and the first failure fails the
+  # check, so a scheduling race cannot pass by luck.
+  CTEST_ARGS+=(--repeat until-fail:10)
   if [[ -n "$FILTER" ]]; then
     CTEST_ARGS+=(-R "$FILTER")
   else

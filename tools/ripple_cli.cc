@@ -312,8 +312,8 @@ int RunQuery(int argc, char** argv) {
                   "backpressure allows (workload mode)",
                   &qps_target);
   flags.AddInt("queue-cap",
-               "bounded admission-queue capacity per worker (workload "
-               "mode)",
+               "admission buffering per worker: the workers' one shared "
+               "queue holds queue-cap x threads queries (workload mode)",
                &queue_cap);
   flags.AddBool("cache",
                 "initiator-side answer/bound cache + duplicate batching "
