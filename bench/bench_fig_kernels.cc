@@ -1,8 +1,9 @@
 // Kernel work-profile figure: the per-peer SoA kernels (bounded top-k over
-// block-scored columns, column-wise mask dominance) against the retained
-// scalar oracles, swept over dimensionality d in {2, 4, 8, 10} and the
-// three PISA-style score-series shapes (increasing, decreasing, random).
-// Not a figure of the paper — it gates the hot-path refactor itself.
+// block-scored columns, column-wise mask dominance) checked against the
+// definition-level oracle (tests/oracle), swept over dimensionality d in
+// {2, 4, 8, 10} and the three PISA-style score-series shapes (increasing,
+// decreasing, random). Not a figure of the paper — it gates the hot-path
+// kernels themselves.
 //
 // Gating (tools/bench_check.py): every kernel exports machine-independent
 // work counters (common/kernel_counters.h) that are exact functions of
@@ -12,9 +13,9 @@
 //   exact_topk_heap_pushes         admissions into the bounded queue
 //   exact_skyline_tuples_scanned   skyline candidates examined
 //   exact_skyline_dominance_cmps   pair tests by the dominance kernel
-//   exact_oracle_mismatch          0 iff SoA results byte-match the oracles
-// Wall-clock for the SoA and scalar paths rides along under the
-// informational wall_ prefix (the before/after evidence, never gated).
+//   exact_oracle_mismatch          0 iff kernel results byte-match the oracle
+// Kernel wall-clock rides along under the informational wall_ prefix
+// (never gated).
 
 #include <algorithm>
 #include <chrono>
@@ -25,6 +26,7 @@
 
 #include "bench_common.h"
 #include "common/kernel_counters.h"
+#include "oracle/oracle.h"
 #include "store/local_algos.h"
 
 using namespace ripple;
@@ -92,12 +94,12 @@ double TimeMs(const Fn& fn) {
 int main() {
   const BenchConfig config = LoadConfig();
   PrintHeader(config, "Figure K",
-              "per-peer kernel work profile: SoA kernels vs scalar oracles");
+              "per-peer kernel work profile: SoA kernels vs the oracle");
 
   const size_t n = std::min<size_t>(config.tuples, 4096);
   std::printf("  n=%zu k=%zu, d in {2,4,8,10} x 3 series shapes\n", n, kTopK);
-  std::printf("  %-22s %12s %12s %14s %12s %12s\n", "case", "soa_topk_ms",
-              "sca_topk_ms", "soa_skyline_ms", "sca_sky_ms", "mismatch");
+  std::printf("  %-22s %12s %14s %12s\n", "case", "soa_topk_ms",
+              "soa_skyline_ms", "mismatch");
 
   uint64_t total_mismatches = 0;
   for (int dims : {2, 4, 8, 10}) {
@@ -124,22 +126,18 @@ int main() {
       const KernelCounters sky_work = LocalKernelCounters();
       ResetKernelCounters();
 
-      // Byte-identity against the retained scalar oracles.
+      // Byte-identity against the definition-level oracle.
       uint64_t mismatch = 0;
-      if (!BitIdentical(topk, SelectTopKScalar(tuples, score, kTopK))) {
+      if (!BitIdentical(topk, oracle::TopK(tuples, score, kTopK))) {
         ++mismatch;
       }
-      if (!BitIdentical(sky, ComputeSkylineScalar(tuples))) ++mismatch;
+      if (!BitIdentical(sky, oracle::Skyline(tuples))) ++mismatch;
       total_mismatches += mismatch;
 
-      // Wall clock, informational: the SoA-vs-scalar before/after evidence.
+      // Wall clock, informational.
       const double soa_topk_ms =
           TimeMs([&] { (void)SelectTopK(tuples, score, kTopK); });
-      const double scalar_topk_ms =
-          TimeMs([&] { (void)SelectTopKScalar(tuples, score, kTopK); });
       const double soa_sky_ms = TimeMs([&] { (void)ComputeSkyline(tuples); });
-      const double scalar_sky_ms =
-          TimeMs([&] { (void)ComputeSkylineScalar(tuples); });
 
       Reporter().AddMetric(case_id, "exact_topk_tuples_scanned",
                            static_cast<double>(topk_work.tuples_scanned));
@@ -152,15 +150,13 @@ int main() {
       Reporter().AddMetric(case_id, "exact_oracle_mismatch",
                            static_cast<double>(mismatch));
       Reporter().AddMetric(case_id, "wall_soa_topk_ms", soa_topk_ms);
-      Reporter().AddMetric(case_id, "wall_scalar_topk_ms", scalar_topk_ms);
       Reporter().AddMetric(case_id, "wall_soa_skyline_ms", soa_sky_ms);
-      Reporter().AddMetric(case_id, "wall_scalar_skyline_ms", scalar_sky_ms);
 
-      std::printf("  %-22s %12.3f %12.3f %14.3f %12.3f %12llu\n",
+      std::printf("  %-22s %12.3f %14.3f %12llu\n",
                   (std::string("d=") + std::to_string(dims) + "/" +
                    Name(series))
                       .c_str(),
-                  soa_topk_ms, scalar_topk_ms, soa_sky_ms, scalar_sky_ms,
+                  soa_topk_ms, soa_sky_ms,
                   static_cast<unsigned long long>(mismatch));
     }
   }

@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the per-peer kernels every
 // distributed query run is built from: local skyline computation, k-d
 // index top-k / argmin, Z-order encode/decompose, phi evaluation,
-// MIDAS overlay maintenance, SoA-vs-scalar kernel pairs swept over
-// dimensionality and score-series shape, wire frame encode/decode, and
-// the async engine's message path (timer queue, one lossy query).
+// MIDAS overlay maintenance, the SoA kernels swept over dimensionality
+// and score-series shape, wire frame encode/decode, and the async
+// engine's message path (timer queue, one lossy query).
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +32,7 @@ TupleVec MakeTuples(size_t n, int dims, uint64_t seed) {
   return data::MakeUniform(n, dims, &rng);
 }
 
-// Score-series shapes for the SoA-vs-scalar sweep: 0 = increasing (every
+// Score-series shapes for the SoA kernel sweep: 0 = increasing (every
 // row admits into the top-k queue), 1 = decreasing (only the first k
 // admit), 2 = random (expected case).
 std::vector<double> SweepWeights(int dims) {
@@ -140,7 +140,7 @@ void BM_MidasJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_MidasJoin)->Arg(1024)->Arg(8192);
 
-// --- SoA kernels vs scalar oracles: dims x series sweep -------------------
+// --- SoA kernels: dims x series sweep -------------------------------------
 // Args: {dims, series} with dims in {2,4,8,10}, series 0/1/2 as above.
 
 void BM_SelectTopKSoA(benchmark::State& state) {
@@ -151,18 +151,6 @@ void BM_SelectTopKSoA(benchmark::State& state) {
   auto score = [&](const Point& p) { return scorer.Score(p); };
   for (auto _ : state) {
     benchmark::DoNotOptimize(SelectTopK(tuples, score, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * tuples.size());
-}
-
-void BM_SelectTopKScalar(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  const int series = static_cast<int>(state.range(1));
-  const LinearScorer scorer(SweepWeights(dims));
-  const TupleVec tuples = ShapedTuples(4096, dims, series, scorer, 43);
-  auto score = [&](const Point& p) { return scorer.Score(p); };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectTopKScalar(tuples, score, 16));
   }
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
@@ -178,26 +166,13 @@ void BM_ComputeSkylineSoA(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
 
-void BM_ComputeSkylineScalar(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  const int series = static_cast<int>(state.range(1));
-  const LinearScorer scorer(SweepWeights(dims));
-  const TupleVec tuples = ShapedTuples(2048, dims, series, scorer, 47);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeSkylineScalar(tuples));
-  }
-  state.SetItemsProcessed(state.iterations() * tuples.size());
-}
-
 void SweepArgs(benchmark::internal::Benchmark* b) {
   for (int dims : {2, 4, 8, 10}) {
     for (int series : {0, 1, 2}) b->Args({dims, series});
   }
 }
 BENCHMARK(BM_SelectTopKSoA)->Apply(SweepArgs);
-BENCHMARK(BM_SelectTopKScalar)->Apply(SweepArgs);
 BENCHMARK(BM_ComputeSkylineSoA)->Apply(SweepArgs);
-BENCHMARK(BM_ComputeSkylineScalar)->Apply(SweepArgs);
 
 // --- Wire frame encode/decode ---------------------------------------------
 // One query frame plus one answer frame carrying state.range(0) tuples —

@@ -36,16 +36,18 @@ bool RectMayDominate(const Rect& r, const Point& p) {
   return Dominates(r.lo(), p);
 }
 
-bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
-                         const Point& p) {
+size_t CountDominatorsColumns(const double* const* cols, int dims, size_t m,
+                              const Point& p, size_t limit) {
   RIPPLE_DCHECK(p.dims() == dims);
+  RIPPLE_DCHECK(limit >= 1);
   constexpr size_t kBlock = 16;
   double pv[kMaxDims];
   for (int c = 0; c < dims; ++c) pv[c] = p[c];
   uint8_t le[kBlock];
+  size_t count = 0;
   KernelCounters& kc = LocalKernelCounters();
   // Head block, row-at-a-time with short-circuit: callers keep their
-  // candidate sets in ascending-coordinate-sum order, so the strongest
+  // candidate sets in dominance-compatible order, so the strongest
   // dominators sit in the first rows and most dominated probes die here
   // after a couple of comparisons. Counter accounting matches the block
   // path (one possibly-partial block, head candidates examined).
@@ -62,7 +64,7 @@ bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
       }
       lt_any |= v < pv[c];
     }
-    if (le_all && lt_any) return true;
+    if (le_all && lt_any && ++count >= limit) return count;
   }
   for (size_t base = head; base < m; base += kBlock) {
     const size_t n = std::min(kBlock, m - base);
@@ -88,11 +90,14 @@ bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
     for (size_t i = 0; i < n; ++i) {
       if (!le[i]) continue;
       for (int c = 0; c < dims; ++c) {
-        if (cols[c][base + i] < pv[c]) return true;
+        if (cols[c][base + i] < pv[c]) {
+          if (++count >= limit) return count;
+          break;
+        }
       }
     }
   }
-  return false;
+  return count;
 }
 
 }  // namespace ripple

@@ -4,37 +4,6 @@
 
 namespace ripple {
 
-TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
-  if (tuples.empty() || k == 0) return {};
-  // Dedup by id, then sort by coordinate sum: dominators of a tuple always
-  // precede it in sum order, so one forward pass with counting suffices.
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  auto sum_of = [](const Tuple& t) {
-    double s = 0.0;
-    for (int i = 0; i < t.key.dims(); ++i) s += t.key[i];
-    return s;
-  };
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return sum_of(a) < sum_of(b);
-                   });
-  TupleVec band;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < i && dominators < k; ++j) {
-      if (Dominates(tuples[j].key, tuples[i].key)) ++dominators;
-    }
-    if (dominators < k) band.push_back(tuples[i]);
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
-}
-
 SkybandPolicy::LocalState SkybandPolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
   const TupleVec local_band = ComputeKSkyband(store.Snapshot(), q.band);

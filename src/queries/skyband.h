@@ -14,13 +14,8 @@
 
 namespace ripple {
 
-/// Computes the k-skyband: the tuples dominated by fewer than `k` others
-/// (k = 1 is the skyline). Deterministic, sorted by id. This is the
-/// structure SPEERTO precomputes per peer (paper, Section 2.1); we also
-/// expose it as a distributed query.
-TupleVec ComputeKSkyband(TupleVec tuples, size_t k);
-
-/// A k-skyband query: all tuples dominated by fewer than `band` others.
+/// A k-skyband query: all tuples dominated by fewer than `band` others
+/// (per peer, ComputeKSkyband in store/local_algos.h).
 struct SkybandQuery {
   size_t band = 2;
   Norm norm = Norm::kL2;

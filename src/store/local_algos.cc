@@ -20,45 +20,63 @@ double SumOf(const Tuple& t) {
 }
 
 /// Drops duplicate ids (merged states may repeat tuples) and returns the
-/// remaining tuples in ascending-sum order — the shared preamble of both
-/// skyline implementations. Sorting an index permutation by precomputed
-/// sums is stable, so the order is identical to stable_sorting the tuples
-/// with an on-the-fly sum comparator.
-TupleVec DedupAndSumSort(TupleVec tuples) {
+/// remaining tuples in dominance-compatible order: ascending coordinate
+/// sum, then lexicographic key, then id. If a dominates b then fl-sum(a)
+/// <= fl-sum(b) (every add rounds monotonically), and on equal sums a is
+/// lexicographically smaller — so every dominator precedes what it
+/// dominates, which is what lets one forward pass count dominators.
+TupleVec DedupAndDominanceSort(TupleVec tuples) {
   std::sort(tuples.begin(), tuples.end(), TupleIdLess());
   tuples.erase(std::unique(tuples.begin(), tuples.end(),
                            [](const Tuple& a, const Tuple& b) {
                              return a.id == b.id;
                            }),
                tuples.end());
-  std::vector<double> sums(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) sums[i] = SumOf(tuples[i]);
-  std::vector<uint32_t> order(tuples.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return sums[a] < sums[b]; });
+  // Sorting (sum, row) pairs keeps the hot comparisons on contiguous
+  // keys; rows are in ascending id order, so the row breaks full ties.
+  struct SortKey {
+    double sum;
+    uint32_t row;
+  };
+  std::vector<SortKey> keys(tuples.size());
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    keys[i] = {SumOf(tuples[i]), i};
+  }
+  auto lex_then_row_less = [&](uint32_t a, uint32_t b) {
+    for (int c = 0; c < tuples[a].key.dims(); ++c) {
+      const double x = tuples[a].key[c], y = tuples[b].key[c];
+      if (x != y) return x < y;
+    }
+    return a < b;
+  };
+  std::sort(keys.begin(), keys.end(),
+            [&](const SortKey& a, const SortKey& b) {
+              return a.sum < b.sum ||
+                     (a.sum == b.sum && lex_then_row_less(a.row, b.row));
+            });
   // Apply the permutation in place (cycle-walking, O(n) moves): same
-  // result as rebuilding `sorted[i] = tuples[order[i]]` without a second
-  // tuple buffer.
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    if (order[i] == i) continue;
+  // result as rebuilding `sorted[i] = tuples[keys[i].row]` without a
+  // second tuple buffer.
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].row == i) continue;
     Tuple tmp = std::move(tuples[i]);
     uint32_t cur = i;
-    while (order[cur] != i) {
-      const uint32_t nxt = order[cur];
+    while (keys[cur].row != i) {
+      const uint32_t nxt = keys[cur].row;
       tuples[cur] = std::move(tuples[nxt]);
-      order[cur] = cur;
+      keys[cur].row = cur;
       cur = nxt;
     }
     tuples[cur] = std::move(tmp);
-    order[cur] = cur;
+    keys[cur].row = cur;
   }
   return tuples;
 }
 
-/// A growable structure-of-arrays view over the running skyline, backed
-/// by the per-query arena: d column arrays sized for the worst case
-/// (every candidate survives), appended to as candidates are accepted.
+/// A growable structure-of-arrays view over a running band (or a merge
+/// input), backed by the per-query arena: d column arrays sized for the
+/// worst case (every candidate survives), appended to as candidates are
+/// accepted.
 class ArenaColumns {
  public:
   ArenaColumns(Arena* arena, int dims, size_t capacity) : dims_(dims) {
@@ -83,59 +101,27 @@ class ArenaColumns {
 
 }  // namespace
 
-TupleVec ComputeSkyline(TupleVec tuples) {
-  if (tuples.empty()) return tuples;
-  TupleVec sorted = DedupAndSumSort(std::move(tuples));
+TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
+  if (tuples.empty() || k == 0) return {};
+  TupleVec sorted = DedupAndDominanceSort(std::move(tuples));
   const int dims = sorted[0].key.dims();
-  // A tuple can only be dominated by tuples with a strictly smaller
-  // coordinate sum, so one forward pass against the running skyline —
-  // held column-wise for the branch-free kernel — suffices.
+  // The running band is held column-wise for the branch-light kernel.
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
-  ArenaColumns sky_cols(&arena, dims, sorted.size());
-  TupleVec sky;
+  ArenaColumns band_cols(&arena, dims, sorted.size());
+  TupleVec band;
   KernelCounters& kc = LocalKernelCounters();
   for (Tuple& t : sorted) {
     ++kc.tuples_scanned;
-    if (AnyDominatesColumns(sky_cols.cols(), dims, sky_cols.size(), t.key)) {
+    if (CountDominatorsColumns(band_cols.cols(), dims, band_cols.size(),
+                               t.key, k) >= k) {
       continue;
     }
-    sky_cols.Append(t.key);
-    sky.push_back(std::move(t));
+    band_cols.Append(t.key);
+    band.push_back(std::move(t));
   }
-  std::sort(sky.begin(), sky.end(), TupleIdLess());
-  return sky;
-}
-
-TupleVec ComputeSkylineScalar(TupleVec tuples) {
-  if (tuples.empty()) return tuples;
-  // Drop duplicates by id first (merged states may repeat tuples).
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  // Sort by coordinate sum: a tuple can only be dominated by tuples with a
-  // strictly smaller sum, so a single forward pass against the running
-  // skyline suffices.
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return SumOf(a) < SumOf(b);
-                   });
-  TupleVec sky;
-  for (const Tuple& t : tuples) {
-    bool dominated = false;
-    for (const Tuple& s : sky) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) sky.push_back(t);
-  }
-  std::sort(sky.begin(), sky.end(), TupleIdLess());
-  return sky;
+  std::sort(band.begin(), band.end(), TupleIdLess());
+  return band;
 }
 
 TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
@@ -176,7 +162,8 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
   out.reserve(a.size() + b.size());
   for (Tuple& t : a) {
     ++kc.tuples_scanned;
-    if (!AnyDominatesColumns(b_cols.cols(), dims, b_cols.size(), t.key)) {
+    if (CountDominatorsColumns(b_cols.cols(), dims, b_cols.size(), t.key,
+                               1) == 0) {
       out.push_back(std::move(t));
     }
   }
@@ -199,54 +186,10 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
     }
     if (skip) continue;
     ++kc.tuples_scanned;
-    if (!AnyDominatesColumns(a_cols.cols(), dims, a_cols.size(), t.key)) {
+    if (CountDominatorsColumns(a_cols.cols(), dims, a_cols.size(), t.key,
+                               1) == 0) {
       out.push_back(t);
     }
-  }
-  std::sort(out.begin(), out.end(), TupleIdLess());
-  return out;
-}
-
-TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b) {
-  if (b.empty()) {
-    std::sort(a.begin(), a.end(), TupleIdLess());
-    return a;
-  }
-  if (a.empty()) {
-    TupleVec out = b;
-    std::sort(out.begin(), out.end(), TupleIdLess());
-    return out;
-  }
-  TupleVec out;
-  out.reserve(a.size() + b.size());
-  for (const Tuple& t : a) {
-    bool dominated = false;
-    for (const Tuple& s : b) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(t);
-  }
-  const size_t a_survivors = out.size();
-  for (const Tuple& t : b) {
-    bool skip = false;
-    for (size_t i = 0; i < a_survivors; ++i) {
-      if (out[i].id == t.id) {
-        skip = true;
-        break;
-      }
-    }
-    if (skip) continue;
-    bool dominated = false;
-    for (const Tuple& s : a) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(t);
   }
   std::sort(out.begin(), out.end(), TupleIdLess());
   return out;

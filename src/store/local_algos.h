@@ -2,6 +2,7 @@
 #define RIPPLE_STORE_LOCAL_ALGOS_H_
 
 #include <algorithm>
+#include <utility>
 
 #include "common/kernel_counters.h"
 #include "store/bounded_topk.h"
@@ -9,22 +10,27 @@
 
 namespace ripple {
 
-/// Computes the skyline (maximal set under Pareto dominance, min-is-better)
-/// of a set of tuples. Deterministic: the result is sorted by tuple id.
-/// Duplicate tuple ids are collapsed to one occurrence.
+/// Computes the k-skyband: the tuples dominated (Pareto, min-is-better)
+/// by fewer than `k` others. Deterministic: the result is sorted by tuple
+/// id, and duplicate ids are collapsed to one occurrence. This is the
+/// structure SPEERTO precomputes per peer (paper, Section 2.1) and the one
+/// local primitive behind the skyline and skyband policies.
 ///
-/// This is the centralized `computeSkyline` primitive the paper's skyline
-/// state functions rely on (Algorithms 10, 11, 13), also used as the oracle
-/// in tests. O(n log n + n * s) where s is the skyline size. Internally the
-/// candidate pass runs the column-wise dominance kernel
-/// (AnyDominatesColumns) over a structure-of-arrays copy of the running
-/// skyline; ComputeSkylineScalar is the retained row-at-a-time oracle and
-/// returns byte-identical results.
-TupleVec ComputeSkyline(TupleVec tuples);
+/// One forward pass in the dominance-compatible order (coordinate sum,
+/// lexicographic key, id) — every dominator precedes what it dominates,
+/// even when floating-point sums tie — counts each candidate's dominators
+/// among the running band with CountDominatorsColumns, stopping at `k`.
+/// Counting within the band is exact: a band member's dominators are band
+/// members, and a tuple outside the band has >= k dominators inside it.
+/// O(n log n + n * b) where b is the band size.
+TupleVec ComputeKSkyband(TupleVec tuples, size_t k);
 
-/// The pre-SoA scalar implementation, kept as the parity oracle for tests
-/// and the bench_fig_kernels before/after panel.
-TupleVec ComputeSkylineScalar(TupleVec tuples);
+/// The skyline (maximal set under Pareto dominance) is the 1-skyband —
+/// the centralized `computeSkyline` primitive of the paper's skyline
+/// state functions (Algorithms 10, 11, 13).
+inline TupleVec ComputeSkyline(TupleVec tuples) {
+  return ComputeKSkyband(std::move(tuples), 1);
+}
 
 /// Merges two sets that are EACH already skylines (mutually non-dominated
 /// within themselves) into the skyline of their union, using only
@@ -34,12 +40,8 @@ TupleVec ComputeSkylineScalar(TupleVec tuples);
 /// skyline state maintenance, where every incoming state is itself a
 /// skyline; at d >= 8, where skylines span half the dataset, the full
 /// recomputation would be quadratic in the data size per peer. The
-/// cross-dominance passes run the column-wise kernel; MergeSkylinesScalar
-/// is the retained oracle.
+/// cross-dominance tests are CountDominatorsColumns calls with limit 1.
 TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
-
-/// The pre-SoA scalar implementation, kept as the parity oracle.
-TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b);
 
 /// Selects up to `max_count` tuples with the smallest coordinate sums —
 /// the only candidates able to dominate whole regions. Used to bound the
@@ -48,16 +50,10 @@ TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b);
 TupleVec SelectDominators(const TupleVec& sky, size_t max_count);
 
 /// Returns the k highest scoring tuples under `score_of` (higher first),
-/// deterministic tie-break by id. Used as the centralized top-k oracle.
-/// Runs a bounded branch-light queue (store::BoundedTopK) over the
-/// candidates instead of copy-and-full-sort; SelectTopKScalar is the
-/// retained partial_sort oracle and returns byte-identical results.
+/// deterministic tie-break by id. Runs a bounded branch-light queue
+/// (store::BoundedTopK) over the candidates instead of copy-and-full-sort.
 template <typename ScoreFn>
 TupleVec SelectTopK(TupleVec tuples, const ScoreFn& score_of, size_t k);
-
-/// The pre-SoA partial_sort implementation, kept as the parity oracle.
-template <typename ScoreFn>
-TupleVec SelectTopKScalar(TupleVec tuples, const ScoreFn& score_of, size_t k);
 
 // ---------------------------------------------------------------------------
 // Implementation details only below here.
@@ -78,24 +74,6 @@ TupleVec SelectTopK(TupleVec tuples, const ScoreFn& score_of, size_t k) {
     out.push_back(std::move(tuples[e.payload]));
   }
   return out;
-}
-
-template <typename ScoreFn>
-TupleVec SelectTopKScalar(TupleVec tuples, const ScoreFn& score_of,
-                          size_t k) {
-  auto better = [&](const Tuple& a, const Tuple& b) {
-    const double sa = score_of(a.key), sb = score_of(b.key);
-    if (sa != sb) return sa > sb;
-    return a.id < b.id;
-  };
-  if (tuples.size() > k) {
-    std::partial_sort(tuples.begin(), tuples.begin() + k, tuples.end(),
-                      better);
-    tuples.resize(k);
-  } else {
-    std::sort(tuples.begin(), tuples.end(), better);
-  }
-  return tuples;
 }
 
 }  // namespace ripple

@@ -1,5 +1,7 @@
 #include "store/wire.h"
 
+#include <cmath>
+
 namespace ripple {
 
 void EncodeTuple(const Tuple& t, wire::Buffer* buf) {
@@ -9,7 +11,14 @@ void EncodeTuple(const Tuple& t, wire::Buffer* buf) {
 
 bool DecodeTuple(wire::Reader* r, Tuple* out) {
   out->id = r->Varint();
-  return r->ok() && DecodePoint(r, &out->key);
+  if (!r->ok() || !DecodePoint(r, &out->key)) return false;
+  for (int i = 0; i < out->key.dims(); ++i) {
+    if (!std::isfinite(out->key[i])) {
+      r->Fail();
+      return false;
+    }
+  }
+  return true;
 }
 
 void EncodeTupleVec(const TupleVec& v, wire::Buffer* buf) {

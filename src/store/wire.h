@@ -9,7 +9,9 @@ namespace ripple {
 
 /// Wire codecs for tuples (docs/WIRE.md, "store payloads").
 
-/// Tuple: [varint id][point key].
+/// Tuple: [varint id][point key]. Decoding rejects a non-finite key
+/// coordinate: a NaN never blocks dominance and breaks the strict weak
+/// order the kernels sort by, and no encoder emits one.
 void EncodeTuple(const Tuple& t, wire::Buffer* buf);
 bool DecodeTuple(wire::Reader* r, Tuple* out);
 

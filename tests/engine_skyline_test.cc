@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "baselines/dsl.h"
+#include "baselines/ssp.h"
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "oracle/oracle.h"
+#include "overlay/baton/baton.h"
+#include "overlay/can/can.h"
+#include "overlay/chord/chord.h"
 #include "overlay/midas/midas.h"
+#include "queries/skyband.h"
 #include "queries/skyline.h"
 #include "ripple/engine.h"
 #include "store/local_algos.h"
@@ -155,6 +162,73 @@ TEST(EngineSkylineTest, SingleTupleNetwork) {
       engine.Run({.initiator = net.overlay.RandomPeer(&pick), .query = SkylineQuery{}});
   ASSERT_EQ(result.answer.size(), 1u);
   EXPECT_EQ(result.answer[0].id, 7u);
+}
+
+// --- Floating-point sum ties, distributed ------------------------------------
+// a = (0.5, 1e-17) dominates b = (0.5, 2e-17), which dominates c = (0.5,
+// 3e-17), yet all three coordinate sums round to 0.5, and the ids run
+// against the dominance order. The three land on one peer in every overlay,
+// so that peer's local skyline and skyband must see through the tie.
+
+TupleVec SumTieNetworkTuples() {
+  Rng rng(215);
+  TupleVec tuples = data::MakeUniform(600, 2, &rng);
+  tuples.push_back(Tuple{1002, Point{0.5, 1e-17}});
+  tuples.push_back(Tuple{1001, Point{0.5, 2e-17}});
+  tuples.push_back(Tuple{1000, Point{0.5, 3e-17}});
+  return tuples;
+}
+
+template <typename Overlay>
+void ExpectTieAnswersMatchOracle(const Overlay& overlay,
+                                 const TupleVec& tuples) {
+  const TupleVec sky = oracle::Skyline(tuples);
+  ASSERT_EQ(std::count_if(sky.begin(), sky.end(),
+                          [](const Tuple& t) { return t.id >= 1000; }),
+            1);
+  Engine<Overlay, SkylinePolicy> skyline(&overlay, SkylinePolicy{});
+  Engine<Overlay, SkybandPolicy> skyband(&overlay, SkybandPolicy{});
+  for (const RippleParam r : {RippleParam::Fast(), RippleParam::Slow()}) {
+    ExpectSameSet(
+        skyline.Run({.initiator = 0, .query = SkylineQuery{}, .ripple = r})
+            .answer,
+        sky);
+    for (size_t band : {1u, 2u}) {
+      SkybandQuery q;
+      q.band = band;
+      ExpectSameSet(
+          skyband.Run({.initiator = 0, .query = q, .ripple = r}).answer,
+          oracle::Skyband(tuples, band));
+    }
+  }
+}
+
+TEST(SumTieTest, MidasSkylineAndSkybandSeeThroughTies) {
+  const TupleVec tuples = SumTieNetworkTuples();
+  Net net = MakeNet(64, tuples, 2, 317);
+  ExpectTieAnswersMatchOracle(net.overlay, tuples);
+}
+
+TEST(SumTieTest, ChordSkylineAndSkybandSeeThroughTies) {
+  const TupleVec tuples = SumTieNetworkTuples();
+  ChordOverlay overlay(64, ChordOptions{.dims = 2, .seed = 319});
+  for (const Tuple& t : tuples) overlay.InsertTuple(t);
+  ExpectTieAnswersMatchOracle(overlay, tuples);
+}
+
+TEST(SumTieTest, DslOverCanSeesThroughTies) {
+  const TupleVec tuples = SumTieNetworkTuples();
+  CanOverlay overlay(CanOptions{.dims = 2, .seed = 321});
+  while (overlay.NumPeers() < 64) overlay.Join();
+  for (const Tuple& t : tuples) overlay.InsertTuple(t);
+  ExpectSameSet(RunDslSkyline(overlay, 0).skyline, oracle::Skyline(tuples));
+}
+
+TEST(SumTieTest, SspOverBatonSeesThroughTies) {
+  const TupleVec tuples = SumTieNetworkTuples();
+  BatonOverlay overlay(64, BatonOptions{.dims = 2});
+  for (const Tuple& t : tuples) overlay.InsertTuple(t);
+  ExpectSameSet(RunSspSkyline(overlay, 0).skyline, oracle::Skyline(tuples));
 }
 
 }  // namespace

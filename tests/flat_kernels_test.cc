@@ -1,16 +1,20 @@
 // Property tests for the flat SoA kernels behind the per-peer hot path:
 // sweeps dimensionality 2-10 and the three PISA-style score-series shapes
-// (increasing, decreasing, random) and asserts the branch-light kernels
-// return byte-identical results to the retained scalar oracles. Also
-// covers the building blocks (FlatStore, BoundedTopK, Arena, ScoreBlock
-// bit-identity) and cross-validates both engines end to end on top of the
-// refactored store.
+// (increasing, decreasing, random), plus adversarial value shapes (tied
+// coordinate sums, repeated keys, zeros and subnormals, tied scores,
+// anti-correlated data) at dims 1 through kMaxDims, and asserts the
+// branch-light kernels return byte-identical results to the
+// definition-level oracle (tests/oracle). Also covers the building blocks
+// (FlatStore, BoundedTopK, Arena, ScoreBlock bit-identity) and
+// cross-validates both engines end to end on top of the refactored store.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -19,6 +23,7 @@
 #include "data/datasets.h"
 #include "geom/dominance.h"
 #include "geom/scoring.h"
+#include "oracle/oracle.h"
 #include "overlay/midas/midas.h"
 #include "queries/skyline.h"
 #include "queries/topk.h"
@@ -83,9 +88,9 @@ bool BitIdentical(const TupleVec& a, const TupleVec& b) {
   return true;
 }
 
-// --- SoA kernels vs scalar oracles, dims 2-10 x 3 series --------------------
+// --- SoA kernels vs the oracle, dims 2-10 x 3 series ------------------------
 
-TEST(FlatKernelsProperty, SelectTopKMatchesScalarOracle) {
+TEST(FlatKernelsProperty, SelectTopKMatchesOracle) {
   for (int dims = 2; dims <= kMaxDims; ++dims) {
     const LinearScorer scorer = PreferenceScorer(dims, 100 + dims);
     for (Series series :
@@ -95,7 +100,7 @@ TEST(FlatKernelsProperty, SelectTopKMatchesScalarOracle) {
       auto score = [&](const Point& p) { return scorer.Score(p); };
       for (size_t k : {size_t{1}, size_t{7}, size_t{50}, size_t{1000}}) {
         const TupleVec got = SelectTopK(ts, score, k);
-        const TupleVec want = SelectTopKScalar(ts, score, k);
+        const TupleVec want = oracle::TopK(ts, score, k);
         EXPECT_TRUE(BitIdentical(got, want))
             << "dims=" << dims << " series=" << Name(series) << " k=" << k;
       }
@@ -103,7 +108,7 @@ TEST(FlatKernelsProperty, SelectTopKMatchesScalarOracle) {
   }
 }
 
-TEST(FlatKernelsProperty, SkylineKernelsMatchScalarOracles) {
+TEST(FlatKernelsProperty, SkylineKernelsMatchOracle) {
   for (int dims = 2; dims <= kMaxDims; ++dims) {
     const LinearScorer scorer = PreferenceScorer(dims, 300 + dims);
     for (Series series :
@@ -111,19 +116,20 @@ TEST(FlatKernelsProperty, SkylineKernelsMatchScalarOracles) {
       const TupleVec ts =
           ShapedTuples(250, dims, series, scorer, 400 + dims);
       const TupleVec sky = ComputeSkyline(ts);
-      EXPECT_TRUE(BitIdentical(sky, ComputeSkylineScalar(ts)))
+      EXPECT_TRUE(BitIdentical(sky, oracle::Skyline(ts)))
           << "dims=" << dims << " series=" << Name(series);
       // Merge of two halves' skylines, kernel vs oracle.
       const TupleVec a =
           ComputeSkyline(TupleVec(ts.begin(), ts.begin() + 125));
       const TupleVec b = ComputeSkyline(TupleVec(ts.begin() + 125, ts.end()));
-      EXPECT_TRUE(BitIdentical(MergeSkylines(a, b), MergeSkylinesScalar(a, b)))
+      EXPECT_TRUE(
+          BitIdentical(MergeSkylines(a, b), oracle::MergeSkylines(a, b)))
           << "dims=" << dims << " series=" << Name(series);
     }
   }
 }
 
-TEST(FlatKernelsProperty, KdIndexScorerPathsMatchScalarOracle) {
+TEST(FlatKernelsProperty, KdIndexScorerPathsMatchOracle) {
   for (int dims = 2; dims <= kMaxDims; ++dims) {
     const LinearScorer scorer = PreferenceScorer(dims, 500 + dims);
     for (Series series :
@@ -134,7 +140,7 @@ TEST(FlatKernelsProperty, KdIndexScorerPathsMatchScalarOracle) {
       auto score = [&](const Point& p) { return scorer.Score(p); };
       for (size_t k : {size_t{1}, size_t{13}, size_t{64}}) {
         EXPECT_TRUE(
-            BitIdentical(idx.TopK(scorer, k), SelectTopKScalar(ts, score, k)))
+            BitIdentical(idx.TopK(scorer, k), oracle::TopK(ts, score, k)))
             << "dims=" << dims << " series=" << Name(series) << " k=" << k;
       }
       // CollectAtLeast at a tau hitting roughly half the tuples.
@@ -155,7 +161,7 @@ TEST(FlatKernelsProperty, KdIndexScorerPathsMatchScalarOracle) {
 
 TEST(FlatKernelsProperty, LocalStorePrimitivesMatchOracles) {
   // Both the indexed (>= threshold) and scan (< threshold) store paths
-  // against the scalar oracle, on a mixed series shape.
+  // against the oracle, on a mixed series shape.
   for (size_t n : {size_t{20}, size_t{400}}) {
     for (int dims : {2, 5, 10}) {
       const LinearScorer scorer = PreferenceScorer(dims, 700 + dims);
@@ -164,12 +170,139 @@ TEST(FlatKernelsProperty, LocalStorePrimitivesMatchOracles) {
       LocalStore store;
       store.AddAll(ts);
       auto score = [&](const Point& p) { return scorer.Score(p); };
-      const TupleVec oracle = SelectTopKScalar(ts, score, 9);
-      EXPECT_TRUE(BitIdentical(
-          store.TopKAbove(scorer, 9, -1e100), oracle))
+      EXPECT_TRUE(BitIdentical(store.TopKAbove(scorer, 9, -1e100),
+                               oracle::TopK(ts, score, 9)))
           << "n=" << n << " dims=" << dims;
-      EXPECT_TRUE(BitIdentical(store.LocalSkyline(), ComputeSkylineScalar(ts)))
+      EXPECT_TRUE(BitIdentical(store.LocalSkyline(), oracle::Skyline(ts)))
           << "n=" << n << " dims=" << dims;
+    }
+  }
+}
+
+// --- Adversarial value shapes vs the oracle ----------------------------------
+// Uniform data never produces the orders kernels break on (PISA sweeps
+// shaped series for the same reason). Each shape below targets one
+// shortcut: a sum-order pre-sort (tied sums), id tie-breaks (repeated
+// keys, tied scores), comparisons at the bottom of the double range
+// (zeros, -0.0, subnormals) and large skylines (anti-correlated).
+
+enum class Shape {
+  kSumTies,
+  kEqualKeys,
+  kZerosAndSubnormals,
+  kTiedScores,
+  kAnticorrelated
+};
+
+const char* Name(Shape s) {
+  switch (s) {
+    case Shape::kSumTies: return "sum-ties";
+    case Shape::kEqualKeys: return "equal-keys";
+    case Shape::kZerosAndSubnormals: return "zeros-subnormals";
+    case Shape::kTiedScores: return "tied-scores";
+    case Shape::kAnticorrelated: return "anticorrelated";
+  }
+  return "?";
+}
+
+constexpr Shape kAllShapes[] = {Shape::kSumTies, Shape::kEqualKeys,
+                                Shape::kZerosAndSubnormals,
+                                Shape::kTiedScores, Shape::kAnticorrelated};
+
+TupleVec AdversarialTuples(Shape shape, size_t n, int dims, uint64_t seed) {
+  Rng rng(seed);
+  if (shape == Shape::kAnticorrelated) {
+    return data::MakeByName("anticorrelated", n, dims, &rng);
+  }
+  if (shape == Shape::kEqualKeys) {
+    // Every key four times, under four distinct ids.
+    const TupleVec keys = data::MakeUniform((n + 3) / 4, dims, &rng);
+    TupleVec out;
+    for (size_t i = 0; i < n; ++i) out.push_back(Tuple{i, keys[i / 4].key});
+    return out;
+  }
+  // The remaining shapes draw every coordinate from a small value set.
+  // Sum ties: next to 0.5 or 1, the tiny values vanish from the sum but
+  // still decide dominance. Tied scores: a coarse exact grid.
+  const double kMin = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values;
+  switch (shape) {
+    case Shape::kSumTies: values = {0.0, 1e-17, 2e-17, 3e-17, 0.5, 1.0}; break;
+    case Shape::kZerosAndSubnormals:
+      values = {0.0, -0.0, kMin, 2 * kMin, 1e-310,
+                std::numeric_limits<double>::min(), 1.0};
+      break;
+    default: values = {0.0, 0.5, 1.0}; break;
+  }
+  TupleVec out;
+  for (size_t i = 0; i < n; ++i) {
+    Point p(dims);
+    for (int d = 0; d < dims; ++d) p[d] = values[rng.UniformU64(values.size())];
+    out.push_back(Tuple{i, p});
+  }
+  return out;
+}
+
+TEST(FlatKernelsAdversarial, SkylineSkybandAndMergeMatchOracle) {
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 3, kMaxDims}) {
+      for (size_t n : {size_t{24}, size_t{160}}) {
+        const TupleVec ts =
+            AdversarialTuples(shape, n, dims, 1100 + n + dims);
+        const std::string where = std::string(Name(shape)) +
+                                  " dims=" + std::to_string(dims) +
+                                  " n=" + std::to_string(n);
+        EXPECT_TRUE(BitIdentical(ComputeSkyline(ts), oracle::Skyline(ts)))
+            << where;
+        for (size_t k : {size_t{2}, size_t{3}, size_t{5}}) {
+          EXPECT_TRUE(
+              BitIdentical(ComputeKSkyband(ts, k), oracle::Skyband(ts, k)))
+              << where << " k=" << k;
+        }
+        const TupleVec a =
+            ComputeSkyline(TupleVec(ts.begin(), ts.begin() + n / 2));
+        const TupleVec b =
+            ComputeSkyline(TupleVec(ts.begin() + n / 2, ts.end()));
+        EXPECT_TRUE(
+            BitIdentical(MergeSkylines(a, b), oracle::MergeSkylines(a, b)))
+            << where;
+        LocalStore store;
+        store.AddAll(ts);
+        EXPECT_TRUE(BitIdentical(store.LocalSkyline(), oracle::Skyline(ts)))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, TopKPathsMatchOracle) {
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 3, kMaxDims}) {
+      for (size_t n : {size_t{24}, size_t{160}}) {
+        const TupleVec ts =
+            AdversarialTuples(shape, n, dims, 1200 + n + dims);
+        // Equal weights turn every tied key sum into a tied score.
+        const LinearScorer flat(std::vector<double>(dims, -1.0));
+        const LinearScorer skewed = PreferenceScorer(dims, 1300 + dims);
+        const KdIndex idx(ts);
+        LocalStore store;
+        store.AddAll(ts);
+        for (const LinearScorer* scorer : {&flat, &skewed}) {
+          auto score = [&](const Point& p) { return scorer->Score(p); };
+          for (size_t k : {size_t{1}, size_t{7}, size_t{40}}) {
+            const TupleVec want = oracle::TopK(ts, score, k);
+            const std::string where =
+                std::string(Name(shape)) + " dims=" + std::to_string(dims) +
+                " n=" + std::to_string(n) + " k=" + std::to_string(k);
+            EXPECT_TRUE(BitIdentical(SelectTopK(ts, score, k), want))
+                << where;
+            EXPECT_TRUE(BitIdentical(idx.TopK(*scorer, k), want)) << where;
+            EXPECT_TRUE(
+                BitIdentical(store.TopKAbove(*scorer, k, -1e100), want))
+                << where;
+          }
+        }
+      }
     }
   }
 }
@@ -208,22 +341,22 @@ TEST(ScoreBlockTest, BitIdenticalToScalarScore) {
 TEST(DominanceKernelTest, ColumnKernelAgreesWithScalarDominates) {
   for (int dims : {2, 4, 7, 10}) {
     Rng rng(1000 + dims);
-    const TupleVec sky = ComputeSkyline(data::MakeUniform(200, dims, &rng));
+    // A 3-skyband keeps rows that dominate each other, so probes see
+    // counts above one.
+    const TupleVec band =
+        ComputeKSkyband(data::MakeUniform(200, dims, &rng), 3);
     store::FlatStore flat;
-    flat.AppendAll(sky);
+    flat.AppendAll(band);
     const TupleVec probes = data::MakeUniform(300, dims, &rng);
     for (const Tuple& p : probes) {
-      bool want = false;
-      for (const Tuple& s : sky) {
-        if (Dominates(s.key, p.key)) {
-          want = true;
-          break;
-        }
+      size_t want = 0;
+      for (const Tuple& s : band) want += Dominates(s.key, p.key);
+      for (size_t limit : {size_t{1}, size_t{3}, band.size() + 1}) {
+        EXPECT_EQ(CountDominatorsColumns(flat.cols().data(), dims,
+                                         flat.size(), p.key, limit),
+                  std::min(want, limit))
+            << "dims=" << dims << " limit=" << limit;
       }
-      EXPECT_EQ(
-          AnyDominatesColumns(flat.cols().data(), dims, flat.size(), p.key),
-          want)
-          << "dims=" << dims;
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "oracle/oracle.h"
 #include "overlay/midas/midas.h"
 #include "queries/topk.h"
 #include "queries/topk_driver.h"
@@ -14,24 +15,11 @@
 namespace ripple {
 namespace {
 
-TupleVec BruteForceBand(const TupleVec& all, size_t k) {
-  TupleVec band;
-  for (const Tuple& t : all) {
-    size_t dominators = 0;
-    for (const Tuple& s : all) {
-      if (Dominates(s.key, t.key)) ++dominators;
-    }
-    if (dominators < k) band.push_back(t);
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
-}
-
 TEST(KSkybandTest, MatchesBruteForce) {
   Rng rng(801);
   const TupleVec all = data::MakeUniform(300, 3, &rng);
   for (size_t k : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(ComputeKSkyband(all, k), BruteForceBand(all, k)) << "k=" << k;
+    EXPECT_EQ(ComputeKSkyband(all, k), oracle::Skyband(all, k)) << "k=" << k;
   }
 }
 

@@ -6,6 +6,8 @@
 #include "common/rng.h"
 #include "geom/dominance.h"
 #include "geom/scoring.h"
+#include "oracle/oracle.h"
+#include "queries/skyband.h"
 #include "store/kd_index.h"
 #include "store/local_algos.h"
 #include "store/local_store.h"
@@ -51,22 +53,7 @@ TEST(SkylineTest, MatchesBruteForce) {
   Rng rng(41);
   for (int trial = 0; trial < 20; ++trial) {
     const TupleVec ts = RandomTuples(200, 3, &rng);
-    const TupleVec sky = ComputeSkyline(ts);
-    // Brute force.
-    std::set<uint64_t> expected;
-    for (const Tuple& t : ts) {
-      bool dominated = false;
-      for (const Tuple& s : ts) {
-        if (Dominates(s.key, t.key)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) expected.insert(t.id);
-    }
-    std::set<uint64_t> got;
-    for (const Tuple& t : sky) got.insert(t.id);
-    EXPECT_EQ(got, expected);
+    EXPECT_EQ(ComputeSkyline(ts), oracle::Skyline(ts));
   }
 }
 
@@ -112,6 +99,50 @@ TEST(SkylineTest, MergeSkylinesEmptySides) {
   EXPECT_EQ(MergeSkylines({}, sky), sky);
   EXPECT_EQ(MergeSkylines(sky, {}), sky);
   EXPECT_TRUE(MergeSkylines({}, {}).empty());
+}
+
+// --- Floating-point sum ties -------------------------------------------------
+// a = (0.5, 1e-17) dominates b = (0.5, 2e-17), which dominates c = (0.5,
+// 3e-17), yet all three coordinate sums round to 0.5. The ids run against
+// the dominance order (c < b < a), so an order that breaks sum ties by id
+// alone would visit the dominated tuples before their dominators.
+
+TupleVec SumTieTuples() {
+  return {Tuple{2, Point{0.5, 1e-17}}, Tuple{1, Point{0.5, 2e-17}},
+          Tuple{0, Point{0.5, 3e-17}}};
+}
+
+std::vector<uint64_t> Ids(const TupleVec& ts) {
+  std::vector<uint64_t> ids;
+  for (const Tuple& t : ts) ids.push_back(t.id);
+  return ids;
+}
+
+TEST(SumTieTest, SkylineKeepsOnlyTheDominator) {
+  const TupleVec ts = SumTieTuples();
+  ASSERT_EQ(ts[0].key[0] + ts[0].key[1], ts[2].key[0] + ts[2].key[1]);
+  EXPECT_EQ(Ids(ComputeSkyline(ts)), std::vector<uint64_t>{2});
+}
+
+TEST(SumTieTest, SkybandCountsTiedDominators) {
+  const TupleVec ts = SumTieTuples();
+  EXPECT_EQ(Ids(ComputeKSkyband(ts, 1)), std::vector<uint64_t>{2});
+  EXPECT_EQ(Ids(ComputeKSkyband(ts, 2)), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(Ids(ComputeKSkyband(ts, 3)), (std::vector<uint64_t>{0, 1, 2}));
+}
+
+TEST(SumTieTest, MergeOfPartSkylinesKeepsOnlyTheDominator) {
+  TupleVec left = SumTieTuples();
+  left.push_back(Tuple{10, Point{0.9, 0.9}});
+  const TupleVec right = {Tuple{11, Point{0.1, 0.95}},
+                          Tuple{12, Point{0.95, 0.96}}};
+  EXPECT_EQ(Ids(MergeSkylines(ComputeSkyline(left), ComputeSkyline(right))),
+            (std::vector<uint64_t>{2, 11}));
+  // Directly: the cross-dominance tests see through the tie both ways.
+  const TupleVec a = {SumTieTuples()[0]};
+  const TupleVec b = {SumTieTuples()[1]};
+  EXPECT_EQ(Ids(MergeSkylines(a, b)), std::vector<uint64_t>{2});
+  EXPECT_EQ(Ids(MergeSkylines(b, a)), std::vector<uint64_t>{2});
 }
 
 // --- SelectTopK -------------------------------------------------------------

@@ -371,6 +371,55 @@ TEST(StoreWireTest, HugeCountRejectedWithoutAllocating) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(StoreWireTest, NonFiniteKeyRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const TupleVec tuples = {Tuple{1, Point{0.1, 0.2}},
+                             Tuple{2, Point{0.3, bad}},
+                             Tuple{3, Point{0.5, 0.6}}};
+    wire::Buffer buf;
+    EncodeTupleVec(tuples, &buf);
+    wire::Reader r(buf.bytes());
+    TupleVec out;
+    EXPECT_FALSE(DecodeTupleVec(&r, &out)) << bad;
+    EXPECT_FALSE(r.ok()) << bad;
+
+    wire::Buffer one;
+    EncodeTuple(tuples[1], &one);
+    wire::Reader r1(one.bytes());
+    Tuple t;
+    EXPECT_FALSE(DecodeTuple(&r1, &t)) << bad;
+
+    // A policy state carrying the tuple rejects as a whole.
+    wire::Buffer state;
+    SkylinePolicy{}.EncodeState(SkylineState{tuples, {}}, &state);
+    wire::Reader rs(state.bytes());
+    SkylineState decoded;
+    EXPECT_FALSE(SkylinePolicy{}.DecodeState(&rs, &decoded)) << bad;
+  }
+}
+
+TEST(StoreWireTest, FiniteEdgeKeysAndEveryDatasetRoundTrip) {
+  const TupleVec edges = {
+      Tuple{1, Point{-0.0, std::numeric_limits<double>::denorm_min()}},
+      Tuple{2, Point{std::numeric_limits<double>::max(),
+                     std::numeric_limits<double>::lowest()}}};
+  Rng rng(31);
+  for (const char* name : {"uniform", "synth", "correlated",
+                           "anticorrelated", "nba", "mirflickr"}) {
+    for (const TupleVec& tuples :
+         {edges, data::MakeByName(name, 300, 5, &rng)}) {
+      wire::Buffer buf;
+      EncodeTupleVec(tuples, &buf);
+      wire::Reader r(buf.bytes());
+      TupleVec out;
+      ASSERT_TRUE(DecodeTupleVec(&r, &out)) << name;
+      EXPECT_EQ(out, tuples) << name;
+    }
+  }
+}
+
 // --- Policy codecs ---------------------------------------------------------
 
 TEST(PolicyCodecTest, TopKQueryStateAnswerRoundTrip) {

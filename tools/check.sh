@@ -9,6 +9,7 @@
 #                             # tests, each repeated up to 10 times
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
+#   tools/check.sh kernels    # per-peer kernels vs the oracle, ASan then UBSan
 #   tools/check.sh net        # live-overlay + fault suites, ASan then UBSan
 #   tools/check.sh monitor    # admin/monitoring plane, ASan then UBSan
 #   tools/check.sh cache      # cache/controller/batching, ASan then UBSan
@@ -67,6 +68,27 @@ if [[ "${1:-}" == "wire" ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L wire
   done
   echo "check.sh: wire suite clean under address+undefined"
+  exit 0
+fi
+
+# kernels: the per-peer kernels and their definition-level oracle (ctest
+# label `kernels`: dominance, skyline/skyband, top-k, k-d index, flat
+# store) under the same two sanitizers as `wire`. The property suite
+# feeds zeros, subnormals and tied sums through column arithmetic and
+# arena scratch, so ASan covers the buffer class and UBSan the float
+# and integer class.
+if [[ "${1:-}" == "kernels" ]]; then
+  for kind in address undefined; do
+    BUILD_DIR="build-san-$kind"
+    cmake -B "$BUILD_DIR" -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DRIPPLE_SANITIZE="$kind" \
+      -DRIPPLE_BUILD_BENCHMARKS=OFF \
+      -DRIPPLE_BUILD_EXAMPLES=OFF
+    cmake --build "$BUILD_DIR" -j "$(nproc)"
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
+  done
+  echo "check.sh: kernels suite clean under address+undefined"
   exit 0
 fi
 
@@ -136,8 +158,7 @@ fi
 # micro: the google-benchmark micro suite (ctest label `micro`) at
 # smoke scale — one repetition, minimal timing — in the plain bench
 # build. This proves every registered micro benchmark (SoA kernels,
-# scalar oracles, k-d index, Z-order, frame encode/decode, overlay
-# maintenance) still runs to completion; timings are not gated here.
+# k-d index, Z-order, frame encode/decode, overlay maintenance) still runs to completion; timings are not gated here.
 if [[ "${1:-}" == "micro" ]]; then
   BUILD_DIR="build-bench"
   cmake -B "$BUILD_DIR" -S . \

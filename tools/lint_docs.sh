@@ -80,6 +80,10 @@ DEAD_SYMBOLS=(
   lock_shards
   AdaptiveOptions
   FromLegacy
+  ComputeSkylineScalar
+  MergeSkylinesScalar
+  SelectTopKScalar
+  AnyDominatesColumns
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
