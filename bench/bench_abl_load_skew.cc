@@ -12,7 +12,7 @@
 #include <algorithm>
 
 #include "bench_common.h"
-#include "obs/profile.h"
+#include "obs/sink.h"
 #include "queries/topk.h"
 #include "queries/topk_driver.h"
 #include "ripple/engine.h"
@@ -38,7 +38,7 @@ int main() {
     Engine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
     obs::Profiler profiler;
     profiler.SetPeerUniverse(overlay.NumPeers());
-    engine.SetProfiler(&profiler);
+    engine.SetSink(obs::Sink(nullptr, &profiler, nullptr));
     Rng rng(config.seed ^ n);
     const size_t queries = std::max<size_t>(config.queries, 64);
     for (size_t q = 0; q < queries; ++q) {

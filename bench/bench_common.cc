@@ -330,7 +330,7 @@ void RunTopKFourWay(const MidasOverlay& overlay, size_t k, size_t queries,
     const TopKQuery query{&scorer, k};
     const PeerId initiator = overlay.RandomPeer(&rng);
     for (int i = 0; i < 4; ++i) {
-      engine.SetProfiler(&out->prof[i]);
+      engine.SetSink(obs::Sink(nullptr, &out->prof[i], nullptr));
       const auto t0 = std::chrono::steady_clock::now();
       const auto result = SeededTopK(overlay, engine,
                                      {.initiator = initiator,
@@ -340,7 +340,6 @@ void RunTopKFourWay(const MidasOverlay& overlay, size_t k, size_t queries,
       out->acc[i].Add(result.stats);
     }
   }
-  engine.SetProfiler(nullptr);
 }
 
 void RunSkylineMethods(size_t peers, int dims, const TupleVec& tuples,
@@ -359,14 +358,14 @@ void RunSkylineMethods(size_t peers, int dims, const TupleVec& tuples,
     const PeerId m_init = midas.RandomPeer(&rng);
     const PeerId c_init = can.RandomPeer(&rng);
     const PeerId b_init = baton.RandomPeer(&rng);
-    engine.SetProfiler(&out->prof[0]);
+    engine.SetSink(obs::Sink(nullptr, &out->prof[0], nullptr));
     auto t0 = std::chrono::steady_clock::now();
     out->acc[0].Add(SeededSkyline(midas, engine,
                                   {.initiator = m_init,
                                    .ripple = RippleParam::Fast()})
                         .stats);
     out->wall[0].Observe(MsSince(t0));
-    engine.SetProfiler(&out->prof[1]);
+    engine.SetSink(obs::Sink(nullptr, &out->prof[1], nullptr));
     t0 = std::chrono::steady_clock::now();
     out->acc[1].Add(SeededSkyline(midas, engine,
                                   {.initiator = m_init,
@@ -382,7 +381,6 @@ void RunSkylineMethods(size_t peers, int dims, const TupleVec& tuples,
     out->acc[3].Add(RunSspSkyline(baton, b_init).stats);
     out->wall[3].Observe(MsSince(t0));
   }
-  engine.SetProfiler(nullptr);
 }
 
 void RunDivMethods(size_t peers, int dims, const TupleVec& tuples, size_t k,
@@ -407,8 +405,8 @@ void RunDivMethods(size_t peers, int dims, const TupleVec& tuples, size_t k,
         &midas, {.initiator = m_init, .ripple = RippleParam::Fast()});
     RippleDivService<MidasOverlay> slow(
         &midas, {.initiator = m_init, .ripple = RippleParam::Slow()});
-    fast.mutable_engine()->SetProfiler(&out->prof[0]);
-    slow.mutable_engine()->SetProfiler(&out->prof[1]);
+    fast.mutable_engine()->SetSink(obs::Sink(nullptr, &out->prof[0], nullptr));
+    slow.mutable_engine()->SetSink(obs::Sink(nullptr, &out->prof[1], nullptr));
     CanFloodDivService flood(&can, c_init);
     SingleTupleService* measured[3] = {&fast, &slow, &flood};
     for (int m = 0; m < 3; ++m) {

@@ -6,14 +6,14 @@
 //
 // Deterministic metrics (messages, answer tuples, span and journal-event
 // counts) are seed-stable and gated against baseline like any other
-// bench. Wall clock is informational as usual, EXCEPT the ceiling: the
-// overhead case emits `wall_ceiling_traced_ms_mean` next to the measured
-// `wall_traced_ms_mean`, and tools/bench_check.py fails the gate when the
-// traced wall clock sits above its ceiling. The ceiling is derived from
-// the untraced wall clock measured on the same machine in the same run
-// (2.5x + 1ms slack), so it gates the overhead RATIO of tracing, not
-// absolute machine speed — a journal hot path regression fails the gate
-// on any hardware; a slow machine does not.
+// bench. Wall clock is informational as usual, EXCEPT two ceilings that
+// tools/bench_check.py enforces on the same run's measurements, so they
+// gate the overhead RATIO of tracing, not absolute machine speed:
+//  * `wall_ceiling_overhead_ratio` caps the traced/untraced ratio
+//    `wall_overhead_ratio` at kMaxOverheadRatio, tight enough that a 2x
+//    slower journal hot path fails the gate;
+//  * `wall_ceiling_traced_ms_mean` caps `wall_traced_ms_mean` at 2.5x
+//    the untraced wall clock plus 1 ms of slack, a loose backstop.
 
 #include <algorithm>
 #include <chrono>
@@ -23,6 +23,7 @@
 
 #include "bench_common.h"
 #include "obs/journal.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "queries/topk.h"
 #include "queries/topk_driver.h"
@@ -45,8 +46,7 @@ ModeResult RunWorkload(const MidasOverlay& overlay, size_t queries, int dims,
                        obs::JournalSet* journal) {
   ModeResult out;
   Engine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-  if (tracer != nullptr) engine.SetTracer(tracer);
-  if (journal != nullptr) engine.SetJournal(journal);
+  engine.SetSink(obs::Sink(tracer, nullptr, journal));
   Rng rng(seed);
   const auto t0 = std::chrono::steady_clock::now();
   for (size_t q = 0; q < queries; ++q) {
@@ -110,6 +110,10 @@ int main() {
   const double bare_mean = bare_ms / static_cast<double>(queries);
   const double traced_mean = traced_ms / static_cast<double>(queries);
   const double ceiling_mean = 2.5 * bare_mean + 1.0;
+  // Measured before this ceiling existed, at smoke scale on a 4-core x86
+  // host: median ratio 1.21, maximum 1.41 over 30 runs. 2.0 sits above
+  // every observed ratio and below twice the median.
+  constexpr double kMaxOverheadRatio = 2.0;
 
   const std::string case_id = "obs/overhead";
   // Deterministic: identical across machines and across the two modes.
@@ -122,13 +126,16 @@ int main() {
   Reporter().AddMetric(case_id, "trace_spans", static_cast<double>(spans));
   Reporter().AddMetric(case_id, "journal_events",
                        static_cast<double>(journal_events));
-  // Wall clock: informational, except the ceiling rule pins
-  // wall_traced_ms_mean <= wall_ceiling_traced_ms_mean.
+  // Wall clock: informational, except the ceiling rules pin
+  // wall_traced_ms_mean <= wall_ceiling_traced_ms_mean and
+  // wall_overhead_ratio <= wall_ceiling_overhead_ratio.
   Reporter().AddMetric(case_id, "wall_ms_mean", bare_mean);
   Reporter().AddMetric(case_id, "wall_traced_ms_mean", traced_mean);
   Reporter().AddMetric(case_id, "wall_ceiling_traced_ms_mean", ceiling_mean);
   Reporter().AddMetric(case_id, "wall_overhead_ratio",
                        bare_mean > 0 ? traced_mean / bare_mean : 0.0);
+  Reporter().AddMetric(case_id, "wall_ceiling_overhead_ratio",
+                       kMaxOverheadRatio);
 
   std::printf(
       "  %zu queries over n=%zu: bare %.4f ms/query, traced %.4f ms/query "

@@ -89,17 +89,17 @@ inline JobResult ToJobResult(QueryResult<TupleVec> result, PeerId initiator,
   return jr;
 }
 
-/// Builds the engine for one job invocation and wires the worker-private
-/// observability from the JobContext. Engines are cheap (two pointers and
-/// a stateless policy), so constructing one per run beats sharing mutable
-/// engine state across workers. The worker tracer intentionally only
-/// receives the executor's admission envelopes, not per-visit engine
+/// Wires the worker-private observability from the JobContext into the
+/// engine built for one job invocation. Engines are cheap (two pointers
+/// and a stateless policy), so constructing one per run beats sharing
+/// mutable engine state across workers. The worker tracer intentionally
+/// only receives the executor's admission envelopes, not per-visit engine
 /// spans: a workload of thousands of queries would otherwise record
 /// millions of spans.
 template <typename EngineT>
 void WireEngine(EngineT* engine, JobContext& ctx) {
-  engine->SetProfiler(ctx.profiler);
-  engine->SetJournal(ctx.journal);
+  engine->SetSink(
+      obs::Sink(/*tracer=*/nullptr, ctx.sink.profiler(), ctx.sink.journal()));
 }
 
 template <typename Overlay, typename Policy>

@@ -81,11 +81,6 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
 
   std::vector<obs::Profiler> profilers(threads);
   tracers_.assign(threads, obs::Tracer());
-  if (options_.journal != nullptr) {
-    // Worker tracers mirror their admission spans into the shared journal
-    // (each span is journaled under the trace id of the job it wraps).
-    for (obs::Tracer& t : tracers_) t.SetJournal(options_.journal);
-  }
 
   // One queue for the whole pool: an idle worker takes the next job, so
   // a worker stuck on an expensive query never holds back cheap ones.
@@ -100,9 +95,10 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
     JobContext ctx;
     ctx.worker = w;
     ctx.rng = &rng;
-    ctx.profiler = &profilers[w];
-    ctx.tracer = options_.collect_spans ? &tracers_[w] : nullptr;
-    ctx.journal = options_.journal;
+    // The worker tracer mirrors its admission spans into the shared
+    // journal, each under the trace id of the job it wraps.
+    ctx.sink = obs::Sink(options_.collect_spans ? &tracers_[w] : nullptr,
+                         &profilers[w], options_.journal);
 
     Task task;
     while (queue.Pop(&task)) {
@@ -147,15 +143,15 @@ WorkloadResult Executor::Run(const std::vector<Job>& jobs,
                                    MsBetween(t0, done), out.trace_id != 0);
       }
 
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->set_trace_id(out.trace_id);
-        const uint32_t id = ctx.tracer->StartSpan(
+      if (obs::Tracer* tracer = ctx.sink.tracer()) {
+        tracer->set_trace_id(out.trace_id);
+        const uint32_t id = tracer->StartSpan(
             static_cast<uint32_t>(out.initiator), obs::kNoSpan,
             obs::SpanKind::kAdmission, 0, MsBetween(t0, task.admitted));
-        obs::Span& span = ctx.tracer->span(id);
+        obs::Span& span = tracer->span(id);
         span.tuples_in = out.stats.tuples_shipped;
         span.answer_tuples = out.answer.size();
-        ctx.tracer->EndSpan(id, MsBetween(t0, done));
+        tracer->EndSpan(id, MsBetween(t0, done));
       }
       if (ins.completed != nullptr) ins.completed->Inc();
       if (!out.complete && ins.partial != nullptr) ins.partial->Inc();

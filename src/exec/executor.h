@@ -12,6 +12,7 @@
 #include "net/metrics.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "overlay/types.h"
@@ -53,29 +54,26 @@ struct ExecutorOptions {
   /// even when head sampling skipped them). Caller owns the log.
   obs::SlowQueryLog* slow_log = nullptr;
   /// Per-peer event journal shared by every worker (obs::JournalSet is
-  /// thread-safe). Jobs wire it into their engines via
-  /// JobContext::journal; worker tracers mirror admission spans into it
+  /// thread-safe). Jobs wire it into their engines through
+  /// JobContext::sink; worker tracers mirror admission spans into it
   /// for head-sampled queries. Caller owns the set.
   obs::JournalSet* journal = nullptr;
 };
 
 /// Everything a job may touch while it runs. All pointers are private to
-/// the job or its worker (no synchronization needed) except `journal`,
-/// which is thread-safe.
+/// the job or its worker (no synchronization needed) except the sink's
+/// journal, which is thread-safe.
 struct JobContext {
   /// The worker running the job; whichever idle worker popped it first.
   int worker = 0;
   /// The job's own RNG stream, seeded from (ExecutorOptions::seed, job
   /// index): the same draws on any worker and for any thread count.
   Rng* rng = nullptr;
-  /// The worker's private profiler; merged into WorkloadResult::profile
-  /// after the pool joins.
-  obs::Profiler* profiler = nullptr;
-  /// The worker's tracer, or null unless ExecutorOptions::collect_spans.
-  obs::Tracer* tracer = nullptr;
-  /// The shared per-peer event journal from ExecutorOptions::journal, or
-  /// null. Jobs attach it to the engines they build.
-  obs::JournalSet* journal = nullptr;
+  /// The worker's observability: its private profiler (merged into
+  /// WorkloadResult::profile after the pool joins), its tracer (null
+  /// unless ExecutorOptions::collect_spans) and the shared journal from
+  /// ExecutorOptions::journal (or null).
+  obs::Sink sink;
 };
 
 /// What one executed query reports back to the executor.
@@ -194,7 +192,7 @@ class Executor {
 
   /// Per-worker tracers of the last Run (admission spans when
   /// collect_spans, plus any engine spans jobs recorded through
-  /// JobContext::tracer). Which tracer holds a span depends on which
+  /// JobContext::sink). Which tracer holds a span depends on which
   /// worker ran the job, a measurement. Valid until the next Run.
   const std::vector<obs::Tracer>& worker_tracers() const { return tracers_; }
 

@@ -17,8 +17,7 @@
 #include "net/peers.h"
 #include "net/protocol.h"
 #include "net/transport.h"
-#include "obs/journal.h"
-#include "obs/profile.h"
+#include "obs/sink.h"
 #include "ripple/peer_core.h"
 #include "ripple/timer_queue.h"
 
@@ -64,8 +63,10 @@ class PeerDaemon {
         skyband_(this),
         range_(this) {}
 
-  void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
-  void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
+  /// Attaches the observability sink (not owned). Its journal records
+  /// every query frame the daemon sends or receives, sampled or not (live
+  /// clients do not sample); admin frames stay out of it.
+  void SetSink(const obs::Sink& sink) { sink_ = sink; }
 
   /// Mirrors the daemon's counters into `registry` (SyncRegistry / admin
   /// snapshot requests drive the sync), so `serve --metrics-out` and
@@ -207,9 +208,7 @@ class PeerDaemon {
     void CancelTimer(uint64_t id) { d->timers_.Cancel(id); }
     bool retransmits() const { return true; }
     const RetryOptions& retry() const { return d->retry_; }
-    obs::Tracer* tracer() const { return nullptr; }
-    obs::Profiler* profiler() const { return d->profiler_; }
-    obs::JournalSet* journal() const { return d->journal_; }
+    const obs::Sink& sink() const { return d->sink_; }
     void Send(const Envelope& env, std::vector<uint8_t> bytes) {
       d->transport_->Send(env, std::move(bytes));
     }
@@ -228,25 +227,11 @@ class PeerDaemon {
     void OnSessionOpened(const Session&) { d->stats_.queries_served += 1; }
     void OnQuerySent(const PendingRequest& rq) {
       if (rq.attempt == 1) d->stats_.child_requests += 1;
-      if (d->profiler_ == nullptr) return;
-      d->profiler_->OnMessage(rq.from, rq.target, 0, rq.frame.size());
-      if (rq.attempt > 1) d->profiler_->OnRetransmission(rq.from);
+      d->sink_.Charge(rq.from, rq.target, 0, rq.frame.size(), rq.attempt > 1);
     }
     void OnReplySent(const Session& s, bool retransmit) {
-      if (retransmit) {
-        d->stats_.retransmissions += 1;
-        if (d->profiler_ != nullptr) d->profiler_->OnRetransmission(s.peer);
-      } else {
-        d->stats_.replies_sent += 1;
-      }
-      if (d->profiler_ == nullptr) return;
-      // Clients are not overlay peers: their synthetic ids must never
-      // index the profiler's dense per-peer vector.
-      if (IsClientId(s.requester)) {
-        d->profiler_->OnMessageOut(s.peer, 0, s.reply.size());
-      } else {
-        d->profiler_->OnMessage(s.peer, s.requester, 0, s.reply.size());
-      }
+      (retransmit ? d->stats_.retransmissions : d->stats_.replies_sent) += 1;
+      d->sink_.Charge(s.peer, s.requester, 0, s.reply.size(), retransmit);
     }
     void OnAckSent(const Session&, size_t) { d->stats_.acks_sent += 1; }
     void OnTimeout(const PendingRequest&, bool retrying) {
@@ -402,8 +387,7 @@ class PeerDaemon {
   DedupWindow dedup_;
   std::unordered_set<PeerId> local_peers_;
   Clock::time_point start_;
-  obs::JournalSet* journal_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
+  obs::Sink sink_;
   obs::Registry* registry_ = nullptr;
   std::function<TransportCounters()> transport_counters_;
   TimerQueue timers_;

@@ -203,10 +203,7 @@ class ScopedTimer {
 
 /// Hook for the overlays' point-routing loops: one forwarding hop
 /// `from -> to`. Feeds the global profiler; no-op unless enabled.
-/// (The `overlay` tag matches RecordRouteHops and exists for symmetry /
-/// future per-overlay splits.)
-inline void RecordRouteStep(const char* overlay, uint32_t from, uint32_t to) {
-  (void)overlay;
+inline void RecordRouteStep(uint32_t from, uint32_t to) {
   if (!Profiler::GlobalEnabled()) return;
   std::lock_guard<std::mutex> lock(Profiler::GlobalMutex());
   Profiler::Global().OnRouteHop(from, to);
@@ -234,7 +231,7 @@ class RouteRecorder {
   /// Records the hop `from -> to` and returns `to`.
   uint32_t Step(uint32_t from, uint32_t to) {
     if (path_ != nullptr) path_->push_back(from);
-    RecordRouteStep(overlay_, from, to);
+    RecordRouteStep(from, to);
     ++hops_;
     return to;
   }

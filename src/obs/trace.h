@@ -58,9 +58,9 @@ struct Span {
 };
 
 /// Records the span tree(s) of one or more query executions. Not
-/// thread-safe; one tracer per query stream. The engines take a Tracer*
-/// and skip all recording when it is null — the disabled path costs one
-/// pointer test per peer visit.
+/// thread-safe; one tracer per query stream. The engines reach it through
+/// their obs::Sink and skip all recording when it is null — the disabled
+/// path costs one pointer test per peer visit.
 class Tracer {
  public:
   /// Opens a span; `start` is in the caller's clock plus time_offset().
@@ -90,14 +90,6 @@ class Tracer {
   /// Indented ASCII rendering of the span forest, for logs and debugging.
   std::string ToAscii() const;
 
-  /// Attaches a journal: every span begin/end is additionally recorded as
-  /// a per-peer journal event stamped with trace_id(), which is what lets
-  /// the offline assembler rebuild this tracer's tree from the journals
-  /// alone. nullptr detaches. While trace_id() is 0 (unsampled) nothing
-  /// is mirrored.
-  void SetJournal(JournalSet* journal) { journal_ = journal; }
-  JournalSet* journal() const { return journal_; }
-
   /// The trace identity stamped on mirrored journal events. Set it before
   /// recording any span of the query (the seeded drivers record bootstrap
   /// spans before the engine runs).
@@ -105,8 +97,14 @@ class Tracer {
   uint64_t trace_id() const { return trace_id_; }
 
  private:
+  friend class Sink;  // the one place a journal is attached
+
   std::vector<Span> spans_;
   double time_offset_ = 0.0;
+  /// When set, every span begin/end is also recorded as a per-peer
+  /// journal event stamped with trace_id() (nothing while it is 0), which
+  /// is what lets the offline assembler rebuild this tracer's tree from
+  /// the journals alone (obs/sink.h attaches it).
   JournalSet* journal_ = nullptr;
   uint64_t trace_id_ = 0;
 };

@@ -159,7 +159,7 @@ class RippleDivService : public SingleTupleService {
     return t;
   }
 
-  /// The underlying engine, e.g. to attach a tracer (SetTracer); spans of
+  /// The underlying engine, e.g. to attach a sink (SetSink); spans of
   /// successive FindBest calls accumulate in recording order.
   EngineT* mutable_engine() { return &engine_; }
 

@@ -3,8 +3,7 @@
 
 #include <vector>
 
-#include "net/frame_cost.h"
-#include "obs/trace.h"
+#include "queries/seeded_run.h"
 #include "queries/skyline.h"
 #include "ripple/api.h"
 #include "ripple/engine.h"
@@ -30,58 +29,19 @@ template <typename Overlay, typename EngineT>
 typename EngineT::Result SeededSkyline(
     const Overlay& overlay, const EngineT& engine,
     const QueryRequest<SkylinePolicy>& request) {
-  uint64_t hops = 0;
-  obs::Tracer* tracer = engine.tracer();
   const SkylineQuery& query = request.query;
-  // Attach the engine's journal before the bootstrap route spans are
-  // recorded: the engine only wires tracer-to-journal mirroring inside
-  // Run(), and a sampled trace must cover the bootstrap too.
-  if (tracer != nullptr && engine.journal() != nullptr &&
-      request.trace_id != 0) {
-    tracer->SetJournal(engine.journal());
-    tracer->set_trace_id(request.trace_id);
-  }
   // Constrained queries aim at the constraint's lower corner (the spot DSL
   // roots its hierarchy at); unconstrained ones at the domain origin.
   const Point corner = query.constraint.has_value()
                            ? query.constraint->lo()
                            : overlay.domain().lo();
+  uint64_t hops = 0;
   std::vector<PeerId> route_path;
-  const PeerId start = overlay.RouteFrom(request.initiator, corner, &hops,
-                                         tracer ? &route_path : nullptr);
-  double saved_offset = 0.0;
-  if (tracer) {
-    // One route span per forwarding peer, so the trace covers exactly the
-    // peers the stats charge; the engine's clock starts after them.
-    uint32_t last_span = obs::kNoSpan;
-    double t = 0.0;
-    for (PeerId p : route_path) {
-      last_span =
-          tracer->StartSpan(p, last_span, obs::SpanKind::kRoute, /*r=*/0, t);
-      tracer->span(last_span).links_forwarded = 1;
-      tracer->EndSpan(last_span, t + 1.0);
-      t += 1.0;
-    }
-    saved_offset = tracer->time_offset();
-    tracer->set_time_offset(saved_offset + static_cast<double>(hops));
-  }
   QueryRequest<SkylinePolicy> seeded = request;
-  seeded.initiator = start;
-  auto result = engine.Run(seeded);
-  if (tracer) tracer->set_time_offset(saved_offset);
-  result.stats.latency_hops += hops;
-  result.stats.messages += hops;
-  result.stats.peers_visited += hops;  // forwarding peers handle the query
-  // Each route forward carries the query: one query-only frame per hop.
-  result.stats.bytes_on_wire +=
-      hops * net::MeasureFrameBytes(net::MessageKind::kQuery,
-                                    [&](wire::Buffer* buf) {
-                                      engine.policy().EncodeQuery(query, buf);
-                                    });
-  if (result.completion_time > 0) {
-    result.completion_time += static_cast<double>(hops);
-  }
-  return result;
+  seeded.initiator =
+      overlay.RouteFrom(request.initiator, corner, &hops,
+                        engine.tracer() ? &route_path : nullptr);
+  return RunSeeded(engine, seeded, hops, route_path, {});
 }
 
 }  // namespace ripple

@@ -4,8 +4,7 @@
 #include <set>
 #include <vector>
 
-#include "net/frame_cost.h"
-#include "obs/trace.h"
+#include "queries/seeded_run.h"
 #include "queries/topk.h"
 #include "ripple/api.h"
 #include "ripple/engine.h"
@@ -82,47 +81,16 @@ template <typename Overlay, typename EngineT>
 typename EngineT::Result SeededTopK(const Overlay& overlay,
                                     const EngineT& engine,
                                     const QueryRequest<TopKPolicy>& request) {
-  QueryStats bootstrap;
-  const TopKPolicy& policy = engine.policy();
-  obs::Tracer* tracer = engine.tracer();
   const TopKQuery& query = request.query;
-  // Attach the engine's journal before the bootstrap spans are recorded:
-  // the engine only wires tracer-to-journal mirroring inside Run(), which
-  // comes after phases 1-2, and a sampled trace must cover them too.
-  if (tracer != nullptr && engine.journal() != nullptr &&
-      request.trace_id != 0) {
-    tracer->SetJournal(engine.journal());
-    tracer->set_trace_id(request.trace_id);
-  }
-
   // Phase 1: route to the peer owning the score peak. With a tracer
-  // attached, every forwarding peer gets a route span (one hop each,
-  // chained), so the trace covers exactly the peers the stats charge.
+  // attached the route is kept, so the trace covers exactly the peers the
+  // stats charge.
   const Point peak = query.scorer->Peak(overlay.domain());
   uint64_t hops = 0;
   std::vector<PeerId> route_path;
-  const PeerId start = overlay.RouteFrom(request.initiator, peak, &hops,
-                                         tracer ? &route_path : nullptr);
-  // Every bootstrap message (route forward, walk step) carries the query:
-  // one query-only frame each, measured with the engines' codec.
-  const uint64_t query_frame_bytes = net::MeasureFrameBytes(
-      net::MessageKind::kQuery,
-      [&](wire::Buffer* buf) { policy.EncodeQuery(query, buf); });
-  bootstrap.latency_hops += hops;
-  bootstrap.messages += hops;
-  bootstrap.peers_visited += hops;  // forwarding peers handle the query
-  bootstrap.bytes_on_wire += hops * query_frame_bytes;
-  uint32_t last_span = obs::kNoSpan;
-  if (tracer) {
-    double t = 0.0;
-    for (PeerId p : route_path) {
-      last_span = tracer->StartSpan(p, last_span, obs::SpanKind::kRoute,
-                                    /*r=*/0, t);
-      tracer->span(last_span).links_forwarded = 1;
-      tracer->EndSpan(last_span, t + 1.0);
-      t += 1.0;
-    }
-  }
+  const PeerId start =
+      overlay.RouteFrom(request.initiator, peak, &hops,
+                        engine.tracer() ? &route_path : nullptr);
 
   // Phase 2: greedy walk gathering local states until k tuples are known
   // (the walk itself is shared with the live-overlay client). When the
@@ -133,52 +101,16 @@ typename EngineT::Result SeededTopK(const Overlay& overlay,
   // would double-count overlapping tuple sets (Algorithm 7's counts only
   // add over disjoint sets), so it is one source or the other, never both.
   std::vector<PeerId> walk_path;
-  TopKState seed;
-  if (request.initial_state.has_value() &&
-      request.initial_state->m >= query.k) {
-    seed = *request.initial_state;
-  } else {
-    seed = TopKSeedWalk(overlay, policy, query, start, &walk_path);
-  }
-  for (size_t step = 0; step < walk_path.size(); ++step) {
-    bootstrap.peers_visited += 1;
-    if (step > 0) {
-      bootstrap.latency_hops += 1;
-      bootstrap.messages += 1;
-      bootstrap.bytes_on_wire += query_frame_bytes;
-    }
-    if (tracer) {
-      const double t = static_cast<double>(hops + step);
-      last_span = tracer->StartSpan(walk_path[step], last_span,
-                                    obs::SpanKind::kWalk, /*r=*/0, t);
-      tracer->EndSpan(last_span, t + 1.0);
-    }
+  QueryRequest<TopKPolicy> seeded = request;
+  if (!request.initial_state.has_value() ||
+      request.initial_state->m < query.k) {
+    seeded.initial_state =
+        TopKSeedWalk(overlay, engine.policy(), query, start, &walk_path);
   }
 
   // Phase 3: the RIPPLE run proper, seeded, initiated at the peak owner.
-  // The engine counts hops from zero; shifting its trace clock by the
-  // bootstrap latency splices both phases into one sequential timeline.
-  double saved_offset = 0.0;
-  if (tracer) {
-    saved_offset = tracer->time_offset();
-    tracer->set_time_offset(saved_offset +
-                            static_cast<double>(bootstrap.latency_hops));
-  }
-  QueryRequest<TopKPolicy> seeded = request;
   seeded.initiator = start;
-  seeded.initial_state = seed;
-  auto result = engine.Run(seeded);
-  if (tracer) tracer->set_time_offset(saved_offset);
-  result.stats.latency_hops += bootstrap.latency_hops;
-  result.stats.messages += bootstrap.messages;
-  result.stats.peers_visited += bootstrap.peers_visited;
-  result.stats.bytes_on_wire += bootstrap.bytes_on_wire;
-  // Async runs report simulated wall-clock; the sequential bootstrap
-  // happens before their clock starts.
-  if (result.completion_time > 0) {
-    result.completion_time += static_cast<double>(bootstrap.latency_hops);
-  }
-  return result;
+  return RunSeeded(engine, seeded, hops, route_path, walk_path);
 }
 
 }  // namespace ripple

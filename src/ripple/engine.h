@@ -12,8 +12,7 @@
 #include "net/metrics.h"
 #include "net/traffic.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/sink.h"
 #include "overlay/types.h"
 #include "ripple/api.h"
 #include "ripple/policy.h"
@@ -69,12 +68,9 @@ class Engine {
     ctx.trace.trace_id = request.trace_id;
     if (request.trace_id != 0) ctx.trace.flags = wire::kFrameFlagSampled;
     // Head sampling: the tracer follows the request's sampling decision,
-    // so journal mirroring (when a JournalSet is attached) records exactly
-    // the sampled queries. Idempotent when the caller already stamped it.
-    if (tracer_) {
-      tracer_->set_trace_id(request.trace_id);
-      if (journal_) tracer_->SetJournal(journal_);
-    }
+    // so journal mirroring records exactly the sampled queries.
+    // Idempotent when the caller already stamped it.
+    sink_.BeginQuery(request.trace_id);
     const GlobalState initial =
         request.initial_state.has_value()
             ? *request.initial_state
@@ -94,32 +90,20 @@ class Engine {
 
   const Policy& policy() const { return policy_; }
 
-  /// Attaches a per-query tracer recording one span per peer visit (phase,
-  /// remaining r, links pruned/forwarded, states merged, tuples carried)
-  /// with logical hop timestamps matching the Lemma 1-3 accounting. Pass
-  /// nullptr to disable; the disabled path costs one pointer test per
-  /// visit and leaves QueryStats untouched either way. The tracer must
-  /// outlive all Run() calls and is not owned.
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches a per-peer event journal. The recursive engine ships no
-  /// frames (it only measures them), so journaling here means mirroring
-  /// the attached tracer's span begin/end events: Run() points the tracer
-  /// at this journal, and head sampling (request.trace_id != 0) gates
-  /// what gets written. nullptr detaches; not owned.
-  void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
-  obs::JournalSet* journal() const { return journal_; }
-
-  /// Attaches a per-peer load profiler. Message/tuple charges mirror the
-  /// QueryStats accounting exactly (each message charged once, at its
-  /// sender), so `profiler.Totals().messages_out` summed over runs equals
-  /// the summed `stats.messages` — asserted by ProfileTest. On top the
-  /// profiler records per-peer spans, fan-out high-water marks and
-  /// wall-clock CPU in the policy code (ScopedTimer). nullptr disables;
-  /// the disabled path is one pointer test per charge. Not owned.
-  void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  obs::Profiler* profiler() const { return profiler_; }
+  /// Attaches the observability sink (obs/sink.h); its instruments must
+  /// outlive all Run() calls and are not owned. The tracer records one
+  /// span per peer visit (phase, remaining r, links pruned/forwarded,
+  /// states merged, tuples carried) with logical hop timestamps matching
+  /// the Lemma 1-3 accounting. The recursive engine ships no frames (it
+  /// only measures them), so its journal sees only the tracer's mirrored
+  /// spans of head-sampled queries. The profiler's message/tuple charges
+  /// mirror QueryStats exactly (each message charged once, at its
+  /// sender), and it adds per-peer spans, fan-out high-water marks and
+  /// policy CPU. QueryStats are identical with or without a sink.
+  void SetSink(const obs::Sink& sink) { sink_ = sink; }
+  /// The sink's tracer, which the seeded drivers record bootstrap spans
+  /// into.
+  obs::Tracer* tracer() const { return sink_.tracer(); }
 
  private:
   struct RunContext {
@@ -170,6 +154,18 @@ class Engine {
         .EncodeAnswerMessage(env, a, &ctx->scratch);
   }
 
+  /// Charges one frame at its sender, exactly where the async engine
+  /// charges it: stats, the traffic breakdown and the sink.
+  void Charge(PeerId from, PeerId to, uint64_t tuples, uint64_t bytes,
+              uint64_t* kind_bytes, RunContext* ctx) const {
+    ctx->stats.messages += 1;
+    ctx->stats.tuples_shipped += tuples;
+    ctx->stats.bytes_on_wire += bytes;
+    *kind_bytes += bytes;
+    ctx->traffic.frames += 1;
+    sink_.Charge(from, to, tuples, bytes);
+  }
+
   /// What a processed peer reports back towards its nearest slow-phase
   /// ancestor: one merged state for slow-phase peers, or the bundle of all
   /// per-peer states in a fast-phase subtree (Alg. 3 keeps forwarding the
@@ -186,17 +182,14 @@ class Engine {
                       double arrival = 0.0) const {
     const auto& peer = overlay_->GetPeer(w);
     ctx->stats.peers_visited += 1;
-    if (profiler_) profiler_->OnSpan(w);
-
     // `arrival` is this visit's position on the logical hop clock (the
     // Lemma 1-3 clock: 1 hop per forward); it exists purely for tracing
     // and never feeds back into stats or results.
-    uint32_t span = obs::kNoSpan;
-    if (tracer_) {
-      span = tracer_->StartSpan(
-          w, parent_span, r > 0 ? obs::SpanKind::kSlow : obs::SpanKind::kFast,
-          r, arrival);
-      tracer_->span(span).tuples_in = policy_.GlobalStateTupleCount(sg);
+    // Span pointers are re-fetched after every child visit: recording
+    // the child's span may move the tracer's storage.
+    const uint32_t span = sink_.BeginVisit(w, parent_span, r, arrival);
+    if (obs::Span* sp = sink_.span(span)) {
+      sp->tuples_in = policy_.GlobalStateTupleCount(sg);
     }
 
     // Lines 1-2 of Algorithms 1/2/3. Local policy work is timed per peer
@@ -204,7 +197,7 @@ class Engine {
     LocalState local;
     GlobalState global;
     {
-      obs::ScopedTimer cpu(profiler_, w);
+      const obs::ScopedTimer cpu = sink_.PolicyCpu(w);
       local = policy_.ComputeLocalState(peer.store, query, sg);
       global = policy_.ComputeGlobalState(query, sg, local);
     }
@@ -236,22 +229,14 @@ class Engine {
         // Relevance is re-evaluated with the state updated so far: links
         // pruned by knowledge from earlier iterations are never contacted.
         if (!policy_.IsLinkRelevant(query, global, c.area)) {
-          if (tracer_) tracer_->span(span).links_pruned += 1;
+          if (obs::Span* sp = sink_.span(span)) sp->links_pruned += 1;
           continue;
         }
-        const uint64_t fwd_tuples = policy_.GlobalStateTupleCount(global);
-        const uint64_t fwd_bytes =
-            QueryFrameBytes(query, global, c.area, r - 1, w, c.target, ctx);
-        ctx->stats.messages += 1;  // query forward
-        ctx->stats.tuples_shipped += fwd_tuples;
-        ctx->stats.bytes_on_wire += fwd_bytes;
-        ctx->traffic.bytes_query += fwd_bytes;
-        ctx->traffic.frames += 1;
-        if (tracer_) tracer_->span(span).links_forwarded += 1;
-        if (profiler_) {
-          profiler_->OnMessage(w, c.target, fwd_tuples, fwd_bytes);
-          profiler_->OnQueueDepth(w, 1);  // slow phase is sequential
-        }
+        Charge(w, c.target, policy_.GlobalStateTupleCount(global),
+               QueryFrameBytes(query, global, c.area, r - 1, w, c.target, ctx),
+               &ctx->traffic.bytes_query, ctx);
+        if (obs::Span* sp = sink_.span(span)) sp->links_forwarded += 1;
+        sink_.QueueDepth(w, 1);  // slow phase is sequential
         // The child receives the query one hop after everything forwarded
         // so far has come back: slow-phase children are sequential.
         NodeOutcome child =
@@ -261,21 +246,16 @@ class Engine {
         // Response messages: one per state flowing back to us, charged to
         // the direct child (the convergecast representative of its
         // subtree, matching the protocol's state addressing).
-        ctx->stats.messages += child.states.size();
         for (const LocalState& s : child.states) {
-          const uint64_t state_tuples = policy_.StateTupleCount(s);
-          const uint64_t state_bytes = ResponseFrameBytes(s, c.target, w, ctx);
-          ctx->stats.tuples_shipped += state_tuples;
-          ctx->stats.bytes_on_wire += state_bytes;
-          ctx->traffic.bytes_response += state_bytes;
-          ctx->traffic.frames += 1;
-          if (profiler_) {
-            profiler_->OnMessage(c.target, w, state_tuples, state_bytes);
-          }
+          Charge(c.target, w, policy_.StateTupleCount(s),
+                 ResponseFrameBytes(s, c.target, w, ctx),
+                 &ctx->traffic.bytes_response, ctx);
         }
-        if (tracer_) tracer_->span(span).states_merged += child.states.size();
+        if (obs::Span* sp = sink_.span(span)) {
+          sp->states_merged += child.states.size();
+        }
         {
-          obs::ScopedTimer cpu(profiler_, w);
+          const obs::ScopedTimer cpu = sink_.PolicyCpu(w);
           policy_.MergeLocalStates(query, &local, child.states);
           global = policy_.ComputeGlobalState(query, sg, local);
         }
@@ -293,21 +273,13 @@ class Engine {
           continue;
         }
         if (!policy_.IsLinkRelevant(query, global, area)) {
-          if (tracer_) tracer_->span(span).links_pruned += 1;
+          if (obs::Span* sp = sink_.span(span)) sp->links_pruned += 1;
           continue;
         }
-        const uint64_t fwd_tuples = policy_.GlobalStateTupleCount(global);
-        const uint64_t fwd_bytes =
-            QueryFrameBytes(query, global, area, 0, w, link.target, ctx);
-        ctx->stats.messages += 1;
-        ctx->stats.tuples_shipped += fwd_tuples;
-        ctx->stats.bytes_on_wire += fwd_bytes;
-        ctx->traffic.bytes_query += fwd_bytes;
-        ctx->traffic.frames += 1;
-        if (tracer_) tracer_->span(span).links_forwarded += 1;
-        if (profiler_) {
-          profiler_->OnMessage(w, link.target, fwd_tuples, fwd_bytes);
-        }
+        Charge(w, link.target, policy_.GlobalStateTupleCount(global),
+               QueryFrameBytes(query, global, area, 0, w, link.target, ctx),
+               &ctx->traffic.bytes_query, ctx);
+        if (obs::Span* sp = sink_.span(span)) sp->links_forwarded += 1;
         // Fast-phase children are contacted at once: all arrive one hop
         // after us.
         NodeOutcome child = Process(link.target, query, global, area, 0, ctx,
@@ -320,7 +292,7 @@ class Engine {
         }
       }
       // Fast-phase fan-out: every relevant link is outstanding at once.
-      if (profiler_ && forwarded > 0) profiler_->OnQueueDepth(w, forwarded);
+      if (forwarded > 0) sink_.QueueDepth(w, forwarded);
       out.latency = forwarded > 0 ? max_child_latency : 0;
       out.states.push_back(local);
     }
@@ -330,38 +302,28 @@ class Engine {
     // precisely how slow-phase knowledge suppresses non-answers.
     Answer answer;
     {
-      obs::ScopedTimer cpu(profiler_, w);
+      const obs::ScopedTimer cpu = sink_.PolicyCpu(w);
       answer = policy_.ComputeLocalAnswer(peer.store, query,
                                           out.states.back());
     }
     const size_t answer_tuples = policy_.AnswerTupleCount(answer);
-    if (answer_tuples > 0) {
-      const uint64_t answer_bytes =
-          AnswerFrameBytes(answer, w, ctx->initiator, ctx);
-      ctx->stats.messages += 1;  // answer delivery to the initiator
-      ctx->stats.tuples_shipped += answer_tuples;
-      ctx->stats.bytes_on_wire += answer_bytes;
-      ctx->traffic.bytes_answer += answer_bytes;
-      ctx->traffic.frames += 1;
-      if (profiler_) {
-        profiler_->OnMessage(w, ctx->initiator, answer_tuples, answer_bytes);
-      }
+    if (answer_tuples > 0) {  // answer delivery to the initiator
+      Charge(w, ctx->initiator, answer_tuples,
+             AnswerFrameBytes(answer, w, ctx->initiator, ctx),
+             &ctx->traffic.bytes_answer, ctx);
     }
-    if (tracer_) {
-      obs::Span& s = tracer_->span(span);
-      s.state_tuples = policy_.StateTupleCount(out.states.back());
-      s.answer_tuples = answer_tuples;
-      tracer_->EndSpan(span, arrival + static_cast<double>(out.latency));
+    if (obs::Span* sp = sink_.span(span)) {
+      sp->state_tuples = policy_.StateTupleCount(out.states.back());
+      sp->answer_tuples = answer_tuples;
     }
+    sink_.EndVisit(span, arrival + static_cast<double>(out.latency));
     policy_.MergeAnswer(&ctx->answer, std::move(answer), query);
     return out;
   }
 
   const Overlay* overlay_;
   Policy policy_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::JournalSet* journal_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
+  obs::Sink sink_;
 };
 
 }  // namespace ripple

@@ -14,9 +14,7 @@
 #include "net/envelope.h"
 #include "net/fault.h"
 #include "net/peers.h"
-#include "obs/journal.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/sink.h"
 #include "overlay/types.h"
 #include "ripple/policy.h"
 #include "ripple/wire_codec.h"
@@ -59,7 +57,7 @@ struct PendingRequest {
 /// byte-identically to a duplicate query; a running one acks instead,
 /// which restores the requester's patience.
 ///
-/// `Driver` supplies the clock, timers, transport, observability sinks,
+/// `Driver` supplies the clock, timers, transport, observability sink,
 /// counters and dedup window through plain member calls (see AsyncEngine
 /// and PeerDaemon for the two drivers). It also fixes in code where
 /// answers go: `Driver::kConvergecast == false` hands each local answer
@@ -157,7 +155,8 @@ class PeerCore {
       driver_->RejectFrame(/*truncated=*/false);
       return;
     }
-    Journal(obs::JournalEventKind::kFrameRecv, env.to, env, wire_bytes);
+    sink().Frame(obs::JournalEventKind::kFrameRecv, env.to, env, wire_bytes,
+                 driver_->Now());
     Session& s = NewSession(env.to, env.from, env.id, net::IsClientId(env.from),
                             env.trace.trace_id, std::move(q), std::move(g),
                             static_cast<int>(hops));
@@ -180,7 +179,8 @@ class PeerCore {
     wire::Buffer buf;
     const size_t bytes = codec_.EncodeAckMessage(env, &buf);
     driver_->OnAckSent(s, bytes);
-    Journal(obs::JournalEventKind::kFrameSend, s.peer, env, bytes);
+    sink().Frame(obs::JournalEventKind::kFrameSend, s.peer, env, bytes,
+                 driver_->Now());
     driver_->Send(env, buf.Take());
   }
 
@@ -234,8 +234,8 @@ class PeerCore {
       return;
     }
     PendingRequest& rq = it->second;
-    Journal(obs::JournalEventKind::kFrameRecv, rq.from, first,
-            datagram.size());
+    sink().Frame(obs::JournalEventKind::kFrameRecv, rq.from, first,
+                 datagram.size(), driver_->Now());
     driver_->CancelTimer(rq.timer);
     Session& s = sessions_.at(rq.requester);
     pending_.erase(it);
@@ -257,7 +257,8 @@ class PeerCore {
       driver_->RejectFrame(ferr == wire::FrameError::kTruncated);
       return;
     }
-    Journal(obs::JournalEventKind::kFrameRecv, ack.to, ack, datagram.size());
+    sink().Frame(obs::JournalEventKind::kFrameRecv, ack.to, ack,
+                 datagram.size(), driver_->Now());
     auto it = pending_.find(id);
     if (it != pending_.end()) it->second.strikes = 0;
   }
@@ -272,25 +273,6 @@ class PeerCore {
     } else {
       it->second.forgotten = true;
     }
-  }
-
-  /// Appends one frame-level event to `peer`'s journal (a no-op when the
-  /// driver has no journal for this query).
-  void Journal(obs::JournalEventKind kind, PeerId peer,
-               const net::Envelope& env, uint64_t bytes) {
-    obs::JournalSet* j = driver_->journal();
-    if (j == nullptr) return;
-    obs::JournalEvent e;
-    e.kind = kind;
-    e.peer = peer;
-    e.sim_time = driver_->Now();
-    e.trace_id = env.trace.trace_id;
-    e.msg_id = env.id;
-    e.msg_kind = static_cast<uint8_t>(env.kind);
-    e.parent_span = env.trace.parent_span;
-    e.bytes = bytes;
-    e.attempt = env.attempt;
-    j->Record(e);
   }
 
   bool Expects(uint64_t id) const { return pending_.count(id) != 0; }
@@ -323,29 +305,19 @@ class PeerCore {
     return s;
   }
 
-  obs::Span* SpanOf(const Session& s) {
-    obs::Tracer* tracer = driver_->tracer();
-    if (tracer == nullptr || s.span == obs::kNoSpan) return nullptr;
-    return &tracer->span(s.span);
-  }
+  const obs::Sink& sink() const { return driver_->sink(); }
 
   /// Lines 1-2 of the procedure, then the fast fan-out or the first step
   /// of the slow walk.
   void Start(Session& s, Area area, uint32_t wire_parent_span) {
     driver_->OnSessionOpened(s);
-    obs::Profiler* profiler = driver_->profiler();
-    if (profiler != nullptr) profiler->OnSpan(s.peer);
-    if (obs::Tracer* tracer = driver_->tracer()) {
-      s.span = tracer->StartSpan(
-          s.peer, wire_parent_span,
-          s.fast ? obs::SpanKind::kFast : obs::SpanKind::kSlow, s.r,
-          driver_->Now());
-      tracer->span(s.span).tuples_in =
-          policy_->GlobalStateTupleCount(s.incoming);
+    s.span = sink().BeginVisit(s.peer, wire_parent_span, s.r, driver_->Now());
+    if (obs::Span* sp = sink().span(s.span)) {
+      sp->tuples_in = policy_->GlobalStateTupleCount(s.incoming);
     }
     const auto& node = overlay_->GetPeer(s.peer);
     {
-      obs::ScopedTimer cpu(profiler, s.peer);
+      const obs::ScopedTimer cpu = sink().PolicyCpu(s.peer);
       s.local = policy_->ComputeLocalState(node.store, s.query, s.incoming);
       s.global = policy_->ComputeGlobalState(s.query, s.incoming, s.local);
     }
@@ -359,15 +331,15 @@ class PeerCore {
         Area restricted;
         if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
         if (!policy_->IsLinkRelevant(s.query, s.global, restricted)) {
-          if (obs::Span* sp = SpanOf(s)) sp->links_pruned += 1;
+          if (obs::Span* sp = sink().span(s.span)) sp->links_pruned += 1;
           continue;
         }
         targets.emplace_back(link.target, std::move(restricted));
       }
-      if (obs::Span* sp = SpanOf(s)) sp->links_forwarded = targets.size();
-      if (profiler != nullptr && !targets.empty()) {
-        profiler->OnQueueDepth(s.peer, targets.size());
+      if (obs::Span* sp = sink().span(s.span)) {
+        sp->links_forwarded = targets.size();
       }
+      if (!targets.empty()) sink().QueueDepth(s.peer, targets.size());
       s.outstanding_children = static_cast<int>(targets.size());
       for (auto& [target, restricted] : targets) {
         NewRequest(s, target, s.global, std::move(restricted), 0);
@@ -396,11 +368,11 @@ class PeerCore {
     while (s.next_candidate < s.candidates.size()) {
       auto& c = s.candidates[s.next_candidate++];
       if (!policy_->IsLinkRelevant(s.query, s.global, c.area)) {
-        if (obs::Span* sp = SpanOf(s)) sp->links_pruned += 1;
+        if (obs::Span* sp = sink().span(s.span)) sp->links_pruned += 1;
         continue;
       }
-      if (obs::Span* sp = SpanOf(s)) sp->links_forwarded += 1;
-      if (obs::Profiler* p = driver_->profiler()) p->OnQueueDepth(s.peer, 1);
+      if (obs::Span* sp = sink().span(s.span)) sp->links_forwarded += 1;
+      sink().QueueDepth(s.peer, 1);
       NewRequest(s, c.target, s.global, std::move(c.area), s.r - 1);
       return;  // wait for the response (or the retry budget)
     }
@@ -419,9 +391,11 @@ class PeerCore {
       if (--s.outstanding_children == 0) FinishSession(s);
       return;
     }
-    if (obs::Span* sp = SpanOf(s)) sp->states_merged += bundle.size();
+    if (obs::Span* sp = sink().span(s.span)) {
+      sp->states_merged += bundle.size();
+    }
     {
-      obs::ScopedTimer cpu(driver_->profiler(), s.peer);
+      const obs::ScopedTimer cpu = sink().PolicyCpu(s.peer);
       policy_->MergeLocalStates(s.query, &s.local, bundle);
       s.global = policy_->ComputeGlobalState(s.query, s.incoming, s.local);
     }
@@ -448,7 +422,7 @@ class PeerCore {
     RIPPLE_CHECK(!s.finished && "session finished twice");
     Answer answer;
     {
-      obs::ScopedTimer cpu(driver_->profiler(), s.peer);
+      const obs::ScopedTimer cpu = sink().PolicyCpu(s.peer);
       answer = policy_->ComputeLocalAnswer(overlay_->GetPeer(s.peer).store,
                                            s.query, s.local);
     }
@@ -458,13 +432,11 @@ class PeerCore {
     } else if (tuples > 0) {
       driver_->SendAnswer(s, std::move(answer), tuples);
     }
-    obs::Tracer* tracer = driver_->tracer();
-    if (tracer != nullptr && s.span != obs::kNoSpan) {
-      obs::Span& sp = tracer->span(s.span);
-      sp.state_tuples = policy_->StateTupleCount(s.local);
-      sp.answer_tuples = tuples;
-      tracer->EndSpan(s.span, driver_->Now());
+    if (obs::Span* sp = sink().span(s.span)) {
+      sp->state_tuples = policy_->StateTupleCount(s.local);
+      sp->answer_tuples = tuples;
     }
+    sink().EndVisit(s.span, driver_->Now());
     s.finished = true;
     if (s.root) {
       // The whole tree's answer is in: finalize it for the client.
@@ -510,9 +482,9 @@ class PeerCore {
   void SendReply(Session& s, bool retransmit) {
     const net::Envelope env = ReplyEnvelope(s, retransmit ? 1 : 0);
     driver_->OnReplySent(s, retransmit);
-    Journal(retransmit ? obs::JournalEventKind::kRetransmit
-                       : obs::JournalEventKind::kFrameSend,
-            s.peer, env, s.reply.size());
+    sink().Frame(retransmit ? obs::JournalEventKind::kRetransmit
+                            : obs::JournalEventKind::kFrameSend,
+                 s.peer, env, s.reply.size(), driver_->Now());
     driver_->Send(env, std::vector<uint8_t>(s.reply));
   }
 
@@ -546,9 +518,9 @@ class PeerCore {
     driver_->OnQuerySent(rq);
     const net::Envelope env{id, rq.from, rq.target, net::MessageKind::kQuery,
                             rq.attempt, rq.trace};
-    Journal(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
-                           : obs::JournalEventKind::kFrameSend,
-            rq.from, env, rq.frame.size());
+    sink().Frame(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
+                                : obs::JournalEventKind::kFrameSend,
+                 rq.from, env, rq.frame.size(), driver_->Now());
     driver_->Send(env, std::vector<uint8_t>(rq.frame));
     if (driver_->retransmits()) {
       rq.timer = driver_->ArmTimer(rq.timeout, [this, id] { OnTimeout(id); });
@@ -563,9 +535,7 @@ class PeerCore {
     if (!driver_->Alive(rq.from)) return;
     const bool retrying = rq.strikes < driver_->retry().max_retries;
     driver_->OnTimeout(rq, retrying);
-    obs::Span* sp = driver_->tracer() == nullptr
-                        ? nullptr
-                        : SpanOf(sessions_.at(rq.requester));
+    obs::Span* sp = sink().span(sessions_.at(rq.requester).span);
     if (sp != nullptr) sp->timeouts += 1;
     if (!retrying) {
       // The retry budget for this link is spent: degrade gracefully.

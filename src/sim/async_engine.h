@@ -17,10 +17,8 @@
 #include "net/metrics.h"
 #include "net/traffic.h"
 #include "net/transport.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/sink.h"
 #include "overlay/types.h"
 #include "ripple/api.h"
 #include "ripple/peer_core.h"
@@ -113,32 +111,20 @@ class AsyncEngine {
         policy_(std::move(policy)),
         latency_(std::move(latency)) {}
 
-  /// Attaches a tracer recording one span per session, stamped with
-  /// simulator time (so wire delays from the LatencyModel are visible in
-  /// the trace). Same contract as Engine::SetTracer: nullptr disables,
-  /// not owned, QueryStats are identical either way. Under faults, spans
-  /// additionally carry per-session retry/timeout counts.
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches a per-peer event journal (obs/journal.h): frame sends,
-  /// receives, retransmissions, network drops and crash-drops are appended
-  /// to the acting peer's log — but only for head-sampled queries
-  /// (request.trace_id != 0), so an unsampled workload writes nothing.
-  /// When a tracer is also attached, Run() points it at the same journal,
-  /// mirroring span begin/end events so the offline assembler
-  /// (obs/assemble.h) can rebuild the full span tree from the journals
-  /// alone. nullptr detaches; not owned.
-  void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
-  obs::JournalSet* journal() const { return journal_; }
-
-  /// Attaches a per-peer load profiler (same contract as
-  /// Engine::SetProfiler: message/byte charges mirror QueryStats at the
-  /// sender, so totals cross-check; here the profiler additionally sees
-  /// retransmissions, acks and per-peer fan-out high-water marks from
-  /// the fault machinery). nullptr disables; not owned.
-  void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  obs::Profiler* profiler() const { return profiler_; }
+  /// Attaches the observability sink; same contract as Engine::SetSink.
+  /// Spans are stamped with simulator time (so wire delays from the
+  /// LatencyModel are visible in the trace) and, under faults, carry
+  /// per-session retry/timeout counts. The journal records frame sends,
+  /// receives, retransmissions, network drops and crash-drops at the
+  /// acting peer, but only for head-sampled queries (request.trace_id !=
+  /// 0), so an unsampled workload writes nothing; with the tracer's
+  /// mirrored spans the offline assembler (obs/assemble.h) rebuilds the
+  /// full span tree from the journals alone. The profiler additionally
+  /// sees retransmissions, acks and fan-out from the fault machinery.
+  void SetSink(const obs::Sink& sink) { sink_ = sink; }
+  /// The sink's tracer, which the seeded drivers record bootstrap spans
+  /// into.
+  obs::Tracer* tracer() const { return sink_.tracer(); }
 
   /// Replaces the default loopback transport (nullptr restores it; not
   /// owned). A custom transport is treated as an imperfect network: the
@@ -160,12 +146,9 @@ class AsyncEngine {
     // the recursive engine so both report identical kernel.* work.
     PerQueryArena().Reset();
     ResetKernelCounters();
-    if (tracer_ != nullptr) {
-      // Head sampling: the tracer follows the request's decision so
-      // journal mirroring records exactly the sampled queries.
-      tracer_->set_trace_id(request.trace_id);
-      if (journal_ != nullptr) tracer_->SetJournal(journal_);
-    }
+    // Head sampling: the tracer follows the request's decision so
+    // journal mirroring records exactly the sampled queries.
+    sink_.BeginQuery(request.trace_id);
     Runtime rt(this, &request);
     rt.Start();
     rt.sim.Run();
@@ -227,12 +210,15 @@ class AsyncEngine {
           request(req),
           ft(req->fault.AnyFault() || engine->transport_ != nullptr),
           fault(req->fault, req->initiator),
+          obs_sink(engine->sink_.Sampled(req->trace_id)),
           core(engine->overlay_, &engine->policy_, this) {}
 
     const AsyncEngine* self;
     const Request* request;
     const bool ft;  // fault machinery armed
     FaultModel fault;
+    /// The engine's sink, journaling only if the query is sampled.
+    const obs::Sink obs_sink;
     EventSimulator sim;
     Core core;
     net::WireTraffic traffic;
@@ -297,12 +283,7 @@ class AsyncEngine {
     /// A perfect network needs no timers (the exact fault-free protocol).
     bool retransmits() const { return ft; }
     const net::RetryOptions& retry() const { return request->retry; }
-    obs::Tracer* tracer() const { return self->tracer_; }
-    obs::Profiler* profiler() const { return self->profiler_; }
-    /// Head sampling gates every journal event.
-    obs::JournalSet* journal() const {
-      return request->trace_id != 0 ? self->journal_ : nullptr;
-    }
+    const obs::Sink& sink() const { return obs_sink; }
     void Send(const net::Envelope& env, std::vector<uint8_t> bytes) {
       self->transport()->Send(env, std::move(bytes));
     }
@@ -354,7 +335,7 @@ class AsyncEngine {
       }
       if (retransmit) {
         result.coverage.retries += 1;
-        if (profiler() != nullptr) profiler()->OnRetransmission(s.peer);
+        obs_sink.Retransmission(s.peer);
       }
     }
     void OnAckSent(const Session& s, size_t bytes) {
@@ -393,9 +374,7 @@ class AsyncEngine {
       result.stats.bytes_on_wire += bytes;
       *kind_bytes += bytes;
       traffic.frames += 1;
-      if (profiler() == nullptr) return;
-      profiler()->OnMessage(from, to, tuples, bytes);
-      if (retransmit) profiler()->OnRetransmission(from);
+      obs_sink.Charge(from, to, tuples, bytes, retransmit);
     }
 
     // --- the simulated network --------------------------------------------
@@ -412,7 +391,8 @@ class AsyncEngine {
       if (ft) {
         if (fault.DropMessage()) {
           result.coverage.messages_lost += 1;
-          core.Journal(obs::JournalEventKind::kDrop, env.from, env, 0);
+          obs_sink.Frame(obs::JournalEventKind::kDrop, env.from, env, 0,
+                         sim.now());
           return;  // the sender's timer retransmits
         }
         delay = fault.Jitter(base);
@@ -442,7 +422,8 @@ class AsyncEngine {
       if (ft && fault.CrashedAt(env.to, sim.now())) {
         result.coverage.crash_drops += 1;
         NoteCrashed(env.to);
-        core.Journal(obs::JournalEventKind::kCrash, env.to, env, 0);
+        obs_sink.Frame(obs::JournalEventKind::kCrash, env.to, env, 0,
+                       sim.now());
         return;
       }
       switch (env.kind) {
@@ -516,9 +497,9 @@ class AsyncEngine {
       const net::Envelope env{static_cast<uint64_t>(idx), a.from,
                               request->initiator, net::MessageKind::kAnswer,
                               a.attempt, a.trace};
-      core.Journal(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
-                                 : obs::JournalEventKind::kFrameSend,
-                   a.from, env, a.frame.size());
+      obs_sink.Frame(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
+                                   : obs::JournalEventKind::kFrameSend,
+                     a.from, env, a.frame.size(), sim.now());
       Send(env, std::vector<uint8_t>(a.frame));
       if (ft) {
         answers[idx].timer =
@@ -568,8 +549,8 @@ class AsyncEngine {
         RejectFrame(ferr == wire::FrameError::kTruncated);
         return;
       }
-      core.Journal(obs::JournalEventKind::kFrameRecv, request->initiator,
-                   env, datagram.size());
+      obs_sink.Frame(obs::JournalEventKind::kFrameRecv, request->initiator,
+                     env, datagram.size(), sim.now());
       policy().MergeAnswer(&result.answer, std::move(payload),
                            request->query);
       last_answer_time = std::max(last_answer_time, sim.now());
@@ -609,9 +590,7 @@ class AsyncEngine {
   const Overlay* overlay_;
   Policy policy_;
   LatencyModel latency_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::JournalSet* journal_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
+  obs::Sink sink_;
   net::Transport* transport_ = nullptr;
   mutable net::LoopbackTransport default_transport_;
 };

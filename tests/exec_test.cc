@@ -479,6 +479,55 @@ TEST(ExecutorTest, AdmissionSpansCoverExecutedQueries) {
   EXPECT_EQ(spans, result.completed);
 }
 
+TEST(ExecutorTest, JournalRecordsSampledAdmissionSpansAndFrames) {
+  // Head sampling gates the shared journal: at trace_sample=1 every
+  // query's admission span and its async frames are journaled under its
+  // trace id; at trace_sample=0 nothing is.
+  const Net net = MakeNet(32, 2000, 2, 3);
+  for (const double sample : {1.0, 0.0}) {
+    CompiledWorkload compiled = CompileWorkload(
+        net.overlay, DefaultWorkloadMix(8),
+        {.seed = 2, .async = true, .trace_sample = sample});
+    obs::JournalSet journal;
+    ExecutorOptions opts;
+    opts.threads = 2;
+    opts.seed = 2;
+    opts.collect_spans = true;
+    opts.journal = &journal;
+    Executor executor(opts);
+    const WorkloadResult result =
+        executor.Run(compiled.jobs, net.overlay.NumPeers());
+    ASSERT_EQ(result.completed, 8u);
+    size_t begins = 0;
+    size_t ends = 0;
+    size_t frames = 0;
+    for (uint32_t peer : journal.Peers()) {
+      for (const obs::JournalEvent& e : journal.Snapshot(peer).events) {
+        EXPECT_NE(e.trace_id, 0u);
+        const bool span = e.kind == obs::JournalEventKind::kSpanBegin ||
+                          e.kind == obs::JournalEventKind::kSpanEnd;
+        if (span) {
+          // Engines get no tracer from the executor: only admission
+          // envelopes are spans.
+          EXPECT_EQ(e.span_kind,
+                    static_cast<uint8_t>(obs::SpanKind::kAdmission));
+        }
+        begins += e.kind == obs::JournalEventKind::kSpanBegin;
+        ends += e.kind == obs::JournalEventKind::kSpanEnd;
+        frames += e.kind == obs::JournalEventKind::kFrameSend ||
+                  e.kind == obs::JournalEventKind::kFrameRecv;
+      }
+    }
+    if (sample == 0.0) {
+      EXPECT_EQ(journal.TotalEvents(), 0u);
+      continue;
+    }
+    EXPECT_EQ(begins, result.completed);
+    EXPECT_EQ(ends, result.completed);
+    EXPECT_GT(frames, 0u);
+  }
+}
+
 TEST(ExecutorTest, QpsPacingStretchesTheRun) {
   std::vector<Job> jobs;
   for (int i = 0; i < 5; ++i) {
@@ -510,7 +559,7 @@ TEST(ExecutorTest, GlobalObsStaysLiveInsideTheParallelSection) {
       EXPECT_TRUE(obs::Profiler::GlobalEnabled());
       EXPECT_TRUE(obs::Registry::GlobalEnabled());
       obs::Registry::Global().GetCounter("exec_test.worker_side").Inc();
-      obs::RecordRouteStep("exec_test", 0, 1);
+      obs::RecordRouteStep(0, 1);
       return JobResult{};
     };
     jobs.push_back(std::move(job));

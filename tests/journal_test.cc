@@ -188,8 +188,7 @@ void ExpectAssemblyMatchesTracer(const Overlay& overlay, uint64_t seed) {
 
   {
     EngineT<Overlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-    engine.SetTracer(&tracer);
-    engine.SetJournal(&journal);
+    engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
     QueryRequest<TopKPolicy> req;
     req.initiator = overlay.RandomPeer(&rng);
     req.query = TopKQuery{&scorer, 8};
@@ -206,8 +205,7 @@ void ExpectAssemblyMatchesTracer(const Overlay& overlay, uint64_t seed) {
   }
   {
     EngineT<Overlay, SkylinePolicy> engine(&overlay, SkylinePolicy{});
-    engine.SetTracer(&tracer);
-    engine.SetJournal(&journal);
+    engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
     QueryRequest<SkylinePolicy> req;
     req.initiator = overlay.RandomPeer(&rng);
     req.ripple = RippleParam::Slow();
@@ -318,8 +316,7 @@ TEST(JournalAssemblyTest, CapacityOverflowMarksAssemblyIncomplete) {
   obs::Tracer tracer;
   obs::JournalSet journal(/*capacity_per_peer=*/2);
   AsyncEngine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-  engine.SetTracer(&tracer);
-  engine.SetJournal(&journal);
+  engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
   Rng rng(109);
   std::vector<double> weights{-0.5, -0.5};
   LinearScorer scorer(weights);
@@ -345,8 +342,7 @@ TEST(JournalAssemblyTest, LamportAlignmentRepairsSkewedClocks) {
   obs::Tracer tracer;
   obs::JournalSet journal;
   AsyncEngine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-  engine.SetTracer(&tracer);
-  engine.SetJournal(&journal);
+  engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
   Rng rng(111);
   std::vector<double> weights{-0.4, -0.6};
   LinearScorer scorer(weights);
@@ -405,8 +401,7 @@ TEST(JournalFaultTest, LossDupAndJitterKeepTheTreeByteEquivalent) {
   obs::Tracer tracer;
   obs::JournalSet journal;
   AsyncEngine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-  engine.SetTracer(&tracer);
-  engine.SetJournal(&journal);
+  engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
   Rng rng(113);
   std::vector<double> weights{-0.5, -0.5};
   LinearScorer scorer(weights);
@@ -459,8 +454,7 @@ TEST(JournalFaultTest, CrashesFlagTheAssemblyIncomplete) {
     obs::Tracer tracer;
     obs::JournalSet journal;
     AsyncEngine<MidasOverlay, TopKPolicy> engine(&overlay, TopKPolicy{});
-    engine.SetTracer(&tracer);
-    engine.SetJournal(&journal);
+    engine.SetSink(obs::Sink(&tracer, nullptr, &journal));
     const auto result =
         engine.Run({.initiator = initiator,
                     .query = TopKQuery{&scorer, 6},

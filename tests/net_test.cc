@@ -400,7 +400,7 @@ TEST_F(DaemonTest, ProfilerIgnoresClientIdsOnReply) {
   net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
                                        {0, 1, 2, 3, 4, 5});
   obs::Profiler profiler;
-  daemon.SetProfiler(&profiler);
+  daemon.SetSink(obs::Sink(nullptr, &profiler, nullptr));
   RangePolicy policy;
   const uint64_t id = net::MakeMessageId(client_, 9);
   const RangeQuery query{overlay_->domain().Center(), 0.25, Norm::kL2};
@@ -420,6 +420,61 @@ TEST_F(DaemonTest, ProfilerIgnoresClientIdsOnReply) {
   EXPECT_GT(daemon.stats().replies_sent, 0u);
   EXPECT_LE(profiler.peer_count(), overlay_->NumPeers());
   EXPECT_GT(profiler.Totals().messages_out, 0u);
+}
+
+// The daemon journals every query frame it sends or receives, sampled or
+// not: a live client never samples (trace id 0), yet an operator's
+// --journal-out must still show the query's traffic. Admin probes stay
+// out of the journals.
+TEST_F(DaemonTest, JournalRecordsUnsampledQueryFramesButNoAdminFrames) {
+  CaptureTransport wire;
+  net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
+                                       {0, 1, 2, 3, 4, 5});
+  obs::JournalSet journal;
+  daemon.SetSink(obs::Sink(nullptr, nullptr, &journal));
+  SkylinePolicy policy;
+  const uint64_t id = net::MakeMessageId(client_, 11);
+  daemon.Dispatch(net::Datagram{
+      net::Envelope{id, client_, 0, net::MessageKind::kQuery, 0, {}},
+      ClientQueryFrame(*overlay_, policy, SkylineQuery{}, id, client_, 0,
+                       /*r=*/1)});
+  size_t answers = 0;
+  for (int round = 0; round < 64 && !wire.sent.empty(); ++round) {
+    std::vector<net::Datagram> batch = std::move(wire.sent);
+    wire.sent.clear();
+    for (auto& d : batch) {
+      if (net::IsClientId(d.env.to)) {
+        answers += d.env.kind == net::MessageKind::kAnswer;
+        continue;
+      }
+      daemon.Dispatch(std::move(d));
+    }
+  }
+  ASSERT_EQ(answers, 1u);
+  size_t sends = 0;
+  size_t recvs = 0;
+  for (uint32_t peer : journal.Peers()) {
+    for (const obs::JournalEvent& e : journal.Snapshot(peer).events) {
+      EXPECT_EQ(e.trace_id, 0u);
+      sends += e.kind == obs::JournalEventKind::kFrameSend;
+      recvs += e.kind == obs::JournalEventKind::kFrameRecv;
+    }
+  }
+  // Every session received its query; every session sent its reply.
+  EXPECT_EQ(recvs, daemon.stats().queries_served + daemon.stats().replies_sent -
+                       1);
+  EXPECT_EQ(sends, daemon.stats().child_requests + daemon.stats().replies_sent);
+  const uint64_t events = journal.TotalEvents();
+  ASSERT_GT(events, 0u);
+
+  const net::Envelope probe{net::MakeMessageId(client_, 12), client_, 0,
+                            net::MessageKind::kAdminPing, 0, {}};
+  wire::Buffer buf;
+  wire::EndFrame(&buf, net::BeginEnvelopeFrame(probe, &buf));
+  daemon.Dispatch(net::Datagram{probe, buf.Take()});
+  ASSERT_EQ(wire.sent.size(), 1u);
+  EXPECT_EQ(wire.sent[0].env.kind, net::MessageKind::kAdminPing);
+  EXPECT_EQ(journal.TotalEvents(), events);
 }
 
 TEST_F(DaemonTest, TruncatedQueryIsRejectedWithoutPoisoningDedup) {

@@ -227,7 +227,7 @@ TEST(EngineInvariantTest, RestrictionAreasVisitEachPeerOnce) {
   Engine<MidasOverlay, SkylinePolicy> engine(&overlay, SkylinePolicy{});
   for (const RippleParam r : {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
     obs::Profiler visits;
-    engine.SetProfiler(&visits);
+    engine.SetSink(obs::Sink(nullptr, &visits, nullptr));
     const auto result = engine.Run({.initiator = overlay.RandomPeer(&rng), .query = SkylineQuery{}, .ripple = r});
     EXPECT_EQ(visits.Totals().spans, result.stats.peers_visited) << r;
     for (size_t i = 0; i < visits.peer_count(); ++i) {

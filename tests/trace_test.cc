@@ -70,7 +70,7 @@ TEST(TraceTest, FastPhaseSpanTreeShape) {
   TopKQuery q{&scorer, 10};
   TopKEngine engine(&net.overlay, TopKPolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   Rng rng(3);
   const PeerId initiator = net.overlay.RandomPeer(&rng);
   const auto result = engine.Run({.initiator = initiator, .query = q, .ripple = RippleParam::Fast()});
@@ -104,7 +104,7 @@ TEST(TraceTest, SlowPhaseSpanTreeShape) {
   TopKQuery q{&scorer, 10};
   TopKEngine engine(&net.overlay, TopKPolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   Rng rng(5);
   const auto result =
       engine.Run({.initiator = net.overlay.RandomPeer(&rng), .query = q, .ripple = RippleParam::Slow()});
@@ -139,7 +139,7 @@ TEST(TraceTest, SpanCountersAccountForTheQuery) {
   TopKQuery q{&scorer, 10};
   TopKEngine engine(&net.overlay, TopKPolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   Rng rng(7);
   const auto result = engine.Run({.initiator = net.overlay.RandomPeer(&rng), .query = q, .ripple = RippleParam::Hops(2)});
 
@@ -166,7 +166,7 @@ TEST(TraceTest, DisabledTracerLeavesStatsIdentical) {
     const auto without = plain.Run({.initiator = initiator, .query = q, .ripple = r});
     TopKEngine traced(&net.overlay, TopKPolicy{});
     obs::Tracer tracer;
-    traced.SetTracer(&tracer);
+    traced.SetSink(obs::Sink(&tracer, nullptr, nullptr));
     const auto with = traced.Run({.initiator = initiator, .query = q, .ripple = r});
     EXPECT_EQ(with.stats.latency_hops, without.stats.latency_hops);
     EXPECT_EQ(with.stats.peers_visited, without.stats.peers_visited);
@@ -191,7 +191,7 @@ TEST(TraceTest, SeededTopKSpansMatchPeersVisited) {
   for (const RippleParam r : {RippleParam::Fast(), RippleParam::Slow()}) {
     TopKEngine engine(&net.overlay, TopKPolicy{});
     obs::Tracer tracer;
-    engine.SetTracer(&tracer);
+    engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
     const auto result =
         SeededTopK(net.overlay, engine, {.initiator = net.overlay.RandomPeer(&rng), .query = q, .ripple = r});
     EXPECT_EQ(tracer.span_count(), result.stats.peers_visited) << "r=" << r;
@@ -205,7 +205,7 @@ TEST(TraceTest, SeededSkylineSpansMatchPeersVisited) {
   Rng rng(17);
   Engine<MidasOverlay, SkylinePolicy> engine(&net.overlay, SkylinePolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   const auto result = SeededSkyline(net.overlay, engine, {.initiator = net.overlay.RandomPeer(&rng), .query = SkylineQuery{}, .ripple = RippleParam::Fast()});
   EXPECT_EQ(tracer.span_count(), result.stats.peers_visited);
 }
@@ -218,7 +218,7 @@ TEST(TraceTest, AsyncEngineSpansMatchPeersVisited) {
   for (const RippleParam r : {RippleParam::Fast(), RippleParam::Slow()}) {
     AsyncEngine<MidasOverlay, TopKPolicy> engine(&net.overlay, TopKPolicy{});
     obs::Tracer tracer;
-    engine.SetTracer(&tracer);
+    engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
     const auto result = engine.Run({.initiator = net.overlay.RandomPeer(&rng), .query = q, .ripple = r});
     EXPECT_EQ(tracer.span_count(), result.stats.peers_visited) << "r=" << r;
     // Spans live in simulator time: none may outlive the run.
@@ -235,7 +235,7 @@ TEST(TraceTest, ChromeTraceExportOfARealRun) {
   TopKQuery q{&scorer, 5};
   TopKEngine engine(&net.overlay, TopKPolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   Rng rng(23);
   const auto result = SeededTopK(net.overlay, engine, {.initiator = net.overlay.RandomPeer(&rng), .query = q, .ripple = RippleParam::Fast()});
   const std::string path = ::testing::TempDir() + "/trace_real.json";
@@ -270,7 +270,7 @@ TEST(TraceTest, AsciiRenderingMentionsEveryPeer) {
   TopKQuery q{&scorer, 5};
   TopKEngine engine(&net.overlay, TopKPolicy{});
   obs::Tracer tracer;
-  engine.SetTracer(&tracer);
+  engine.SetSink(obs::Sink(&tracer, nullptr, nullptr));
   Rng rng(29);
   engine.Run({.initiator = net.overlay.RandomPeer(&rng), .query = q});
   const std::string ascii = tracer.ToAscii();

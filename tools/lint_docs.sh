@@ -84,6 +84,9 @@ DEAD_SYMBOLS=(
   MergeSkylinesScalar
   SelectTopKScalar
   AnyDominatesColumns
+  SetTracer
+  SetJournal
+  SetProfiler
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)

@@ -61,6 +61,7 @@
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "overlay/midas/midas.h"
@@ -98,17 +99,14 @@ QueryResult<typename Policy::Answer> RunWithEngine(const MidasOverlay& overlay,
                                                    obs::Profiler* profiler,
                                                    obs::JournalSet* journal,
                                                    Driver&& drive) {
+  const obs::Sink sink(tracer, profiler, journal);
   if (async_mode) {
     AsyncEngine<MidasOverlay, Policy> engine(&overlay, Policy{});
-    engine.SetTracer(tracer);
-    engine.SetProfiler(profiler);
-    engine.SetJournal(journal);
+    engine.SetSink(sink);
     return drive(engine);
   }
   Engine<MidasOverlay, Policy> engine(&overlay, Policy{});
-  engine.SetTracer(tracer);
-  engine.SetProfiler(profiler);
-  engine.SetJournal(journal);
+  engine.SetSink(sink);
   return drive(engine);
 }
 
@@ -413,10 +411,9 @@ int RunQuery(int argc, char** argv) {
   // so qtrace is nonzero exactly when journaling is on.
   obs::JournalSet journal;
   obs::JournalSet* journal_ptr = journal_out.empty() ? nullptr : &journal;
-  // The engines attach the journal (and the trace id) to their tracer
-  // inside Run(); the main tracer must NOT be pre-attached, or workload
-  // mode's span merge would re-journal every worker span as a begin
-  // without an end.
+  // Only the single-query engines' sink attaches the journal to the main
+  // tracer; workload mode must not, or its span merge would re-journal
+  // every worker span as a begin without an end.
   const uint64_t qtrace =
       journal_out.empty() ? 0 : (static_cast<uint64_t>(seed) | 1ULL);
   // Same for the global profiler: enabling it before the joins run means
@@ -741,20 +738,17 @@ int RunQuery(int argc, char** argv) {
                                        .fault = fault,
                                        .trace_id = qtrace};
     std::unique_ptr<SingleTupleService> service;
+    const obs::Sink sink(tracer_ptr, profiler_ptr, journal_ptr);
     if (async_mode) {
       auto s = std::make_unique<
           RippleDivService<MidasOverlay, AsyncEngine<MidasOverlay, DivPolicy>>>(
           &overlay, base);
-      s->mutable_engine()->SetTracer(tracer_ptr);
-      s->mutable_engine()->SetProfiler(profiler_ptr);
-      s->mutable_engine()->SetJournal(journal_ptr);
+      s->mutable_engine()->SetSink(sink);
       service = std::move(s);
     } else {
       auto s = std::make_unique<RippleDivService<MidasOverlay>>(&overlay,
                                                                 base);
-      s->mutable_engine()->SetTracer(tracer_ptr);
-      s->mutable_engine()->SetProfiler(profiler_ptr);
-      s->mutable_engine()->SetJournal(journal_ptr);
+      s->mutable_engine()->SetSink(sink);
       service = std::move(s);
     }
     DiversifyOptions options;

@@ -46,6 +46,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "queries/skyline_driver.h"
 #include "queries/topk_driver.h"
@@ -234,8 +235,9 @@ int RunServe(int argc, char** argv) {
                                        net_flags.Retry());
   obs::JournalSet journal;
   obs::Profiler profiler;
-  if (!journal_out.empty()) daemon.SetJournal(&journal);
-  if (!profile_out.empty()) daemon.SetProfiler(&profiler);
+  daemon.SetSink(obs::Sink(/*tracer=*/nullptr,
+                           profile_out.empty() ? nullptr : &profiler,
+                           journal_out.empty() ? nullptr : &journal));
   // Always bridged: kAdminSnapshot replies and the shutdown
   // --metrics-out/--snapshot-out exports all read this registry.
   obs::Registry registry;
