@@ -17,30 +17,29 @@ void Scorer::ScoreBlock(const double* const* cols, int dims, size_t n,
   }
 }
 
-LinearScorer::LinearScorer(std::vector<double> weights)
-    : weights_(std::move(weights)) {
-  RIPPLE_CHECK(!weights_.empty());
-  RIPPLE_CHECK(weights_.size() <= static_cast<size_t>(kMaxDims));
+LinearScorer::LinearScorer(std::span<const double> weights)
+    : dims_(static_cast<int>(weights.size())) {
+  RIPPLE_CHECK(!weights.empty());
+  RIPPLE_CHECK(weights.size() <= static_cast<size_t>(kMaxDims));
+  std::copy(weights.begin(), weights.end(), weights_.begin());
 }
 
 double LinearScorer::Score(const Point& p) const {
-  RIPPLE_DCHECK(p.dims() == static_cast<int>(weights_.size()));
+  RIPPLE_DCHECK(p.dims() == dims_);
   double s = 0.0;
-  for (size_t i = 0; i < weights_.size(); ++i) {
-    s += weights_[i] * p[static_cast<int>(i)];
-  }
+  for (int i = 0; i < dims_; ++i) s += weights_[i] * p[i];
   return s;
 }
 
 void LinearScorer::ScoreBlock(const double* const* cols, int dims, size_t n,
                               double* out) const {
-  RIPPLE_DCHECK(dims == static_cast<int>(weights_.size()));
+  RIPPLE_DCHECK(dims == dims_);
   (void)dims;
   // Column-outer accumulation: per element the additions happen in
   // dimension order, the exact chain scalar Score builds — required for
   // the bit-identity contract.
   for (size_t i = 0; i < n; ++i) out[i] = 0.0;
-  for (size_t c = 0; c < weights_.size(); ++c) {
+  for (int c = 0; c < dims_; ++c) {
     const double w = weights_[c];
     const double* col = cols[c];
     for (size_t i = 0; i < n; ++i) out[i] += w * col[i];
@@ -48,20 +47,18 @@ void LinearScorer::ScoreBlock(const double* const* cols, int dims, size_t n,
 }
 
 double LinearScorer::UpperBound(const Rect& r) const {
-  RIPPLE_DCHECK(r.dims() == static_cast<int>(weights_.size()));
+  RIPPLE_DCHECK(r.dims() == dims_);
   double s = 0.0;
-  for (size_t i = 0; i < weights_.size(); ++i) {
-    const int d = static_cast<int>(i);
-    s += weights_[i] * (weights_[i] >= 0 ? r.hi()[d] : r.lo()[d]);
+  for (int d = 0; d < dims_; ++d) {
+    s += weights_[d] * (weights_[d] >= 0 ? r.hi()[d] : r.lo()[d]);
   }
   return s;
 }
 
 Point LinearScorer::Peak(const Rect& domain) const {
   Point p(domain.dims());
-  for (size_t i = 0; i < weights_.size(); ++i) {
-    const int d = static_cast<int>(i);
-    p[d] = weights_[i] >= 0 ? domain.hi()[d] : domain.lo()[d];
+  for (int d = 0; d < dims_; ++d) {
+    p[d] = weights_[d] >= 0 ? domain.hi()[d] : domain.lo()[d];
   }
   return p;
 }
@@ -69,7 +66,7 @@ Point LinearScorer::Peak(const Rect& domain) const {
 std::string LinearScorer::ToString() const {
   std::string out = "linear(";
   char buf[32];
-  for (size_t i = 0; i < weights_.size(); ++i) {
+  for (int i = 0; i < dims_; ++i) {
     std::snprintf(buf, sizeof(buf), "%.3g", weights_[i]);
     if (i > 0) out += ", ";
     out += buf;

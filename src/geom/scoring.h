@@ -1,10 +1,12 @@
 #ifndef RIPPLE_GEOM_SCORING_H_
 #define RIPPLE_GEOM_SCORING_H_
 
+#include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
@@ -47,7 +49,11 @@ class Scorer {
 /// statistics by the scoring function".
 class LinearScorer : public Scorer {
  public:
-  explicit LinearScorer(std::vector<double> weights);
+  /// Requires 1 <= weights.size() <= kMaxDims. The weights are kept
+  /// inline, so a scorer is one allocation when it lives on the heap.
+  explicit LinearScorer(std::span<const double> weights);
+  explicit LinearScorer(std::initializer_list<double> weights)
+      : LinearScorer(std::span(weights.begin(), weights.size())) {}
 
   double Score(const Point& p) const override;
   void ScoreBlock(const double* const* cols, int dims, size_t n,
@@ -56,10 +62,13 @@ class LinearScorer : public Scorer {
   Point Peak(const Rect& domain) const override;
   std::string ToString() const override;
 
-  const std::vector<double>& weights() const { return weights_; }
+  std::span<const double> weights() const {
+    return {weights_.data(), static_cast<size_t>(dims_)};
+  }
 
  private:
-  std::vector<double> weights_;
+  std::array<double, kMaxDims> weights_{};
+  int dims_ = 0;
 };
 
 /// Unimodal "closeness to an anchor" score: Score(p) = -dist(p, anchor).

@@ -1,7 +1,7 @@
 #include "geom/wire.h"
 
-#include <utility>
-#include <vector>
+#include <array>
+#include <span>
 
 #include "common/check.h"
 
@@ -101,16 +101,17 @@ std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r) {
   switch (r->U8()) {
     case kScorerLinear: {
       const uint64_t count = r->Varint();
-      // Each weight takes 8 bytes; a count the buffer cannot hold is
-      // corruption, not a huge allocation request.
-      if (!r->ok() || count > r->remaining() / 8) {
+      // A scorer has 1..kMaxDims weights; any other count is corruption,
+      // rejected here rather than by LinearScorer's checks.
+      if (!r->ok() || count == 0 || count > kMaxDims) {
         r->Fail();
         return nullptr;
       }
-      std::vector<double> weights(count);
+      std::array<double, kMaxDims> weights;
       for (uint64_t i = 0; i < count; ++i) weights[i] = r->F64();
       if (!r->ok()) return nullptr;
-      return std::make_shared<LinearScorer>(std::move(weights));
+      return std::make_shared<LinearScorer>(
+          std::span<const double>(weights.data(), count));
     }
     case kScorerNearest: {
       Point anchor;

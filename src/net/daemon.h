@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -209,8 +210,10 @@ class PeerDaemon {
     bool retransmits() const { return true; }
     const RetryOptions& retry() const { return d->retry_; }
     const obs::Sink& sink() const { return d->sink_; }
-    void Send(const Envelope& env, std::vector<uint8_t> bytes) {
-      d->transport_->Send(env, std::move(bytes));
+    /// The transport takes ownership, so the borrowed bytes are copied.
+    void Send(const Envelope& env, std::span<const uint8_t> bytes) {
+      d->transport_->Send(env,
+                          std::vector<uint8_t>(bytes.begin(), bytes.end()));
     }
     template <typename... Args>
     void EncodeQuery(const Args&... args) {

@@ -427,10 +427,18 @@ Status MidasOverlay::LeaveRandom(Rng* rng) {
 }
 
 bool MidasOverlay::IntersectArea(const Area& a, const Area& b, Area* out) {
-  if (!a.Intersects(b)) return false;
-  const Rect inter = a.Intersection(b);
-  if (inter.Degenerate()) return false;  // face contact only
-  *out = inter;
+  // One pass over the dimensions, exactly a.Intersects(b) &&
+  // !a.Intersection(b).Degenerate(): a dimension whose overlap is empty
+  // or a single value (face contact) ends the test.
+  const int dims = a.dims();
+  Point lo(dims);
+  Point hi(dims);
+  for (int i = 0; i < dims; ++i) {
+    lo[i] = std::max(a.lo()[i], b.lo()[i]);
+    hi[i] = std::min(a.hi()[i], b.hi()[i]);
+    if (!(lo[i] < hi[i])) return false;
+  }
+  *out = Rect(lo, hi);
   return true;
 }
 

@@ -1,6 +1,8 @@
 #include "queries/topk.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/check.h"
 
@@ -33,7 +35,7 @@ namespace {
 /// tuples, found by scanning states in descending threshold order. Each
 /// input state is a true claim "m tuples with score >= tau exist", so the
 /// output is one too.
-TopKState MergeStates(std::vector<TopKState> all, size_t k) {
+TopKState MergeStates(std::span<TopKState> all, size_t k) {
   std::sort(all.begin(), all.end(), [](const TopKState& a,
                                        const TopKState& b) {
     return a.tau > b.tau;
@@ -58,7 +60,8 @@ TopKPolicy::GlobalState TopKPolicy::ComputeGlobalState(
   // updateLocalState uses — which tightens the threshold whenever either
   // side alone already witnesses k tuples (deviation documented in
   // DESIGN.md).
-  return MergeStates({g, l}, q.k);
+  std::array<TopKState, 2> both{g, l};
+  return MergeStates(both, q.k);
 }
 
 void TopKPolicy::MergeLocalStates(
@@ -68,7 +71,7 @@ void TopKPolicy::MergeLocalStates(
   all.reserve(received.size() + 1);
   all.push_back(*mine);
   all.insert(all.end(), received.begin(), received.end());
-  *mine = MergeStates(std::move(all), q.k);
+  *mine = MergeStates(all, q.k);
 }
 
 TopKPolicy::Answer TopKPolicy::ComputeLocalAnswer(const LocalStore& store,

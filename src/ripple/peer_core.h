@@ -59,12 +59,15 @@ struct PendingRequest {
 ///
 /// `Driver` supplies the clock, timers, transport, observability sink,
 /// counters and dedup window through plain member calls (see AsyncEngine
-/// and PeerDaemon for the two drivers). It also fixes in code where
-/// answers go: `Driver::kConvergecast == false` hands each local answer
-/// to the driver (the simulator's direct channel to the initiator); true
-/// folds answers up the query tree inside the reply datagrams, so the
-/// root session replies to its client with the finalized answer (the
-/// live daemon).
+/// and PeerDaemon for the two drivers). Its `Send(env, bytes)` borrows
+/// the bytes for the duration of the call — they live in the core's
+/// encode buffer or a snapshot it keeps — so each driver copies them into
+/// a datagram it owns, and a driver's Send must not re-enter the core.
+/// The driver also fixes in code where answers go:
+/// `Driver::kConvergecast == false` hands each local answer to the driver
+/// (the simulator's direct channel to the initiator); true folds answers
+/// up the query tree inside the reply datagrams, so the root session
+/// replies to its client with the finalized answer (the live daemon).
 template <typename Overlay, typename Policy, typename Driver>
 class PeerCore {
  public:
@@ -176,12 +179,12 @@ class PeerCore {
     const net::Envelope env{s.origin_req, s.peer, s.requester,
                             net::MessageKind::kAck, 0,
                             TraceFor(s.trace_id, s.span)};
-    wire::Buffer buf;
-    const size_t bytes = codec_.EncodeAckMessage(env, &buf);
+    buf_.Clear();
+    const size_t bytes = codec_.EncodeAckMessage(env, &buf_);
     driver_->OnAckSent(s, bytes);
     sink().Frame(obs::JournalEventKind::kFrameSend, s.peer, env, bytes,
                  driver_->Now());
-    driver_->Send(env, buf.Take());
+    driver_->Send(env, buf_.bytes());
   }
 
   /// A reply datagram for forward `env.id`: back-to-back state frames,
@@ -197,7 +200,7 @@ class PeerCore {
       driver_->OnStaleResponse(env.id);
       return;
     }
-    std::vector<LocalState> bundle;
+    bundle_.clear();
     Answer partial{};
     bool has_partial = false;
     net::Envelope first;  // the first frame's header, for the journal
@@ -213,13 +216,11 @@ class PeerCore {
       }
       const size_t frame_end = r.position() + wire::FramePayloadSize(h);
       if (h.tag == static_cast<uint8_t>(net::MessageKind::kResponse)) {
-        if (bundle.empty()) {
+        if (bundle_.empty()) {
           first = net::Envelope{h.id, h.from, h.to, net::MessageKind::kResponse,
                                 0, h.trace};
         }
-        LocalState st{};
-        ok = codec_.DecodeResponsePayload(&r, &st);
-        bundle.push_back(std::move(st));
+        ok = codec_.DecodeResponsePayload(&r, &bundle_.emplace_back());
       } else if (Driver::kConvergecast &&
                  h.tag == static_cast<uint8_t>(net::MessageKind::kAnswer)) {
         ok = codec_.DecodeAnswerPayload(&r, &partial);
@@ -229,7 +230,7 @@ class PeerCore {
       }
       ok = ok && r.ok() && r.position() == frame_end;
     }
-    if (!ok || bundle.empty()) {
+    if (!ok || bundle_.empty()) {
       driver_->RejectFrame(ferr == wire::FrameError::kTruncated);
       return;
     }
@@ -242,7 +243,7 @@ class PeerCore {
     if (has_partial) {
       policy_->MergeAnswer(&s.answer, std::move(partial), s.query);
     }
-    ChildResponded(s, std::move(bundle));
+    ChildResponded(s, bundle_);
   }
 
   /// A progress ack for forward `id`: restores the requester's patience.
@@ -325,8 +326,7 @@ class PeerCore {
     if (s.fast) {
       // Algorithm 1 / Algorithm 3 second loop: forward everywhere at
       // once with the state snapshot.
-      std::vector<std::pair<PeerId, Area>> targets;
-      targets.reserve(node.links.size());
+      targets_.clear();
       for (const auto& link : node.links) {
         Area restricted;
         if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
@@ -334,32 +334,33 @@ class PeerCore {
           if (obs::Span* sp = sink().span(s.span)) sp->links_pruned += 1;
           continue;
         }
-        targets.emplace_back(link.target, std::move(restricted));
+        targets_.emplace_back(link.target, std::move(restricted));
       }
       if (obs::Span* sp = sink().span(s.span)) {
-        sp->links_forwarded = targets.size();
+        sp->links_forwarded = targets_.size();
       }
-      if (!targets.empty()) sink().QueueDepth(s.peer, targets.size());
-      s.outstanding_children = static_cast<int>(targets.size());
-      for (auto& [target, restricted] : targets) {
+      if (!targets_.empty()) sink().QueueDepth(s.peer, targets_.size());
+      s.outstanding_children = static_cast<int>(targets_.size());
+      for (auto& [target, restricted] : targets_) {
         NewRequest(s, target, s.global, std::move(restricted), 0);
       }
       if (s.outstanding_children == 0) FinishSession(s);
       return;
     }
     // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
+    // Each candidate goes in after every one of equal or higher priority:
+    // a stable sort by descending priority that needs no scratch buffer.
     s.candidates.reserve(node.links.size());
     for (const auto& link : node.links) {
       Area restricted;
       if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
       const double priority = policy_->LinkPriority(s.query, restricted);
-      s.candidates.push_back(typename Session::Candidate{
+      const auto at = std::upper_bound(
+          s.candidates.begin(), s.candidates.end(), priority,
+          [](double p, const auto& c) { return p > c.priority; });
+      s.candidates.insert(at, typename Session::Candidate{
           link.target, std::move(restricted), priority});
     }
-    std::stable_sort(s.candidates.begin(), s.candidates.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.priority > b.priority;
-                     });
     AdvanceSlow(s);
   }
 
@@ -379,15 +380,12 @@ class PeerCore {
     FinishSession(s);
   }
 
-  /// A child (or fast subtree) responded with a bundle of local states.
-  void ChildResponded(Session& s, std::vector<LocalState> bundle) {
+  /// A child (or fast subtree) responded with a bundle of local states;
+  /// the states may be moved out of `bundle`.
+  void ChildResponded(Session& s, std::vector<LocalState>& bundle) {
     if (s.fast) {
-      if (s.bundle.empty()) {
-        s.bundle = std::move(bundle);
-      } else {
-        s.bundle.insert(s.bundle.end(), std::make_move_iterator(bundle.begin()),
-                        std::make_move_iterator(bundle.end()));
-      }
+      s.bundle.insert(s.bundle.end(), std::make_move_iterator(bundle.begin()),
+                      std::make_move_iterator(bundle.end()));
       if (--s.outstanding_children == 0) FinishSession(s);
       return;
     }
@@ -447,13 +445,13 @@ class PeerCore {
       if constexpr (!Driver::kConvergecast) return;
     }
     net::Envelope env = ReplyEnvelope(s, 0);
-    wire::Buffer buf;
+    buf_.Clear();
     if (s.root) {
-      codec_.EncodeAnswerMessage(env, s.answer, &buf);
+      codec_.EncodeAnswerMessage(env, s.answer, &buf_);
     } else {
       // The children's states, then this peer's own.
       const auto encode = [&](const LocalState& st) {
-        const size_t bytes = codec_.EncodeResponseFrame(env, st, &buf);
+        const size_t bytes = codec_.EncodeResponseFrame(env, st, &buf_);
         s.reply_parts.push_back({bytes, policy_->StateTupleCount(st)});
       };
       s.reply_parts.reserve(s.bundle.size() + 1);
@@ -461,10 +459,10 @@ class PeerCore {
       encode(s.local);
       if (Driver::kConvergecast && policy_->AnswerTupleCount(s.answer) > 0) {
         env.kind = net::MessageKind::kAnswer;
-        codec_.EncodeAnswerMessage(env, s.answer, &buf);
+        codec_.EncodeAnswerMessage(env, s.answer, &buf_);
       }
     }
-    s.reply = buf.Take();
+    s.reply.assign(buf_.bytes().begin(), buf_.bytes().end());
     s.bundle = {};
     s.candidates = {};
     SendReply(s, /*retransmit=*/false);
@@ -485,7 +483,7 @@ class PeerCore {
     sink().Frame(retransmit ? obs::JournalEventKind::kRetransmit
                             : obs::JournalEventKind::kFrameSend,
                  s.peer, env, s.reply.size(), driver_->Now());
-    driver_->Send(env, std::vector<uint8_t>(s.reply));
+    driver_->Send(env, s.reply);
   }
 
   /// Issues a new query forward from session `s`, snapshotting the
@@ -502,9 +500,9 @@ class PeerCore {
     rq.timeout = driver_->retry().timeout;
     const net::Envelope env{id, s.peer, target, net::MessageKind::kQuery, 0,
                             rq.trace};
-    wire::Buffer buf;
-    driver_->EncodeQuery(codec_, env, s.query, state, area, r, &buf);
-    rq.frame = buf.Take();
+    buf_.Clear();
+    driver_->EncodeQuery(codec_, env, s.query, state, area, r, &buf_);
+    rq.frame.assign(buf_.bytes().begin(), buf_.bytes().end());
     pending_.emplace(id, std::move(rq));
     Transmit(id);
   }
@@ -521,7 +519,7 @@ class PeerCore {
     sink().Frame(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
                                 : obs::JournalEventKind::kFrameSend,
                  rq.from, env, rq.frame.size(), driver_->Now());
-    driver_->Send(env, std::vector<uint8_t>(rq.frame));
+    driver_->Send(env, rq.frame);
     if (driver_->retransmits()) {
       rq.timer = driver_->ArmTimer(rq.timeout, [this, id] { OnTimeout(id); });
     }
@@ -558,6 +556,13 @@ class PeerCore {
   std::unordered_map<int64_t, Session> sessions_;
   std::unordered_map<uint64_t, PendingRequest> pending_;
   int64_t next_session_ = 0;
+  // Scratch reused across calls, so the message path allocates only what
+  // outlives a call: every frame is encoded in `buf_` and kept (when it
+  // must be) as an exact-size snapshot; a response's states are decoded
+  // into `bundle_`; the fast fan-out collects its targets in `targets_`.
+  wire::Buffer buf_;
+  std::vector<LocalState> bundle_;
+  std::vector<std::pair<PeerId, Area>> targets_;
 };
 
 }  // namespace ripple

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -163,7 +164,10 @@ class AsyncEngine {
   /// and the FaultModel its network; it owns what only the simulator has:
   /// QueryStats/Coverage accounting, the datagrams in flight, the per-id
   /// table of forwards and the reliable direct-to-initiator answer
-  /// channel.
+  /// channel. Datagram buffers are recycled within the run: every send
+  /// and network duplicate copies its bytes into a buffer from `spare`,
+  /// and a buffer goes back there once its delivery is handled or the
+  /// network drops it.
   struct Runtime {
     using Core = PeerCore<Overlay, Policy, Runtime>;
     using Session = typename Core::Session;
@@ -225,6 +229,8 @@ class AsyncEngine {
     std::vector<RequestNote> notes;  // indexed by message id
     std::vector<PendingAnswer> answers;
     std::vector<InFlight> in_flight;  // every datagram sent in this run
+    std::vector<std::vector<uint8_t>> spare;  // recycled datagram buffers
+    wire::Buffer answer_buf;  // where every answer frame is encoded
     Result result;
     int answers_outstanding = 0;
     bool root_done = false;
@@ -284,8 +290,8 @@ class AsyncEngine {
     bool retransmits() const { return ft; }
     const net::RetryOptions& retry() const { return request->retry; }
     const obs::Sink& sink() const { return obs_sink; }
-    void Send(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      self->transport()->Send(env, std::move(bytes));
+    void Send(const net::Envelope& env, std::span<const uint8_t> bytes) {
+      self->transport()->Send(env, NewDatagram(bytes));
     }
     void EncodeQuery(const typename Core::Codec& codec,
                      const net::Envelope& env, const Query& q,
@@ -393,12 +399,13 @@ class AsyncEngine {
           result.coverage.messages_lost += 1;
           obs_sink.Frame(obs::JournalEventKind::kDrop, env.from, env, 0,
                          sim.now());
+          Recycle(std::move(bytes));
           return;  // the sender's timer retransmits
         }
         delay = fault.Jitter(base);
         if (fault.DuplicateMessage()) {
           result.coverage.messages_duplicated += 1;
-          ScheduleDelivery(env, fault.Jitter(base), bytes);
+          ScheduleDelivery(env, fault.Jitter(base), NewDatagram(bytes));
         }
       }
       ScheduleDelivery(env, delay, std::move(bytes));
@@ -416,22 +423,46 @@ class AsyncEngine {
     }
 
     void Deliver(size_t idx) {
-      // Moved out: the bytes are freed once this delivery is handled.
-      const InFlight d = std::move(in_flight[idx]);
+      // Moved out: the buffer is recycled once this delivery is handled.
+      InFlight d = std::move(in_flight[idx]);
       const net::Envelope& env = d.env;
       if (ft && fault.CrashedAt(env.to, sim.now())) {
         result.coverage.crash_drops += 1;
         NoteCrashed(env.to);
         obs_sink.Frame(obs::JournalEventKind::kCrash, env.to, env, 0,
                        sim.now());
-        return;
+      } else {
+        switch (env.kind) {
+          case net::MessageKind::kQuery: DeliverQuery(env, d.bytes); break;
+          case net::MessageKind::kResponse:
+            core.OnResponse(env, d.bytes);
+            break;
+          case net::MessageKind::kAck: core.OnAck(env.id, d.bytes); break;
+          default: ReceiveAnswer(static_cast<size_t>(env.id), d.bytes); break;
+        }
       }
-      switch (env.kind) {
-        case net::MessageKind::kQuery: DeliverQuery(env, d.bytes); break;
-        case net::MessageKind::kResponse: core.OnResponse(env, d.bytes); break;
-        case net::MessageKind::kAck: core.OnAck(env.id, d.bytes); break;
-        default: ReceiveAnswer(static_cast<size_t>(env.id), d.bytes); break;
+      Recycle(std::move(d.bytes));
+    }
+
+    /// A datagram buffer holding a copy of `bytes`, from `spare` when one
+    /// is there. A buffer is never smaller than kMinCapacity, which holds
+    /// a typical query, response or ack frame, so a recycled one rarely
+    /// has to grow.
+    std::vector<uint8_t> NewDatagram(std::span<const uint8_t> bytes) {
+      static constexpr size_t kMinCapacity = 256;
+      std::vector<uint8_t> d;
+      if (!spare.empty()) {
+        d = std::move(spare.back());
+        spare.pop_back();
       }
+      if (d.capacity() < bytes.size()) {
+        d.reserve(std::max(bytes.size(), kMinCapacity));
+      }
+      d.assign(bytes.begin(), bytes.end());
+      return d;
+    }
+    void Recycle(std::vector<uint8_t> bytes) {
+      if (bytes.capacity() != 0) spare.push_back(std::move(bytes));
     }
 
     void DeliverQuery(const net::Envelope& env,
@@ -482,9 +513,9 @@ class AsyncEngine {
       const net::Envelope env{static_cast<uint64_t>(idx), s.peer,
                               request->initiator, net::MessageKind::kAnswer,
                               0, a.trace};
-      wire::Buffer buf;
-      core.codec().EncodeAnswerMessage(env, payload, &buf);
-      a.frame = buf.Take();
+      answer_buf.Clear();
+      core.codec().EncodeAnswerMessage(env, payload, &answer_buf);
+      a.frame.assign(answer_buf.bytes().begin(), answer_buf.bytes().end());
       ++answers_outstanding;
       TransmitAnswer(idx);
     }
@@ -500,7 +531,7 @@ class AsyncEngine {
       obs_sink.Frame(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
                                    : obs::JournalEventKind::kFrameSend,
                      a.from, env, a.frame.size(), sim.now());
-      Send(env, std::vector<uint8_t>(a.frame));
+      Send(env, a.frame);
       if (ft) {
         answers[idx].timer =
             sim.Arm(retry().timeout, [this, idx] { OnAnswerTimeout(idx); });

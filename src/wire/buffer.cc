@@ -1,7 +1,5 @@
 #include "wire/buffer.h"
 
-#include <bit>
-
 #include "common/check.h"
 
 namespace ripple::wire {
@@ -9,27 +7,6 @@ namespace ripple::wire {
 void Buffer::WriteFixed32At(size_t offset, uint32_t v) {
   RIPPLE_CHECK(offset + 4 <= size_);
   StoreFixed32(storage_.data() + offset, v);
-}
-
-uint8_t Reader::U8() {
-  if (!Need(1)) return 0;
-  return data_[pos_++];
-}
-
-uint32_t Reader::Fixed32() {
-  if (!Need(4)) return 0;
-  const uint32_t v = static_cast<uint32_t>(data_[pos_]) |
-                     static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-                     static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-                     static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-  pos_ += 4;
-  return v;
-}
-
-uint64_t Reader::Fixed64() {
-  const uint64_t lo = Fixed32();
-  const uint64_t hi = Fixed32();
-  return lo | hi << 32;
 }
 
 uint64_t Reader::Varint() {
@@ -53,8 +30,6 @@ int64_t Reader::Zigzag() {
   const uint64_t v = Varint();
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
-
-double Reader::F64() { return std::bit_cast<double>(Fixed64()); }
 
 bool Reader::Skip(size_t n) {
   if (!Need(n)) return false;

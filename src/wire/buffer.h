@@ -116,14 +116,30 @@ class Reader {
   explicit Reader(std::span<const uint8_t> bytes)
       : Reader(bytes.data(), bytes.size()) {}
 
-  uint8_t U8();
-  uint32_t Fixed32();
-  uint64_t Fixed64();
+  // The fixed-width reads are inline: frame headers and coordinates are
+  // nothing but these, read once per field on every received datagram.
+  uint8_t U8() {
+    if (!Need(1)) return 0;
+    return data_[pos_++];
+  }
+  uint32_t Fixed32() {
+    if (!Need(4)) return 0;
+    const uint8_t* p = data_ + pos_;
+    pos_ += 4;
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+  }
+  uint64_t Fixed64() {
+    const uint64_t lo = Fixed32();
+    const uint64_t hi = Fixed32();
+    return lo | hi << 32;
+  }
   /// A minimal LEB128 varint that fits in 64 bits; anything else (more
   /// than 10 bytes, a tenth byte above 0x01, a trailing zero group) fails.
   uint64_t Varint();
   int64_t Zigzag();
-  double F64();
+  double F64() { return std::bit_cast<double>(Fixed64()); }
   bool Skip(size_t n);
 
   bool ok() const { return ok_; }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -201,6 +202,39 @@ TEST(MidasTest, IntersectAreaRejectsFaceContact) {
   Rect c(Point{0.25, 0.0}, Point{0.75, 1.0});
   ASSERT_TRUE(MidasOverlay::IntersectArea(a, c, &out));
   EXPECT_EQ(out, Rect(Point{0.25, 0.0}, Point{0.5, 1.0}));
+}
+
+// The one-pass IntersectArea against its three-call definition. Corners
+// come from a 5-point grid, so shared faces and corners, nesting,
+// identical rects and zero-width rects are common among the pairs.
+TEST(MidasTest, IntersectAreaMatchesThreeCallDefinition) {
+  Rng rng(61);
+  const auto random_rect = [&rng](int dims) {
+    Point lo(dims);
+    Point hi(dims);
+    for (int d = 0; d < dims; ++d) {
+      const int64_t a = rng.UniformInt(0, 4);
+      const int64_t b = rng.UniformInt(0, 4);
+      lo[d] = 0.25 * static_cast<double>(std::min(a, b));
+      hi[d] = 0.25 * static_cast<double>(std::max(a, b));
+    }
+    return Rect(lo, hi);
+  };
+  for (const int dims : {1, 2, 4, kMaxDims}) {
+    size_t kept = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+      const Rect a = random_rect(dims);
+      const Rect b = trial % 8 == 0 ? a : random_rect(dims);
+      const bool want = a.Intersects(b) && !a.Intersection(b).Degenerate();
+      Rect out;
+      ASSERT_EQ(MidasOverlay::IntersectArea(a, b, &out), want)
+          << a.ToString() << " " << b.ToString();
+      if (!want) continue;
+      EXPECT_EQ(out, a.Intersection(b)) << a.ToString() << " " << b.ToString();
+      kept += 1;
+    }
+    EXPECT_GT(kept, 0u) << "dims " << dims;
+  }
 }
 
 TEST(MidasTest, BorderPatternOverlayStaysValid) {

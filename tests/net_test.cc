@@ -628,6 +628,71 @@ TEST_F(DaemonTest, GarbageAdminFramesAreCountedNeverAnswered) {
   EXPECT_EQ(wire.sent.size(), 1u);
 }
 
+/// A top-k query frame, valid but for its scorer: `scorer` is the raw
+/// scorer payload.
+std::vector<uint8_t> TopKFrameWithScorer(const MidasOverlay& overlay,
+                                         const net::Envelope& env,
+                                         const std::vector<uint8_t>& scorer) {
+  wire::Buffer buf;
+  const size_t start = net::BeginEnvelopeFrame(env, &buf);
+  buf.PutU8(static_cast<uint8_t>(net::PolicyTag::kTopK));
+  buf.PutZigzag(0);  // r
+  buf.PutBytes(scorer.data(), scorer.size());
+  buf.PutVarint(10);  // k
+  buf.PutF64(0.0);    // epsilon
+  TopKPolicy().EncodeState(TopKState{}, &buf);
+  overlay.EncodeArea(overlay.FullArea(), &buf);
+  wire::EndFrame(&buf, start);
+  return buf.Take();
+}
+
+TEST_F(DaemonTest, HostileScorerIsRejectedAndTheDaemonServesOn) {
+  // A linear scorer with no weights, or with more than kMaxDims, must be
+  // a rejected frame, never a failed check that aborts the daemon.
+  std::vector<uint8_t> too_many = {1, kMaxDims + 1};
+  too_many.resize(too_many.size() + 8 * (kMaxDims + 1), 0);
+  const std::vector<std::vector<uint8_t>> hostile = {{1, 0}, too_many};
+  uint32_t seq = 40;
+  for (const std::vector<uint8_t>& scorer : hostile) {
+    CaptureTransport wire;
+    net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
+                                         {0, 1, 2, 3, 4, 5});
+    const net::Envelope bad{net::MakeMessageId(client_, seq++), client_, 0,
+                            net::MessageKind::kQuery, 0, {}};
+    daemon.Dispatch(
+        net::Datagram{bad, TopKFrameWithScorer(*overlay_, bad, scorer)});
+    EXPECT_EQ(daemon.stats().frames_rejected, 1u);
+    EXPECT_EQ(daemon.stats().queries_served, 0u);
+    EXPECT_TRUE(wire.sent.empty());
+
+    // The next, well-formed query is answered.
+    const LinearScorer good({-0.5, -0.5});
+    TopKQuery query;
+    query.scorer = &good;
+    query.k = 5;
+    const uint64_t id = net::MakeMessageId(client_, seq++);
+    daemon.Dispatch(net::Datagram{
+        net::Envelope{id, client_, 0, net::MessageKind::kQuery, 0, {}},
+        ClientQueryFrame(*overlay_, TopKPolicy{}, query, id, client_, 0,
+                         /*r=*/0)});
+    size_t answers = 0;
+    for (int round = 0; round < 64 && !wire.sent.empty(); ++round) {
+      std::vector<net::Datagram> batch = std::move(wire.sent);
+      wire.sent.clear();
+      for (auto& d : batch) {
+        if (net::IsClientId(d.env.to)) {
+          answers += d.env.kind == net::MessageKind::kAnswer ? 1 : 0;
+          continue;
+        }
+        daemon.Dispatch(std::move(d));
+      }
+    }
+    EXPECT_EQ(answers, 1u);
+    EXPECT_EQ(daemon.stats().answers_finalized, 1u);
+    EXPECT_EQ(daemon.stats().frames_rejected, 1u);
+  }
+}
+
 /// Two daemons split the overlay; the test is the network between them,
 /// delivering every batch reversed and duplicated. The final answer must
 /// be byte-identical to a single daemon serving all peers on an orderly

@@ -340,6 +340,31 @@ TEST(GeomWireTest, ScorerUnknownKindRejected) {
   EXPECT_EQ(DecodeScorer(&r), nullptr);
 }
 
+// A linear scorer has 1..kMaxDims weights. Other counts are corrupt
+// payloads: the decode fails instead of reaching LinearScorer's checks,
+// which would abort the process.
+TEST(GeomWireTest, ScorerWeightCountOutOfRangeRejected) {
+  wire::Buffer none;
+  none.PutU8(1);
+  none.PutU8(0);
+  wire::Buffer too_many;
+  too_many.PutU8(1);
+  too_many.PutU8(kMaxDims + 1);
+  for (int i = 0; i < 8 * (kMaxDims + 1); ++i) too_many.PutU8(0);
+  for (const wire::Buffer* buf : {&none, &too_many}) {
+    wire::Reader r(buf->bytes());
+    EXPECT_EQ(DecodeScorer(&r), nullptr);
+    EXPECT_FALSE(r.ok());
+  }
+
+  // kMaxDims weights is the largest scorer, and it still decodes.
+  wire::Buffer most;
+  EncodeScorer(LinearScorer(std::vector<double>(kMaxDims, -0.1)), &most);
+  wire::Reader r(most.bytes());
+  ASSERT_NE(DecodeScorer(&r), nullptr);
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 // --- Tuple payloads --------------------------------------------------------
 
 TEST(StoreWireTest, TupleVecRoundTripSeeded) {
