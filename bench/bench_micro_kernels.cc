@@ -80,10 +80,8 @@ void BM_KdIndexTopK(benchmark::State& state) {
       MakeTuples(static_cast<size_t>(state.range(0)), 4, 17);
   KdIndex idx(tuples);
   LinearScorer scorer({-0.4, -0.3, -0.2, -0.1});
-  auto score = [&](const Point& p) { return scorer.Score(p); };
-  auto upper = [&](const Rect& r) { return scorer.UpperBound(r); };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.TopK(score, upper, 10));
+    benchmark::DoNotOptimize(idx.TopK(scorer, 10));
   }
 }
 BENCHMARK(BM_KdIndexTopK)->Arg(1024)->Arg(16384);

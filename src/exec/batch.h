@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -206,7 +207,6 @@ BatchedWorkload CompileBatchedWorkload(const Overlay& overlay,
   ForEachWorkloadInstance(
       overlay, plan.items, opts.seed, &out.compiled.scorers,
       [&](size_t i, const WorkloadItem& item, PeerId initiator, auto query) {
-        using Q = std::decay_t<decltype(query)>;
         const BatchSlot& slot = plan.slots[i];
         if (slot.role != BatchSlot::Role::kLead) return;
         WorkloadItem labeled = item;
@@ -214,43 +214,13 @@ BatchedWorkload CompileBatchedWorkload(const Overlay& overlay,
           labeled.label +=
               " [batch+" + std::to_string(slot.followers_of) + "]";
         }
-        if (slot.has_seed) labeled.label += " [seeded]";
-        if constexpr (std::is_same_v<Q, TopKQuery>) {
-          const bool seeded = slot.has_seed;
-          const TopKState seed = slot.seed;
-          out.compiled.jobs.push_back(internal::MakeJob<Overlay, TopKPolicy>(
-              overlay, std::move(query), labeled, opts, i, initiator,
-              [seeded, seed](const Overlay& o, const auto& engine,
-                             const auto& req) {
-                if (seeded) {
-                  auto seeded_req = req;
-                  seeded_req.initial_state = seed;
-                  return SeededTopK(o, engine, seeded_req);
-                }
-                return SeededTopK(o, engine, req);
-              }));
-        } else if constexpr (std::is_same_v<Q, SkylineQuery>) {
-          out.compiled.jobs.push_back(
-              internal::MakeJob<Overlay, SkylinePolicy>(
-                  overlay, std::move(query), labeled, opts, i, initiator,
-                  [](const Overlay& o, const auto& engine, const auto& req) {
-                    return SeededSkyline(o, engine, req);
-                  }));
-        } else if constexpr (std::is_same_v<Q, SkybandQuery>) {
-          out.compiled.jobs.push_back(
-              internal::MakeJob<Overlay, SkybandPolicy>(
-                  overlay, std::move(query), labeled, opts, i, initiator,
-                  [](const Overlay&, const auto& engine, const auto& req) {
-                    return engine.Run(req);
-                  }));
-        } else {
-          static_assert(std::is_same_v<Q, RangeQuery>);
-          out.compiled.jobs.push_back(internal::MakeJob<Overlay, RangePolicy>(
-              overlay, std::move(query), labeled, opts, i, initiator,
-              [](const Overlay&, const auto& engine, const auto& req) {
-                return engine.Run(req);
-              }));
+        std::optional<TopKState> seed;
+        if (slot.has_seed) {
+          labeled.label += " [seeded]";
+          seed = slot.seed;
         }
+        out.compiled.jobs.push_back(internal::MakeQueryJob(
+            overlay, std::move(query), labeled, opts, i, initiator, seed));
         out.job_items.push_back(i);
       });
   return out;

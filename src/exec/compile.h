@@ -2,6 +2,7 @@
 #define RIPPLE_EXEC_COMPILE_H_
 
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -128,28 +129,46 @@ QueryRequest<Policy> MakeRequest(PeerId initiator,
   return req;
 }
 
-/// One Job body: sync/async dispatch happens per call so the same
-/// compiled workload structure serves both engines.
-template <typename Overlay, typename Policy, typename Driver>
-Job MakeJob(const Overlay& overlay, typename Policy::Query query,
-            const WorkloadItem& item, const CompileOptions& opts,
-            size_t index, PeerId initiator, Driver driver) {
+/// The one job factory under CompileWorkload and CompileBatchedWorkload:
+/// picks the policy and the seeded driver for `query`'s type. A top-k
+/// job given `seed` (a cached threshold bound) starts its walk from that
+/// state instead of the default one. Sync/async dispatch happens per
+/// call so the same compiled workload structure serves both engines.
+template <typename Overlay, typename Q>
+Job MakeQueryJob(const Overlay& overlay, Q query, const WorkloadItem& item,
+                 const CompileOptions& opts, size_t index, PeerId initiator,
+                 std::optional<TopKState> seed = std::nullopt) {
+  using Policy = std::conditional_t<
+      std::is_same_v<Q, TopKQuery>, TopKPolicy,
+      std::conditional_t<
+          std::is_same_v<Q, SkylineQuery>, SkylinePolicy,
+          std::conditional_t<std::is_same_v<Q, SkybandQuery>, SkybandPolicy,
+                             RangePolicy>>>;
+  static_assert(std::is_same_v<Q, typename Policy::Query>);
   Job job;
   job.label = item.label.empty() ? WorkloadKindName(item.kind) : item.label;
   job.deadline_ms = item.deadline;  // wall-ms while queued (executor side)
   job.run = [&overlay, query = std::move(query), item, opts, index, initiator,
-             driver](JobContext& ctx) -> JobResult {
-    const QueryRequest<Policy> req =
+             seed](JobContext& ctx) -> JobResult {
+    QueryRequest<Policy> req =
         MakeRequest<Overlay, Policy>(initiator, query, item, opts, index);
+    if constexpr (std::is_same_v<Q, TopKQuery>) req.initial_state = seed;
+    const auto run = [&](auto& engine) {
+      WireEngine(&engine, ctx);
+      if constexpr (std::is_same_v<Q, TopKQuery>) {
+        return SeededTopK(overlay, engine, req);
+      } else if constexpr (std::is_same_v<Q, SkylineQuery>) {
+        return SeededSkyline(overlay, engine, req);
+      } else {
+        return engine.Run(req);
+      }
+    };
     if (opts.async) {
       AsyncEngine<Overlay, Policy> engine(&overlay, Policy{});
-      WireEngine(&engine, ctx);
-      return ToJobResult(driver(overlay, engine, req), initiator,
-                         req.trace_id);
+      return ToJobResult(run(engine), initiator, req.trace_id);
     }
     Engine<Overlay, Policy> engine(&overlay, Policy{});
-    WireEngine(&engine, ctx);
-    return ToJobResult(driver(overlay, engine, req), initiator, req.trace_id);
+    return ToJobResult(run(engine), initiator, req.trace_id);
   };
   return job;
 }
@@ -232,33 +251,8 @@ CompiledWorkload CompileWorkload(const Overlay& overlay,
   ForEachWorkloadInstance(
       overlay, items, opts.seed, &out.scorers,
       [&](size_t i, const WorkloadItem& item, PeerId initiator, auto query) {
-        using Q = std::decay_t<decltype(query)>;
-        if constexpr (std::is_same_v<Q, TopKQuery>) {
-          out.jobs.push_back(internal::MakeJob<Overlay, TopKPolicy>(
-              overlay, std::move(query), item, opts, i, initiator,
-              [](const Overlay& o, const auto& engine, const auto& req) {
-                return SeededTopK(o, engine, req);
-              }));
-        } else if constexpr (std::is_same_v<Q, SkylineQuery>) {
-          out.jobs.push_back(internal::MakeJob<Overlay, SkylinePolicy>(
-              overlay, std::move(query), item, opts, i, initiator,
-              [](const Overlay& o, const auto& engine, const auto& req) {
-                return SeededSkyline(o, engine, req);
-              }));
-        } else if constexpr (std::is_same_v<Q, SkybandQuery>) {
-          out.jobs.push_back(internal::MakeJob<Overlay, SkybandPolicy>(
-              overlay, std::move(query), item, opts, i, initiator,
-              [](const Overlay&, const auto& engine, const auto& req) {
-                return engine.Run(req);
-              }));
-        } else {
-          static_assert(std::is_same_v<Q, RangeQuery>);
-          out.jobs.push_back(internal::MakeJob<Overlay, RangePolicy>(
-              overlay, std::move(query), item, opts, i, initiator,
-              [](const Overlay&, const auto& engine, const auto& req) {
-                return engine.Run(req);
-              }));
-        }
+        out.jobs.push_back(internal::MakeQueryJob(
+            overlay, std::move(query), item, opts, i, initiator));
       });
   return out;
 }

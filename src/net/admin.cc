@@ -1,10 +1,8 @@
 #include "net/admin.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <utility>
 #include <vector>
-
-#include "common/json.h"
 
 namespace ripple::net {
 namespace {
@@ -46,21 +44,11 @@ std::string CounterStructJson(const S& s, Visit visit) {
   return out;
 }
 
-void PutString(wire::Buffer* buf, const std::string& s) {
-  buf->PutVarint(s.size());
-  buf->PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
-
-bool GetString(wire::Reader* r, std::string* out) {
-  const uint64_t n = r->Varint();
-  if (!r->ok() || n > r->remaining()) {
-    r->Fail();
-    return false;
-  }
-  out->assign(reinterpret_cast<const char*>(r->cursor()),
-              static_cast<size_t>(n));
-  r->Skip(static_cast<size_t>(n));
-  return true;
+/// A 32-bit peer id carried as a varint; a wider value fails the reader.
+uint32_t GetPeerId(wire::Reader* r) {
+  const uint64_t v = r->Varint();
+  if (v > UINT32_MAX) r->Fail();
+  return static_cast<uint32_t>(v);
 }
 
 const auto kStatFields = [](auto&& s, auto&& fn) {
@@ -94,17 +82,6 @@ bool DecodeQueueDepths(wire::Reader* r, QueueDepths* q) {
   return DecodeCounterStruct(r, q, kDepthFields);
 }
 
-void EncodeAdminPong(const AdminPong& p, wire::Buffer* buf) {
-  buf->PutVarint(p.uptime_ms);
-  buf->PutVarint(p.peers_served);
-}
-
-bool DecodeAdminPong(wire::Reader* r, AdminPong* p) {
-  p->uptime_ms = r->Varint();
-  p->peers_served = r->Varint();
-  return r->ok();
-}
-
 void EncodeStatsReport(const AdminStatsReport& s, wire::Buffer* buf) {
   buf->PutVarint(s.uptime_ms);
   buf->PutVarint(s.peer_lo);
@@ -116,75 +93,11 @@ void EncodeStatsReport(const AdminStatsReport& s, wire::Buffer* buf) {
 
 bool DecodeStatsReport(wire::Reader* r, AdminStatsReport* s) {
   s->uptime_ms = r->Varint();
-  s->peer_lo = static_cast<uint32_t>(r->Varint());
-  s->peer_hi = static_cast<uint32_t>(r->Varint());
+  s->peer_lo = GetPeerId(r);
+  s->peer_hi = GetPeerId(r);
   return DecodeDaemonStats(r, &s->stats) &&
          DecodeTransportCounters(r, &s->transport) &&
          DecodeQueueDepths(r, &s->queues) && r->ok();
-}
-
-void EncodeHealthReport(const AdminHealthReport& h, wire::Buffer* buf) {
-  buf->PutU8(h.healthy ? 1 : 0);
-  buf->PutVarint(h.uptime_ms);
-  buf->PutVarint(h.open_sessions);
-  buf->PutVarint(h.pending_requests);
-  buf->PutVarint(h.queries_served);
-}
-
-bool DecodeHealthReport(wire::Reader* r, AdminHealthReport* h) {
-  const uint8_t healthy = r->U8();
-  if (healthy > 1) r->Fail();
-  h->healthy = healthy == 1;
-  h->uptime_ms = r->Varint();
-  h->open_sessions = r->Varint();
-  h->pending_requests = r->Varint();
-  h->queries_served = r->Varint();
-  return r->ok();
-}
-
-void EncodeSnapshot(const obs::Snapshot& s, wire::Buffer* buf) {
-  buf->PutF64(s.at_ms);
-  buf->PutVarint(s.counters.size());
-  for (const auto& [name, value] : s.counters) {
-    PutString(buf, name);
-    buf->PutVarint(value);
-  }
-  buf->PutVarint(s.gauges.size());
-  for (const auto& [name, value] : s.gauges) {
-    PutString(buf, name);
-    buf->PutF64(value);
-  }
-}
-
-bool DecodeSnapshot(wire::Reader* r, obs::Snapshot* s) {
-  s->at_ms = r->F64();
-  s->counters.clear();
-  s->gauges.clear();
-  uint64_t n = r->Varint();
-  // Every entry needs at least 2 bytes (empty name + 1-byte varint), so a
-  // count beyond remaining() is garbage — reject before reserving.
-  if (!r->ok() || n > r->remaining()) {
-    r->Fail();
-    return false;
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    if (!GetString(r, &name)) return false;
-    const uint64_t value = r->Varint();
-    s->counters.emplace_back(std::move(name), value);
-  }
-  n = r->Varint();
-  if (!r->ok() || n > r->remaining()) {
-    r->Fail();
-    return false;
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    if (!GetString(r, &name)) return false;
-    const double value = r->F64();
-    s->gauges.emplace_back(std::move(name), value);
-  }
-  return r->ok();
 }
 
 std::string DaemonStatsJson(const DaemonStats& s) {
@@ -208,33 +121,6 @@ std::string StatsReportJson(const AdminStatsReport& s) {
   out += ",\"transport\":" + TransportCountersJson(s.transport);
   out += ",\"queues\":" + QueueDepthsJson(s.queues);
   out += "}";
-  return out;
-}
-
-std::string SnapshotJson(const obs::Snapshot& s) {
-  char head[64];
-  std::snprintf(head, sizeof(head), "{\"at_ms\":%.3f,\"counters\":{",
-                s.at_ms);
-  std::string out = head;
-  bool first = true;
-  for (const auto& [name, value] : s.counters) {
-    if (!first) out += ",";
-    first = false;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ":%llu",
-                  static_cast<unsigned long long>(value));
-    out += "\"" + JsonEscape(name) + "\"" + buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : s.gauges) {
-    if (!first) out += ",";
-    first = false;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), ":%.6g", value);
-    out += "\"" + JsonEscape(name) + "\"" + buf;
-  }
-  out += "}}";
   return out;
 }
 

@@ -5,19 +5,19 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/snapshot.h"
 #include "wire/buffer.h"
 
 namespace ripple::net {
 
-/// The admin plane: monitoring messages a daemon answers out of its serve
-/// loop (MessageKind tags 4-7, docs/NET.md). Requests carry an empty
-/// payload; replies reuse the request's tag and message id and carry one
-/// of the report payloads below. Every report struct has a ForEach*Field
-/// visitor so the wire codec, the JSON export, the registry bridge and
-/// the monitor's cluster aggregation all iterate the exact same field
-/// list in the exact same order — adding a counter in one place adds it
-/// everywhere, and the field names match across wire, JSON and metrics.
+/// The admin plane: the one monitoring probe a daemon answers out of its
+/// serve loop (MessageKind::kAdminStats, tag 4, docs/NET.md). A request
+/// carries an empty payload; the reply reuses the request's tag and
+/// message id and carries an AdminStatsReport. Every counter struct has a
+/// ForEach*Field visitor so the wire codec, the JSON export, the registry
+/// bridge and the monitor's cluster aggregation all iterate the exact
+/// same field list in the exact same order — adding a counter in one
+/// place adds it everywhere, and the field names match across wire, JSON
+/// and metrics.
 
 /// Counters a daemon accumulates over its lifetime; dumped on shutdown
 /// and scraped live via kAdminStats. Transport-level drops
@@ -102,12 +102,6 @@ void ForEachQueueDepthField(S&& s, Fn&& fn) {
   fn("dedup_tracked", s.dedup_tracked);
 }
 
-/// kAdminPing reply: proof of life plus enough identity to label it.
-struct AdminPong {
-  uint64_t uptime_ms = 0;
-  uint64_t peers_served = 0;
-};
-
 /// kAdminStats reply: the full counter scrape.
 struct AdminStatsReport {
   uint64_t uptime_ms = 0;
@@ -116,15 +110,6 @@ struct AdminStatsReport {
   DaemonStats stats;
   TransportCounters transport;
   QueueDepths queues;
-};
-
-/// kAdminHealth reply: the compact verdict a probe loop wants.
-struct AdminHealthReport {
-  bool healthy = true;
-  uint64_t uptime_ms = 0;
-  uint64_t open_sessions = 0;
-  uint64_t pending_requests = 0;
-  uint64_t queries_served = 0;
 };
 
 // --- wire codecs (payload only; the envelope frame wraps them) -----------
@@ -139,18 +124,10 @@ bool DecodeTransportCounters(wire::Reader* r, TransportCounters* t);
 void EncodeQueueDepths(const QueueDepths& q, wire::Buffer* buf);
 bool DecodeQueueDepths(wire::Reader* r, QueueDepths* q);
 
-void EncodeAdminPong(const AdminPong& p, wire::Buffer* buf);
-bool DecodeAdminPong(wire::Reader* r, AdminPong* p);
+/// The report is uptime, peer_lo and peer_hi as varints (a peer id
+/// above UINT32_MAX fails the decode), then the three counter structs.
 void EncodeStatsReport(const AdminStatsReport& s, wire::Buffer* buf);
 bool DecodeStatsReport(wire::Reader* r, AdminStatsReport* s);
-void EncodeHealthReport(const AdminHealthReport& h, wire::Buffer* buf);
-bool DecodeHealthReport(wire::Reader* r, AdminHealthReport* h);
-
-/// kAdminSnapshot payload: one obs::Snapshot (the daemon's current
-/// windowed registry capture). Names are length-prefixed strings, counter
-/// values varints, gauge values bit-exact f64.
-void EncodeSnapshot(const obs::Snapshot& s, wire::Buffer* buf);
-bool DecodeSnapshot(wire::Reader* r, obs::Snapshot* s);
 
 // --- JSON (object fragments; field names identical to the wire and
 // registry names, so `serve --stats-out` and the monitor's series agree)
@@ -159,7 +136,6 @@ std::string DaemonStatsJson(const DaemonStats& s);
 std::string TransportCountersJson(const TransportCounters& t);
 std::string QueueDepthsJson(const QueueDepths& q);
 std::string StatsReportJson(const AdminStatsReport& s);
-std::string SnapshotJson(const obs::Snapshot& s);
 
 // --- cluster aggregation (the monitor sums per-daemon reports) -----------
 

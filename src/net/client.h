@@ -16,10 +16,11 @@
 namespace ripple::net {
 
 /// What one live query returned. `complete` means a finalized answer
-/// arrived within the retry budget; the answer is then canonical
+/// arrived within the retry budget without wire::kFrameFlagIncomplete
+/// (no peer gave up a subtree); the answer is then canonical
 /// (FinalizeAnswer ran at the serving peer AND here — it is idempotent —
 /// so its bytes compare directly against a simulator run of the same
-/// query).
+/// query). A flagged answer is returned with `complete` false.
 template <typename Policy>
 struct LiveOutcome {
   bool complete = false;
@@ -105,7 +106,7 @@ class NetClient {
         policy.FinalizeAnswer(&answer, query);
         out.answer = std::move(answer);
         out.answer_bytes = d.bytes.size();
-        out.complete = true;
+        out.complete = (got.trace.flags & wire::kFrameFlagIncomplete) == 0;
         out.latency_ms =
             std::chrono::duration<double, std::milli>(Clock::now() - t0)
                 .count();

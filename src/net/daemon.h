@@ -69,9 +69,9 @@ class PeerDaemon {
   /// clients do not sample); admin frames stay out of it.
   void SetSink(const obs::Sink& sink) { sink_ = sink; }
 
-  /// Mirrors the daemon's counters into `registry` (SyncRegistry / admin
-  /// snapshot requests drive the sync), so `serve --metrics-out` and
-  /// windowed snapshots carry net.daemon.* / net.udp.* live.
+  /// Mirrors the daemon's counters into `registry` (SyncRegistry drives
+  /// the sync), so `serve --metrics-out` and windowed snapshots carry
+  /// net.daemon.* / net.udp.* live.
   void SetRegistry(obs::Registry* registry) { registry_ = registry; }
 
   /// Pull hook for the transport's datagram counters (the daemon only
@@ -119,8 +119,8 @@ class PeerDaemon {
   }
 
   /// Pushes current counters/depths into the registry (no-op without
-  /// SetRegistry). Callers: admin snapshot requests, serve's periodic
-  /// snapshot capture, and the shutdown --metrics-out flush.
+  /// SetRegistry). Callers: serve's periodic snapshot capture and the
+  /// shutdown --metrics-out flush.
   void SyncRegistry() {
     if (registry_ == nullptr) return;
     StatsBridge bridge(registry_);
@@ -174,10 +174,7 @@ class PeerDaemon {
         // misrouted or stale datagram.
         stats_.misdelivered += 1;
         break;
-      case MessageKind::kAdminPing:
       case MessageKind::kAdminStats:
-      case MessageKind::kAdminSnapshot:
-      case MessageKind::kAdminHealth:
         HandleAdmin(d);
         break;
     }
@@ -288,15 +285,16 @@ class PeerDaemon {
 
   // --- admin plane --------------------------------------------------------
 
-  /// Answers one monitoring probe. Requests are empty-payload frames; any
-  /// payload bytes mean a corrupt or foreign frame, counted and dropped
-  /// exactly like an undecodable query. The reply reuses the request's
-  /// kind and id (the monitor correlates by id, like the query protocol)
-  /// and flows through the normal Send path. No dedup: admin reads are
-  /// idempotent, so answering a duplicated probe twice is harmless.
-  /// Admin traffic stays out of the journals — they record the query
-  /// protocol, and trace assembly must not see recv events whose send
-  /// side lives in another process's (unjournaled) monitor.
+  /// Answers one monitoring probe with StatsReport(). Requests are
+  /// empty-payload frames; any payload bytes mean a corrupt or foreign
+  /// frame, counted and dropped exactly like an undecodable query. The
+  /// reply reuses the request's kind and id (the monitor correlates by
+  /// id, like the query protocol) and flows through the normal Send path.
+  /// No dedup: admin reads are idempotent, so answering a duplicated
+  /// probe twice is harmless. Admin traffic stays out of the journals —
+  /// they record the query protocol, and trace assembly must not see recv
+  /// events whose send side lives in another process's (unjournaled)
+  /// monitor.
   void HandleAdmin(const Datagram& d) {
     if (local_peers_.find(d.env.to) == local_peers_.end()) {
       stats_.misdelivered += 1;
@@ -309,45 +307,11 @@ class PeerDaemon {
       return;
     }
     stats_.admin_requests += 1;
-    const Envelope reply{env.id, env.to, env.from, env.kind, 0, env.trace};
+    const Envelope reply{env.id, env.to, env.from, MessageKind::kAdminStats,
+                         0, env.trace};
     wire::Buffer buf;
     const size_t start = BeginEnvelopeFrame(reply, &buf);
-    switch (env.kind) {
-      case MessageKind::kAdminPing: {
-        AdminPong pong;
-        pong.uptime_ms = static_cast<uint64_t>(NowMs());
-        pong.peers_served = local_peers_.size();
-        EncodeAdminPong(pong, &buf);
-        break;
-      }
-      case MessageKind::kAdminStats:
-        EncodeStatsReport(StatsReport(), &buf);
-        break;
-      case MessageKind::kAdminSnapshot: {
-        obs::Snapshot snap;
-        snap.at_ms = NowMs();
-        if (registry_ != nullptr) {
-          SyncRegistry();
-          snap.counters = registry_->CounterValues();
-          snap.gauges = registry_->GaugeValues();
-        }
-        EncodeSnapshot(snap, &buf);
-        break;
-      }
-      case MessageKind::kAdminHealth: {
-        const QueueDepths q = Depths();
-        AdminHealthReport h;
-        h.healthy = true;  // it answered; the monitor marks silence
-        h.uptime_ms = static_cast<uint64_t>(NowMs());
-        h.open_sessions = q.open_sessions;
-        h.pending_requests = q.pending_requests;
-        h.queries_served = stats_.queries_served;
-        EncodeHealthReport(h, &buf);
-        break;
-      }
-      default:
-        return;  // unreachable: Dispatch only routes admin kinds here
-    }
+    EncodeStatsReport(StatsReport(), &buf);
     wire::EndFrame(&buf, start);
     transport_->Send(reply, buf.Take());
   }

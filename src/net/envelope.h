@@ -12,20 +12,17 @@ namespace ripple::net {
 
 /// Wire-level message classes of the fault-tolerant protocol. Query,
 /// response and answer exist in the fault-free protocol too; acks only
-/// appear as reactions to retransmitted queries. Tags 4-7 are the admin
-/// plane (docs/NET.md): requester-initiated monitoring probes a daemon
-/// answers out of its serve loop. Admin requests carry an empty payload;
-/// the reply reuses the request's tag and message id, so a monitor
-/// correlates by id exactly like the query protocol does.
+/// appear as reactions to retransmitted queries. Tag 4 is the admin
+/// plane (docs/NET.md): the monitoring probe a daemon answers out of its
+/// serve loop. The request carries an empty payload; the reply reuses the
+/// request's tag and message id, so a monitor correlates by id exactly
+/// like the query protocol does.
 enum class MessageKind : uint8_t {
-  kQuery,          // query forward (carries the global state)
-  kResponse,       // state bundle back to the requester
-  kAck,            // progress ack: "request received, session running"
-  kAnswer,         // qualifying tuples to the initiator
-  kAdminPing,      // liveness probe; reply carries uptime + peers served
-  kAdminStats,     // full counter scrape (AdminStatsReport)
-  kAdminSnapshot,  // current windowed metrics snapshot (obs::Snapshot)
-  kAdminHealth,    // compact health verdict (AdminHealthReport)
+  kQuery,       // query forward (carries the global state)
+  kResponse,    // state bundle back to the requester
+  kAck,         // progress ack: "request received, session running"
+  kAnswer,      // qualifying tuples to the initiator
+  kAdminStats,  // monitoring probe; the reply is an AdminStatsReport
 };
 
 inline const char* MessageKindName(MessageKind k) {
@@ -34,16 +31,13 @@ inline const char* MessageKindName(MessageKind k) {
     case MessageKind::kResponse: return "response";
     case MessageKind::kAck: return "ack";
     case MessageKind::kAnswer: return "answer";
-    case MessageKind::kAdminPing: return "admin-ping";
     case MessageKind::kAdminStats: return "admin-stats";
-    case MessageKind::kAdminSnapshot: return "admin-snapshot";
-    case MessageKind::kAdminHealth: return "admin-health";
   }
   return "?";
 }
 
 inline bool IsAdminKind(MessageKind k) {
-  return k >= MessageKind::kAdminPing && k <= MessageKind::kAdminHealth;
+  return k == MessageKind::kAdminStats;
 }
 
 /// Identity of one logical message. Retransmissions reuse the id (that is
@@ -61,7 +55,7 @@ struct Envelope {
 };
 
 // The frame tag byte IS the MessageKind value; keep the two in sync.
-static_assert(static_cast<uint8_t>(MessageKind::kAdminHealth) ==
+static_assert(static_cast<uint8_t>(MessageKind::kAdminStats) ==
               wire::kMaxMessageTag);
 
 /// Starts a wire frame carrying this envelope (id/from/to/kind become the

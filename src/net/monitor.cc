@@ -23,11 +23,12 @@ ClusterMonitor::ClusterMonitor(const PeersFile& peers, Transport* transport,
                                PeerId self, MonitorOptions opts)
     : peers_(peers), transport_(transport), self_(self), opts_(opts) {}
 
-bool ClusterMonitor::Probe(PeerId target, MessageKind kind,
-                           std::vector<uint8_t>* payload, double* rtt_ms) {
+bool ClusterMonitor::Probe(PeerId target, AdminStatsReport* report,
+                           double* rtt_ms) {
   for (int attempt = 0; attempt < opts_.probe_attempts; ++attempt) {
     const uint64_t id = MakeMessageId(self_, next_seq_++);
-    const Envelope env{id, self_, target, kind, attempt, {}};
+    const Envelope env{id, self_, target, MessageKind::kAdminStats, attempt,
+                       {}};
     wire::Buffer buf;
     const size_t start = BeginEnvelopeFrame(env, &buf);
     wire::EndFrame(&buf, start);
@@ -40,14 +41,16 @@ bool ClusterMonitor::Probe(PeerId target, MessageKind kind,
       if (left <= 0) break;  // this attempt timed out
       Datagram d;
       if (!transport_->Poll(&d, left)) break;
-      // Only this probe's reply counts; anything else (a stale reply
-      // from an abandoned attempt, a misrouted frame) is drained.
-      if (d.env.id != id || d.env.kind != kind) continue;
+      // Only a decodable reply to this probe counts; anything else (a
+      // stale reply from an abandoned attempt, a misrouted frame, a
+      // report this build cannot read) is drained.
+      if (d.env.id != id || d.env.kind != MessageKind::kAdminStats) continue;
       wire::Reader r(d.bytes);
       Envelope echo;
-      if (!DecodeEnvelopeFrame(&r, &echo)) continue;
-      payload->assign(d.bytes.begin() + static_cast<long>(r.position()),
-                      d.bytes.end());
+      if (!DecodeEnvelopeFrame(&r, &echo) || !DecodeStatsReport(&r, report) ||
+          r.remaining() != 0) {
+        continue;
+      }
       if (rtt_ms != nullptr) *rtt_ms = MsSince(sent);
       return true;
     }
@@ -69,39 +72,12 @@ ClusterSample ClusterMonitor::Scrape(double at_ms) {
       sample.endpoints.push_back(std::move(es));
       continue;
     }
-    // Four probes per endpoint, each correlated by its own message id.
-    // Health last: its verdict then reflects the same serve-loop pass
-    // that answered the heavier scrapes.
-    std::vector<uint8_t> payload;
-    bool ok = Probe(es.probe_peer, MessageKind::kAdminPing, &payload,
-                    &es.rtt_ms);
-    if (ok) {
-      wire::Reader r(payload);
-      ok = DecodeAdminPong(&r, &es.pong) && r.remaining() == 0;
-    }
-    if (ok && Probe(es.probe_peer, MessageKind::kAdminStats, &payload,
-                    nullptr)) {
-      wire::Reader r(payload);
-      ok = DecodeStatsReport(&r, &es.report) && r.remaining() == 0;
-    } else {
-      ok = false;
-    }
-    if (ok && Probe(es.probe_peer, MessageKind::kAdminSnapshot, &payload,
-                    nullptr)) {
-      wire::Reader r(payload);
-      ok = DecodeSnapshot(&r, &es.snapshot) && r.remaining() == 0;
-    } else {
-      ok = false;
-    }
-    if (ok && Probe(es.probe_peer, MessageKind::kAdminHealth, &payload,
-                    nullptr)) {
-      wire::Reader r(payload);
-      ok = DecodeHealthReport(&r, &es.health) && r.remaining() == 0;
-    } else {
-      ok = false;
-    }
-    es.healthy = ok;
-    if (ok) {
+    // A silent endpoint keeps an all-zero report, so a dead daemon
+    // contributes silence, not stale or half-decoded numbers.
+    AdminStatsReport report;
+    es.healthy = Probe(es.probe_peer, &report, &es.rtt_ms);
+    if (es.healthy) {
+      es.report = report;
       sample.totals.healthy += 1;
       AddInto(&sample.totals.stats, es.report.stats);
       AddInto(&sample.totals.transport, es.report.transport);
@@ -138,9 +114,8 @@ bool ClusterMonitor::WaitHealthy(int deadline_ms) {
       }
       const std::vector<PeerId> assigned = peers_.PeersAt(processes[i]);
       if (assigned.empty()) continue;
-      std::vector<uint8_t> payload;
-      if (Probe(assigned.front(), MessageKind::kAdminPing, &payload,
-                nullptr)) {
+      AdminStatsReport report;
+      if (Probe(assigned.front(), &report, nullptr)) {
         up[i] = true;
         healthy += 1;
       }
@@ -215,7 +190,6 @@ std::string ClusterMonitor::SampleToJson(const ClusterSample& sample) {
     out += buf;
     if (es.healthy) {
       out += ",\"report\":" + StatsReportJson(es.report);
-      out += ",\"snapshot\":" + SnapshotJson(es.snapshot);
     }
     out += "}";
   }

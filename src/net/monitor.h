@@ -12,11 +12,11 @@
 
 namespace ripple::net {
 
-/// Knobs for one scrape pass. A probe is one admin request awaiting its
-/// reply; `probe_timeout_ms` bounds each wait and `probe_attempts` fresh
-/// requests are sent before an endpoint is marked unhealthy — the admin
-/// plane rides the same lossy UDP as the query protocol, so one silent
-/// probe is not a verdict.
+/// Knobs for one scrape pass. A probe is one kAdminStats request
+/// awaiting its reply; `probe_timeout_ms` bounds each wait and
+/// `probe_attempts` fresh requests are sent before an endpoint is marked
+/// unhealthy — the admin plane rides the same lossy UDP as the query
+/// protocol, so one silent probe is not a verdict.
 struct MonitorOptions {
   int probe_timeout_ms = 250;
   int probe_attempts = 2;
@@ -28,12 +28,9 @@ struct MonitorOptions {
 struct EndpointStatus {
   Endpoint endpoint;
   PeerId probe_peer = kInvalidPeer;  // addressed peer (first assigned id)
-  bool healthy = false;
-  double rtt_ms = 0.0;  // ping round trip
-  AdminPong pong;
+  bool healthy = false;  // a decodable report arrived
+  double rtt_ms = 0.0;   // the probe's round trip
   AdminStatsReport report;
-  obs::Snapshot snapshot;
-  AdminHealthReport health;
 };
 
 /// Cluster-wide aggregation of one sample: counter sums over the healthy
@@ -68,12 +65,12 @@ class ClusterMonitor {
   ClusterMonitor(const PeersFile& peers, Transport* transport,
                  PeerId self, MonitorOptions opts = {});
 
-  /// Probes every endpoint (ping, stats, snapshot, health) and
-  /// aggregates. `at_ms` stamps the sample (caller's clock — wall ms
-  /// since its series began); QPS windows against the previous Scrape.
+  /// Probes every endpoint once for its stats report and aggregates.
+  /// `at_ms` stamps the sample (caller's clock — wall ms since its
+  /// series began); QPS windows against the previous Scrape.
   ClusterSample Scrape(double at_ms);
 
-  /// Pings every endpoint until all have answered at least once or
+  /// Probes every endpoint until all have answered at least once or
   /// `deadline_ms` of wall time elapses. The readiness probe a
   /// deployment script wants in place of log polling: returns true only
   /// when the whole cluster is reachable.
@@ -89,12 +86,12 @@ class ClusterMonitor {
   static std::string SampleToJson(const ClusterSample& sample);
 
  private:
-  /// One request/reply round: sends `kind` to `target` and waits for the
-  /// reply matching this probe's message id. Stale replies (from probes
-  /// already given up on) are drained and ignored. Returns the reply
-  /// payload bytes (envelope stripped) or false on timeout.
-  bool Probe(PeerId target, MessageKind kind, std::vector<uint8_t>* payload,
-             double* rtt_ms);
+  /// One request/reply round, retried up to `probe_attempts` times: sends
+  /// kAdminStats to `target` and waits for a decodable report answering
+  /// this probe's message id. Stale replies (from probes already given
+  /// up on) and undecodable ones are drained and ignored. Returns false
+  /// when no attempt got a report in time.
+  bool Probe(PeerId target, AdminStatsReport* report, double* rtt_ms);
 
   PeersFile peers_;
   Transport* transport_;

@@ -52,10 +52,11 @@ struct PendingRequest {
 ///
 /// Reliability is requester-driven: a forward is retransmitted with
 /// capped backoff until its response arrives or `max_retries` timeouts
-/// pass in a row, after which the session continues without the subtree.
-/// A finished session's encoded reply is its reply cache, replayed
-/// byte-identically to a duplicate query; a running one acks instead,
-/// which restores the requester's patience.
+/// pass in a row, after which the session continues without the subtree
+/// and its reply carries wire::kFrameFlagIncomplete. A finished session's
+/// encoded reply is its reply cache, replayed byte-identically to a
+/// duplicate query; a running one acks instead, which restores the
+/// requester's patience.
 ///
 /// `Driver` supplies the clock, timers, transport, observability sink,
 /// counters and dedup window through plain member calls (see AsyncEngine
@@ -96,6 +97,7 @@ class PeerCore {
     bool fast = false;
     bool finished = false;
     bool forgotten = false;  // dropped by the dedup window: free at finish
+    bool incomplete = false;  // a subtree is missing from the reply
     // Slow phase: prioritized candidates still to consider.
     struct Candidate {
       PeerId target;
@@ -203,6 +205,7 @@ class PeerCore {
     bundle_.clear();
     Answer partial{};
     bool has_partial = false;
+    bool incomplete = false;
     net::Envelope first;  // the first frame's header, for the journal
     wire::Reader r(datagram);
     wire::FrameError ferr = wire::FrameError::kTruncated;  // if empty
@@ -214,6 +217,7 @@ class PeerCore {
         ok = false;
         break;
       }
+      incomplete |= (h.trace.flags & wire::kFrameFlagIncomplete) != 0;
       const size_t frame_end = r.position() + wire::FramePayloadSize(h);
       if (h.tag == static_cast<uint8_t>(net::MessageKind::kResponse)) {
         if (bundle_.empty()) {
@@ -240,6 +244,7 @@ class PeerCore {
     driver_->CancelTimer(rq.timer);
     Session& s = sessions_.at(rq.requester);
     pending_.erase(it);
+    s.incomplete |= incomplete;
     if (has_partial) {
       policy_->MergeAnswer(&s.answer, std::move(partial), s.query);
     }
@@ -403,6 +408,7 @@ class PeerCore {
   /// A child could not be reached within the retry budget: fold in what
   /// we have and continue without its subtree.
   void ChildFailed(Session& s) {
+    s.incomplete = true;
     if (!s.fast) {
       AdvanceSlow(s);
     } else if (--s.outstanding_children == 0) {
@@ -469,11 +475,15 @@ class PeerCore {
     if (s.forgotten) sessions_.erase(s.id);
   }
 
+  /// The reply's header; it carries the incomplete bit when a subtree
+  /// is missing, so the bit travels up to the client.
   net::Envelope ReplyEnvelope(const Session& s, int attempt) const {
-    return net::Envelope{
+    net::Envelope env{
         s.origin_req, s.peer, s.requester,
         s.root ? net::MessageKind::kAnswer : net::MessageKind::kResponse,
         attempt, TraceFor(s.trace_id, s.span)};
+    if (s.incomplete) env.trace.flags |= wire::kFrameFlagIncomplete;
+    return env;
   }
 
   /// Ships session `s`'s reply cache to its requester.

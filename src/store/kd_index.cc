@@ -1,6 +1,9 @@
 #include "store/kd_index.h"
 
+#include <algorithm>
 #include <numeric>
+
+#include "store/bounded_topk.h"
 
 namespace ripple {
 
@@ -75,6 +78,84 @@ int KdIndex::BuildRec(const store::FlatStore& src,
   nodes_[index].left = left;
   nodes_[index].right = right;
   return index;
+}
+
+void KdIndex::ScoreLeaf(const Scorer& scorer, const Node& n,
+                        double* out) const {
+  const double* sub[kMaxDims];
+  const int d = rows_.dims();
+  for (int c = 0; c < d; ++c) sub[c] = rows_.col(c) + n.begin;
+  scorer.ScoreBlock(sub, d, n.end - n.begin, out);
+}
+
+void KdIndex::CollectAtLeast(const Scorer& scorer, double tau,
+                             TupleVec* out) const {
+  if (empty()) return;
+  CollectRec(kRoot, scorer, tau, out);
+}
+
+void KdIndex::CollectRec(int node, const Scorer& scorer, double tau,
+                         TupleVec* out) const {
+  const Node& n = nodes_[node];
+  if (scorer.UpperBound(n.bounds) < tau) return;
+  if (n.left < 0) {
+    double scores[kLeafSize];
+    ScoreLeaf(scorer, n, scores);
+    LocalKernelCounters().tuples_scanned += n.end - n.begin;
+    for (uint32_t i = n.begin; i < n.end; ++i) {
+      if (scores[i - n.begin] >= tau) out->push_back(rows_.TupleAt(i));
+    }
+    return;
+  }
+  CollectRec(n.left, scorer, tau, out);
+  CollectRec(n.right, scorer, tau, out);
+}
+
+TupleVec KdIndex::TopK(const Scorer& scorer, size_t k, double floor,
+                       bool inclusive_floor) const {
+  TupleVec best;
+  if (empty() || k == 0) return best;
+  // Best-first expansion of (bound, node) pairs; a simple vector-based
+  // max-heap keyed by upper bound.
+  struct Entry {
+    double bound;
+    int node;
+    bool operator<(const Entry& o) const { return bound < o.bound; }
+  };
+  std::vector<Entry> heap;
+  heap.push_back({scorer.UpperBound(nodes_[kRoot].bounds), kRoot});
+  store::BoundedTopK queue(k);
+  KernelCounters& kc = LocalKernelCounters();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const Entry e = heap.back();
+    heap.pop_back();
+    // No remaining subtree can improve the current top-k. The cut is
+    // strict even at equality: a node whose bound TIES the k-th score may
+    // still hold an equal-score tuple with a smaller id, which the
+    // deterministic (score desc, id asc) order must admit.
+    if (e.bound < (queue.full() ? queue.threshold() : floor)) break;
+    const Node& n = nodes_[e.node];
+    if (n.left < 0) {
+      double scores[kLeafSize];
+      ScoreLeaf(scorer, n, scores);
+      kc.tuples_scanned += n.end - n.begin;
+      for (uint32_t i = n.begin; i < n.end; ++i) {
+        const double s = scores[i - n.begin];
+        if (inclusive_floor ? s < floor : s <= floor) continue;
+        queue.Insert(s, rows_.id(i), i);
+      }
+    } else {
+      for (const int child : {n.left, n.right}) {
+        heap.push_back({scorer.UpperBound(nodes_[child].bounds), child});
+        std::push_heap(heap.begin(), heap.end());
+      }
+    }
+  }
+  for (const store::BoundedTopK::Entry& e : queue.SortedDescending()) {
+    best.push_back(rows_.TupleAt(e.payload));
+  }
+  return best;
 }
 
 }  // namespace ripple

@@ -1,7 +1,6 @@
 #ifndef RIPPLE_STORE_KD_INDEX_H_
 #define RIPPLE_STORE_KD_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -11,7 +10,6 @@
 #include "common/kernel_counters.h"
 #include "geom/rect.h"
 #include "geom/scoring.h"
-#include "store/bounded_topk.h"
 #include "store/flat_store.h"
 #include "store/tuple.h"
 
@@ -26,12 +24,12 @@ namespace ripple {
 ///
 /// Rows are held in a store::FlatStore permuted to tree order, so every
 /// leaf is a contiguous [begin, end) sub-range of each coordinate column —
-/// the Scorer overloads evaluate whole leaves with one ScoreBlock call
+/// the Scorer traversals evaluate whole leaves with one ScoreBlock call
 /// and feed a BoundedTopK, no per-row virtual dispatch or re-sorting.
+/// They prune with Scorer::UpperBound.
 ///
-/// Bound functors must be *sound*: for maximization traversals,
-/// rect_bound(r) >= point_score(p) for every p in r; symmetrically for
-/// minimization.
+/// ArgMin's bound functor must be *sound*: rect_lower(r) <= cost(p) for
+/// every p in r.
 class KdIndex {
  public:
   KdIndex() = default;
@@ -50,30 +48,12 @@ class KdIndex {
 
   /// Collects every tuple whose score is >= tau (maximization semantics),
   /// pruning subtrees whose rectangle upper bound falls below tau.
-  template <typename ScoreFn, typename RectUpperFn>
-  void CollectAtLeast(const ScoreFn& score, const RectUpperFn& rect_upper,
-                      double tau, TupleVec* out) const {
-    CollectImpl(MakePointLeafScore(score), rect_upper, tau, out);
-  }
-
-  /// Scorer form: leaves are scored in one ScoreBlock call each.
-  /// (Defined below the class: the block leaf-score helper has a deduced
-  /// return type, so its definition must precede uses.)
   void CollectAtLeast(const Scorer& scorer, double tau, TupleVec* out) const;
 
   /// Returns up to k highest scoring tuples with score above `floor`
   /// (strictly, or >= when `inclusive_floor`), best first. Branch-and-bound
   /// best-first search over a BoundedTopK; ties on score break toward the
   /// smaller id, matching the SelectTopK oracle.
-  template <typename ScoreFn, typename RectUpperFn>
-  TupleVec TopK(const ScoreFn& score, const RectUpperFn& rect_upper, size_t k,
-                double floor = -std::numeric_limits<double>::infinity(),
-                bool inclusive_floor = false) const {
-    return TopKImpl(MakePointLeafScore(score), rect_upper, k, floor,
-                    inclusive_floor);
-  }
-
-  /// Scorer form: leaves are scored in one ScoreBlock call each.
   TupleVec TopK(const Scorer& scorer, size_t k,
                 double floor = -std::numeric_limits<double>::infinity(),
                 bool inclusive_floor = false) const;
@@ -106,40 +86,11 @@ class KdIndex {
                 const std::vector<uint32_t>& perm, uint32_t begin,
                 uint32_t end) const;
 
-  /// Leaf scorers fill out[0..end-begin) with the scores of rows
-  /// [begin, end). The point form calls the functor row by row; the block
-  /// form hands the leaf's contiguous column sub-ranges to ScoreBlock.
-  template <typename ScoreFn>
-  auto MakePointLeafScore(const ScoreFn& score) const {
-    return [this, &score](uint32_t begin, uint32_t end, double* out) {
-      for (uint32_t i = begin; i < end; ++i) {
-        out[i - begin] = score(rows_.PointAt(i));
-      }
-    };
-  }
+  /// Fills out[0..n.end-n.begin) with the scores of leaf `n`'s rows: one
+  /// ScoreBlock call over the leaf's contiguous column sub-ranges.
+  void ScoreLeaf(const Scorer& scorer, const Node& n, double* out) const;
 
-  auto MakeBlockLeafScore(const Scorer& scorer) const {
-    return [this, &scorer](uint32_t begin, uint32_t end, double* out) {
-      const double* sub[kMaxDims];
-      const int d = rows_.dims();
-      for (int c = 0; c < d; ++c) sub[c] = rows_.col(c) + begin;
-      scorer.ScoreBlock(sub, d, end - begin, out);
-    };
-  }
-
-  template <typename LeafScoreFn, typename RectUpperFn>
-  TupleVec TopKImpl(const LeafScoreFn& leaf_score,
-                    const RectUpperFn& rect_upper, size_t k, double floor,
-                    bool inclusive_floor) const;
-
-  template <typename LeafScoreFn, typename RectUpperFn>
-  void CollectImpl(const LeafScoreFn& leaf_score,
-                   const RectUpperFn& rect_upper, double tau,
-                   TupleVec* out) const;
-
-  template <typename LeafScoreFn, typename RectUpperFn>
-  void CollectRec(int node, const LeafScoreFn& leaf_score,
-                  const RectUpperFn& rect_upper, double tau,
+  void CollectRec(int node, const Scorer& scorer, double tau,
                   TupleVec* out) const;
 
   store::FlatStore rows_;
@@ -149,95 +100,6 @@ class KdIndex {
 // ---------------------------------------------------------------------------
 // Implementation details only below here.
 // ---------------------------------------------------------------------------
-
-inline void KdIndex::CollectAtLeast(const Scorer& scorer, double tau,
-                                    TupleVec* out) const {
-  CollectImpl(MakeBlockLeafScore(scorer),
-              [&](const Rect& r) { return scorer.UpperBound(r); }, tau, out);
-}
-
-inline TupleVec KdIndex::TopK(const Scorer& scorer, size_t k, double floor,
-                              bool inclusive_floor) const {
-  return TopKImpl(MakeBlockLeafScore(scorer),
-                  [&](const Rect& r) { return scorer.UpperBound(r); }, k,
-                  floor, inclusive_floor);
-}
-
-template <typename LeafScoreFn, typename RectUpperFn>
-void KdIndex::CollectImpl(const LeafScoreFn& leaf_score,
-                          const RectUpperFn& rect_upper, double tau,
-                          TupleVec* out) const {
-  if (empty()) return;
-  CollectRec(kRoot, leaf_score, rect_upper, tau, out);
-}
-
-template <typename LeafScoreFn, typename RectUpperFn>
-void KdIndex::CollectRec(int node, const LeafScoreFn& leaf_score,
-                         const RectUpperFn& rect_upper, double tau,
-                         TupleVec* out) const {
-  const Node& n = nodes_[node];
-  if (rect_upper(n.bounds) < tau) return;
-  if (n.left < 0) {
-    double scores[kLeafSize];
-    leaf_score(n.begin, n.end, scores);
-    LocalKernelCounters().tuples_scanned += n.end - n.begin;
-    for (uint32_t i = n.begin; i < n.end; ++i) {
-      if (scores[i - n.begin] >= tau) out->push_back(rows_.TupleAt(i));
-    }
-    return;
-  }
-  CollectRec(n.left, leaf_score, rect_upper, tau, out);
-  CollectRec(n.right, leaf_score, rect_upper, tau, out);
-}
-
-template <typename LeafScoreFn, typename RectUpperFn>
-TupleVec KdIndex::TopKImpl(const LeafScoreFn& leaf_score,
-                           const RectUpperFn& rect_upper, size_t k,
-                           double floor, bool inclusive_floor) const {
-  TupleVec best;
-  if (empty() || k == 0) return best;
-  // Best-first expansion of (bound, node) pairs; a simple vector-based
-  // max-heap keyed by upper bound.
-  struct Entry {
-    double bound;
-    int node;
-    bool operator<(const Entry& o) const { return bound < o.bound; }
-  };
-  std::vector<Entry> heap;
-  heap.push_back({rect_upper(nodes_[kRoot].bounds), kRoot});
-  store::BoundedTopK queue(k);
-  KernelCounters& kc = LocalKernelCounters();
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end());
-    const Entry e = heap.back();
-    heap.pop_back();
-    // No remaining subtree can improve the current top-k. The cut is
-    // strict even at equality: a node whose bound TIES the k-th score may
-    // still hold an equal-score tuple with a smaller id, which the
-    // deterministic (score desc, id asc) order must admit.
-    if (e.bound < (queue.full() ? queue.threshold() : floor)) break;
-    const Node& n = nodes_[e.node];
-    if (n.left < 0) {
-      double scores[kLeafSize];
-      leaf_score(n.begin, n.end, scores);
-      kc.tuples_scanned += n.end - n.begin;
-      for (uint32_t i = n.begin; i < n.end; ++i) {
-        const double s = scores[i - n.begin];
-        if (inclusive_floor ? s < floor : s <= floor) continue;
-        queue.Insert(s, rows_.id(i), i);
-      }
-    } else {
-      heap.push_back({rect_upper(nodes_[n.left].bounds), n.left});
-      std::push_heap(heap.begin(), heap.end());
-      heap.push_back({rect_upper(nodes_[n.right].bounds), n.right});
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
-  for (const store::BoundedTopK::Entry& e : queue.SortedDescending()) {
-    best.push_back(rows_.TupleAt(e.payload));
-  }
-  return best;
-}
 
 template <typename CostFn, typename RectLowerFn, typename AdmitFn>
 std::optional<Tuple> KdIndex::ArgMin(const CostFn& cost,

@@ -19,12 +19,12 @@ inline constexpr uint8_t kMinWireVersion = 1;
 
 /// Highest message-type tag a frame may carry. The values mirror
 /// net::MessageKind (query=0, response=1, ack=2, answer=3, plus the
-/// admin plane: ping=4, stats=5, snapshot=6, health=7); envelope.h
-/// static_asserts the two stay in sync. The admin tags widened this
-/// range within wire version 2 — a pre-admin v2 decoder rejects them as
-/// kBadTag, which degrades a mixed fleet to "unmonitorable", never to
-/// wrong answers (the query protocol's tags are untouched).
-inline constexpr uint8_t kMaxMessageTag = 7;
+/// admin probe: stats=4); envelope.h static_asserts the two stay in
+/// sync. An admin tag this decoder does not know (an older build's 5-7,
+/// or any later one) is rejected as kBadTag, which degrades a mixed
+/// fleet to "unmonitorable", never to wrong answers (the query
+/// protocol's tags are untouched).
+inline constexpr uint8_t kMaxMessageTag = 4;
 
 /// Sentinel parent span id: "this frame starts a new root span". Matches
 /// obs::kNoSpan bit-for-bit, but wire/ must not depend on obs/ (the
@@ -35,6 +35,11 @@ inline constexpr uint32_t kNoParentSpan = 0xffffffffu;
 /// decision taken once at the query initiator; every downstream peer
 /// honors it, so a trace is either complete or absent, never partial.
 inline constexpr uint8_t kFrameFlagSampled = 0x01;
+/// Bit 1 marks a reply or answer whose subtree is missing: the sending
+/// session gave up on a link, or consumed a reply that carried the bit.
+/// It travels up the query tree, so a client never calls an answer
+/// complete that lost part of the overlay.
+inline constexpr uint8_t kFrameFlagIncomplete = 0x02;
 
 /// Trace context carried by every v2 frame. A v1 frame decodes with the
 /// defaults below: no trace, no parent, not sampled.

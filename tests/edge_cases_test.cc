@@ -30,15 +30,13 @@ TEST(EdgeCaseTest, KdIndexHandlesIdenticalKeys) {
   const TupleVec ts = AllSamePoint(100, Point{0.5, 0.5});
   KdIndex idx(ts);
   LinearScorer s({-1.0, -1.0});
-  auto score = [&](const Point& p) { return s.Score(p); };
-  auto upper = [&](const Rect& r) { return s.UpperBound(r); };
-  const TupleVec top = idx.TopK(score, upper, 10);
+  const TupleVec top = idx.TopK(s, 10);
   ASSERT_EQ(top.size(), 10u);
   // All scores tie, so any 10 distinct tuples form a valid top-k (the
   // index's id tie-break is best-effort across subtrees, not global).
   std::set<uint64_t> ids;
   for (const Tuple& t : top) {
-    EXPECT_DOUBLE_EQ(score(t.key), -1.0);
+    EXPECT_DOUBLE_EQ(s.Score(t.key), -1.0);
     EXPECT_TRUE(ids.insert(t.id).second);
   }
 }

@@ -1,6 +1,6 @@
-// The live monitoring plane (ctest -L monitor): admin payload codecs
+// The live monitoring plane (ctest -L monitor): the stats report codec
 // (round trips, truncation and garbage rejection), the registry bridge,
-// cluster aggregation, the daemon's admin request handling over a capture
+// cluster aggregation, the daemon's admin probe handling over a capture
 // transport, and a real-UDP scrape of a two-daemon cluster whose totals
 // must agree with the daemons' own counters.
 
@@ -100,8 +100,7 @@ TEST(AdminCodecTest, FieldCountMismatchIsRejected) {
   EXPECT_FALSE(net::DecodeDaemonStats(&r, &out));
 }
 
-TEST(AdminCodecTest, PongStatsReportAndHealthRoundTrip) {
-  net::AdminPong pong{12345, 4};
+TEST(AdminCodecTest, StatsReportRoundTrips) {
   net::AdminStatsReport report;
   report.uptime_ms = 999;
   report.peer_lo = 3;
@@ -109,29 +108,15 @@ TEST(AdminCodecTest, PongStatsReportAndHealthRoundTrip) {
   FillDistinct(&report.stats, kStatVisit, 10);
   FillDistinct(&report.transport, kTransportVisit, 20);
   FillDistinct(&report.queues, kDepthVisit, 30);
-  net::AdminHealthReport health;
-  health.healthy = true;
-  health.uptime_ms = 42;
-  health.open_sessions = 2;
-  health.pending_requests = 3;
-  health.queries_served = 77;
 
   wire::Buffer buf;
-  net::EncodeAdminPong(pong, &buf);
   net::EncodeStatsReport(report, &buf);
-  net::EncodeHealthReport(health, &buf);
   const std::vector<uint8_t> bytes = buf.Take();
 
   wire::Reader r(bytes);
-  net::AdminPong pong2;
   net::AdminStatsReport report2;
-  net::AdminHealthReport health2;
-  ASSERT_TRUE(net::DecodeAdminPong(&r, &pong2));
   ASSERT_TRUE(net::DecodeStatsReport(&r, &report2));
-  ASSERT_TRUE(net::DecodeHealthReport(&r, &health2));
   EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(pong2.uptime_ms, pong.uptime_ms);
-  EXPECT_EQ(pong2.peers_served, pong.peers_served);
   EXPECT_EQ(report2.uptime_ms, report.uptime_ms);
   EXPECT_EQ(report2.peer_lo, report.peer_lo);
   EXPECT_EQ(report2.peer_hi, report.peer_hi);
@@ -141,30 +126,39 @@ TEST(AdminCodecTest, PongStatsReportAndHealthRoundTrip) {
             FieldValues(report.transport, kTransportVisit));
   EXPECT_EQ(FieldValues(report2.queues, kDepthVisit),
             FieldValues(report.queues, kDepthVisit));
-  EXPECT_TRUE(health2.healthy);
-  EXPECT_EQ(health2.uptime_ms, health.uptime_ms);
-  EXPECT_EQ(health2.open_sessions, health.open_sessions);
-  EXPECT_EQ(health2.pending_requests, health.pending_requests);
-  EXPECT_EQ(health2.queries_served, health.queries_served);
 }
 
-TEST(AdminCodecTest, SnapshotRoundTripsNamesAndValues) {
-  obs::Snapshot snap;
-  snap.at_ms = 1500.25;
-  snap.counters = {{"net.daemon.queries_served", 12},
-                   {"overlay.hops", 345678901234567ull}};
-  snap.gauges = {{"net.daemon.open_sessions", 2.0},
-                 {"net.daemon.uptime_ms", 987.5}};
+TEST(AdminCodecTest, PeerIdsBeyondUint32AreRejected) {
+  // peer_lo / peer_hi are 32-bit overlay ids carried as varints: a varint
+  // of 2^32 must fail the decode, not wrap to 0 and re-encode to other
+  // bytes.
+  const net::AdminStatsReport empty;
+  for (int field = 0; field < 2; ++field) {
+    wire::Buffer buf;
+    buf.PutVarint(7);  // uptime_ms
+    buf.PutVarint(field == 0 ? uint64_t{1} << 32 : 1);
+    buf.PutVarint(field == 1 ? uint64_t{1} << 32 : 2);
+    net::EncodeDaemonStats(empty.stats, &buf);
+    net::EncodeTransportCounters(empty.transport, &buf);
+    net::EncodeQueueDepths(empty.queues, &buf);
+    const std::vector<uint8_t> bytes = buf.Take();
+    wire::Reader r(bytes);
+    net::AdminStatsReport out;
+    EXPECT_FALSE(net::DecodeStatsReport(&r, &out)) << "field " << field;
+  }
+  // The largest id is valid and re-encodes to the same bytes.
+  net::AdminStatsReport report;
+  report.peer_lo = report.peer_hi = UINT32_MAX;
   wire::Buffer buf;
-  net::EncodeSnapshot(snap, &buf);
+  net::EncodeStatsReport(report, &buf);
   const std::vector<uint8_t> bytes = buf.Take();
   wire::Reader r(bytes);
-  obs::Snapshot out;
-  ASSERT_TRUE(net::DecodeSnapshot(&r, &out));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_DOUBLE_EQ(out.at_ms, snap.at_ms);
-  EXPECT_EQ(out.counters, snap.counters);
-  EXPECT_EQ(out.gauges, snap.gauges);
+  net::AdminStatsReport out;
+  ASSERT_TRUE(net::DecodeStatsReport(&r, &out));
+  EXPECT_EQ(out.peer_lo, UINT32_MAX);
+  wire::Buffer again;
+  net::EncodeStatsReport(out, &again);
+  EXPECT_EQ(again.Take(), bytes);
 }
 
 TEST(AdminCodecTest, EveryTruncationOfAReportIsRejected) {
@@ -185,16 +179,18 @@ TEST(AdminCodecTest, EveryTruncationOfAReportIsRejected) {
   }
 }
 
-TEST(AdminCodecTest, SnapshotRejectsGarbageAndOverlongCounts) {
-  // A claimed element count larger than the remaining bytes must fail
-  // before any allocation, not attempt a four-billion-entry vector.
+TEST(AdminCodecTest, StatsReportSurvivesGarbage) {
+  // A claimed field count far beyond the struct's fails the decode
+  // instead of reading past it.
   wire::Buffer buf;
-  buf.PutF64(1.0);
+  buf.PutVarint(1);  // uptime_ms
+  buf.PutVarint(0);  // peer_lo
+  buf.PutVarint(0);  // peer_hi
   buf.PutVarint(0xFFFFFFFFu);
   const std::vector<uint8_t> huge = buf.Take();
   wire::Reader hr(huge);
-  obs::Snapshot out;
-  EXPECT_FALSE(net::DecodeSnapshot(&hr, &out));
+  net::AdminStatsReport out;
+  EXPECT_FALSE(net::DecodeStatsReport(&hr, &out));
 
   // Deterministic pseudo-random byte soup: decoding must fail cleanly
   // (or at worst decode and leave residue), never crash.
@@ -208,11 +204,8 @@ TEST(AdminCodecTest, SnapshotRejectsGarbageAndOverlongCounts) {
       b = static_cast<uint8_t>(x);
     }
     wire::Reader r(junk);
-    obs::Snapshot s;
-    net::DecodeSnapshot(&r, &s);  // must not crash or hang
-    wire::Reader r2(junk);
     net::AdminStatsReport rep;
-    net::DecodeStatsReport(&r2, &rep);
+    net::DecodeStatsReport(&r, &rep);  // must not crash or hang
   }
 }
 
@@ -229,14 +222,6 @@ TEST(AdminJsonTest, JsonCarriesTheWireFieldNames) {
   EXPECT_NE(json.find("\"queries_served\":17"), std::string::npos);
   EXPECT_NE(json.find("\"datagrams_sent\":9"), std::string::npos);
   EXPECT_NE(json.find("\"open_sessions\":1"), std::string::npos);
-
-  obs::Snapshot snap;
-  snap.at_ms = 10.0;
-  snap.counters = {{"a.b", 3}};
-  snap.gauges = {{"c.d", 1.5}};
-  const std::string sj = net::SnapshotJson(snap);
-  EXPECT_NE(sj.find("\"a.b\":3"), std::string::npos) << sj;
-  EXPECT_NE(sj.find("\"c.d\":"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,24 +329,27 @@ class AdminDaemonTest : public ::testing::Test {
   const PeerId client_ = net::kClientIdBase | 2;
 };
 
-TEST_F(AdminDaemonTest, PingRepliesReuseTagAndId) {
+TEST_F(AdminDaemonTest, ProbeRepliesReuseTagAndId) {
   CaptureTransport wire;
   net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0, 1, 2});
   const uint64_t id = net::MakeMessageId(client_, 1);
-  daemon.Dispatch(AdminDatagram(net::MessageKind::kAdminPing, id, client_, 1));
+  daemon.Dispatch(
+      AdminDatagram(net::MessageKind::kAdminStats, id, client_, 1));
   ASSERT_EQ(wire.sent.size(), 1u);
   const net::Datagram& d = wire.sent[0];
-  EXPECT_EQ(d.env.kind, net::MessageKind::kAdminPing);
+  EXPECT_EQ(d.env.kind, net::MessageKind::kAdminStats);
   EXPECT_EQ(d.env.id, id);
   EXPECT_EQ(d.env.from, 1u);
   EXPECT_EQ(d.env.to, client_);
   wire::Reader r(d.bytes);
   net::Envelope echo;
   ASSERT_TRUE(net::DecodeEnvelopeFrame(&r, &echo));
-  net::AdminPong pong;
-  ASSERT_TRUE(net::DecodeAdminPong(&r, &pong));
+  EXPECT_EQ(echo.kind, net::MessageKind::kAdminStats);
+  net::AdminStatsReport report;
+  ASSERT_TRUE(net::DecodeStatsReport(&r, &report));
   EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(pong.peers_served, 3u);
+  EXPECT_EQ(report.peer_lo, 0u);
+  EXPECT_EQ(report.peer_hi, 2u);
   EXPECT_EQ(daemon.stats().admin_requests, 1u);
   EXPECT_EQ(daemon.stats().queries_served, 0u);  // probes open no sessions
 }
@@ -424,7 +412,10 @@ TEST_F(AdminDaemonTest, StatsReplyMatchesTheDaemonsOwnCounters) {
   EXPECT_GT(report.queues.dedup_tracked, 0u);
 }
 
-TEST_F(AdminDaemonTest, SnapshotReplyCarriesRegistryContents) {
+TEST_F(AdminDaemonTest, SyncRegistryMirrorsTheStatsReport) {
+  // The registry bridge carries the same counters a probe reads, for
+  // `serve --metrics-out` and its windowed snapshots; what else the
+  // registry holds is left alone.
   CaptureTransport wire;
   net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0, 1, 2});
   obs::Registry registry;
@@ -433,45 +424,54 @@ TEST_F(AdminDaemonTest, SnapshotReplyCarriesRegistryContents) {
 
   const uint64_t id = net::MakeMessageId(client_, 7);
   daemon.Dispatch(
-      AdminDatagram(net::MessageKind::kAdminSnapshot, id, client_, 2));
+      AdminDatagram(net::MessageKind::kAdminStats, id, client_, 2));
   ASSERT_EQ(wire.sent.size(), 1u);
-  wire::Reader r(wire.sent[0].bytes);
-  net::Envelope echo;
-  ASSERT_TRUE(net::DecodeEnvelopeFrame(&r, &echo));
-  obs::Snapshot snap;
-  ASSERT_TRUE(net::DecodeSnapshot(&r, &snap));
-  EXPECT_EQ(r.remaining(), 0u);
-  uint64_t custom = 0, admin = 0;
-  for (const auto& [name, v] : snap.counters) {
-    if (name == "custom.probe") custom = v;
-    if (name == "net.daemon.admin_requests") admin = v;
-  }
-  EXPECT_EQ(custom, 5u);
-  EXPECT_EQ(admin, 1u);  // the handler synced after counting this probe
-  bool has_uptime = false;
-  for (const auto& [name, v] : snap.gauges) {
-    if (name == "net.daemon.uptime_ms") has_uptime = v >= 0.0;
-  }
-  EXPECT_TRUE(has_uptime);
+  daemon.SyncRegistry();
+  EXPECT_EQ(registry.GetCounter("custom.probe").value(), 5u);
+  EXPECT_EQ(registry.GetCounter("net.daemon.admin_requests").value(), 1u);
+  EXPECT_GE(registry.GetGauge("net.daemon.uptime_ms").value(), 0.0);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("net.daemon.open_sessions").value(),
+                   0.0);
 }
 
 TEST_F(AdminDaemonTest, HealthReportsLiveDepths) {
+  // The probe's depths are read at reply time: with a query stuck
+  // mid-flight (the daemon serves only peer 0, so its forwards go
+  // unanswered), the report shows the open session, every pending
+  // forward and the retransmission timer armed for each.
   CaptureTransport wire;
-  net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0, 1, 2});
+  net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0});
+  SkylinePolicy policy;
+  const uint64_t qid = net::MakeMessageId(client_, 11);
+  const net::Envelope qenv{qid, client_, 0, net::MessageKind::kQuery, 0, {}};
+  wire::Buffer qbuf;
+  const size_t qstart = net::BeginEnvelopeFrame(qenv, &qbuf);
+  qbuf.PutU8(static_cast<uint8_t>(net::PolicyTagOf<SkylinePolicy>::value));
+  qbuf.PutZigzag(0);
+  policy.EncodeQuery(SkylineQuery{}, &qbuf);
+  policy.EncodeState(policy.InitialGlobalState({}), &qbuf);
+  overlay_->EncodeArea(overlay_->FullArea(), &qbuf);
+  wire::EndFrame(&qbuf, qstart);
+  daemon.Dispatch(net::Datagram{qenv, qbuf.Take()});
+  const uint64_t forwards = daemon.stats().child_requests;
+  ASSERT_GT(forwards, 0u);
+  wire.sent.clear();
+
   const uint64_t id = net::MakeMessageId(client_, 8);
   daemon.Dispatch(
-      AdminDatagram(net::MessageKind::kAdminHealth, id, client_, 0));
+      AdminDatagram(net::MessageKind::kAdminStats, id, client_, 0));
   ASSERT_EQ(wire.sent.size(), 1u);
   wire::Reader r(wire.sent[0].bytes);
   net::Envelope echo;
   ASSERT_TRUE(net::DecodeEnvelopeFrame(&r, &echo));
-  net::AdminHealthReport health;
-  ASSERT_TRUE(net::DecodeHealthReport(&r, &health));
+  net::AdminStatsReport report;
+  ASSERT_TRUE(net::DecodeStatsReport(&r, &report));
   EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_TRUE(health.healthy);
-  EXPECT_EQ(health.open_sessions, 0u);
-  EXPECT_EQ(health.pending_requests, 0u);
-  EXPECT_EQ(health.queries_served, 0u);
+  EXPECT_EQ(report.stats.queries_served, 1u);
+  EXPECT_EQ(report.queues.open_sessions, 1u);
+  EXPECT_EQ(report.queues.sessions_total, 1u);
+  EXPECT_EQ(report.queues.pending_requests, forwards);
+  EXPECT_EQ(report.queues.timers_pending, forwards);
 }
 
 TEST_F(AdminDaemonTest, DuplicateProbesAreAnsweredWithoutDedup) {
@@ -481,8 +481,10 @@ TEST_F(AdminDaemonTest, DuplicateProbesAreAnsweredWithoutDedup) {
   CaptureTransport wire;
   net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire, {0, 1, 2});
   const uint64_t id = net::MakeMessageId(client_, 9);
-  daemon.Dispatch(AdminDatagram(net::MessageKind::kAdminPing, id, client_, 0));
-  daemon.Dispatch(AdminDatagram(net::MessageKind::kAdminPing, id, client_, 0));
+  daemon.Dispatch(
+      AdminDatagram(net::MessageKind::kAdminStats, id, client_, 0));
+  daemon.Dispatch(
+      AdminDatagram(net::MessageKind::kAdminStats, id, client_, 0));
   EXPECT_EQ(wire.sent.size(), 2u);
   EXPECT_EQ(daemon.stats().admin_requests, 2u);
   EXPECT_EQ(daemon.stats().duplicates_suppressed, 0u);
@@ -507,7 +509,7 @@ TEST_F(AdminDaemonTest, RejectsPayloadBearingAndMisdeliveredProbes) {
 
   // A probe for a peer this process does not serve.
   daemon.Dispatch(
-      AdminDatagram(net::MessageKind::kAdminPing, id + 1, client_, 5));
+      AdminDatagram(net::MessageKind::kAdminStats, id + 1, client_, 5));
   EXPECT_EQ(daemon.stats().misdelivered, 1u);
   EXPECT_TRUE(wire.sent.empty());
   EXPECT_EQ(daemon.stats().admin_requests, 0u);
@@ -582,14 +584,13 @@ TEST(ClusterMonitorTest, ScrapesALiveTwoDaemonCluster) {
   EXPECT_EQ(sample.totals.endpoints, 2u);
   EXPECT_EQ(sample.totals.healthy, 2u);
   ASSERT_EQ(sample.endpoints.size(), 2u);
-  uint64_t pong_peers = 0;
+  uint64_t peers_reported = 0;
   for (const auto& es : sample.endpoints) {
     EXPECT_TRUE(es.healthy);
     EXPECT_GT(es.rtt_ms, 0.0);
-    EXPECT_TRUE(es.health.healthy);
-    pong_peers += es.pong.peers_served;
+    peers_reported += es.report.peer_hi - es.report.peer_lo + 1;
   }
-  EXPECT_EQ(pong_peers, 6u);
+  EXPECT_EQ(peers_reported, 6u);
   EXPECT_EQ(sample.totals.stats.answers_finalized, 1u);
   EXPECT_GT(sample.totals.stats.queries_served, 0u);
   EXPECT_GT(sample.totals.transport.datagrams_received, 0u);

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -468,12 +469,12 @@ TEST_F(DaemonTest, JournalRecordsUnsampledQueryFramesButNoAdminFrames) {
   ASSERT_GT(events, 0u);
 
   const net::Envelope probe{net::MakeMessageId(client_, 12), client_, 0,
-                            net::MessageKind::kAdminPing, 0, {}};
+                            net::MessageKind::kAdminStats, 0, {}};
   wire::Buffer buf;
   wire::EndFrame(&buf, net::BeginEnvelopeFrame(probe, &buf));
   daemon.Dispatch(net::Datagram{probe, buf.Take()});
   ASSERT_EQ(wire.sent.size(), 1u);
-  EXPECT_EQ(wire.sent[0].env.kind, net::MessageKind::kAdminPing);
+  EXPECT_EQ(wire.sent[0].env.kind, net::MessageKind::kAdminStats);
   EXPECT_EQ(journal.TotalEvents(), events);
 }
 
@@ -578,6 +579,115 @@ TEST_F(DaemonTest, GivingUpOnSilentChildrenCountsLinksUnresolved) {
   }
   EXPECT_TRUE(answered);
   EXPECT_EQ(daemon.stats().answers_finalized, 1u);
+}
+
+/// A NetClient's transport onto an in-process daemon: the client's
+/// datagrams go straight into the daemon, and each Poll runs the daemon's
+/// timers and loops its captured traffic back — peer-bound datagrams into
+/// the daemon unless `withhold` drops them, client-bound ones to the
+/// client.
+class DaemonBridge : public net::Transport {
+ public:
+  DaemonBridge(net::PeerDaemon<MidasOverlay>* daemon, CaptureTransport* wire,
+               std::function<bool(const net::Datagram&)> withhold)
+      : daemon_(daemon), wire_(wire), withhold_(std::move(withhold)) {}
+
+  void Send(const net::Envelope& env, std::vector<uint8_t> bytes) override {
+    daemon_->Dispatch(net::Datagram{env, std::move(bytes)});
+  }
+
+  bool Poll(net::Datagram* out, int timeout_ms) override {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      std::vector<net::Datagram> batch = std::move(wire_->sent);
+      wire_->sent.clear();
+      for (net::Datagram& d : batch) {
+        if (net::IsClientId(d.env.to)) {
+          if (d.env.kind == net::MessageKind::kAnswer) answer = d.bytes;
+          Deliver(d.env, std::move(d.bytes));
+        } else if (!withhold_(d)) {
+          daemon_->Dispatch(std::move(d));
+        }
+      }
+      if (!wire_->sent.empty()) continue;
+      if (Transport::Poll(out, 0)) return true;
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      daemon_->ServeOnce(0);
+    }
+  }
+
+  std::vector<uint8_t> answer;  // the last answer datagram to the client
+
+ private:
+  net::PeerDaemon<MidasOverlay>* daemon_;
+  CaptureTransport* wire_;
+  std::function<bool(const net::Datagram&)> withhold_;
+};
+
+TEST_F(DaemonTest, WithheldSubtreeFlagsTheAnswerIncomplete) {
+  // One daemon serves every peer. Every reply to one forward is withheld
+  // — a forward of the root, or one issued deeper in the tree — so its
+  // requester gives up on that link and the root still answers. That
+  // answer must carry the incomplete bit (OR'ed up through intermediate
+  // replies), and the client must not call it complete. With nothing
+  // withheld the same query is complete and unflagged.
+  net::RetryOptions retry;
+  retry.timeout = 2.0;  // wall-clock ms
+  retry.timeout_cap = 4.0;
+  retry.max_retries = 1;
+  net::RetryOptions client_retry;
+  client_retry.timeout = 200.0;
+  client_retry.timeout_cap = 400.0;
+  struct Outcome {
+    bool complete = false;
+    bool flagged = false;
+    uint64_t links_unresolved = 0;
+  };
+  // `from_root`: withhold a forward of peer 0 (the root) or of any other
+  // peer; nullopt withholds nothing.
+  auto run = [&](std::optional<bool> from_root) {
+    CaptureTransport wire;
+    net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
+                                         {0, 1, 2, 3, 4, 5}, retry);
+    uint64_t withheld = 0;
+    DaemonBridge bridge(&daemon, &wire, [&](const net::Datagram& d) {
+      if (withheld == 0 && from_root.has_value() &&
+          d.env.kind == net::MessageKind::kQuery &&
+          (d.env.from == 0) == *from_root) {
+        withheld = d.env.id;
+      }
+      return d.env.kind == net::MessageKind::kResponse &&
+             d.env.id == withheld;
+    });
+    net::NetClient<MidasOverlay> client(overlay_.get(), &bridge, client_,
+                                        client_retry);
+    SkylinePolicy policy;
+    const auto live = client.Execute(policy, SkylineQuery{}, 0, /*r=*/0,
+                                     policy.InitialGlobalState({}));
+    EXPECT_EQ(withheld != 0, from_root.has_value());
+    EXPECT_FALSE(live.answer.empty());
+    Outcome o;
+    o.complete = live.complete;
+    wire::Reader r(bridge.answer);
+    wire::FrameHeader h;
+    EXPECT_TRUE(wire::DecodeFrameHeader(&r, &h));
+    o.flagged = (h.trace.flags & wire::kFrameFlagIncomplete) != 0;
+    o.links_unresolved = daemon.stats().links_unresolved;
+    return o;
+  };
+
+  const Outcome clean = run(std::nullopt);
+  EXPECT_TRUE(clean.complete);
+  EXPECT_FALSE(clean.flagged);
+  EXPECT_EQ(clean.links_unresolved, 0u);
+  for (const bool from_root : {true, false}) {
+    const Outcome lost = run(from_root);
+    EXPECT_FALSE(lost.complete) << "from_root=" << from_root;
+    EXPECT_TRUE(lost.flagged) << "from_root=" << from_root;
+    EXPECT_EQ(lost.links_unresolved, 1u) << "from_root=" << from_root;
+  }
 }
 
 TEST_F(DaemonTest, GarbageAdminFramesAreCountedNeverAnswered) {

@@ -173,9 +173,8 @@ TEST(KdIndexTest, TopKAgreesWithScan) {
   KdIndex idx(ts);
   LinearScorer s({0.2, 0.5, 0.3});
   auto score = [&](const Point& p) { return s.Score(p); };
-  auto upper = [&](const Rect& r) { return s.UpperBound(r); };
   for (size_t k : {1u, 5u, 17u, 100u}) {
-    const TupleVec got = idx.TopK(score, upper, k);
+    const TupleVec got = idx.TopK(s, k);
     const TupleVec want = SelectTopK(ts, score, k);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -189,16 +188,14 @@ TEST(KdIndexTest, TopKRespectsFloor) {
   const TupleVec ts = RandomTuples(300, 2, &rng);
   KdIndex idx(ts);
   LinearScorer s({1.0, 1.0});
-  auto score = [&](const Point& p) { return s.Score(p); };
-  auto upper = [&](const Rect& r) { return s.UpperBound(r); };
   const double floor = 1.4;
-  const TupleVec got = idx.TopK(score, upper, 1000, floor);
+  const TupleVec got = idx.TopK(s, 1000, floor);
   size_t expected = 0;
   for (const Tuple& t : ts) {
-    if (score(t.key) > floor) ++expected;
+    if (s.Score(t.key) > floor) ++expected;
   }
   EXPECT_EQ(got.size(), expected);
-  for (const Tuple& t : got) EXPECT_GT(score(t.key), floor);
+  for (const Tuple& t : got) EXPECT_GT(s.Score(t.key), floor);
 }
 
 TEST(KdIndexTest, CollectAtLeastAgreesWithScan) {
@@ -206,14 +203,12 @@ TEST(KdIndexTest, CollectAtLeastAgreesWithScan) {
   const TupleVec ts = RandomTuples(500, 4, &rng);
   KdIndex idx(ts);
   LinearScorer s({0.25, 0.25, 0.25, 0.25});
-  auto score = [&](const Point& p) { return s.Score(p); };
-  auto upper = [&](const Rect& r) { return s.UpperBound(r); };
   for (double tau : {0.2, 0.5, 0.8}) {
     TupleVec got;
-    idx.CollectAtLeast(score, upper, tau, &got);
+    idx.CollectAtLeast(s, tau, &got);
     size_t expected = 0;
     for (const Tuple& t : ts) {
-      if (score(t.key) >= tau) ++expected;
+      if (s.Score(t.key) >= tau) ++expected;
     }
     EXPECT_EQ(got.size(), expected) << "tau=" << tau;
   }
@@ -249,9 +244,12 @@ TEST(KdIndexTest, ArgMinAgreesWithScanAndRespectsAdmit) {
 TEST(KdIndexTest, EmptyIndex) {
   KdIndex idx;
   EXPECT_TRUE(idx.empty());
+  EXPECT_TRUE(idx.TopK(LinearScorer({1.0}), 5).empty());
+  TupleVec collected;
+  idx.CollectAtLeast(LinearScorer({1.0}), 0.0, &collected);
+  EXPECT_TRUE(collected.empty());
   auto zero = [](const Point&) { return 0.0; };
   auto zero_r = [](const Rect&) { return 0.0; };
-  EXPECT_TRUE(idx.TopK(zero, zero_r, 5).empty());
   double c = 0;
   EXPECT_FALSE(
       idx.ArgMin(zero, zero_r, [](const Tuple&) { return true; }, &c)

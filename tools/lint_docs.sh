@@ -87,6 +87,11 @@ DEAD_SYMBOLS=(
   SetTracer
   SetJournal
   SetProfiler
+  kAdminPing
+  kAdminSnapshot
+  kAdminHealth
+  AdminPong
+  AdminHealthReport
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)

@@ -76,8 +76,8 @@ for i in 0 1 2; do
   PIDS+=($!)
 done
 
-# Readiness via the admin plane: PING every daemon until the whole
-# cluster answers. This probes the actual serve loop over the actual
+# Readiness via the admin plane: probe every daemon for its stats report
+# until the whole cluster answers. This probes the actual serve loop over the actual
 # socket — a daemon that bound its port but wedged before serving would
 # pass a log grep and fail this.
 if ! "$CLI" monitor --peers-file="$PEERS" --wait-healthy-ms=10000; then

@@ -3,14 +3,14 @@
 //   $ ripple_cli monitor --peers-file=peers.txt --count=5 --interval-ms=1000
 //   $ ripple_cli monitor --peers-file=peers.txt --wait-healthy-ms=5000
 //
-// Resolves the peers file, probes every daemon endpoint (ping, stats,
-// snapshot, health) with per-probe timeouts, marks non-responders
+// Resolves the peers file, probes every daemon endpoint once for its
+// stats report (per-probe timeouts and retries), marks non-responders
 // unhealthy, and prints an ASCII dashboard per sample. --series-out
 // appends one JSON object per sample to a JSONL file whose cluster
 // totals use the exact field names of `serve --stats-out`, so a series'
 // final totals are directly comparable to the daemons' shutdown reports.
 // --wait-healthy-ms turns the command into a readiness probe: it exits 0
-// as soon as every endpoint answers a PING, 1 if the deadline passes —
+// as soon as every endpoint answers the probe, 1 if the deadline passes —
 // the deployment-script replacement for polling daemon logs.
 
 #include <csignal>
@@ -54,7 +54,7 @@ int RunMonitor(int argc, char** argv) {
   bool quiet = false;
   FlagParser flags(
       "ripple_cli monitor — scrapes every daemon of a live overlay over "
-      "the admin protocol (ping/stats/snapshot/health), prints an ASCII "
+      "the admin protocol (one stats probe each), prints an ASCII "
       "dashboard per sample and appends a JSONL time series.");
   flags.AddString("peers-file",
                   "shared topology file naming the daemon endpoints "
@@ -71,7 +71,7 @@ int RunMonitor(int argc, char** argv) {
                "probes per endpoint before it is marked unhealthy",
                &probe_attempts);
   flags.AddInt("wait-healthy-ms",
-               "readiness mode: ping until every endpoint answers, exit "
+               "readiness mode: probe until every endpoint answers, exit "
                "0/1 (no scraping)",
                &wait_healthy_ms);
   flags.AddString("series-out", "append one JSON object per sample here",

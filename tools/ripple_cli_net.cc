@@ -238,8 +238,8 @@ int RunServe(int argc, char** argv) {
   daemon.SetSink(obs::Sink(/*tracer=*/nullptr,
                            profile_out.empty() ? nullptr : &profiler,
                            journal_out.empty() ? nullptr : &journal));
-  // Always bridged: kAdminSnapshot replies and the shutdown
-  // --metrics-out/--snapshot-out exports all read this registry.
+  // Always bridged: the periodic snapshots and the shutdown
+  // --metrics-out/--snapshot-out exports read this registry.
   obs::Registry registry;
   daemon.SetRegistry(&registry);
   net::UdpSocketTransport* udp_ptr = transport->get();
