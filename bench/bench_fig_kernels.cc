@@ -13,6 +13,13 @@
 //   exact_topk_heap_pushes         admissions into the bounded queue
 //   exact_skyline_tuples_scanned   skyline candidates examined
 //   exact_skyline_dominance_cmps   pair tests by the dominance kernel
+//   exact_state_band_tuples_scanned   rows the store-side band kernel
+//                                  (LocalStore::Skyband over the first
+//                                  half, state = the k-band of the second
+//                                  half) examined, summed over k = 1, 2
+//   exact_state_band_dominance_cmps   its pair tests, summed over k = 1, 2
+//   exact_merge_tuples_scanned     MergeSkylines of the two halves'
+//                                  skylines: tuples tested
 //   exact_oracle_mismatch          0 iff kernel results byte-match the oracle
 // Kernel wall-clock rides along under the informational wall_ prefix
 // (never gated).
@@ -28,6 +35,7 @@
 #include "common/kernel_counters.h"
 #include "oracle/oracle.h"
 #include "store/local_algos.h"
+#include "store/local_store.h"
 
 using namespace ripple;
 using namespace ripple::bench;
@@ -78,6 +86,21 @@ bool BitIdentical(const TupleVec& a, const TupleVec& b) {
     }
   }
   return true;
+}
+
+/// oracle::Skyband(store ∪ state, k) restricted to the store's rows.
+TupleVec StoreBandOracle(const TupleVec& store, const TupleVec& state,
+                         size_t k) {
+  TupleVec all = store;
+  all.insert(all.end(), state.begin(), state.end());
+  std::vector<uint64_t> ids;
+  for (const Tuple& t : store) ids.push_back(t.id);
+  std::sort(ids.begin(), ids.end());
+  TupleVec out;
+  for (const Tuple& t : oracle::Skyband(all, k)) {
+    if (std::binary_search(ids.begin(), ids.end(), t.id)) out.push_back(t);
+  }
+  return out;
 }
 
 template <typename Fn>
@@ -132,6 +155,34 @@ int main() {
         ++mismatch;
       }
       if (!BitIdentical(sky, oracle::Skyline(tuples))) ++mismatch;
+
+      // The store-side band kernel: the first half is a peer's store, the
+      // second half's k-band the state it received.
+      const TupleVec lower(tuples.begin(), tuples.begin() + n / 2);
+      const TupleVec upper(tuples.begin() + n / 2, tuples.end());
+      LocalStore store;
+      store.AddAll(lower);
+      KernelCounters band_work;
+      for (size_t k : {size_t{1}, size_t{2}}) {
+        const TupleVec state = ComputeKSkyband(upper, k);
+        ResetKernelCounters();
+        const TupleVec band = store.Skyband(state, k);
+        band_work.tuples_scanned += LocalKernelCounters().tuples_scanned;
+        band_work.dominance_cmps += LocalKernelCounters().dominance_cmps;
+        ResetKernelCounters();
+        if (!BitIdentical(band, StoreBandOracle(lower, state, k))) {
+          ++mismatch;
+        }
+      }
+      const TupleVec sky_lower = ComputeSkyline(lower);
+      const TupleVec sky_upper = ComputeSkyline(upper);
+      ResetKernelCounters();
+      const TupleVec merged = MergeSkylines(sky_lower, sky_upper);
+      const KernelCounters merge_work = LocalKernelCounters();
+      ResetKernelCounters();
+      if (!BitIdentical(merged, oracle::MergeSkylines(sky_lower, sky_upper))) {
+        ++mismatch;
+      }
       total_mismatches += mismatch;
 
       // Wall clock, informational.
@@ -147,6 +198,12 @@ int main() {
                            static_cast<double>(sky_work.tuples_scanned));
       Reporter().AddMetric(case_id, "exact_skyline_dominance_cmps",
                            static_cast<double>(sky_work.dominance_cmps));
+      Reporter().AddMetric(case_id, "exact_state_band_tuples_scanned",
+                           static_cast<double>(band_work.tuples_scanned));
+      Reporter().AddMetric(case_id, "exact_state_band_dominance_cmps",
+                           static_cast<double>(band_work.dominance_cmps));
+      Reporter().AddMetric(case_id, "exact_merge_tuples_scanned",
+                           static_cast<double>(merge_work.tuples_scanned));
       Reporter().AddMetric(case_id, "exact_oracle_mismatch",
                            static_cast<double>(mismatch));
       Reporter().AddMetric(case_id, "wall_soa_topk_ms", soa_topk_ms);

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -46,11 +47,15 @@ class NetClient {
  public:
   /// `client_id` must carry kClientIdBase (daemons learn the return
   /// address of such senders from the datagram source). `retry` is in
-  /// milliseconds.
+  /// milliseconds. Daemons dedup queries on the message id alone, and
+  /// every client process may use the same client id, so each client
+  /// numbers its queries from its own random start: a second client
+  /// never reuses the first one's ids and is never answered from its
+  /// reply caches.
   NetClient(const Overlay* overlay, Transport* transport, PeerId client_id,
             RetryOptions retry = {})
       : overlay_(overlay), transport_(transport), client_id_(client_id),
-        retry_(retry) {}
+        retry_(retry), next_seq_(std::random_device{}()) {}
 
   /// Sends `query` (with `r` ripple steps and `initial_state` — the
   /// seeded drivers' bootstrap seed, or a default-constructed state) to
@@ -136,7 +141,7 @@ class NetClient {
   Transport* transport_;
   PeerId client_id_;
   RetryOptions retry_;
-  uint32_t next_seq_ = 1;
+  uint32_t next_seq_;
 };
 
 }  // namespace ripple::net

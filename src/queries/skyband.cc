@@ -6,18 +6,11 @@ namespace ripple {
 
 SkybandPolicy::LocalState SkybandPolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
-  const TupleVec local_band = ComputeKSkyband(store.Snapshot(), q.band);
-  // Keep local band members not already disqualified by the global state.
-  TupleVec merged = local_band;
-  merged.insert(merged.end(), g.tuples.begin(), g.tuples.end());
-  merged = ComputeKSkyband(std::move(merged), q.band);
+  // The local band members not already disqualified by the global state:
+  // every store dominator of such a tuple is itself in the local band, so
+  // this is the band of store ∪ g restricted to the store.
   LocalState l;
-  for (const Tuple& t : local_band) {
-    const auto it = std::lower_bound(
-        merged.begin(), merged.end(), t.id,
-        [](const Tuple& m, uint64_t v) { return m.id < v; });
-    if (it != merged.end() && it->id == t.id) l.tuples.push_back(t);
-  }
+  l.tuples = store.Skyband(g.tuples, q.band);
   return l;
 }
 

@@ -45,6 +45,8 @@ class SkybandPolicy {
 
   GlobalState InitialGlobalState(const Query&) const { return {}; }
 
+  /// The local band members the received state does not disqualify: one
+  /// LocalStore::Skyband call (k = band), pruned by the state.
   LocalState ComputeLocalState(const LocalStore& store, const Query& q,
                                const GlobalState& g) const;
   GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,

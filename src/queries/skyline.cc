@@ -4,40 +4,16 @@
 
 namespace ripple {
 
-namespace {
-
-/// Sorted-by-id membership test: inputs come out of ComputeSkyline /
-/// MergeSkylines, which sort by id.
-bool ContainsId(const TupleVec& sorted, uint64_t id) {
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), id,
-                             [](const Tuple& t, uint64_t v) {
-                               return t.id < v;
-                             });
-  return it != sorted.end() && it->id == id;
-}
-
-}  // namespace
-
 SkylinePolicy::LocalState SkylinePolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
-  // Line 1: the local skyline (over the constraint box, if any).
-  TupleVec local_sky;
-  if (q.constraint.has_value()) {
-    TupleVec admitted;
-    store.ForEach([&](const Tuple& t) {
-      if (q.Admits(t.key)) admitted.push_back(t);
-    });
-    local_sky = ComputeSkyline(std::move(admitted));
-  } else {
-    local_sky = store.LocalSkyline();
-  }
-  // Line 2: merge with the received global state (already a skyline).
-  const TupleVec merged = MergeSkylines(local_sky, g.tuples);
-  // Line 3: keep only local-skyline tuples that survived the merge.
+  // Lines 1-3 in one store pass: the local skyline (over the constraint
+  // box, if any) minus what the received state dominates. A local
+  // skyline tuple survives the merge with g exactly when no g tuple
+  // dominates it, so this is the 1-band of store ∪ g restricted to the
+  // store.
   LocalState l;
-  for (const Tuple& t : local_sky) {
-    if (ContainsId(merged, t.id)) l.tuples.push_back(t);
-  }
+  l.tuples = store.Skyband(g.tuples, 1,
+                           q.constraint.has_value() ? &*q.constraint : nullptr);
   return l;
 }
 

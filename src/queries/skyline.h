@@ -61,7 +61,8 @@ class SkylinePolicy {
 
   /// Algorithm 10: local skyline, intersected with the skyline of (received
   /// global state ∪ local skyline) — only local tuples that survive the
-  /// global merge stay in the local state.
+  /// global merge stay in the local state. One LocalStore::Skyband call
+  /// (k = 1) over the store's columns, pruned by the received state.
   LocalState ComputeLocalState(const LocalStore& store, const Query& q,
                                const GlobalState& g) const;
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "store/bounded_topk.h"
+#include "store/local_algos.h"
 
 namespace ripple {
 
@@ -109,6 +110,36 @@ void KdIndex::CollectRec(int node, const Scorer& scorer, double tau,
   }
   CollectRec(n.left, scorer, tau, out);
   CollectRec(n.right, scorer, tau, out);
+}
+
+size_t KdIndex::CollectBandCandidates(const ArenaColumns& state, size_t k,
+                                      const Rect* constraint,
+                                      BandCandidate* out) const {
+  size_t n = 0;
+  if (empty() || k == 0) return n;
+  // Depth-first, left child first. Every pop pushes at most two nodes and
+  // the median-split tree is balanced, so the stack never holds more
+  // than depth + 1 entries.
+  int stack[128];
+  int top = 0;
+  stack[top++] = kRoot;
+  while (top > 0) {
+    const Node& nd = nodes_[stack[--top]];
+    if (constraint != nullptr && !nd.bounds.Intersects(*constraint)) continue;
+    // k state tuples dominating the rect's lower corner dominate every row
+    // inside it, so none of them can be in the band.
+    if (state.size() >= k && state.CountDominators(nd.bounds.lo(), k) >= k) {
+      continue;
+    }
+    if (nd.left >= 0) {
+      stack[top++] = nd.right;
+      stack[top++] = nd.left;
+      continue;
+    }
+    CollectRowCandidates(rows_, nd.begin, nd.end, state, k, constraint, out,
+                         &n);
+  }
+  return n;
 }
 
 TupleVec KdIndex::TopK(const Scorer& scorer, size_t k, double floor,

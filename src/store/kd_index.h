@@ -15,6 +15,9 @@
 
 namespace ripple {
 
+class ArenaColumns;
+struct BandCandidate;
+
 /// An in-memory balanced k-d tree over a peer's local tuples.
 ///
 /// Peers use it to answer their share of a rank query without scanning all
@@ -45,6 +48,8 @@ class KdIndex {
   size_t size() const { return rows_.size(); }
   /// The indexed rows in tree order (leaf ranges index into this).
   const store::FlatStore& rows() const { return rows_; }
+  /// The tight bounding rect of every row. Requires !empty().
+  const Rect& bounds() const { return nodes_[kRoot].bounds; }
 
   /// Collects every tuple whose score is >= tau (maximization semantics),
   /// pruning subtrees whose rectangle upper bound falls below tau.
@@ -57,6 +62,16 @@ class KdIndex {
   TupleVec TopK(const Scorer& scorer, size_t k,
                 double floor = -std::numeric_limits<double>::infinity(),
                 bool inclusive_floor = false) const;
+
+  /// The first pass of the store-side band kernel: writes to `out` every
+  /// row (inside `constraint`, when given) that fewer than `k` tuples of
+  /// `state` dominate, with that count, and returns how many it wrote.
+  /// A subtree is skipped whole when at least k state tuples dominate its
+  /// bounding rect (Algorithm 14's DominatesRect test, as in BBS), or
+  /// when it misses the constraint. `out` must hold size() entries.
+  size_t CollectBandCandidates(const ArenaColumns& state, size_t k,
+                               const Rect* constraint,
+                               BandCandidate* out) const;
 
   /// Returns the tuple minimizing `cost` among tuples accepted by `admit`,
   /// pruning subtrees whose rectangle lower bound is not below the current

@@ -73,31 +73,9 @@ TupleVec DedupAndDominanceSort(TupleVec tuples) {
   return tuples;
 }
 
-/// A growable structure-of-arrays view over a running band (or a merge
-/// input), backed by the per-query arena: d column arrays sized for the
-/// worst case (every candidate survives), appended to as candidates are
-/// accepted.
-class ArenaColumns {
- public:
-  ArenaColumns(Arena* arena, int dims, size_t capacity) : dims_(dims) {
-    for (int c = 0; c < dims; ++c) {
-      cols_[c] = arena->AllocateArray<double>(capacity);
-    }
-  }
-
-  void Append(const Point& p) {
-    for (int c = 0; c < dims_; ++c) cols_[c][size_] = p[c];
-    ++size_;
-  }
-
-  const double* const* cols() const { return cols_; }
-  size_t size() const { return size_; }
-
- private:
-  int dims_;
-  size_t size_ = 0;
-  double* cols_[kMaxDims] = {};
-};
+bool SortedById(const TupleVec& tuples) {
+  return std::is_sorted(tuples.begin(), tuples.end(), TupleIdLess());
+}
 
 }  // namespace
 
@@ -142,56 +120,171 @@ TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
 }
 
 TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
-  if (b.empty()) {
-    std::sort(a.begin(), a.end(), TupleIdLess());
-    return a;
+  if (!SortedById(a)) std::sort(a.begin(), a.end(), TupleIdLess());
+  if (b.empty()) return a;
+  TupleVec b_sorted;
+  const TupleVec* bp = &b;
+  if (!SortedById(b)) {
+    b_sorted = b;
+    std::sort(b_sorted.begin(), b_sorted.end(), TupleIdLess());
+    bp = &b_sorted;
   }
-  if (a.empty()) {
-    TupleVec out = b;
-    std::sort(out.begin(), out.end(), TupleIdLess());
-    return out;
-  }
+  const TupleVec& bs = *bp;
+  if (a.empty()) return bs;
   const int dims = a[0].key.dims();
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
-  ArenaColumns b_cols(&arena, dims, b.size());
-  for (const Tuple& t : b) b_cols.Append(t.key);
+  ArenaColumns a_cols(&arena, dims, a.size());
+  for (const Tuple& t : a) a_cols.Append(t.key);
+  ArenaColumns b_cols(&arena, dims, bs.size());
+  for (const Tuple& t : bs) b_cols.Append(t.key);
   KernelCounters& kc = LocalKernelCounters();
-  // Survivors of a: not dominated by any b tuple.
-  TupleVec out;
-  out.reserve(a.size() + b.size());
+  // Survivors of a: not dominated by any b tuple. Compacted to the front
+  // of `a`, so they stay in id order.
+  size_t a_survivors = 0;
   for (Tuple& t : a) {
     ++kc.tuples_scanned;
-    if (CountDominatorsColumns(b_cols.cols(), dims, b_cols.size(), t.key,
-                               1) == 0) {
-      out.push_back(std::move(t));
+    if (b_cols.CountDominators(t.key, 1) == 0) {
+      a[a_survivors++] = std::move(t);
     }
   }
-  const size_t a_survivors = out.size();
+  a.resize(a_survivors);
   // Survivors of b: not dominated by any a tuple. (Testing against all of
   // a equals testing against a's survivors: if a removed a-tuple s
   // dominated t in b, then s's own b-dominator would dominate t by
   // transitivity — impossible, b is mutually non-dominated.) Ids already
-  // kept in the a-pass are skipped; duplicated tuples always survive the
-  // a-pass, since nothing in b dominates a tuple b itself contains.
-  ArenaColumns a_cols(&arena, dims, a.size());
-  for (const Tuple& t : a) a_cols.Append(t.key);
-  for (const Tuple& t : b) {
-    bool skip = false;
-    for (size_t i = 0; i < a_survivors; ++i) {
-      if (out[i].id == t.id) {
-        skip = true;
-        break;
-      }
-    }
-    if (skip) continue;
+  // kept in the a-pass are skipped by a two-pointer walk over the two id
+  // orders; duplicated tuples always survive the a-pass, since nothing in
+  // b dominates a tuple b itself contains.
+  uint32_t* b_keep = arena.AllocateArray<uint32_t>(bs.size());
+  size_t b_survivors = 0;
+  size_t ai = 0;
+  for (size_t i = 0; i < bs.size(); ++i) {
+    const uint64_t id = bs[i].id;
+    while (ai < a.size() && a[ai].id < id) ++ai;
+    if (ai < a.size() && a[ai].id == id) continue;
     ++kc.tuples_scanned;
-    if (CountDominatorsColumns(a_cols.cols(), dims, a_cols.size(), t.key,
-                               1) == 0) {
-      out.push_back(t);
+    if (a_cols.CountDominators(bs[i].key, 1) == 0) {
+      b_keep[b_survivors++] = static_cast<uint32_t>(i);
     }
   }
-  std::sort(out.begin(), out.end(), TupleIdLess());
+  if (b_survivors == 0) return a;
+  // Linear merge of the two ascending-id survivor runs.
+  TupleVec out;
+  out.reserve(a.size() + b_survivors);
+  size_t bi = 0;
+  for (Tuple& t : a) {
+    while (bi < b_survivors && bs[b_keep[bi]].id < t.id) {
+      out.push_back(bs[b_keep[bi++]]);
+    }
+    out.push_back(std::move(t));
+  }
+  while (bi < b_survivors) out.push_back(bs[b_keep[bi++]]);
+  return out;
+}
+
+void SelectStateDominators(const TupleVec& state, const Point& hi,
+                           const std::vector<uint64_t>& held_ids,
+                           const Rect* counted, ArenaColumns* out) {
+  if (state.empty()) return;
+  const int dims = hi.dims();
+  Arena& arena = PerQueryArena();
+  ArenaScope scope(&arena);
+  struct Pick {
+    double sum;
+    uint64_t id;
+    uint32_t index;
+  };
+  Pick* picks = arena.AllocateArray<Pick>(state.size());
+  size_t n = 0;
+  for (uint32_t i = 0; i < state.size(); ++i) {
+    const Tuple& t = state[i];
+    if (t.key.dims() != dims) continue;
+    // Only a tuple <= hi everywhere can dominate a row inside the store's
+    // bounding box.
+    bool below = true;
+    for (int c = 0; c < dims && below; ++c) below = t.key[c] <= hi[c];
+    if (!below) continue;
+    if (std::binary_search(held_ids.begin(), held_ids.end(), t.id) &&
+        (counted == nullptr || counted->Contains(t.key))) {
+      continue;
+    }
+    picks[n++] = {SumOf(t), t.id, i};
+  }
+  // Each id once, the first in state order. Honest states are already in
+  // ascending id order, which makes this one adjacent-pair pass.
+  auto by_id = [](const Pick& x, const Pick& y) {
+    return x.id < y.id || (x.id == y.id && x.index < y.index);
+  };
+  if (!std::is_sorted(picks, picks + n, by_id)) {
+    std::sort(picks, picks + n, by_id);
+  }
+  n = static_cast<size_t>(
+      std::unique(picks, picks + n,
+                  [](const Pick& x, const Pick& y) { return x.id == y.id; }) -
+      picks);
+  std::sort(picks, picks + n, [](const Pick& x, const Pick& y) {
+    return x.sum < y.sum || (x.sum == y.sum && x.id < y.id);
+  });
+  for (size_t i = 0; i < n; ++i) out->Append(state[picks[i].index].key);
+}
+
+void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,
+                          uint32_t end, const ArenaColumns& state, size_t k,
+                          const Rect* constraint, BandCandidate* out,
+                          size_t* n) {
+  LocalKernelCounters().tuples_scanned += end - begin;
+  for (uint32_t i = begin; i < end; ++i) {
+    const Point p = rows.PointAt(i);
+    if (constraint != nullptr && !constraint->Contains(p)) continue;
+    const size_t c = state.size() == 0 ? 0 : state.CountDominators(p, k);
+    if (c < k) out[(*n)++] = {i, static_cast<uint32_t>(c)};
+  }
+}
+
+TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
+                          size_t n, size_t k) {
+  if (n == 0 || k == 0) return {};
+  const int dims = rows.dims();
+  const std::array<const double*, kMaxDims> cols = rows.cols();
+  Arena& arena = PerQueryArena();
+  ArenaScope scope(&arena);
+  // Dominance-compatible order over the candidates: (sum, lexicographic
+  // key, id), sums accumulated dimension-ascending like SumOf.
+  double* sums = arena.AllocateArray<double>(rows.size());
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = cands[i].row;
+    double s = 0.0;
+    for (int c = 0; c < dims; ++c) s += cols[c][r];
+    sums[r] = s;
+  }
+  std::sort(cands, cands + n,
+            [&](const BandCandidate& x, const BandCandidate& y) {
+              const uint32_t a = x.row, b = y.row;
+              if (sums[a] != sums[b]) return sums[a] < sums[b];
+              for (int c = 0; c < dims; ++c) {
+                if (cols[c][a] != cols[c][b]) return cols[c][a] < cols[c][b];
+              }
+              return rows.id(a) < rows.id(b);
+            });
+  ArenaColumns band_cols(&arena, dims, n);
+  uint32_t* band = arena.AllocateArray<uint32_t>(n);
+  size_t band_size = 0;
+  KernelCounters& kc = LocalKernelCounters();
+  for (size_t i = 0; i < n; ++i) {
+    ++kc.tuples_scanned;
+    const Point p = rows.PointAt(cands[i].row);
+    const size_t need = k - cands[i].state_dominators;
+    if (band_cols.CountDominators(p, need) >= need) continue;
+    band_cols.Append(p);
+    band[band_size++] = cands[i].row;
+  }
+  std::sort(band, band + band_size, [&](uint32_t a, uint32_t b) {
+    return rows.id(a) < rows.id(b);
+  });
+  TupleVec out;
+  out.reserve(band_size);
+  for (size_t i = 0; i < band_size; ++i) out.push_back(rows.TupleAt(band[i]));
   return out;
 }
 

@@ -4,11 +4,45 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/arena.h"
 #include "common/kernel_counters.h"
+#include "geom/dominance.h"
 #include "store/bounded_topk.h"
+#include "store/flat_store.h"
 #include "store/tuple.h"
 
 namespace ripple {
+
+/// A growable structure-of-arrays point set backed by an arena: d column
+/// arrays sized for the worst case, appended to in order. It holds a
+/// running band, a merge input or the state tuples a store is counted
+/// against, in the shape CountDominatorsColumns reads.
+class ArenaColumns {
+ public:
+  ArenaColumns(Arena* arena, int dims, size_t capacity) : dims_(dims) {
+    for (int c = 0; c < dims; ++c) {
+      cols_[c] = arena->AllocateArray<double>(capacity);
+    }
+  }
+
+  void Append(const Point& p) {
+    for (int c = 0; c < dims_; ++c) cols_[c][size_] = p[c];
+    ++size_;
+  }
+
+  /// How many held points dominate `p`, stopping at `limit` (>= 1).
+  size_t CountDominators(const Point& p, size_t limit) const {
+    return CountDominatorsColumns(cols_, dims_, size_, p, limit);
+  }
+
+  const double* const* cols() const { return cols_; }
+  size_t size() const { return size_; }
+
+ private:
+  int dims_;
+  size_t size_ = 0;
+  double* cols_[kMaxDims] = {};
+};
 
 /// Computes the k-skyband: the tuples dominated (Pareto, min-is-better)
 /// by fewer than `k` others. Deterministic: the result is sorted by tuple
@@ -41,7 +75,54 @@ inline TupleVec ComputeSkyline(TupleVec tuples) {
 /// skyline; at d >= 8, where skylines span half the dataset, the full
 /// recomputation would be quadratic in the data size per peer. The
 /// cross-dominance tests are CountDominatorsColumns calls with limit 1.
+///
+/// Every skyline and skyband state is kept in ascending id order, so the
+/// inputs normally arrive sorted: the shared ids are skipped by a
+/// two-pointer walk and the two survivor runs are merged linearly, with
+/// no re-sort. An input out of id order (a hostile decoded state) is
+/// sorted first, after an O(n) check, so the output is the same either
+/// way for inputs with distinct ids.
 TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
+
+/// A store row that survived the state count: its row index and how many
+/// received state tuples dominate it (fewer than the band k).
+struct BandCandidate {
+  uint32_t row;
+  uint32_t state_dominators;
+};
+
+/// Fills `out` with the tuples of `state` that can dominate some row of a
+/// store whose rows are all <= `hi` componentwise, in ascending (sum, id)
+/// order, so the strongest dominators sit in the counting kernel's
+/// short-circuit head block. Skipped: tuples of another dimensionality,
+/// tuples whose id is in `held_ids` (ascending) and whose key lies in
+/// `counted` (everywhere when null) — the store counts those rows itself
+/// — and repeated ids (the first occurrence in state order is kept).
+/// `out` must have capacity state.size().
+void SelectStateDominators(const TupleVec& state, const Point& hi,
+                           const std::vector<uint64_t>& held_ids,
+                           const Rect* counted, ArenaColumns* out);
+
+/// The store-side band kernel's first-pass row test over rows
+/// [begin, end) of `rows`: appends to out[*n] each row (inside
+/// `constraint`, when given) that fewer than `k` tuples of `state`
+/// dominate, with that count.
+void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,
+                          uint32_t end, const ArenaColumns& state, size_t k,
+                          const Rect* constraint, BandCandidate* out,
+                          size_t* n);
+
+/// The store-side band kernel's second pass: the candidates (rows of
+/// `rows`, each with fewer than k state dominators) that also have fewer
+/// than `k` dominators in total, counting the state dominators given and
+/// the candidates themselves. One forward pass over the candidates in
+/// the dominance-compatible order (coordinate sum, lexicographic key, id)
+/// — the same order and counting kernel as ComputeKSkyband, started from
+/// each candidate's state count. Exact whenever every store row left out
+/// of `cands` has at least k dominators in store ∪ state. Result sorted
+/// by id; only the survivors become Tuples. `cands` is reordered.
+TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
+                          size_t n, size_t k);
 
 /// Selects up to `max_count` tuples with the smallest coordinate sums —
 /// the only candidates able to dominate whole regions. Used to bound the

@@ -44,7 +44,7 @@ std::mutex& LazyBuildMutex() {
 static_assert(std::is_nothrow_move_constructible_v<LocalStore>,
               "peer vectors must relocate stores by move, not by copy");
 
-bool LocalStore::ContainsId(uint64_t id) const {
+const std::vector<uint64_t>& LocalStore::SortedIds() const {
   if (!ids_ready_.Get()) {
     std::lock_guard<std::mutex> lock(LazyBuildMutex());
     if (!ids_ready_.Get()) {
@@ -53,7 +53,12 @@ bool LocalStore::ContainsId(uint64_t id) const {
       ids_ready_.Publish();
     }
   }
-  return std::binary_search(sorted_ids_.begin(), sorted_ids_.end(), id);
+  return sorted_ids_;
+}
+
+bool LocalStore::ContainsId(uint64_t id) const {
+  const std::vector<uint64_t>& ids = SortedIds();
+  return std::binary_search(ids.begin(), ids.end(), id);
 }
 
 TupleVec LocalStore::ExtractOutside(const Rect& zone, const Rect& domain) {
@@ -149,8 +154,42 @@ TupleVec LocalStore::AllAtLeast(const Scorer& scorer, double tau) const {
   return out;
 }
 
-TupleVec LocalStore::LocalSkyline() const {
-  return ComputeSkyline(flat_.Materialize());
+TupleVec LocalStore::Skyband(const TupleVec& state, size_t k,
+                             const Rect* constraint) const {
+  const size_t n = flat_.size();
+  if (n == 0 || k == 0) return {};
+  const KdIndex* idx = Index();
+  const store::FlatStore& rows = idx != nullptr ? idx->rows() : flat_;
+  const int dims = rows.dims();
+  Arena& arena = PerQueryArena();
+  ArenaScope scope(&arena);
+  // The state tuples that can dominate a stored row: <= the store's
+  // upper corner everywhere.
+  ArenaColumns dominators(&arena, dims, state.size());
+  if (!state.empty()) {
+    Point hi;
+    if (idx != nullptr) {
+      hi = idx->bounds().hi();
+    } else {
+      hi = rows.PointAt(0);
+      for (int c = 0; c < dims; ++c) {
+        const double* col = rows.col(c);
+        for (size_t i = 1; i < n; ++i) hi[c] = std::max(hi[c], col[i]);
+      }
+    }
+    SelectStateDominators(state, hi, SortedIds(), constraint, &dominators);
+  }
+  // Pass 1: rows with fewer than k state dominators.
+  BandCandidate* cands = arena.AllocateArray<BandCandidate>(n);
+  size_t m = 0;
+  if (idx != nullptr) {
+    m = idx->CollectBandCandidates(dominators, k, constraint, cands);
+  } else {
+    CollectRowCandidates(rows, 0, static_cast<uint32_t>(n), dominators, k,
+                         constraint, cands, &m);
+  }
+  // Pass 2: the band among the candidates, from their state counts.
+  return BandOfCandidates(rows, cands, m, k);
 }
 
 double LocalStore::MedianAlong(int dim) const {

@@ -76,8 +76,19 @@ class LocalStore {
   /// Every local tuple with score >= `tau` (Alg. 6).
   TupleVec AllAtLeast(const Scorer& scorer, double tau) const;
 
+  /// The store-side band kernel: the rows with fewer than `k` dominators
+  /// in this store ∪ `state`, sorted by id. With `constraint`, only rows
+  /// inside it are counted and returned (state tuples count wherever
+  /// they lie). A state tuple this store holds is counted once, and each
+  /// state id once. Runs on the flat columns below kIndexThreshold rows
+  /// and on the k-d leaves above it, skipping nodes that k state tuples
+  /// dominate; only the surviving rows become Tuples. Assumes the store
+  /// holds each id once (the overlays place every tuple in one zone).
+  TupleVec Skyband(const TupleVec& state, size_t k,
+                   const Rect* constraint = nullptr) const;
+
   /// The local skyline (min-is-better dominance).
-  TupleVec LocalSkyline() const;
+  TupleVec LocalSkyline() const { return Skyband({}, 1); }
 
   /// Median coordinate of the stored tuples along `dim` (lower median).
   /// Requires a non-empty store. Used for load-balancing zone splits.
@@ -93,9 +104,14 @@ class LocalStore {
       const std::function<bool(const Tuple&)>& admit,
       double* best_cost) const;
 
+  /// Below this many tuples a plain scan beats the index.
+  static constexpr size_t kIndexThreshold = 32;
+
  private:
   /// Rebuilds the k-d index if stale; returns it (nullptr for tiny stores).
   const KdIndex* Index() const;
+  /// The stored ids, ascending (built lazily like the index).
+  const std::vector<uint64_t>& SortedIds() const;
 
   void MarkMutated() {
     index_ready_.Clear();
@@ -128,9 +144,6 @@ class LocalStore {
   mutable ReadyFlag index_ready_;
   mutable std::vector<uint64_t> sorted_ids_;
   mutable ReadyFlag ids_ready_;
-
-  /// Below this many tuples a plain scan beats the index.
-  static constexpr size_t kIndexThreshold = 32;
 };
 
 }  // namespace ripple

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "exec/batch.h"
 #include "exec/compile.h"
 #include "exec/queue.h"
 #include "exec/workload.h"
@@ -292,6 +293,63 @@ TEST(ExecutorTest, AsyncEngineMatchesRecursiveAnswers) {
     EXPECT_EQ(AnswerIds(sync.queries[i]), AnswerIds(async.queries[i]))
         << "query " << i;
     EXPECT_GT(async.queries[i].completion_time, 0.0);
+  }
+}
+
+TEST(ExecutorTest, FirstIndexBuildsAfterAnInsertBatchRunOnWorkers) {
+  // A store builds its k-d index and sorted-id column on the first read
+  // after a write. Here those first reads come from two workers running
+  // skyline and skyband leads at once, right after an InsertTuple batch
+  // with no warm-up — the store-side band kernel reads both. Under TSan
+  // this checks their publish-once builds; answers must equal a
+  // one-worker unbatched run over an identically written overlay.
+  auto written_net = [] {
+    Net net = MakeNet(48, 3000, 2, 17);
+    Rng rng(99);
+    TupleVec batch = data::MakeUniform(400, 2, &rng);
+    for (Tuple& t : batch) {
+      t.id += 1000000;
+      net.overlay.InsertTuple(t);
+    }
+    return net;
+  };
+  std::vector<WorkloadItem> items;
+  for (size_t band : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    WorkloadItem item;
+    item.kind = band == 1 ? WorkloadItem::Kind::kSkyline
+                          : WorkloadItem::Kind::kSkyband;
+    item.band = band;
+    item.group = static_cast<int>(band);
+    items.push_back(item);
+    items.push_back(item);
+  }
+  CompileOptions copts;
+  copts.seed = 21;
+
+  const Net batched_net = written_net();
+  ExecutorOptions opts;
+  opts.threads = 2;
+  Executor executor(opts);
+  BatchOptions bopts;
+  const WorkloadResult batched = RunBatchedWorkload(
+      executor, batched_net.overlay, items, copts, bopts);
+
+  const Net serial_net = written_net();
+  ExecutorOptions serial_opts;
+  serial_opts.threads = 1;
+  Executor serial(serial_opts);
+  CompiledWorkload compiled =
+      CompileWorkload(serial_net.overlay, items, copts);
+  const WorkloadResult want =
+      serial.Run(compiled.jobs, serial_net.overlay.NumPeers());
+
+  ASSERT_EQ(batched.queries.size(), items.size());
+  ASSERT_EQ(want.queries.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_TRUE(batched.queries[i].complete) << "item " << i;
+    EXPECT_FALSE(want.queries[i].answer.empty()) << "item " << i;
+    EXPECT_EQ(AnswerIds(batched.queries[i]), AnswerIds(want.queries[i]))
+        << "item " << i;
   }
 }
 

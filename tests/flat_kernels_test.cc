@@ -275,6 +275,97 @@ TEST(FlatKernelsAdversarial, SkylineSkybandAndMergeMatchOracle) {
   }
 }
 
+/// oracle::Skyband(store ∪ state, k) restricted to the store's rows (and
+/// to `box`, when given: only boxed rows are counted and returned).
+TupleVec StoreBandOracle(const TupleVec& store, const TupleVec& state,
+                         size_t k, const Rect* box = nullptr) {
+  TupleVec all;
+  std::vector<uint64_t> ids;
+  for (const Tuple& t : store) {
+    if (box != nullptr && !box->Contains(t.key)) continue;
+    all.push_back(t);
+    ids.push_back(t.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  all.insert(all.end(), state.begin(), state.end());
+  TupleVec out;
+  for (const Tuple& t : oracle::Skyband(all, k)) {
+    if (std::binary_search(ids.begin(), ids.end(), t.id)) out.push_back(t);
+  }
+  return out;
+}
+
+TEST(FlatKernelsAdversarial, StoreBandKernelMatchesOracle) {
+  // The store-side band kernel on both store paths (flat below
+  // kIndexThreshold, k-d leaves above), against states that are empty,
+  // disjoint from the store, or share tuples with it.
+  constexpr size_t kStateSource = 120;
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      for (size_t n : {LocalStore::kIndexThreshold - 8,
+                       LocalStore::kIndexThreshold, size_t{160}}) {
+        const TupleVec ts = AdversarialTuples(shape, n + kStateSource, dims,
+                                              1400 + n + dims);
+        const TupleVec mine(ts.begin(), ts.begin() + n);
+        const TupleVec others(ts.begin() + n, ts.end());
+        TupleVec shared_source = others;
+        shared_source.insert(shared_source.end(), mine.begin(),
+                             mine.begin() + n / 3);
+        LocalStore store;
+        store.AddAll(mine);
+        Point box_hi(dims);
+        box_hi.Fill(0.6);
+        const Rect box(Point(dims), box_hi);
+        for (size_t k : {size_t{1}, size_t{2}, size_t{3}}) {
+          const TupleVec states[] = {TupleVec{}, oracle::Skyband(others, k),
+                                     oracle::Skyband(shared_source, k)};
+          for (size_t s = 0; s < 3; ++s) {
+            const std::string where =
+                std::string(Name(shape)) + " dims=" + std::to_string(dims) +
+                " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                " state=" + std::to_string(s);
+            EXPECT_TRUE(BitIdentical(store.Skyband(states[s], k),
+                                     StoreBandOracle(mine, states[s], k)))
+                << where;
+            EXPECT_TRUE(BitIdentical(store.Skyband(states[s], k, &box),
+                                     StoreBandOracle(mine, states[s], k, &box)))
+                << where << " boxed";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, MergeSkylinesToleratesUnsortedAndDuplicateIds) {
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      const TupleVec ts = AdversarialTuples(shape, 160, dims, 1500 + dims);
+      const TupleVec a = ComputeSkyline(TupleVec(ts.begin(), ts.begin() + 90));
+      const TupleVec b = ComputeSkyline(TupleVec(ts.begin() + 60, ts.end()));
+      const std::string where =
+          std::string(Name(shape)) + " dims=" + std::to_string(dims);
+      // Honest inputs sharing tuples, in id order and shuffled.
+      const TupleVec want = oracle::MergeSkylines(a, b);
+      EXPECT_TRUE(BitIdentical(MergeSkylines(a, b), want)) << where;
+      TupleVec ra = a, rb = b;
+      std::reverse(ra.begin(), ra.end());
+      std::rotate(rb.begin(), rb.begin() + rb.size() / 2, rb.end());
+      EXPECT_TRUE(BitIdentical(MergeSkylines(ra, rb), want)) << where;
+      EXPECT_TRUE(BitIdentical(MergeSkylines(ra, TupleVec{}), a)) << where;
+      EXPECT_TRUE(BitIdentical(MergeSkylines(TupleVec{}, rb), b)) << where;
+      // Repeated ids, with equal and with different keys: no crash, and
+      // the output stays in id order.
+      TupleVec da = a, db = b;
+      da.insert(da.end(), a.begin(), a.end());
+      for (const Tuple& t : a) db.push_back(Tuple{t.id, ts[t.id % 7].key});
+      const TupleVec got = MergeSkylines(da, db);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), TupleIdLess()))
+          << where;
+    }
+  }
+}
+
 TEST(FlatKernelsAdversarial, TopKPathsMatchOracle) {
   for (Shape shape : kAllShapes) {
     for (int dims : {1, 2, 3, kMaxDims}) {

@@ -690,6 +690,44 @@ TEST_F(DaemonTest, WithheldSubtreeFlagsTheAnswerIncomplete) {
   }
 }
 
+TEST_F(DaemonTest, ClientsSharingAnIdAreAnsweredTheirOwnQueries) {
+  // Every net-bench process uses one client id. The daemon dedups on the
+  // message id alone, so two clients that numbered their queries alike
+  // would have the second one answered from the first one's reply cache.
+  LinearScorer scorer(std::vector<double>{-0.8, -0.3});
+  TopKPolicy policy;
+  TopKQuery first;
+  first.scorer = &scorer;
+  first.k = 3;
+  TopKQuery second = first;
+  second.k = 7;
+  auto execute = [&](net::PeerDaemon<MidasOverlay>* daemon,
+                     CaptureTransport* wire, const TopKQuery& q) {
+    DaemonBridge bridge(daemon, wire,
+                        [](const net::Datagram&) { return false; });
+    net::NetClient<MidasOverlay> client(overlay_.get(), &bridge, client_);
+    return client.Execute(policy, q, 0, /*r=*/0, policy.InitialGlobalState(q));
+  };
+  CaptureTransport alone_wire;
+  net::PeerDaemon<MidasOverlay> alone(overlay_.get(), &alone_wire,
+                                      {0, 1, 2, 3, 4, 5});
+  const auto want = execute(&alone, &alone_wire, second);
+  ASSERT_TRUE(want.complete);
+  ASSERT_EQ(want.answer.size(), 7u);
+
+  CaptureTransport wire;
+  net::PeerDaemon<MidasOverlay> daemon(overlay_.get(), &wire,
+                                       {0, 1, 2, 3, 4, 5});
+  const auto a = execute(&daemon, &wire, first);
+  const auto b = execute(&daemon, &wire, second);
+  ASSERT_TRUE(a.complete);
+  ASSERT_TRUE(b.complete);
+  EXPECT_EQ(a.answer.size(), 3u);
+  EXPECT_EQ(b.answer, want.answer);
+  EXPECT_EQ(daemon.stats().answers_finalized, 2u);
+  EXPECT_EQ(daemon.stats().duplicates_suppressed, 0u);
+}
+
 TEST_F(DaemonTest, GarbageAdminFramesAreCountedNeverAnswered) {
   // The admin plane must survive the same abuse as the query plane: a
   // frame whose envelope says "admin" but whose bytes are truncated or
