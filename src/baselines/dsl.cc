@@ -114,7 +114,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
     // thousands of tuples; the dominator subset carries its full zone-
     // pruning strength in O(1) tuples).
     const TupleVec dominators =
-        SelectDominators(merged, SkylineState::kMaxDominators);
+        SelectDominators(merged, SkylinePolicy::kMaxDominators);
     const TupleVec payload = MergeSkylines(contribution, dominators);
     const uint64_t payload_bytes =
         TupleFrameBytes(net::MessageKind::kQuery, payload);

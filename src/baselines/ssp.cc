@@ -60,7 +60,7 @@ SspResult RunSspSkyline(const BatonOverlay& overlay, PeerId initiator) {
     // Prune peers whose entire region is dominated by the current skyline
     // (tested against the bounded min-sum subset — sound).
     const TupleVec dominators =
-        SelectDominators(sky, SkylineState::kMaxDominators);
+        SelectDominators(sky, SkylinePolicy::kMaxDominators);
     std::vector<PeerId> wave;
     for (PeerId id : pending) {
       if (!RegionDominated(dominators, overlay.RegionOf(id))) {

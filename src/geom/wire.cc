@@ -14,7 +14,8 @@ void EncodePoint(const Point& p, wire::Buffer* buf) {
 
 bool DecodePoint(wire::Reader* r, Point* out) {
   const uint8_t dims = r->U8();
-  if (!r->ok() || dims > kMaxDims) {
+  if (!r->ok() || dims > kMaxDims ||
+      (r->expected_dims() != 0 && dims != r->expected_dims())) {
     r->Fail();
     return false;
   }
@@ -101,9 +102,12 @@ std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r) {
   switch (r->U8()) {
     case kScorerLinear: {
       const uint64_t count = r->Varint();
-      // A scorer has 1..kMaxDims weights; any other count is corruption,
-      // rejected here rather than by LinearScorer's checks.
-      if (!r->ok() || count == 0 || count > kMaxDims) {
+      // A scorer has 1..kMaxDims weights, one per expected dimension when
+      // the reader names them; any other count is corruption, rejected
+      // here rather than by LinearScorer's checks.
+      const int want = r->expected_dims();
+      if (!r->ok() || count == 0 || count > kMaxDims ||
+          (want != 0 && count != static_cast<uint64_t>(want))) {
         r->Fail();
         return nullptr;
       }

@@ -16,7 +16,8 @@ namespace ripple {
 /// fail the reader and return false on bad bytes — corruption becomes a
 /// rejected message, never an aborted process.
 
-/// Point: [u8 dims][dims x f64].
+/// Point: [u8 dims][dims x f64]. Rejects a dims other than the reader's
+/// expected_dims(), when set.
 void EncodePoint(const Point& p, wire::Buffer* buf);
 bool DecodePoint(wire::Reader* r, Point* out);
 
@@ -30,10 +31,11 @@ bool DecodeNorm(wire::Reader* r, Norm* out);
 
 /// Scorer: [u8 kind][kind-specific payload]. Kind 1 = LinearScorer
 /// (varint weight count + f64 weights), kind 2 = NearestScorer (anchor
-/// point + norm). Encoding an unknown Scorer subclass is a programming
-/// error (checked); decoding returns null on bad bytes. The decoded
-/// scorer is heap-owned — queries carrying one keep it alive via
-/// shared_ptr.
+/// point + norm); a weight count other than the reader's
+/// expected_dims(), when set, is rejected. Encoding an unknown Scorer
+/// subclass is a programming error (checked); decoding returns null on
+/// bad bytes. The decoded scorer is heap-owned — queries carrying one
+/// keep it alive via shared_ptr.
 void EncodeScorer(const Scorer& s, wire::Buffer* buf);
 std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r);
 

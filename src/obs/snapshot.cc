@@ -34,28 +34,28 @@ std::vector<uint64_t> SnapshotSeries::Deltas(const std::string& name) const {
 }
 
 std::string SnapshotSeries::ToJson() const {
+  // Names are appended as they are, so no length truncates them; only
+  // the numbers go through a fixed buffer.
   std::string out = "[";
-  char buf[96];
+  char num[48];
   for (size_t i = 0; i < snapshots_.size(); ++i) {
     const Snapshot& s = snapshots_[i];
     if (i > 0) out += ", ";
-    std::snprintf(buf, sizeof(buf), "{\"at_ms\": %.3f, \"counters\": {",
-                  s.at_ms);
-    out += buf;
+    std::snprintf(num, sizeof(num), "%.3f", s.at_ms);
+    out += "{\"at_ms\": ";
+    out += num;
+    out += ", \"counters\": {";
     for (size_t c = 0; c < s.counters.size(); ++c) {
       if (c > 0) out += ", ";
-      std::snprintf(buf, sizeof(buf), "\"%s\": %" PRIu64,
-                    JsonEscape(s.counters[c].first).c_str(),
-                    s.counters[c].second);
-      out += buf;
+      out += "\"" + JsonEscape(s.counters[c].first) + "\": ";
+      out += std::to_string(s.counters[c].second);
     }
     out += "}, \"gauges\": {";
     for (size_t g = 0; g < s.gauges.size(); ++g) {
       if (g > 0) out += ", ";
-      std::snprintf(buf, sizeof(buf), "\"%s\": %.10g",
-                    JsonEscape(s.gauges[g].first).c_str(),
-                    s.gauges[g].second);
-      out += buf;
+      std::snprintf(num, sizeof(num), "%.10g", s.gauges[g].second);
+      out += "\"" + JsonEscape(s.gauges[g].first) + "\": ";
+      out += num;
     }
     out += "}}";
   }

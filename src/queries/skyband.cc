@@ -1,18 +1,8 @@
 #include "queries/skyband.h"
 
-#include <algorithm>
+#include <iterator>
 
 namespace ripple {
-
-SkybandPolicy::LocalState SkybandPolicy::ComputeLocalState(
-    const LocalStore& store, const Query& q, const GlobalState& g) const {
-  // The local band members not already disqualified by the global state:
-  // every store dominator of such a tuple is itself in the local band, so
-  // this is the band of store ∪ g restricted to the store.
-  LocalState l;
-  l.tuples = store.Skyband(g.tuples, q.band);
-  return l;
-}
 
 SkybandPolicy::GlobalState SkybandPolicy::ComputeGlobalState(
     const Query& q, const GlobalState& g, const LocalState& l) const {
@@ -20,8 +10,7 @@ SkybandPolicy::GlobalState SkybandPolicy::ComputeGlobalState(
   merged.insert(merged.end(), l.tuples.begin(), l.tuples.end());
   GlobalState out;
   out.tuples = ComputeKSkyband(std::move(merged), q.band);
-  out.dominators =
-      SelectDominators(out.tuples, SkybandState::kMaxDominators);
+  out.dominators = SelectDominators(out.tuples, kMaxDominators);
   return out;
 }
 
@@ -33,15 +22,6 @@ void SkybandPolicy::MergeLocalStates(
     merged.insert(merged.end(), s.tuples.begin(), s.tuples.end());
   }
   mine->tuples = ComputeKSkyband(std::move(merged), q.band);
-}
-
-SkybandPolicy::Answer SkybandPolicy::ComputeLocalAnswer(
-    const LocalStore& store, const Query&, const LocalState& l) const {
-  Answer a;
-  for (const Tuple& t : l.tuples) {
-    if (store.ContainsId(t.id)) a.push_back(t);
-  }
-  return a;
 }
 
 void SkybandPolicy::MergeAnswer(Answer* acc, Answer&& local,

@@ -1,16 +1,9 @@
 #ifndef RIPPLE_QUERIES_SKYBAND_H_
 #define RIPPLE_QUERIES_SKYBAND_H_
 
-#include <limits>
 #include <vector>
 
-#include "geom/dominance.h"
-#include "geom/wire.h"
-#include "ripple/policy.h"
-#include "store/local_algos.h"
-#include "store/local_store.h"
-#include "store/tuple.h"
-#include "store/wire.h"
+#include "queries/skyline.h"
 
 namespace ripple {
 
@@ -19,42 +12,29 @@ namespace ripple {
 struct SkybandQuery {
   size_t band = 2;
   Norm norm = Norm::kL2;
-};
 
-/// Partial-band state: tuples that, as far as the query has seen, are
-/// dominated by fewer than `band` others. Counting within a partial set
-/// can only undercount dominators, so the state is a superset of the true
-/// band restricted to seen tuples — pruning stays sound.
-struct SkybandState {
-  TupleVec tuples;
-  TupleVec dominators;  // bounded min-sum subset for region tests
-
-  static constexpr size_t kMaxDominators = 64;
+  /// Prioritization aims at the domain's origin.
+  Point Origin(int dims) const { return Point(dims); }
+  size_t Band() const { return band; }
+  const Rect* Constraint() const { return nullptr; }
 };
 
 /// RIPPLE policy for distributed k-skyband retrieval — a generalization of
 /// the Section 5 skyline policy: a region is prunable only when at least
 /// `band` state tuples dominate all of it, because every tuple inside
-/// would then have >= band dominators.
-class SkybandPolicy {
+/// would then have >= band dominators. Its state holds the tuples that,
+/// as far as the query has seen, are dominated by fewer than `band`
+/// others. Counting within a partial set can only undercount dominators,
+/// so the state is a superset of the true band restricted to seen tuples
+/// — pruning stays sound.
+class SkybandPolicy : public BandPolicy<SkybandQuery> {
  public:
-  using Query = SkybandQuery;
-  using LocalState = SkybandState;
-  using GlobalState = SkybandState;
-  using Answer = TupleVec;
+  static constexpr size_t kMaxDominators = 64;
 
-  GlobalState InitialGlobalState(const Query&) const { return {}; }
-
-  /// The local band members the received state does not disqualify: one
-  /// LocalStore::Skyband call (k = band), pruned by the state.
-  LocalState ComputeLocalState(const LocalStore& store, const Query& q,
-                               const GlobalState& g) const;
   GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,
                                  const LocalState& l) const;
   void MergeLocalStates(const Query& q, LocalState* mine,
                         const std::vector<LocalState>& received) const;
-  Answer ComputeLocalAnswer(const LocalStore& store, const Query& q,
-                            const LocalState& l) const;
 
   template <typename Area>
   bool IsLinkRelevant(const Query& q, const GlobalState& g,
@@ -72,21 +52,6 @@ class SkybandPolicy {
     return !prunable;
   }
 
-  template <typename Area>
-  double LinkPriority(const Query& q, const Area& area) const {
-    double best = std::numeric_limits<double>::infinity();
-    ForEachRect(area, [&](const Rect& r) {
-      best = std::min(best, r.MinDist(Point(r.dims()), q.norm));
-    });
-    return -best;
-  }
-
-  size_t StateTupleCount(const LocalState& l) const { return l.tuples.size(); }
-  size_t GlobalStateTupleCount(const GlobalState& g) const {
-    return g.tuples.size();
-  }
-  size_t AnswerTupleCount(const Answer& a) const { return a.size(); }
-
   void MergeAnswer(Answer* acc, Answer&& local, const Query& q) const;
   /// Exact extraction: the k-skyband of everything collected. Correct
   /// because any tuple with >= band global dominators has >= band
@@ -95,7 +60,7 @@ class SkybandPolicy {
   /// set is a superset of the band.
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
-  // Wire codecs: [varint band][norm]; two tuple vectors; tuple vector.
+  // Query codec: [varint band][norm].
   void EncodeQuery(const Query& q, wire::Buffer* buf) const {
     buf->PutVarint(q.band);
     EncodeNorm(q.norm, buf);
@@ -103,20 +68,6 @@ class SkybandPolicy {
   bool DecodeQuery(wire::Reader* r, Query* out) const {
     out->band = static_cast<size_t>(r->Varint());
     return r->ok() && DecodeNorm(r, &out->norm);
-  }
-  void EncodeState(const SkybandState& s, wire::Buffer* buf) const {
-    EncodeTupleVec(s.tuples, buf);
-    EncodeTupleVec(s.dominators, buf);
-  }
-  bool DecodeState(wire::Reader* r, SkybandState* out) const {
-    return DecodeTupleVec(r, &out->tuples) &&
-           DecodeTupleVec(r, &out->dominators);
-  }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
-    EncodeTupleVec(a, buf);
-  }
-  bool DecodeAnswer(wire::Reader* r, Answer* out) const {
-    return DecodeTupleVec(r, out);
   }
 };
 

@@ -2,19 +2,27 @@
 
 #include <algorithm>
 
+#include "common/arena.h"
+
 namespace ripple {
 
-SkylinePolicy::LocalState SkylinePolicy::ComputeLocalState(
-    const LocalStore& store, const Query& q, const GlobalState& g) const {
-  // Lines 1-3 in one store pass: the local skyline (over the constraint
-  // box, if any) minus what the received state dominates. A local
-  // skyline tuple survives the merge with g exactly when no g tuple
-  // dominates it, so this is the 1-band of store ∪ g restricted to the
-  // store.
-  LocalState l;
-  l.tuples = store.Skyband(g.tuples, 1,
-                           q.constraint.has_value() ? &*q.constraint : nullptr);
-  return l;
+TupleVec StoredTuples(const LocalStore& store, const TupleVec& by_id) {
+  if (by_id.empty()) return {};
+  Arena& arena = PerQueryArena();
+  ArenaScope scope(&arena);
+  uint8_t* held = arena.AllocateArray<uint8_t>(by_id.size());
+  std::fill(held, held + by_id.size(), uint8_t{0});
+  for (uint64_t id : store.flat().ids()) {
+    const auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), id,
+        [](const Tuple& t, uint64_t v) { return t.id < v; });
+    if (it != by_id.end() && it->id == id) held[it - by_id.begin()] = 1;
+  }
+  TupleVec out;
+  for (size_t i = 0; i < by_id.size(); ++i) {
+    if (held[i] != 0) out.push_back(by_id[i]);
+  }
+  return out;
 }
 
 SkylinePolicy::GlobalState SkylinePolicy::ComputeGlobalState(
@@ -23,8 +31,7 @@ SkylinePolicy::GlobalState SkylinePolicy::ComputeGlobalState(
   out.tuples = MergeSkylines(l.tuples, g.tuples);
   // Refresh the bounded dominator subset: the min-sum tuples are the only
   // ones that can dominate whole regions.
-  out.dominators = SelectDominators(out.tuples,
-                                    SkylineState::kMaxDominators);
+  out.dominators = SelectDominators(out.tuples, kMaxDominators);
   return out;
 }
 
@@ -36,18 +43,6 @@ void SkylinePolicy::MergeLocalStates(
     merged = MergeSkylines(std::move(merged), s.tuples);
   }
   mine->tuples = std::move(merged);
-}
-
-SkylinePolicy::Answer SkylinePolicy::ComputeLocalAnswer(
-    const LocalStore& store, const Query&, const LocalState& l) const {
-  // Algorithm 12: the *local* tuples among the state. After slow-phase
-  // merges the state may contain remote tuples; only tuples this peer
-  // stores are its contribution to the answer.
-  Answer a;
-  for (const Tuple& t : l.tuples) {
-    if (store.ContainsId(t.id)) a.push_back(t);
-  }
-  return a;
 }
 
 void SkylinePolicy::MergeAnswer(Answer* acc, Answer&& local,

@@ -33,38 +33,106 @@ struct SkylineQuery {
   Point Origin(int dims) const {
     return constraint.has_value() ? constraint->lo() : Point(dims);
   }
+  /// The skyline is the 1-skyband.
+  size_t Band() const { return 1; }
+  const Rect* Constraint() const {
+    return constraint.has_value() ? &*constraint : nullptr;
+  }
 };
 
-/// Skyline state: a set of mutually non-dominated tuples (partial skyline).
-/// Global states additionally carry `dominators` — a small min-coordinate-
-/// sum subset used for the Algorithm 14 region test. At high
-/// dimensionality states hold thousands of tuples, but only the ones with
-/// uniformly small coordinates can ever dominate a whole region, and those
-/// have the smallest sums; checking a bounded subset keeps pruning sound
-/// (never prunes more, may prune less) at O(1) tuples per link.
-struct SkylineState {
+/// The skyline family's state: tuples that, as far as the query has seen,
+/// are dominated by fewer than the band others (a partial skyline for the
+/// skyline policy). Global states additionally carry `dominators` — a
+/// small min-coordinate-sum subset used for the Algorithm 14 region test.
+/// At high dimensionality states hold thousands of tuples, but only the
+/// ones with uniformly small coordinates can ever dominate a whole region,
+/// and those have the smallest sums; checking a bounded subset (the
+/// policy's kMaxDominators) keeps pruning sound (never prunes more, may
+/// prune less) at O(1) tuples per link. `tuples` is kept in ascending id
+/// order (docs/STORE.md).
+struct BandState {
   TupleVec tuples;
   TupleVec dominators;
-
-  static constexpr size_t kMaxDominators = 32;
 };
 
-/// RIPPLE policy for skyline queries — Algorithms 10-15.
-class SkylinePolicy {
+/// The tuples of `by_id` (ascending ids) whose id `store` holds, in that
+/// order: each stored id is looked up in `by_id`.
+TupleVec StoredTuples(const LocalStore& store, const TupleVec& by_id);
+
+/// What the skyline and skyband policies share (Algorithms 10, 12, 15 and
+/// the codecs): the local state is one LocalStore::Skyband call at the
+/// query's band, the local answer is the stored tuples of the local state,
+/// and priority is the distance to the query's reference corner. A policy
+/// adds its query codec, its link-relevance rule, its merge steps and its
+/// kMaxDominators. `Query` offers Band(), Constraint(), Origin(dims) and
+/// `norm`.
+template <typename Q>
+class BandPolicy {
  public:
-  using Query = SkylineQuery;
-  using LocalState = SkylineState;
-  using GlobalState = SkylineState;
+  using Query = Q;
+  using LocalState = BandState;
+  using GlobalState = BandState;
   using Answer = TupleVec;
 
   GlobalState InitialGlobalState(const Query&) const { return {}; }
 
-  /// Algorithm 10: local skyline, intersected with the skyline of (received
-  /// global state ∪ local skyline) — only local tuples that survive the
-  /// global merge stay in the local state. One LocalStore::Skyband call
-  /// (k = 1) over the store's columns, pruned by the received state.
+  /// Algorithm 10: the local band (over the constraint box, if any) minus
+  /// what the received state disqualifies, in one store pass. A local
+  /// band tuple survives the merge with g exactly when it has fewer than
+  /// band dominators in store ∪ g, and every store dominator of such a
+  /// tuple is itself in the local band, so this is the band of store ∪ g
+  /// restricted to the store.
   LocalState ComputeLocalState(const LocalStore& store, const Query& q,
-                               const GlobalState& g) const;
+                               const GlobalState& g) const {
+    return {store.Skyband(g.tuples, q.Band(), q.Constraint()), {}};
+  }
+
+  /// Algorithm 12: the *local* tuples of the local state, in its id order.
+  /// After slow-phase merges the state may contain remote tuples; only
+  /// tuples this peer stores are its contribution to the answer.
+  Answer ComputeLocalAnswer(const LocalStore& store, const Query&,
+                            const LocalState& l) const {
+    return StoredTuples(store, l.tuples);
+  }
+
+  /// Algorithm 15: areas closer to the reference corner first (larger
+  /// priority == visited earlier, so priority = -d-(area, origin)).
+  template <typename Area>
+  double LinkPriority(const Query& q, const Area& area) const {
+    double best = std::numeric_limits<double>::infinity();
+    ForEachRect(area, [&](const Rect& r) {
+      best = std::min(best, r.MinDist(q.Origin(r.dims()), q.norm));
+    });
+    return -best;
+  }
+
+  size_t StateTupleCount(const LocalState& l) const { return l.tuples.size(); }
+  size_t GlobalStateTupleCount(const GlobalState& g) const {
+    return g.tuples.size();
+  }
+  size_t AnswerTupleCount(const Answer& a) const { return a.size(); }
+
+  // Wire codecs: two tuple vectors (tuples, dominators); tuple vector.
+  void EncodeState(const BandState& s, wire::Buffer* buf) const {
+    EncodeTupleVec(s.tuples, buf);
+    EncodeTupleVec(s.dominators, buf);
+  }
+  bool DecodeState(wire::Reader* r, BandState* out) const {
+    return DecodeTupleVec(r, &out->tuples) &&
+           DecodeTupleVec(r, &out->dominators);
+  }
+  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+    EncodeTupleVec(a, buf);
+  }
+  bool DecodeAnswer(wire::Reader* r, Answer* out) const {
+    return DecodeTupleVec(r, out);
+  }
+};
+
+/// RIPPLE policy for skyline queries — Algorithms 10-15.
+class SkylinePolicy : public BandPolicy<SkylineQuery> {
+ public:
+  static constexpr size_t kMaxDominators = 32;
 
   /// Algorithm 11: skyline of (global ∪ local).
   GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,
@@ -73,10 +141,6 @@ class SkylinePolicy {
   /// Algorithm 13: skyline of the union of all states.
   void MergeLocalStates(const Query& q, LocalState* mine,
                         const std::vector<LocalState>& received) const;
-
-  /// Algorithm 12: the local tuples of the local state.
-  Answer ComputeLocalAnswer(const LocalStore& store, const Query& q,
-                            const LocalState& l) const;
 
   /// Algorithm 14: prune an area when some state tuple dominates all of
   /// it; constrained queries additionally prune areas outside the box.
@@ -102,29 +166,11 @@ class SkylinePolicy {
     return true;
   }
 
-  /// Algorithm 15: areas closer to the reference corner first (larger
-  /// priority == visited earlier, so priority = -d-(area, origin)).
-  template <typename Area>
-  double LinkPriority(const Query& q, const Area& area) const {
-    double best = std::numeric_limits<double>::infinity();
-    ForEachRect(area, [&](const Rect& r) {
-      best = std::min(best, r.MinDist(q.Origin(r.dims()), q.norm));
-    });
-    return -best;
-  }
-
-  size_t StateTupleCount(const LocalState& l) const { return l.tuples.size(); }
-  size_t GlobalStateTupleCount(const GlobalState& g) const {
-    return g.tuples.size();
-  }
-  size_t AnswerTupleCount(const Answer& a) const { return a.size(); }
-
   void MergeAnswer(Answer* acc, Answer&& local, const Query& q) const;
   /// The initiator's final skyline over everything received.
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
-  // Wire codecs: [norm][u8 has_constraint][rect?]; two tuple vectors
-  // (tuples, dominators); tuple vector.
+  // Query codec: [norm][u8 has_constraint][rect?].
   void EncodeQuery(const Query& q, wire::Buffer* buf) const {
     EncodeNorm(q.norm, buf);
     buf->PutU8(q.constraint.has_value() ? 1 : 0);
@@ -144,20 +190,6 @@ class SkylinePolicy {
       out->constraint = c;
     }
     return true;
-  }
-  void EncodeState(const SkylineState& s, wire::Buffer* buf) const {
-    EncodeTupleVec(s.tuples, buf);
-    EncodeTupleVec(s.dominators, buf);
-  }
-  bool DecodeState(wire::Reader* r, SkylineState* out) const {
-    return DecodeTupleVec(r, &out->tuples) &&
-           DecodeTupleVec(r, &out->dominators);
-  }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
-    EncodeTupleVec(a, buf);
-  }
-  bool DecodeAnswer(wire::Reader* r, Answer* out) const {
-    return DecodeTupleVec(r, out);
   }
 };
 

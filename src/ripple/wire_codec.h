@@ -25,7 +25,10 @@ namespace ripple {
 /// just appended. Decode*Payload assume the caller already consumed the
 /// frame header (net::DecodeEnvelopeFrame) and is positioned at the
 /// payload; the caller owns verifying the frame's declared length against
-/// the bytes actually consumed.
+/// the bytes actually consumed. They reject any point (tuple keys,
+/// constraint boxes, range centers, scorers) whose dims differ from the
+/// overlay's: merges would read a shorter point's missing coordinates as
+/// 0.
 template <typename Overlay, typename Policy>
 class WireCodec {
  public:
@@ -58,6 +61,7 @@ class WireCodec {
   }
   bool DecodeQueryPayload(wire::Reader* r, Query* q, GlobalState* g,
                           Area* area, int64_t* hops) const {
+    r->ExpectDims(overlay_->dims());
     *hops = r->Zigzag();
     return r->ok() && policy_->DecodeQuery(r, q) &&
            policy_->DecodeState(r, g) && overlay_->DecodeArea(r, area);
@@ -71,6 +75,7 @@ class WireCodec {
     return buf->size() - start;
   }
   bool DecodeResponsePayload(wire::Reader* r, LocalState* s) const {
+    r->ExpectDims(overlay_->dims());
     return policy_->DecodeState(r, s);
   }
 
@@ -82,6 +87,7 @@ class WireCodec {
     return buf->size() - start;
   }
   bool DecodeAnswerPayload(wire::Reader* r, Answer* a) const {
+    r->ExpectDims(overlay_->dims());
     return policy_->DecodeAnswer(r, a);
   }
 

@@ -72,6 +72,9 @@ class FlatStore {
   }
 
   void AppendAll(const TupleVec& ts) {
+    if (empty() && !ts.empty() && ts[0].key.dims() != dims()) {
+      Reshape(ts[0].key.dims());
+    }
     Reserve(size() + ts.size());
     for (const Tuple& t : ts) Append(t);
   }

@@ -19,60 +19,6 @@ double SumOf(const Tuple& t) {
   return s;
 }
 
-/// Drops duplicate ids (merged states may repeat tuples) and returns the
-/// remaining tuples in dominance-compatible order: ascending coordinate
-/// sum, then lexicographic key, then id. If a dominates b then fl-sum(a)
-/// <= fl-sum(b) (every add rounds monotonically), and on equal sums a is
-/// lexicographically smaller — so every dominator precedes what it
-/// dominates, which is what lets one forward pass count dominators.
-TupleVec DedupAndDominanceSort(TupleVec tuples) {
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  // Sorting (sum, row) pairs keeps the hot comparisons on contiguous
-  // keys; rows are in ascending id order, so the row breaks full ties.
-  struct SortKey {
-    double sum;
-    uint32_t row;
-  };
-  std::vector<SortKey> keys(tuples.size());
-  for (uint32_t i = 0; i < keys.size(); ++i) {
-    keys[i] = {SumOf(tuples[i]), i};
-  }
-  auto lex_then_row_less = [&](uint32_t a, uint32_t b) {
-    for (int c = 0; c < tuples[a].key.dims(); ++c) {
-      const double x = tuples[a].key[c], y = tuples[b].key[c];
-      if (x != y) return x < y;
-    }
-    return a < b;
-  };
-  std::sort(keys.begin(), keys.end(),
-            [&](const SortKey& a, const SortKey& b) {
-              return a.sum < b.sum ||
-                     (a.sum == b.sum && lex_then_row_less(a.row, b.row));
-            });
-  // Apply the permutation in place (cycle-walking, O(n) moves): same
-  // result as rebuilding `sorted[i] = tuples[keys[i].row]` without a
-  // second tuple buffer.
-  for (uint32_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].row == i) continue;
-    Tuple tmp = std::move(tuples[i]);
-    uint32_t cur = i;
-    while (keys[cur].row != i) {
-      const uint32_t nxt = keys[cur].row;
-      tuples[cur] = std::move(tuples[nxt]);
-      keys[cur].row = cur;
-      cur = nxt;
-    }
-    tuples[cur] = std::move(tmp);
-    keys[cur].row = cur;
-  }
-  return tuples;
-}
-
 bool SortedById(const TupleVec& tuples) {
   return std::is_sorted(tuples.begin(), tuples.end(), TupleIdLess());
 }
@@ -81,25 +27,21 @@ bool SortedById(const TupleVec& tuples) {
 
 TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
   if (tuples.empty() || k == 0) return {};
-  TupleVec sorted = DedupAndDominanceSort(std::move(tuples));
-  const int dims = sorted[0].key.dims();
-  // The running band is held column-wise for the branch-light kernel.
+  // Each id once (merged states may repeat tuples), laid out as columns
+  // in ascending id order for the store kernel's band pass.
+  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
+  tuples.erase(std::unique(tuples.begin(), tuples.end(),
+                           [](const Tuple& a, const Tuple& b) {
+                             return a.id == b.id;
+                           }),
+               tuples.end());
+  store::FlatStore rows;
+  rows.AppendAll(tuples);
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
-  ArenaColumns band_cols(&arena, dims, sorted.size());
-  TupleVec band;
-  KernelCounters& kc = LocalKernelCounters();
-  for (Tuple& t : sorted) {
-    ++kc.tuples_scanned;
-    if (CountDominatorsColumns(band_cols.cols(), dims, band_cols.size(),
-                               t.key, k) >= k) {
-      continue;
-    }
-    band_cols.Append(t.key);
-    band.push_back(std::move(t));
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
+  BandCandidate* cands = arena.AllocateArray<BandCandidate>(rows.size());
+  for (uint32_t i = 0; i < rows.size(); ++i) cands[i] = {i, 0};
+  return BandOfCandidates(rows, cands, rows.size(), k);
 }
 
 TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
@@ -204,29 +146,41 @@ void SelectStateDominators(const TupleVec& state, const Point& hi,
     // bounding box.
     bool below = true;
     for (int c = 0; c < dims && below; ++c) below = t.key[c] <= hi[c];
-    if (!below) continue;
-    if (std::binary_search(held_ids.begin(), held_ids.end(), t.id) &&
-        (counted == nullptr || counted->Contains(t.key))) {
-      continue;
-    }
-    picks[n++] = {SumOf(t), t.id, i};
+    if (below) picks[n++] = {SumOf(t), t.id, i};
   }
-  // Each id once, the first in state order. Honest states are already in
-  // ascending id order, which makes this one adjacent-pair pass.
+  if (n == 0) return;
+  // Ascending id, then state order. Honest states are already in
+  // ascending id order, which makes this one adjacent-pair check.
   auto by_id = [](const Pick& x, const Pick& y) {
     return x.id < y.id || (x.id == y.id && x.index < y.index);
   };
   if (!std::is_sorted(picks, picks + n, by_id)) {
     std::sort(picks, picks + n, by_id);
   }
-  n = static_cast<size_t>(
-      std::unique(picks, picks + n,
-                  [](const Pick& x, const Pick& y) { return x.id == y.id; }) -
-      picks);
-  std::sort(picks, picks + n, [](const Pick& x, const Pick& y) {
+  // The store counts its own rows: a pick whose id it holds, inside
+  // `counted`, is dropped. Each held id is looked up in the id-sorted
+  // picks.
+  uint8_t* drop = arena.AllocateArray<uint8_t>(n);
+  std::fill(drop, drop + n, uint8_t{0});
+  for (uint64_t id : held_ids) {
+    const Pick* it = std::lower_bound(
+        picks, picks + n, id,
+        [](const Pick& p, uint64_t v) { return p.id < v; });
+    for (; it != picks + n && it->id == id; ++it) {
+      const size_t j = static_cast<size_t>(it - picks);
+      drop[j] = counted == nullptr || counted->Contains(state[it->index].key);
+    }
+  }
+  // Then each id once, the first in state order.
+  size_t m = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (drop[j] != 0 || (m > 0 && picks[m - 1].id == picks[j].id)) continue;
+    picks[m++] = picks[j];
+  }
+  std::sort(picks, picks + m, [](const Pick& x, const Pick& y) {
     return x.sum < y.sum || (x.sum == y.sum && x.id < y.id);
   });
-  for (size_t i = 0; i < n; ++i) out->Append(state[picks[i].index].key);
+  for (size_t i = 0; i < m; ++i) out->Append(state[picks[i].index].key);
 }
 
 void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,

@@ -48,12 +48,15 @@ class ArenaColumns {
 /// by fewer than `k` others. Deterministic: the result is sorted by tuple
 /// id, and duplicate ids are collapsed to one occurrence. This is the
 /// structure SPEERTO precomputes per peer (paper, Section 2.1) and the one
-/// local primitive behind the skyline and skyband policies.
+/// local primitive behind the skyline and skyband policies. The tuples
+/// share one dimensionality (decoders reject foreign points).
 ///
-/// One forward pass in the dominance-compatible order (coordinate sum,
-/// lexicographic key, id) — every dominator precedes what it dominates,
-/// even when floating-point sums tie — counts each candidate's dominators
-/// among the running band with CountDominatorsColumns, stopping at `k`.
+/// The store kernel's band pass with no state: the tuples, deduplicated by
+/// id, are laid out as columns and run through BandOfCandidates with
+/// every state count at 0 — one forward pass in the dominance-compatible
+/// order (coordinate sum, lexicographic key, id), in which every dominator
+/// precedes what it dominates even when floating-point sums tie, counting
+/// each candidate's dominators among the running band, stopping at `k`.
 /// Counting within the band is exact: a band member's dominators are band
 /// members, and a tuple outside the band has >= k dominators inside it.
 /// O(n log n + n * b) where b is the band size.
@@ -95,9 +98,11 @@ struct BandCandidate {
 /// store whose rows are all <= `hi` componentwise, in ascending (sum, id)
 /// order, so the strongest dominators sit in the counting kernel's
 /// short-circuit head block. Skipped: tuples of another dimensionality,
-/// tuples whose id is in `held_ids` (ascending) and whose key lies in
-/// `counted` (everywhere when null) — the store counts those rows itself
-/// — and repeated ids (the first occurrence in state order is kept).
+/// tuples whose id is in `held_ids` (the store's id column, any order)
+/// and whose key lies in `counted` (everywhere when null) — the store
+/// counts those rows itself — and repeated ids (the first occurrence in
+/// state order is kept). Held ids are looked up in the selected tuples
+/// sorted by id, so nothing of the store is sorted.
 /// `out` must have capacity state.size().
 void SelectStateDominators(const TupleVec& state, const Point& hi,
                            const std::vector<uint64_t>& held_ids,
@@ -115,12 +120,13 @@ void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,
 /// The store-side band kernel's second pass: the candidates (rows of
 /// `rows`, each with fewer than k state dominators) that also have fewer
 /// than `k` dominators in total, counting the state dominators given and
-/// the candidates themselves. One forward pass over the candidates in
-/// the dominance-compatible order (coordinate sum, lexicographic key, id)
-/// — the same order and counting kernel as ComputeKSkyband, started from
-/// each candidate's state count. Exact whenever every store row left out
-/// of `cands` has at least k dominators in store ∪ state. Result sorted
-/// by id; only the survivors become Tuples. `cands` is reordered.
+/// the candidates themselves. One forward pass over the candidates in the
+/// dominance-compatible order (coordinate sum, lexicographic key, id),
+/// each counting its dominators among the running band from its state
+/// count; ComputeKSkyband is this pass with every count at 0. Exact
+/// whenever every store row left out of `cands` has at least k dominators
+/// in store ∪ state. Result sorted by id; only the survivors become
+/// Tuples. `cands` is reordered.
 TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
                           size_t n, size_t k);
 

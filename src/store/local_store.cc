@@ -32,7 +32,7 @@ void LocalStore::Clear() {
 
 namespace {
 
-/// Serializes the lazy builds of every store. A build runs once per
+/// Serializes the lazy index builds of every store. A build runs once per
 /// mutation batch, so the lock is taken only while one is pending.
 std::mutex& LazyBuildMutex() {
   static std::mutex mu;
@@ -44,21 +44,9 @@ std::mutex& LazyBuildMutex() {
 static_assert(std::is_nothrow_move_constructible_v<LocalStore>,
               "peer vectors must relocate stores by move, not by copy");
 
-const std::vector<uint64_t>& LocalStore::SortedIds() const {
-  if (!ids_ready_.Get()) {
-    std::lock_guard<std::mutex> lock(LazyBuildMutex());
-    if (!ids_ready_.Get()) {
-      sorted_ids_ = flat_.ids();
-      std::sort(sorted_ids_.begin(), sorted_ids_.end());
-      ids_ready_.Publish();
-    }
-  }
-  return sorted_ids_;
-}
-
 bool LocalStore::ContainsId(uint64_t id) const {
-  const std::vector<uint64_t>& ids = SortedIds();
-  return std::binary_search(ids.begin(), ids.end(), id);
+  const std::vector<uint64_t>& ids = flat_.ids();
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 TupleVec LocalStore::ExtractOutside(const Rect& zone, const Rect& domain) {
@@ -177,7 +165,7 @@ TupleVec LocalStore::Skyband(const TupleVec& state, size_t k,
         for (size_t i = 1; i < n; ++i) hi[c] = std::max(hi[c], col[i]);
       }
     }
-    SelectStateDominators(state, hi, SortedIds(), constraint, &dominators);
+    SelectStateDominators(state, hi, flat_.ids(), constraint, &dominators);
   }
   // Pass 1: rows with fewer than k state dominators.
   BandCandidate* cands = arena.AllocateArray<BandCandidate>(n);

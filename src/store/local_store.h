@@ -26,8 +26,9 @@ namespace ripple {
 ///
 /// Mutations are single-threaded, but const reads may run concurrently
 /// (executor workers share one overlay): the first read after a mutation
-/// builds the index or sorted-id column under a lock and publishes it
-/// through a release flag, so later reads take one acquire load.
+/// builds the index under a lock and publishes it through a release
+/// flag, so later reads take one acquire load. The index is the only
+/// lazily built state.
 class LocalStore {
  public:
   LocalStore() = default;
@@ -47,7 +48,8 @@ class LocalStore {
     for (size_t i = 0; i < flat_.size(); ++i) fn(flat_.TupleAt(i));
   }
 
-  /// Whether a tuple with this id is stored here (lazy sorted-id index).
+  /// Whether a tuple with this id is stored here (a scan of the id
+  /// column).
   bool ContainsId(uint64_t id) const;
 
   void Add(const Tuple& t);
@@ -110,15 +112,10 @@ class LocalStore {
  private:
   /// Rebuilds the k-d index if stale; returns it (nullptr for tiny stores).
   const KdIndex* Index() const;
-  /// The stored ids, ascending (built lazily like the index).
-  const std::vector<uint64_t>& SortedIds() const;
 
-  void MarkMutated() {
-    index_ready_.Clear();
-    ids_ready_.Clear();
-  }
+  void MarkMutated() { index_ready_.Clear(); }
 
-  /// Whether lazily built read state is current. Copies by value (the
+  /// Whether the lazily built index is current. Copies by value (the
   /// store is copied and moved only while no reader runs), and never
   /// throws, so overlays' peer vectors still relocate stores by move.
   class ReadyFlag {
@@ -142,8 +139,6 @@ class LocalStore {
   store::FlatStore flat_;
   mutable KdIndex index_;
   mutable ReadyFlag index_ready_;
-  mutable std::vector<uint64_t> sorted_ids_;
-  mutable ReadyFlag ids_ready_;
 };
 
 }  // namespace ripple

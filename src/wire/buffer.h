@@ -147,6 +147,12 @@ class Reader {
   /// bad tag, out-of-range dimension, ...).
   void Fail() { ok_ = false; }
 
+  /// Points read from here must have `dims` coordinates (0, the
+  /// default, admits any): a message payload holds points of its
+  /// overlay's domain only, and geom's decoders reject the rest.
+  void ExpectDims(int dims) { expected_dims_ = dims; }
+  int expected_dims() const { return expected_dims_; }
+
   size_t remaining() const { return end_ - pos_; }
   size_t position() const { return pos_; }
   /// Pointer to the next unread byte (frame walkers slice sub-readers).
@@ -165,6 +171,7 @@ class Reader {
   size_t pos_ = 0;
   size_t end_;
   bool ok_ = true;
+  int expected_dims_ = 0;
 };
 
 }  // namespace ripple::wire

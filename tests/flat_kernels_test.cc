@@ -275,6 +275,30 @@ TEST(FlatKernelsAdversarial, SkylineSkybandAndMergeMatchOracle) {
   }
 }
 
+TEST(FlatKernelsAdversarial, SkybandOfRepeatedIdsInAnyOrderMatchesOracle) {
+  // Merged states repeat tuples and arrive in any order: ComputeKSkyband
+  // keeps each id once and returns the band in id order.
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      const TupleVec ts = AdversarialTuples(shape, 120, dims, 1600 + dims);
+      TupleVec input = ts;
+      for (size_t i = 0; i < ts.size(); i += 3) input.push_back(ts[i]);
+      std::reverse(input.begin(), input.end());
+      std::rotate(input.begin(), input.begin() + input.size() / 3,
+                  input.end());
+      const std::string where =
+          std::string(Name(shape)) + " dims=" + std::to_string(dims);
+      for (size_t k : {size_t{1}, size_t{2}, size_t{3}}) {
+        const TupleVec got = ComputeKSkyband(input, k);
+        EXPECT_TRUE(BitIdentical(got, oracle::Skyband(input, k)))
+            << where << " k=" << k;
+        EXPECT_TRUE(BitIdentical(got, oracle::Skyband(ts, k)))
+            << where << " k=" << k;
+      }
+    }
+  }
+}
+
 /// oracle::Skyband(store ∪ state, k) restricted to the store's rows (and
 /// to `box`, when given: only boxed rows are counted and returned).
 TupleVec StoreBandOracle(const TupleVec& store, const TupleVec& state,

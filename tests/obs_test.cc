@@ -11,10 +11,12 @@
 #include "gtest/gtest.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "exec/executor.h"
 #include "obs/bench_report.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace ripple {
@@ -543,6 +545,152 @@ TEST(RoundTripTest, BenchReportSurvivesParseAndMerge) {
   ASSERT_NE(hops2, nullptr);
   EXPECT_DOUBLE_EQ(hops2->NumberOr(0), 10.0);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot series and the slow-query log
+
+TEST(SnapshotTest, CaptureRecordsValuesAndDeltasSpanConsecutiveCaptures) {
+  obs::Registry reg;
+  obs::SnapshotSeries series(&reg);
+  reg.GetCounter("a").Inc(3);
+  reg.GetGauge("depth").Set(1.5);
+  const obs::Snapshot& first = series.Capture(1.0);
+  EXPECT_EQ(first.at_ms, 1.0);
+  ASSERT_EQ(first.counters.size(), 1u);
+  EXPECT_EQ(first.counters[0].first, "a");
+  EXPECT_EQ(first.counters[0].second, 3u);
+  ASSERT_EQ(first.gauges.size(), 1u);
+  EXPECT_EQ(first.gauges[0].second, 1.5);
+  reg.GetCounter("a").Inc(4);
+  reg.GetCounter("late").Inc(2);
+  series.Capture(2.0);
+  series.Capture(3.0);
+  EXPECT_EQ(series.size(), 3u);
+  EXPECT_EQ(series.Deltas("a"), (std::vector<uint64_t>{4, 0}));
+  // A counter absent from a snapshot reads 0 there.
+  EXPECT_EQ(series.Deltas("late"), (std::vector<uint64_t>{2, 0}));
+  EXPECT_EQ(series.Deltas("missing"), (std::vector<uint64_t>{0, 0}));
+  EXPECT_TRUE(obs::SnapshotSeries(&reg).Deltas("a").empty());
+}
+
+TEST(SnapshotTest, JsonRoundTripKeepsLongNamesAndEveryDigit) {
+  obs::Registry reg;
+  obs::SnapshotSeries series(&reg);
+  // 100 bytes: longer than any fixed formatting buffer would hold. 80
+  // bytes plus a 12-digit value would lose digits in a 96-byte one.
+  const std::string long_name = "exec." + std::string(95, 'n');
+  const std::string mid_name = "exec." + std::string(75, 'm');
+  ASSERT_EQ(long_name.size(), 100u);
+  reg.GetCounter(long_name).Inc(7);
+  reg.GetCounter(mid_name).Inc(123456789012);
+  reg.GetGauge(long_name).Set(0.25);
+  series.Capture(12.5);
+  series.Capture(20.0);
+  const Result<JsonValue> parsed = ParseJson(series.ToJson());
+  ASSERT_TRUE(parsed.ok()) << series.ToJson();
+  const JsonValue& doc = parsed.value();
+  ASSERT_TRUE(doc.IsArray());
+  ASSERT_EQ(doc.array.size(), 2u);
+  const JsonValue& s0 = doc.array[0];
+  EXPECT_DOUBLE_EQ(s0.Find("at_ms")->NumberOr(-1), 12.5);
+  const JsonValue* counters = s0.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(counters->Find(long_name), nullptr);
+  EXPECT_EQ(counters->Find(long_name)->NumberOr(-1), 7.0);
+  ASSERT_NE(counters->Find(mid_name), nullptr);
+  EXPECT_EQ(counters->Find(mid_name)->NumberOr(-1), 123456789012.0);
+  const JsonValue* gauges = s0.Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_NE(gauges->Find(long_name), nullptr);
+  EXPECT_EQ(gauges->Find(long_name)->NumberOr(-1), 0.25);
+  EXPECT_TRUE(ParseJson(obs::SnapshotSeries(&reg).ToJson()).ok());
+}
+
+TEST(SlowQueryLogTest, ThresholdCapacityDroppedAndForceSampled) {
+  obs::SlowQueryLog log(5.0, /*capacity=*/2);
+  EXPECT_EQ(log.threshold_ms(), 5.0);
+  EXPECT_FALSE(log.Observe("fast", 1, 4.9, 0.5, true));
+  EXPECT_TRUE(log.Observe("at-threshold", 7, 5.0, 1.0, true));
+  EXPECT_TRUE(log.Observe("unsampled", 0, 9.0, 2.0, false));
+  // Over capacity: still slow, but dropped.
+  EXPECT_TRUE(log.Observe("overflow", 0, 10.0, 3.0, true));
+  EXPECT_EQ(log.dropped(), 1u);
+  const std::vector<obs::SlowQueryEntry> entries = log.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].label, "at-threshold");
+  EXPECT_EQ(entries[0].trace_id, 7u);
+  EXPECT_FALSE(entries[0].force_sampled);
+  EXPECT_EQ(entries[1].label, "unsampled");
+  EXPECT_TRUE(entries[1].force_sampled);
+  const Result<JsonValue> parsed = ParseJson(log.ToJson());
+  ASSERT_TRUE(parsed.ok()) << log.ToJson();
+  ASSERT_EQ(parsed.value().array.size(), 2u);
+  const JsonValue& e0 = parsed.value().array[0];
+  EXPECT_EQ(e0.Find("label")->StringOr(""), "at-threshold");
+  EXPECT_EQ(e0.Find("trace_id")->StringOr(""), "7");
+  EXPECT_EQ(e0.Find("latency_ms")->NumberOr(-1), 5.0);
+  EXPECT_TRUE(parsed.value().array[1].Find("force_sampled")->bool_value);
+  // Capacity 0 is unbounded.
+  obs::SlowQueryLog unbounded(0.0, 0);
+  for (int i = 0; i < 300; ++i) unbounded.Observe("q", 0, 1.0, 0.0, true);
+  EXPECT_EQ(unbounded.Entries().size(), 300u);
+  EXPECT_EQ(unbounded.dropped(), 0u);
+}
+
+TEST(SnapshotTest, WriteSnapshotJsonWritesBothPartsOrEmptyLists) {
+  obs::Registry reg;
+  reg.GetCounter("c").Inc(1);
+  obs::SnapshotSeries series(&reg);
+  series.Capture(1.0);
+  obs::SlowQueryLog log(0.0);
+  log.Observe("q", 3, 2.0, 1.0, true);
+  const std::string path = TempPath("snapshot_write.json");
+  ASSERT_TRUE(obs::WriteSnapshotJson(&series, &log, path).ok());
+  Result<JsonValue> parsed = ParseJson(ReadAll(path));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("snapshots")->array.size(), 1u);
+  EXPECT_EQ(parsed.value().Find("slow_queries")->array.size(), 1u);
+  ASSERT_TRUE(obs::WriteSnapshotJson(nullptr, nullptr, path).ok());
+  parsed = ParseJson(ReadAll(path));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.value().Find("snapshots")->array.empty());
+  EXPECT_TRUE(parsed.value().Find("slow_queries")->array.empty());
+  std::remove(path.c_str());
+  EXPECT_FALSE(
+      obs::WriteSnapshotJson(&series, &log, "/nonexistent-dir/s.json").ok());
+}
+
+TEST(SnapshotTest, ExecutorRunFeedsTheSeriesAndTheSlowLog) {
+  obs::Registry::EnableGlobal(true);
+  obs::SnapshotSeries series(&obs::Registry::Global());
+  obs::SlowQueryLog slow(/*threshold_ms=*/0.0);
+  exec::ExecutorOptions opts;
+  opts.threads = 2;
+  opts.snapshots = &series;
+  opts.snapshot_every_ms = 1e-3;
+  opts.slow_log = &slow;
+  std::vector<exec::Job> jobs(5);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].label = "job " + std::to_string(i);
+    jobs[i].run = [](exec::JobContext&) { return exec::JobResult{}; };
+  }
+  const exec::WorkloadResult result = exec::Executor(opts).Run(jobs, 1);
+  obs::Registry::EnableGlobal(false);
+  EXPECT_EQ(result.completed, 5u);
+  // The t = 0 capture, the periodic ones and the final one after the
+  // drain: the windows add up to the whole run.
+  ASSERT_GE(series.size(), 2u);
+  uint64_t completed = 0;
+  for (uint64_t d : series.Deltas("exec.completed")) completed += d;
+  EXPECT_EQ(completed, 5u);
+  // Threshold 0 records every query; none was head-sampled.
+  const std::vector<obs::SlowQueryEntry> entries = slow.Entries();
+  ASSERT_EQ(entries.size(), 5u);
+  for (const obs::SlowQueryEntry& e : entries) {
+    EXPECT_TRUE(e.force_sampled);
+    EXPECT_EQ(e.label.rfind("job ", 0), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "obs/profile.h"
 #include "overlay/midas/midas.h"
 #include "queries/diversify.h"
+#include "queries/skyband.h"
 #include "queries/skyline.h"
 #include "queries/topk.h"
 #include "ripple/engine.h"
@@ -114,9 +115,9 @@ TEST(SkylineAlgorithmsTest, Alg10LocalStateKeepsOnlySurvivors) {
                                       Tuple{3, Point{0.9, 0.9}}});
   SkylinePolicy policy;
   // Global state dominates tuple 2 but not tuple 1.
-  SkylineState g;
+  BandState g;
   g.tuples = {Tuple{100, Point{0.5, 0.1}}};
-  const SkylineState l =
+  const BandState l =
       policy.ComputeLocalState(store, SkylineQuery{}, g);
   ASSERT_EQ(l.tuples.size(), 1u);
   EXPECT_EQ(l.tuples[0].id, 1u);  // 2 dominated by 100; 3 dominated locally
@@ -124,11 +125,11 @@ TEST(SkylineAlgorithmsTest, Alg10LocalStateKeepsOnlySurvivors) {
 
 TEST(SkylineAlgorithmsTest, Alg11GlobalStateIsMergedSkyline) {
   SkylinePolicy policy;
-  SkylineState g;
+  BandState g;
   g.tuples = {Tuple{1, Point{0.5, 0.5}}};
-  SkylineState l;
+  BandState l;
   l.tuples = {Tuple{2, Point{0.2, 0.9}}, Tuple{3, Point{0.6, 0.6}}};
-  const SkylineState merged =
+  const BandState merged =
       policy.ComputeGlobalState(SkylineQuery{}, g, l);
   ASSERT_EQ(merged.tuples.size(), 2u);  // 3 dominated by 1
   EXPECT_EQ(merged.tuples[0].id, 1u);
@@ -138,7 +139,7 @@ TEST(SkylineAlgorithmsTest, Alg11GlobalStateIsMergedSkyline) {
 
 TEST(SkylineAlgorithmsTest, Alg14RegionPrunedOnlyWhenFullyDominated) {
   SkylinePolicy policy;
-  SkylineState g;
+  BandState g;
   g.tuples = {Tuple{1, Point{0.3, 0.3}}};
   g.dominators = g.tuples;
   const Rect dominated(Point{0.5, 0.5}, Point{0.9, 0.9});
@@ -153,6 +154,44 @@ TEST(SkylineAlgorithmsTest, Alg15PrefersRegionsNearOrigin) {
   const Rect far(Point{0.6, 0.6}, Point{1.0, 1.0});
   EXPECT_GT(policy.LinkPriority(SkylineQuery{}, near_origin),
             policy.LinkPriority(SkylineQuery{}, far));
+}
+
+TEST(SkylineAlgorithmsTest, Alg12LocalAnswerIsTheStoredTuplesAfterAMerge) {
+  // Stored: 2, 5, 7 and 8; 8 is dominated by 7. The remote state holds 1,
+  // which dominates 7 and 8, and 3 and 9, which dominate nothing stored.
+  const LocalStore store = StoreWith({Tuple{8, Point{0.6, 0.6}},
+                                      Tuple{5, Point{0.1, 0.9}},
+                                      Tuple{7, Point{0.5, 0.5}},
+                                      Tuple{2, Point{0.9, 0.1}}});
+  const BandState remote{{Tuple{1, Point{0.4, 0.4}},
+                          Tuple{3, Point{0.95, 0.05}},
+                          Tuple{9, Point{0.05, 0.95}}},
+                         {}};
+  auto ids = [](const TupleVec& ts) {
+    std::vector<uint64_t> out;
+    for (const Tuple& t : ts) out.push_back(t.id);
+    return out;
+  };
+  {
+    const SkylinePolicy policy;
+    const SkylineQuery q;
+    BandState l = policy.ComputeLocalState(store, q, BandState{});
+    policy.MergeLocalStates(q, &l, {remote});
+    ASSERT_EQ(ids(l.tuples), (std::vector<uint64_t>{1, 2, 3, 5, 9}));
+    EXPECT_EQ(ids(policy.ComputeLocalAnswer(store, q, l)),
+              (std::vector<uint64_t>{2, 5}));
+  }
+  {
+    // In the 2-skyband 7 survives (one dominator) and 8 does not (two).
+    const SkybandPolicy policy;
+    const SkybandQuery q{2, Norm::kL2};
+    BandState l = policy.ComputeLocalState(store, q, BandState{});
+    policy.MergeLocalStates(q, &l, {remote});
+    ASSERT_EQ(ids(l.tuples), (std::vector<uint64_t>{1, 2, 3, 5, 7, 9}));
+    const TupleVec answer = policy.ComputeLocalAnswer(store, q, l);
+    ASSERT_EQ(ids(answer), (std::vector<uint64_t>{2, 5, 7}));
+    EXPECT_EQ(answer[2], (Tuple{7, Point{0.5, 0.5}}));
+  }
 }
 
 // --- Diversification: Algorithms 16-21 -------------------------------------------

@@ -335,6 +335,24 @@ TEST(LocalStoreTest, MutationInvalidatesIndex) {
   EXPECT_EQ(got[0].id, 9999u);
 }
 
+TEST(LocalStoreTest, ContainsIdFollowsMutations) {
+  LocalStore store;
+  EXPECT_FALSE(store.ContainsId(0));
+  store.AddAll({Tuple{7, Point{0.5, 0.5}}, Tuple{3, Point{0.1, 0.9}}});
+  EXPECT_TRUE(store.ContainsId(7));
+  EXPECT_TRUE(store.ContainsId(3));
+  EXPECT_FALSE(store.ContainsId(5));
+  store.Add(Tuple{5, Point{0.9, 0.1}});
+  EXPECT_TRUE(store.ContainsId(5));
+  const Rect domain(Point(2), Point{1.0, 1.0});
+  (void)store.ExtractOutside(Rect(Point(2), Point{0.6, 0.6}), domain);
+  EXPECT_TRUE(store.ContainsId(7));
+  EXPECT_FALSE(store.ContainsId(3));
+  EXPECT_FALSE(store.ContainsId(5));
+  store.Clear();
+  EXPECT_FALSE(store.ContainsId(7));
+}
+
 TEST(LocalStoreTest, LocalSkylineMatchesComputeSkyline) {
   Rng rng(73);
   const TupleVec ts = RandomTuples(150, 3, &rng);

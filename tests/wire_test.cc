@@ -418,9 +418,9 @@ TEST(StoreWireTest, NonFiniteKeyRejected) {
 
     // A policy state carrying the tuple rejects as a whole.
     wire::Buffer state;
-    SkylinePolicy{}.EncodeState(SkylineState{tuples, {}}, &state);
+    SkylinePolicy{}.EncodeState(BandState{tuples, {}}, &state);
     wire::Reader rs(state.bytes());
-    SkylineState decoded;
+    BandState decoded;
     EXPECT_FALSE(SkylinePolicy{}.DecodeState(&rs, &decoded)) << bad;
   }
 }
@@ -507,21 +507,21 @@ TEST(PolicyCodecTest, SkylineAndSkybandStatesRoundTrip) {
   const TupleVec tuples = data::MakeUniform(40, 3, &rng);
   const TupleVec doms(tuples.begin(), tuples.begin() + 8);
   {
-    SkylineState s{tuples, doms};
+    BandState s{tuples, doms};
     wire::Buffer buf;
     SkylinePolicy{}.EncodeState(s, &buf);
     wire::Reader r(buf.bytes());
-    SkylineState out;
+    BandState out;
     ASSERT_TRUE(SkylinePolicy{}.DecodeState(&r, &out));
     EXPECT_EQ(out.tuples.size(), s.tuples.size());
     EXPECT_EQ(out.dominators.size(), s.dominators.size());
   }
   {
-    SkybandState s{tuples, doms};
+    BandState s{tuples, doms};
     wire::Buffer buf;
     SkybandPolicy{}.EncodeState(s, &buf);
     wire::Reader r(buf.bytes());
-    SkybandState out;
+    BandState out;
     ASSERT_TRUE(SkybandPolicy{}.DecodeState(&r, &out));
     EXPECT_EQ(out.tuples.size(), s.tuples.size());
     EXPECT_EQ(out.dominators.size(), s.dominators.size());
@@ -892,6 +892,156 @@ TEST(TransportTest, TruncationAndCorruptionSplitTheRejectCounters) {
     EXPECT_EQ(reg.GetCounter("net.frames_truncated").value(), trunc0);
   }
   obs::Registry::EnableGlobal(false);
+}
+
+// --- Points of another dimensionality ---------------------------------------
+
+/// A well-framed response whose state holds a 2-d tuple at the origin:
+/// on a 4-d overlay, a merge would read its missing coordinates as 0 and
+/// let it dominate every honest tuple.
+template <typename Policy>
+std::vector<uint8_t> ForeignPointResponse(const net::Envelope& env) {
+  const Policy policy;
+  BandState s;
+  s.tuples = {Tuple{999, Point{0.0, 0.0}}};
+  wire::Buffer buf;
+  const size_t start = net::BeginEnvelopeFrame(env, &buf);
+  policy.EncodeState(s, &buf);
+  wire::EndFrame(&buf, start);
+  return buf.Take();
+}
+
+/// Replaces the first response datagram with ForeignPointResponse.
+template <typename Policy>
+class ForeignPointTransport : public net::Transport {
+ public:
+  void Send(const net::Envelope& env,
+            std::vector<uint8_t> datagram) override {
+    if (env.kind == net::MessageKind::kResponse && replaced_ == 0) {
+      datagram = ForeignPointResponse<Policy>(env);
+      ++replaced_;
+    }
+    Deliver(env, std::move(datagram));
+  }
+  int replaced() const { return replaced_; }
+
+ private:
+  int replaced_ = 0;
+};
+
+TEST(WireCodecTest, PointsOfAnotherDimensionalityAreRejected) {
+  MidasOptions opt;
+  opt.dims = 4;
+  MidasOverlay overlay(opt);
+  const net::Envelope env{5, 1, 2, net::MessageKind::kResponse, 0};
+  const TupleVec honest = {Tuple{0, Point{0.1, 0.2, 0.3, 0.4}}};
+  const TupleVec foreign = {Tuple{0, Point{0.1, 0.2, 0.3, 0.4}},
+                            Tuple{999, Point{0.0, 0.0}}};
+  auto decode_state = [&](const auto& codec, const TupleVec& tuples) {
+    wire::Buffer buf;
+    codec.EncodeResponseFrame(env, BandState{tuples, {}}, &buf);
+    wire::Reader r(buf.bytes());
+    net::Envelope got;
+    BandState out;
+    return net::DecodeEnvelopeFrame(&r, &got) &&
+           codec.DecodeResponsePayload(&r, &out) && r.ok();
+  };
+  auto decode_answer = [&](const auto& codec, const TupleVec& tuples) {
+    wire::Buffer buf;
+    codec.EncodeAnswerMessage(env, tuples, &buf);
+    wire::Reader r(buf.bytes());
+    net::Envelope got;
+    TupleVec out;
+    return net::DecodeEnvelopeFrame(&r, &got) &&
+           codec.DecodeAnswerPayload(&r, &out) && r.ok();
+  };
+  const SkylinePolicy skyline;
+  const WireCodec<MidasOverlay, SkylinePolicy> sky_codec(&overlay, &skyline);
+  const SkybandPolicy skyband;
+  const WireCodec<MidasOverlay, SkybandPolicy> band_codec(&overlay, &skyband);
+  EXPECT_TRUE(decode_state(sky_codec, honest));
+  EXPECT_FALSE(decode_state(sky_codec, foreign));
+  EXPECT_TRUE(decode_answer(sky_codec, honest));
+  EXPECT_FALSE(decode_answer(sky_codec, foreign));
+  EXPECT_TRUE(decode_state(band_codec, honest));
+  EXPECT_FALSE(decode_state(band_codec, foreign));
+  EXPECT_FALSE(decode_answer(band_codec, foreign));
+
+  // A skyline query whose constraint box is 2-d, or whose global state
+  // carries a 2-d tuple.
+  auto decode_query = [&](const SkylineQuery& q, const TupleVec& g) {
+    wire::Buffer buf;
+    sky_codec.EncodeQueryMessage(env, q, BandState{g, {}}, overlay.FullArea(),
+                                 1, &buf);
+    wire::Reader r(buf.bytes());
+    net::Envelope got;
+    SkylineQuery qd;
+    BandState gd;
+    MidasOverlay::Area area;
+    int64_t hops = 0;
+    return net::DecodeEnvelopeFrame(&r, &got) &&
+           sky_codec.DecodeQueryPayload(&r, &qd, &gd, &area, &hops) &&
+           r.ok();
+  };
+  const Rect box4(Point(4), Point{0.5, 0.5, 0.5, 0.5});
+  const Rect box2(Point(2), Point{0.5, 0.5});
+  EXPECT_TRUE(decode_query(SkylineQuery{Norm::kL2, box4}, honest));
+  EXPECT_FALSE(decode_query(SkylineQuery{Norm::kL2, box2}, honest));
+  EXPECT_FALSE(decode_query(SkylineQuery{}, foreign));
+
+  // A top-k scorer with fewer weights than the overlay has dims.
+  const TopKPolicy topk;
+  const WireCodec<MidasOverlay, TopKPolicy> topk_codec(&overlay, &topk);
+  for (const LinearScorer& scorer :
+       {LinearScorer({-1.0, -1.0, -1.0, -1.0}), LinearScorer({-1.0, -1.0})}) {
+    wire::Buffer buf;
+    topk_codec.EncodeQueryMessage(env, TopKQuery{&scorer, 3}, TopKState{},
+                                  overlay.FullArea(), 1, &buf);
+    wire::Reader r(buf.bytes());
+    net::Envelope got;
+    TopKQuery qd{};
+    TopKState gd{};
+    MidasOverlay::Area area;
+    int64_t hops = 0;
+    EXPECT_EQ(net::DecodeEnvelopeFrame(&r, &got) &&
+                  topk_codec.DecodeQueryPayload(&r, &qd, &gd, &area, &hops),
+              scorer.weights().size() == 4);
+  }
+}
+
+/// A slow session that merged a foreign-dimensionality reply would drop
+/// its own answer and still report complete. The reply is rejected
+/// instead, counted in net.frames_rejected, and the retransmitted honest
+/// reply gives the exact answer.
+template <typename Policy, typename Query>
+void ExpectForeignPointReplyRejected(const Query& q) {
+  Net net = MakeNet(40, 500, 4, 719);
+  Engine<MidasOverlay, Policy> sync_engine(&net.overlay, Policy{});
+  const RippleParam r = RippleParam::Slow();
+  const auto want = sync_engine.Run({.initiator = 3, .query = q, .ripple = r});
+  obs::Registry::EnableGlobal(true);
+  obs::Registry& reg = obs::Registry::Global();
+  const uint64_t rej0 = reg.GetCounter("net.frames_rejected").value();
+  AsyncEngine<MidasOverlay, Policy> engine(&net.overlay, Policy{});
+  ForeignPointTransport<Policy> foreign;
+  engine.SetTransport(&foreign);
+  const auto got = engine.Run({.initiator = 3, .query = q, .ripple = r});
+  EXPECT_EQ(foreign.replaced(), 1);
+  EXPECT_EQ(reg.GetCounter("net.frames_rejected").value(), rej0 + 1);
+  obs::Registry::EnableGlobal(false);
+  EXPECT_TRUE(got.complete);
+  ASSERT_EQ(got.answer.size(), want.answer.size());
+  for (size_t i = 0; i < want.answer.size(); ++i) {
+    EXPECT_EQ(got.answer[i].id, want.answer[i].id);
+  }
+}
+
+TEST(TransportTest, SkylineReplyWithForeignPointIsRejected) {
+  ExpectForeignPointReplyRejected<SkylinePolicy>(SkylineQuery{});
+}
+
+TEST(TransportTest, SkybandReplyWithForeignPointIsRejected) {
+  ExpectForeignPointReplyRejected<SkybandPolicy>(SkybandQuery{2, Norm::kL2});
 }
 
 // --- Cross-engine byte parity ---------------------------------------------

@@ -92,6 +92,12 @@ DEAD_SYMBOLS=(
   kAdminHealth
   AdminPong
   AdminHealthReport
+  DedupAndDominanceSort
+  SortedIds
+  sorted_ids_
+  ids_ready_
+  SkylineState
+  SkybandState
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
