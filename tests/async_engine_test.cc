@@ -9,6 +9,7 @@
 #include "data/datasets.h"
 #include "overlay/midas/midas.h"
 #include "queries/range.h"
+#include "queries/skyband.h"
 #include "queries/skyline.h"
 #include "queries/topk.h"
 #include "ripple/engine.h"
@@ -142,7 +143,10 @@ struct Net {
   TupleVec all;
 };
 
-Net MakeNet(size_t peers, size_t tuples, int dims, uint64_t seed) {
+/// `first_id` re-bases the tuple ids, so a net can place them across a
+/// varint width boundary.
+Net MakeNet(size_t peers, size_t tuples, int dims, uint64_t seed,
+            uint64_t first_id = 0) {
   MidasOptions opt;
   opt.dims = dims;
   opt.seed = seed;
@@ -150,6 +154,7 @@ Net MakeNet(size_t peers, size_t tuples, int dims, uint64_t seed) {
   Net net{MidasOverlay(opt), {}};
   Rng rng(seed ^ 0xabc);
   net.all = data::MakeUniform(tuples, dims, &rng);
+  for (Tuple& t : net.all) t.id += first_id;
   for (const Tuple& t : net.all) net.overlay.InsertTuple(t);
   while (net.overlay.NumPeers() < peers) net.overlay.Join();
   return net;
@@ -204,6 +209,55 @@ TEST(AsyncEngineTest, RangeMatchesRecursiveEngine) {
   RangeQuery q{Point{0.4, 0.6}, 0.15, Norm::kL2};
   for (const RippleParam r : {RippleParam::Fast(), RippleParam::Slow()}) {
     CrossValidate<RangePolicy>(net, q, r, net.overlay.RandomPeer(&rng));
+  }
+}
+
+TEST(AsyncEngineTest, SkybandMatchesRecursiveEngine) {
+  Net net = MakeNet(64, 800, 3, 619);
+  Rng rng(23);
+  for (const RippleParam r :
+       {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
+    CrossValidate<SkybandPolicy>(net, SkybandQuery{.band = 2}, r,
+                                 net.overlay.RandomPeer(&rng));
+  }
+}
+
+TEST(AsyncEngineTest, ConstrainedSkylineMatchesRecursiveEngine) {
+  Net net = MakeNet(64, 900, 3, 623);
+  Rng rng(29);
+  SkylineQuery q;
+  q.constraint = Rect(Point{0.2, 0.1, 0.3}, Point{0.9, 0.8, 1.0});
+  for (const RippleParam r :
+       {RippleParam::Fast(), RippleParam::Hops(1), RippleParam::Slow()}) {
+    CrossValidate<SkylinePolicy>(net, q, r, net.overlay.RandomPeer(&rng));
+  }
+}
+
+TEST(AsyncEngineTest, NearestTopKMatchesRecursiveEngine) {
+  Net net = MakeNet(96, 1000, 3, 631);
+  NearestScorer scorer(Point{0.3, 0.7, 0.5}, Norm::kL1);
+  TopKQuery q{&scorer, 12};
+  Rng rng(31);
+  for (const RippleParam r :
+       {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
+    CrossValidate<TopKPolicy>(net, q, r, net.overlay.RandomPeer(&rng));
+  }
+}
+
+TEST(AsyncEngineTest, VarintWideIdsMatchRecursiveEngine) {
+  // Ids from 2^14 - 64 up: answers and states carry ids of two and three
+  // varint bytes side by side (the 1/2-byte boundary is crossed by every
+  // net whose ids start at 0).
+  Net net = MakeNet(64, 800, 2, 641, (uint64_t{1} << 14) - 64);
+  Rng rng(37);
+  LinearScorer scorer({-0.7, -0.3});
+  TopKQuery topk{&scorer, 40};
+  RangeQuery range{Point{0.5, 0.5}, 0.3, Norm::kLInf};
+  for (const RippleParam r : {RippleParam::Fast(), RippleParam::Slow()}) {
+    CrossValidate<TopKPolicy>(net, topk, r, net.overlay.RandomPeer(&rng));
+    CrossValidate<SkylinePolicy>(net, SkylineQuery{}, r,
+                                 net.overlay.RandomPeer(&rng));
+    CrossValidate<RangePolicy>(net, range, r, net.overlay.RandomPeer(&rng));
   }
 }
 

@@ -109,6 +109,10 @@ TEST(AsyncOverChordTest, TopKAgreesWithRecursiveEngine) {
     }
     EXPECT_EQ(a.stats.peers_visited, s.stats.peers_visited);
     EXPECT_EQ(a.stats.messages, s.stats.messages);
+    // Chord areas are varint-coded arc segments: the recursive engine's
+    // priced query frames must match the async engine's shipped ones.
+    EXPECT_EQ(a.stats.tuples_shipped, s.stats.tuples_shipped) << "r=" << r;
+    EXPECT_EQ(a.stats.bytes_on_wire, s.stats.bytes_on_wire) << "r=" << r;
   }
 }
 
