@@ -75,12 +75,14 @@ class NaiveTopKPolicy {
   }
   void EncodeState(const Empty&, wire::Buffer*) const {}
   bool DecodeState(wire::Reader* r, Empty*) const { return r->ok(); }
+  size_t StateWireSize(const Empty&) const { return 0; }
   void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {
     return DecodeTupleVec(r, out);
   }
+  size_t AnswerWireSize(const Answer& a) const { return TupleVecWireSize(a); }
 };
 
 static_assert(QueryPolicy<NaiveTopKPolicy, Rect>);

@@ -36,6 +36,12 @@ class Point {
   }
 
   int dims() const { return dims_; }
+  /// Sets the dimensionality, keeping the stored coordinates: for a
+  /// caller about to overwrite every one of them.
+  void SetDims(int dims) {
+    RIPPLE_DCHECK(dims >= 0 && dims <= kMaxDims);
+    dims_ = static_cast<uint8_t>(dims);
+  }
 
   double operator[](int i) const {
     RIPPLE_DCHECK(i >= 0 && i < dims_);

@@ -1,6 +1,7 @@
 #ifndef RIPPLE_GEOM_RECT_H_
 #define RIPPLE_GEOM_RECT_H_
 
+#include <algorithm>
 #include <string>
 
 #include "geom/point.h"
@@ -46,6 +47,25 @@ class Rect {
 
   /// True when some edge has zero length, i.e. the rect has no volume.
   bool Degenerate() const;
+
+  /// Writes the intersection of `a` and `b` into `*out` and returns true
+  /// when it has volume; returns false at the first dimension whose
+  /// overlap is empty or a single value, leaving `*out` partly written.
+  /// The same test as a.Intersects(b) && !a.Intersection(b).Degenerate(),
+  /// with no temporary.
+  static bool CutInto(const Rect& a, const Rect& b, Rect* out) {
+    const int dims = a.dims();
+    out->lo_.SetDims(dims);
+    out->hi_.SetDims(dims);
+    for (int i = 0; i < dims; ++i) {
+      const double lo = std::max(a.lo_[i], b.lo_[i]);
+      const double hi = std::min(a.hi_[i], b.hi_[i]);
+      if (!(lo < hi)) return false;
+      out->lo_[i] = lo;
+      out->hi_[i] = hi;
+    }
+    return true;
+  }
 
   /// Product of edge lengths.
   double Volume() const;

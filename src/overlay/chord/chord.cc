@@ -176,6 +176,14 @@ void ChordOverlay::EncodeArea(const Area& area, wire::Buffer* buf) const {
   }
 }
 
+size_t ChordOverlay::AreaWireSize(const Area& area) const {
+  size_t n = wire::VarintSize(area.segments.size());
+  for (const auto& [lo, hi] : area.segments) {
+    n += wire::VarintSize(lo) + wire::VarintSize(hi - lo);
+  }
+  return n;
+}
+
 bool ChordOverlay::DecodeArea(wire::Reader* r, Area* out) const {
   out->zorder = &zorder_;
   out->segments.clear();

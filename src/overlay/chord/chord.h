@@ -126,6 +126,8 @@ class ChordOverlay {
   /// rejects segments that leave the ring or are empty.
   void EncodeArea(const Area& area, wire::Buffer* buf) const;
   bool DecodeArea(wire::Reader* r, Area* out) const;
+  /// The bytes EncodeArea appends for `area`.
+  size_t AreaWireSize(const Area& area) const;
 
   /// Structural self-check: zones partition the ring; per peer, link
   /// regions partition the ring minus the peer's own zone.

@@ -426,22 +426,6 @@ Status MidasOverlay::LeaveRandom(Rng* rng) {
   return Leave(RandomPeer(rng));
 }
 
-bool MidasOverlay::IntersectArea(const Area& a, const Area& b, Area* out) {
-  // One pass over the dimensions, exactly a.Intersects(b) &&
-  // !a.Intersection(b).Degenerate(): a dimension whose overlap is empty
-  // or a single value (face contact) ends the test.
-  const int dims = a.dims();
-  Point lo(dims);
-  Point hi(dims);
-  for (int i = 0; i < dims; ++i) {
-    lo[i] = std::max(a.lo()[i], b.lo()[i]);
-    hi[i] = std::min(a.hi()[i], b.hi()[i]);
-    if (!(lo[i] < hi[i])) return false;
-  }
-  *out = Rect(lo, hi);
-  return true;
-}
-
 Status MidasOverlay::Validate() const {
   size_t seen_alive = 0;
   double zone_volume = 0.0;

@@ -136,8 +136,11 @@ class MidasOverlay {
 
   /// Area algebra for the RIPPLE engine: intersection with empty/degenerate
   /// results reported as false (subtree rects either nest or have disjoint
-  /// interiors, so touching faces mean "no shared peers").
-  static bool IntersectArea(const Area& a, const Area& b, Area* out);
+  /// interiors, so touching faces mean "no shared peers"). The cut is
+  /// written into `out` in place.
+  static bool IntersectArea(const Area& a, const Area& b, Area* out) {
+    return Rect::CutInto(a, b, out);
+  }
 
   /// Area wire codec (docs/WIRE.md): a MIDAS area is a plain rectangle.
   void EncodeArea(const Area& area, wire::Buffer* buf) const {
@@ -146,6 +149,7 @@ class MidasOverlay {
   bool DecodeArea(wire::Reader* r, Area* out) const {
     return DecodeRect(r, out);
   }
+  size_t AreaWireSize(const Area& area) const { return RectWireSize(area); }
 
   /// Rectangle of the virtual-tree node identified by `prefix`.
   Rect SubtreeRect(const BitString& prefix) const;

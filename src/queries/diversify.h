@@ -179,12 +179,14 @@ class DivPolicy {
     out->tau = r->F64();
     return r->ok();
   }
+  size_t StateWireSize(const DivState&) const { return 8; }
   void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {
     return DecodeTupleVec(r, out);
   }
+  size_t AnswerWireSize(const Answer& a) const { return TupleVecWireSize(a); }
 
  private:
   /// The best local tuple outside the exclusion set, if any.

@@ -121,12 +121,16 @@ class BandPolicy {
     return DecodeTupleVec(r, &out->tuples) &&
            DecodeTupleVec(r, &out->dominators);
   }
+  size_t StateWireSize(const BandState& s) const {
+    return TupleVecWireSize(s.tuples) + TupleVecWireSize(s.dominators);
+  }
   void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {
     return DecodeTupleVec(r, out);
   }
+  size_t AnswerWireSize(const Answer& a) const { return TupleVecWireSize(a); }
 };
 
 /// RIPPLE policy for skyline queries — Algorithms 10-15.

@@ -11,20 +11,20 @@ namespace ripple {
 TopKPolicy::LocalState TopKPolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
   RIPPLE_DCHECK(q.scorer != nullptr);
-  // Line 1: up to k local tuples scoring above the received threshold.
-  TupleVec a = store.TopKAbove(*q.scorer, q.k, g.tau);
+  // The state is (how many tuples, their lowest score): the store counts
+  // both off its selection, and no tuple is built.
+  // Line 1: up to k local tuples scoring at or above the received
+  // threshold.
+  const LocalStore::TopKCount above = store.CountTopKAbove(*q.scorer, q.k,
+                                                           g.tau);
+  LocalState l{above.count, above.lowest};
   // Lines 2-3: if the global goal of k tuples is still unmet, add the
   // highest ranking remaining local tuples.
-  if (g.m + a.size() < q.k) {
-    const size_t missing = q.k - g.m - a.size();
-    TupleVec extra = store.BestBelow(*q.scorer, missing, g.tau);
-    a.insert(a.end(), extra.begin(), extra.end());
-  }
-  LocalState l;
-  l.m = a.size();
-  l.tau = std::numeric_limits<double>::infinity();
-  for (const Tuple& t : a) {
-    l.tau = std::min(l.tau, q.scorer->Score(t.key));
+  if (g.m + above.count < q.k) {
+    const LocalStore::TopKCount below =
+        store.CountBestBelow(*q.scorer, q.k - g.m - above.count, g.tau);
+    l.m += below.count;
+    l.tau = std::min(l.tau, below.lowest);
   }
   return l;
 }

@@ -119,12 +119,16 @@ class TopKPolicy {
     out->tau = r->F64();
     return r->ok();
   }
+  size_t StateWireSize(const TopKState& s) const {
+    return wire::VarintSize(s.m) + 8;
+  }
   void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {
     return DecodeTupleVec(r, out);
   }
+  size_t AnswerWireSize(const Answer& a) const { return TupleVecWireSize(a); }
 
  private:
   template <typename Area>

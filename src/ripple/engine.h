@@ -8,7 +8,6 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "common/kernel_counters.h"
-#include "net/envelope.h"
 #include "net/metrics.h"
 #include "net/traffic.h"
 #include "obs/metrics.h"
@@ -36,9 +35,10 @@ namespace ripple {
 /// complete results (AsyncEngine in sim/async_engine.h honors them).
 ///
 /// Overlay requirements: `Area`, `GetPeer(PeerId)` exposing `.links`
-/// (each with `.target` and `.region`) and `.store`, `FullArea()`, and
-/// `static bool IntersectArea(a, b, out)` returning false for empty
-/// intersections.
+/// (each with `.target` and `.region`) and `.store`, `FullArea()`,
+/// `static bool IntersectArea(a, b, out)` writing the cut into `out` and
+/// returning false for empty intersections, and `AreaWireSize(area)`,
+/// the byte count of its `EncodeArea`.
 template <typename Overlay, typename Policy>
   requires QueryPolicy<Policy, typename Overlay::Area>
 class Engine {
@@ -65,8 +65,12 @@ class Engine {
     ResetKernelCounters();
     RunContext ctx;
     ctx.initiator = request.initiator;
-    ctx.trace.trace_id = request.trace_id;
-    if (request.trace_id != 0) ctx.trace.flags = wire::kFrameFlagSampled;
+    {
+      // Every query frame of this run carries the same query bytes:
+      // encode them once, and price each frame from sizes.
+      wire::Buffer scratch;
+      ctx.query_bytes = Codec().QueryWireSize(request.query, &scratch);
+    }
     // Head sampling: the tracer follows the request's sampling decision,
     // so journal mirroring records exactly the sampled queries.
     // Idempotent when the caller already stamped it.
@@ -95,7 +99,7 @@ class Engine {
   /// span per peer visit (phase, remaining r, links pruned/forwarded,
   /// states merged, tuples carried) with logical hop timestamps matching
   /// the Lemma 1-3 accounting. The recursive engine ships no frames (it
-  /// only measures them), so its journal sees only the tracer's mirrored
+  /// only prices them), so its journal sees only the tracer's mirrored
   /// spans of head-sampled queries. The profiler's message/tuple charges
   /// mirror QueryStats exactly (each message charged once, at its
   /// sender), and it adds per-peer spans, fan-out high-water marks and
@@ -110,48 +114,19 @@ class Engine {
     Answer answer{};
     QueryStats stats;
     net::WireTraffic traffic;
-    wire::Buffer scratch;  // frame measurement buffer, reused per charge
     PeerId initiator = kInvalidPeer;
-    /// The query's trace context, stamped into every measured frame so the
-    /// recursive engine's bytes_on_wire prices the v2 header exactly like
-    /// the async engine ships it (header fields are fixed-width, so only
-    /// presence matters, not values).
-    wire::TraceContext trace;
+    size_t query_bytes = 0;  // the query's encoded size, priced once
   };
 
   // Byte charges. The recursive engine never ships bytes — it is the
-  // analytic model — but it *measures* them by encoding each charged
-  // message through the same WireCodec the async engine transmits with,
-  // so bytes_on_wire agrees between the engines by construction
-  // (asserted by the cross-validation tests). Envelope ids are synthetic:
-  // frame headers are fixed-width, so sizes do not depend on them.
-
-  uint64_t QueryFrameBytes(const Query& query, const GlobalState& g,
-                           const Area& area, int r, PeerId from, PeerId to,
-                           RunContext* ctx) const {
-    ctx->scratch.Clear();
-    const net::Envelope env{0, from, to, net::MessageKind::kQuery, 0,
-                            ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeQueryMessage(env, query, g, area, r, &ctx->scratch);
-  }
-
-  uint64_t ResponseFrameBytes(const LocalState& s, PeerId from, PeerId to,
-                              RunContext* ctx) const {
-    ctx->scratch.Clear();
-    const net::Envelope env{0, from, to, net::MessageKind::kResponse, 0,
-                            ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeResponseFrame(env, s, &ctx->scratch);
-  }
-
-  uint64_t AnswerFrameBytes(const Answer& a, PeerId from, PeerId to,
-                            RunContext* ctx) const {
-    ctx->scratch.Clear();
-    const net::Envelope env{0, from, to, net::MessageKind::kAnswer, 0,
-                            ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeAnswerMessage(env, a, &ctx->scratch);
+  // analytic model — but it prices every charged message through the
+  // same WireCodec the async engine transmits with: each frame size is
+  // the codec's sum of the fixed header and the size functions that sit
+  // beside the payload encoders (bound to them by wire_test), so
+  // bytes_on_wire agrees between the engines (asserted by the
+  // cross-validation tests) without encoding a frame.
+  WireCodec<Overlay, Policy> Codec() const {
+    return WireCodec<Overlay, Policy>(overlay_, &policy_);
   }
 
   /// Charges one frame at its sender, exactly where the async engine
@@ -202,6 +177,9 @@ class Engine {
       global = policy_.ComputeGlobalState(query, sg, local);
     }
 
+    // Each link's cut of the restriction area is written here in place;
+    // a child's visit ends before the next link is cut.
+    Area area;
     NodeOutcome out;
     if (r > 0) {
       // Slow phase (Alg. 3 lines 4-11; degenerates to Alg. 2): prioritized
@@ -211,20 +189,20 @@ class Engine {
         Area area;
         double priority;
       };
+      // Each candidate goes in after every one of equal or higher
+      // priority: a stable sort by descending priority.
       std::vector<Candidate> candidates;
       candidates.reserve(peer.links.size());
       for (const auto& link : peer.links) {
-        Area area;
         if (!Overlay::IntersectArea(link.region, restrict_area, &area)) {
           continue;
         }
-        candidates.push_back(
-            Candidate{link.target, area, policy_.LinkPriority(query, area)});
+        const double priority = policy_.LinkPriority(query, area);
+        const auto at = std::upper_bound(
+            candidates.begin(), candidates.end(), priority,
+            [](double p, const Candidate& c) { return p > c.priority; });
+        candidates.insert(at, Candidate{link.target, area, priority});
       }
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.priority > b.priority;
-                       });
       for (const Candidate& c : candidates) {
         // Relevance is re-evaluated with the state updated so far: links
         // pruned by knowledge from earlier iterations are never contacted.
@@ -233,7 +211,8 @@ class Engine {
           continue;
         }
         Charge(w, c.target, policy_.GlobalStateTupleCount(global),
-               QueryFrameBytes(query, global, c.area, r - 1, w, c.target, ctx),
+               Codec().QueryMessageSize(ctx->query_bytes, global, c.area,
+                                        r - 1),
                &ctx->traffic.bytes_query, ctx);
         if (obs::Span* sp = sink_.span(span)) sp->links_forwarded += 1;
         sink_.QueueDepth(w, 1);  // slow phase is sequential
@@ -248,8 +227,8 @@ class Engine {
         // subtree, matching the protocol's state addressing).
         for (const LocalState& s : child.states) {
           Charge(c.target, w, policy_.StateTupleCount(s),
-                 ResponseFrameBytes(s, c.target, w, ctx),
-                 &ctx->traffic.bytes_response, ctx);
+                 Codec().ResponseFrameSize(s), &ctx->traffic.bytes_response,
+                 ctx);
         }
         if (obs::Span* sp = sink_.span(span)) {
           sp->states_merged += child.states.size();
@@ -260,7 +239,7 @@ class Engine {
           global = policy_.ComputeGlobalState(query, sg, local);
         }
       }
-      out.states.push_back(local);
+      out.states.push_back(std::move(local));
     } else {
       // Fast phase (Alg. 3 lines 13-17 == Alg. 1): contact all relevant
       // links at once; no feedback between siblings, so the state snapshot
@@ -268,7 +247,6 @@ class Engine {
       uint64_t max_child_latency = 0;
       uint64_t forwarded = 0;
       for (const auto& link : peer.links) {
-        Area area;
         if (!Overlay::IntersectArea(link.region, restrict_area, &area)) {
           continue;
         }
@@ -277,7 +255,7 @@ class Engine {
           continue;
         }
         Charge(w, link.target, policy_.GlobalStateTupleCount(global),
-               QueryFrameBytes(query, global, area, 0, w, link.target, ctx),
+               Codec().QueryMessageSize(ctx->query_bytes, global, area, 0),
                &ctx->traffic.bytes_query, ctx);
         if (obs::Span* sp = sink_.span(span)) sp->links_forwarded += 1;
         // Fast-phase children are contacted at once: all arrive one hop
@@ -294,7 +272,7 @@ class Engine {
       // Fast-phase fan-out: every relevant link is outstanding at once.
       if (forwarded > 0) sink_.QueueDepth(w, forwarded);
       out.latency = forwarded > 0 ? max_child_latency : 0;
-      out.states.push_back(local);
+      out.states.push_back(std::move(local));
     }
 
     // Lines 12-13 / 20-21: extract and ship the local qualifying tuples.
@@ -309,8 +287,8 @@ class Engine {
     const size_t answer_tuples = policy_.AnswerTupleCount(answer);
     if (answer_tuples > 0) {  // answer delivery to the initiator
       Charge(w, ctx->initiator, answer_tuples,
-             AnswerFrameBytes(answer, w, ctx->initiator, ctx),
-             &ctx->traffic.bytes_answer, ctx);
+             Codec().AnswerMessageSize(answer), &ctx->traffic.bytes_answer,
+             ctx);
     }
     if (obs::Span* sp = sink_.span(span)) {
       sp->state_tuples = policy_.StateTupleCount(out.states.back());

@@ -78,14 +78,20 @@ concept QueryPolicy = requires(
   /// messages, and their determinism contract rides on it. EncodeState /
   /// DecodeState must cover the local AND global state types (one
   /// overload when they coincide, as in every in-tree policy).
+  /// StateWireSize / AnswerWireSize return the bytes EncodeState /
+  /// EncodeAnswer would append, without encoding: the recursive engine
+  /// prices frames with them.
   { p.EncodeQuery(q, buf) } -> std::same_as<void>;
   { p.DecodeQuery(reader, q_out) } -> std::same_as<bool>;
   { p.EncodeState(l, buf) } -> std::same_as<void>;
   { p.DecodeState(reader, l_out) } -> std::same_as<bool>;
   { p.EncodeState(g, buf) } -> std::same_as<void>;
   { p.DecodeState(reader, g_out) } -> std::same_as<bool>;
+  { p.StateWireSize(l) } -> std::same_as<size_t>;
+  { p.StateWireSize(g) } -> std::same_as<size_t>;
   { p.EncodeAnswer(a, buf) } -> std::same_as<void>;
   { p.DecodeAnswer(reader, a_out) } -> std::same_as<bool>;
+  { p.AnswerWireSize(a) } -> std::same_as<size_t>;
 };
 
 }  // namespace ripple

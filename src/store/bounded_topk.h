@@ -63,6 +63,21 @@ class BoundedTopK {
     return true;
   }
 
+  /// The lowest kept score, as a best-first fold with std::min reads it
+  /// off SortedDescending(): among entries of equal lowest score (which
+  /// can differ only in the sign of zero) the one with the smallest id.
+  /// +inf when empty.
+  double LowestScore() const {
+    if (heap_.empty()) return std::numeric_limits<double>::infinity();
+    const Entry* low = &heap_.front();
+    for (const Entry& e : heap_) {
+      if (e.score < low->score || (e.score == low->score && e.id < low->id)) {
+        low = &e;
+      }
+    }
+    return low->score;
+  }
+
   /// The kept entries, best first (score desc, id asc). Non-destructive.
   std::vector<Entry> SortedDescending() const {
     std::vector<Entry> out = heap_;

@@ -105,6 +105,17 @@ class Buffer {
   size_t size_ = 0;               // bytes written
 };
 
+/// Bytes PutVarint(v) appends: one per started group of 7 value bits.
+inline size_t VarintSize(uint64_t v) {
+  return static_cast<size_t>(std::bit_width(v | 1) + 6) / 7;
+}
+
+/// Bytes PutZigzag(v) appends.
+inline size_t ZigzagSize(int64_t v) {
+  return VarintSize((static_cast<uint64_t>(v) << 1) ^
+                    static_cast<uint64_t>(v >> 63));
+}
+
 /// Cursor over received bytes. Decoders never trust the wire: every read
 /// checks the remaining length and a failed read latches `ok() == false`
 /// and returns 0, so decoding a truncated or corrupted buffer degrades to

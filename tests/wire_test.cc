@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "baselines/naive.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "geom/wire.h"
@@ -679,6 +680,191 @@ TEST(WireCodecTest, AckIsBareHeader) {
   const net::Envelope env{1, 0, 1, net::MessageKind::kAck, 0};
   EXPECT_EQ(codec.EncodeAckMessage(env, &buf), wire::kFrameHeaderSize);
   EXPECT_EQ(net::kBareFrameBytes, wire::kFrameHeaderSize);
+}
+
+// --- Size functions: bound to their encoders ------------------------------
+//
+// The recursive engine prices frames with the *WireSize functions instead
+// of encoding them, so each must count exactly what its encoder appends.
+
+/// A value whose varint takes 1 to 10 bytes, every width equally likely.
+uint64_t AnyWidth(Rng* rng) {
+  const int bits = static_cast<int>(rng->UniformU64(64)) + 1;
+  const uint64_t top = uint64_t{1} << (bits - 1);
+  return top | (rng->NextU64() & (top - 1));
+}
+
+Point RandomPoint(int dims, Rng* rng) {
+  Point p(dims);
+  for (int i = 0; i < dims; ++i) p[i] = rng->UniformDouble(-1e6, 1e6);
+  return p;
+}
+
+TupleVec RandomTuples(int dims, Rng* rng) {
+  // Up to 200 tuples: the count crosses the 1/2-byte varint boundary.
+  TupleVec v(rng->UniformU64(201));
+  for (Tuple& t : v) t = Tuple{AnyWidth(rng), RandomPoint(dims, rng)};
+  return v;
+}
+
+template <typename Encode>
+size_t EncodedBytes(Encode&& encode) {
+  wire::Buffer buf;
+  encode(&buf);
+  return buf.size();
+}
+
+TEST(WireSizeTest, VarintAndZigzagSizesMatchTheirEncoders) {
+  Rng rng(101);
+  for (const uint64_t v : {uint64_t{0}, uint64_t{127}, uint64_t{128},
+                           uint64_t{16383}, uint64_t{16384},
+                           std::numeric_limits<uint64_t>::max()}) {
+    EXPECT_EQ(wire::VarintSize(v),
+              EncodedBytes([&](wire::Buffer* b) { b->PutVarint(v); }))
+        << v;
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t v = AnyWidth(&rng);
+    EXPECT_EQ(wire::VarintSize(v),
+              EncodedBytes([&](wire::Buffer* b) { b->PutVarint(v); }));
+    const int64_t z = static_cast<int64_t>(v >> 1);  // -z never overflows
+    EXPECT_EQ(wire::ZigzagSize(z),
+              EncodedBytes([&](wire::Buffer* b) { b->PutZigzag(z); }));
+    EXPECT_EQ(wire::ZigzagSize(-z),
+              EncodedBytes([&](wire::Buffer* b) { b->PutZigzag(-z); }));
+  }
+}
+
+TEST(WireSizeTest, PayloadSizesMatchTheirEncoders) {
+  Rng rng(103);
+  const SkylinePolicy skyline;
+  const SkybandPolicy skyband;
+  const TopKPolicy topk;
+  const NaiveTopKPolicy naive;
+  const RangePolicy range;
+  const DivPolicy div;
+  for (const int dims : {1, 2, 4, kMaxDims}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const Point p = RandomPoint(dims, &rng);
+      EXPECT_EQ(PointWireSize(p),
+                EncodedBytes([&](wire::Buffer* b) { EncodePoint(p, b); }));
+      Point hi = p;
+      for (int i = 0; i < dims; ++i) hi[i] += rng.UniformDouble();
+      const Rect rect(p, hi);
+      EXPECT_EQ(RectWireSize(rect),
+                EncodedBytes([&](wire::Buffer* b) { EncodeRect(rect, b); }));
+      const Tuple t{AnyWidth(&rng), p};
+      EXPECT_EQ(TupleWireSize(t),
+                EncodedBytes([&](wire::Buffer* b) { EncodeTuple(t, b); }));
+      const TupleVec tuples = RandomTuples(dims, &rng);
+      EXPECT_EQ(TupleVecWireSize(tuples), EncodedBytes([&](wire::Buffer* b) {
+                  EncodeTupleVec(tuples, b);
+                }));
+
+      // States and answers of all six policies.
+      const TopKState ts{static_cast<size_t>(AnyWidth(&rng)),
+                         rng.UniformDouble(-5, 5)};
+      EXPECT_EQ(topk.StateWireSize(ts), EncodedBytes([&](wire::Buffer* b) {
+                  topk.EncodeState(ts, b);
+                }));
+      const BandState band{RandomTuples(dims, &rng),
+                           RandomTuples(dims, &rng)};
+      EXPECT_EQ(skyline.StateWireSize(band),
+                EncodedBytes([&](wire::Buffer* b) {
+                  skyline.EncodeState(band, b);
+                }));
+      EXPECT_EQ(skyband.StateWireSize(band),
+                EncodedBytes([&](wire::Buffer* b) {
+                  skyband.EncodeState(band, b);
+                }));
+      EXPECT_EQ(range.StateWireSize({}), EncodedBytes([&](wire::Buffer* b) {
+                  range.EncodeState({}, b);
+                }));
+      EXPECT_EQ(naive.StateWireSize({}), EncodedBytes([&](wire::Buffer* b) {
+                  naive.EncodeState({}, b);
+                }));
+      const DivState ds{rng.UniformDouble()};
+      EXPECT_EQ(div.StateWireSize(ds), EncodedBytes([&](wire::Buffer* b) {
+                  div.EncodeState(ds, b);
+                }));
+      const auto answer_bytes = [&](const auto& policy) {
+        return EncodedBytes(
+            [&](wire::Buffer* b) { policy.EncodeAnswer(tuples, b); });
+      };
+      EXPECT_EQ(topk.AnswerWireSize(tuples), answer_bytes(topk));
+      EXPECT_EQ(skyline.AnswerWireSize(tuples), answer_bytes(skyline));
+      EXPECT_EQ(skyband.AnswerWireSize(tuples), answer_bytes(skyband));
+      EXPECT_EQ(range.AnswerWireSize(tuples), answer_bytes(range));
+      EXPECT_EQ(naive.AnswerWireSize(tuples), answer_bytes(naive));
+      EXPECT_EQ(div.AnswerWireSize(tuples), answer_bytes(div));
+    }
+  }
+}
+
+TEST(WireSizeTest, AreaAndFrameSizesMatchTheirEncoders) {
+  Rng rng(107);
+  for (const int dims : {1, 2, 4, kMaxDims}) {
+    MidasOptions mopt;
+    mopt.dims = dims;
+    MidasOverlay midas(mopt);
+    for (int i = 0; i < 5; ++i) midas.Join();
+    ChordOverlay chord(6, ChordOptions{.dims = std::min(dims, 4), .seed = 3});
+    const TopKPolicy topk;
+    const SkylinePolicy skyline;
+    const WireCodec<MidasOverlay, TopKPolicy> midas_codec(&midas, &topk);
+    const WireCodec<ChordOverlay, SkylinePolicy> chord_codec(&chord,
+                                                             &skyline);
+    std::vector<double> weights(dims);
+    for (double& w : weights) w = rng.UniformDouble(-1, 1);
+    const LinearScorer scorer(weights);
+    const TopKQuery topk_query{&scorer, 7, 0.0};
+    wire::Buffer scratch;
+    const size_t topk_query_bytes =
+        midas_codec.QueryWireSize(topk_query, &scratch);
+    const size_t skyline_query_bytes =
+        chord_codec.QueryWireSize(SkylineQuery{}, &scratch);
+    const net::Envelope env{1, 2, 3, net::MessageKind::kQuery, 0};
+    for (int trial = 0; trial < 50; ++trial) {
+      const Point lo = RandomPoint(dims, &rng);
+      Point hi = lo;
+      for (int i = 0; i < dims; ++i) hi[i] += rng.UniformDouble();
+      const Rect rect(lo, hi);
+      EXPECT_EQ(midas.AreaWireSize(rect), EncodedBytes([&](wire::Buffer* b) {
+                  midas.EncodeArea(rect, b);
+                }));
+      ChordOverlay::Area arc = chord.FullArea();
+      arc.segments.clear();
+      for (uint64_t n = rng.UniformU64(4); n > 0; --n) {
+        const uint64_t at = AnyWidth(&rng) >> 1;
+        arc.segments.emplace_back(at, at + (AnyWidth(&rng) >> 1));
+      }
+      EXPECT_EQ(chord.AreaWireSize(arc), EncodedBytes([&](wire::Buffer* b) {
+                  chord.EncodeArea(arc, b);
+                }));
+
+      const int64_t r = static_cast<int64_t>(AnyWidth(&rng)) / 2 *
+                        (rng.Bernoulli(0.5) ? 1 : -1);
+      const TopKState ts{static_cast<size_t>(AnyWidth(&rng)), 0.5};
+      const TupleVec tuples = RandomTuples(dims, &rng);
+      const BandState band{tuples, {}};
+      wire::Buffer buf;
+      EXPECT_EQ(midas_codec.QueryMessageSize(topk_query_bytes, ts, rect, r),
+                midas_codec.EncodeQueryMessage(env, topk_query, ts, rect, r,
+                                               &buf));
+      EXPECT_EQ(midas_codec.ResponseFrameSize(ts),
+                midas_codec.EncodeResponseFrame(env, ts, &buf));
+      EXPECT_EQ(midas_codec.AnswerMessageSize(tuples),
+                midas_codec.EncodeAnswerMessage(env, tuples, &buf));
+      EXPECT_EQ(
+          chord_codec.QueryMessageSize(skyline_query_bytes, band, arc, r),
+          chord_codec.EncodeQueryMessage(env, SkylineQuery{}, band, arc, r,
+                                         &buf));
+      EXPECT_EQ(chord_codec.ResponseFrameSize(band),
+                chord_codec.EncodeResponseFrame(env, band, &buf));
+      EXPECT_EQ(chord_codec.AnswerMessageSize(tuples),
+                chord_codec.EncodeAnswerMessage(env, tuples, &buf));
+    }
+  }
 }
 
 // --- Transport seam, end to end -------------------------------------------
