@@ -39,9 +39,10 @@ TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
   rows.AppendAll(tuples);
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
-  BandCandidate* cands = arena.AllocateArray<BandCandidate>(rows.size());
-  for (uint32_t i = 0; i < rows.size(); ++i) cands[i] = {i, 0};
-  return BandOfCandidates(rows, cands, rows.size(), k);
+  uint32_t* cands = arena.AllocateArray<uint32_t>(rows.size());
+  std::iota(cands, cands + rows.size(), uint32_t{0});
+  const ArenaColumns no_state(&arena, rows.dims(), 0);
+  return BandOfCandidates(rows, cands, rows.size(), k, no_state);
 }
 
 TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
@@ -184,20 +185,18 @@ void SelectStateDominators(const TupleVec& state, const Point& hi,
 }
 
 void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,
-                          uint32_t end, const ArenaColumns& state, size_t k,
-                          const Rect* constraint, BandCandidate* out,
-                          size_t* n) {
+                          uint32_t end, const Rect* constraint,
+                          uint32_t* out, size_t* n) {
   LocalKernelCounters().tuples_scanned += end - begin;
   for (uint32_t i = begin; i < end; ++i) {
-    const Point p = rows.PointAt(i);
-    if (constraint != nullptr && !constraint->Contains(p)) continue;
-    const size_t c = state.size() == 0 ? 0 : state.CountDominators(p, k);
-    if (c < k) out[(*n)++] = {i, static_cast<uint32_t>(c)};
+    if (constraint == nullptr || constraint->Contains(rows.PointAt(i))) {
+      out[(*n)++] = i;
+    }
   }
 }
 
-TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
-                          size_t n, size_t k) {
+TupleVec BandOfCandidates(const store::FlatStore& rows, uint32_t* cands,
+                          size_t n, size_t k, const ArenaColumns& state) {
   if (n == 0 || k == 0) return {};
   const int dims = rows.dims();
   const std::array<const double*, kMaxDims> cols = rows.cols();
@@ -207,31 +206,33 @@ TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
   // key, id), sums accumulated dimension-ascending like SumOf.
   double* sums = arena.AllocateArray<double>(rows.size());
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t r = cands[i].row;
+    const uint32_t r = cands[i];
     double s = 0.0;
     for (int c = 0; c < dims; ++c) s += cols[c][r];
     sums[r] = s;
   }
-  std::sort(cands, cands + n,
-            [&](const BandCandidate& x, const BandCandidate& y) {
-              const uint32_t a = x.row, b = y.row;
-              if (sums[a] != sums[b]) return sums[a] < sums[b];
-              for (int c = 0; c < dims; ++c) {
-                if (cols[c][a] != cols[c][b]) return cols[c][a] < cols[c][b];
-              }
-              return rows.id(a) < rows.id(b);
-            });
+  std::sort(cands, cands + n, [&](uint32_t a, uint32_t b) {
+    if (sums[a] != sums[b]) return sums[a] < sums[b];
+    for (int c = 0; c < dims; ++c) {
+      if (cols[c][a] != cols[c][b]) return cols[c][a] < cols[c][b];
+    }
+    return rows.id(a) < rows.id(b);
+  });
   ArenaColumns band_cols(&arena, dims, n);
   uint32_t* band = arena.AllocateArray<uint32_t>(n);
   size_t band_size = 0;
   KernelCounters& kc = LocalKernelCounters();
   for (size_t i = 0; i < n; ++i) {
     ++kc.tuples_scanned;
-    const Point p = rows.PointAt(cands[i].row);
-    const size_t need = k - cands[i].state_dominators;
-    if (band_cols.CountDominators(p, need) >= need) continue;
+    const Point p = rows.PointAt(cands[i]);
+    // The running band first: a row it already puts out of the band
+    // never reads the state.
+    const size_t in_band = band_cols.CountDominators(p, k);
+    if (in_band >= k) continue;
+    const size_t need = k - in_band;
+    if (state.size() > 0 && state.CountDominators(p, need) >= need) continue;
     band_cols.Append(p);
-    band[band_size++] = cands[i].row;
+    band[band_size++] = cands[i];
   }
   std::sort(band, band + band_size, [&](uint32_t a, uint32_t b) {
     return rows.id(a) < rows.id(b);

@@ -87,13 +87,6 @@ inline TupleVec ComputeSkyline(TupleVec tuples) {
 /// way for inputs with distinct ids.
 TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
 
-/// A store row that survived the state count: its row index and how many
-/// received state tuples dominate it (fewer than the band k).
-struct BandCandidate {
-  uint32_t row;
-  uint32_t state_dominators;
-};
-
 /// Fills `out` with the tuples of `state` that can dominate some row of a
 /// store whose rows are all <= `hi` componentwise, in ascending (sum, id)
 /// order, so the strongest dominators sit in the counting kernel's
@@ -109,26 +102,25 @@ void SelectStateDominators(const TupleVec& state, const Point& hi,
                            const Rect* counted, ArenaColumns* out);
 
 /// The store-side band kernel's first-pass row test over rows
-/// [begin, end) of `rows`: appends to out[*n] each row (inside
-/// `constraint`, when given) that fewer than `k` tuples of `state`
-/// dominate, with that count.
+/// [begin, end) of `rows`: appends to out[*n] each row inside
+/// `constraint` (every row when null).
 void CollectRowCandidates(const store::FlatStore& rows, uint32_t begin,
-                          uint32_t end, const ArenaColumns& state, size_t k,
-                          const Rect* constraint, BandCandidate* out,
-                          size_t* n);
+                          uint32_t end, const Rect* constraint,
+                          uint32_t* out, size_t* n);
 
 /// The store-side band kernel's second pass: the candidates (rows of
-/// `rows`, each with fewer than k state dominators) that also have fewer
-/// than `k` dominators in total, counting the state dominators given and
-/// the candidates themselves. One forward pass over the candidates in the
-/// dominance-compatible order (coordinate sum, lexicographic key, id),
-/// each counting its dominators among the running band from its state
-/// count; ComputeKSkyband is this pass with every count at 0. Exact
-/// whenever every store row left out of `cands` has at least k dominators
-/// in store ∪ state. Result sorted by id; only the survivors become
-/// Tuples. `cands` is reordered.
-TupleVec BandOfCandidates(const store::FlatStore& rows, BandCandidate* cands,
-                          size_t n, size_t k);
+/// `rows`) that have fewer than `k` dominators among the candidates and
+/// `state` together. One forward pass over the candidates in the
+/// dominance-compatible order (coordinate sum, lexicographic key, id):
+/// each counts its dominators among the running band first, stopping at
+/// k, and only a row the band leaves below k counts its state
+/// dominators, stopping at k minus its band count. ComputeKSkyband is
+/// this pass with an empty state. Exact whenever every store row left
+/// out of `cands` has at least k dominators in store ∪ state. Result
+/// sorted by id; only the survivors become Tuples. `cands` is
+/// reordered.
+TupleVec BandOfCandidates(const store::FlatStore& rows, uint32_t* cands,
+                          size_t n, size_t k, const ArenaColumns& state);
 
 /// Selects up to `max_count` tuples with the smallest coordinate sums —
 /// the only candidates able to dominate whole regions. Used to bound the
