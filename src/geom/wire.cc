@@ -2,6 +2,7 @@
 
 #include <array>
 #include <span>
+#include <typeinfo>
 
 #include "common/check.h"
 
@@ -99,6 +100,29 @@ void EncodeScorer(const Scorer& s, wire::Buffer* buf) {
 }
 
 std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r) {
+  std::shared_ptr<const Scorer> out;
+  DecodeScorer(r, &out);
+  return out;
+}
+
+namespace {
+
+/// Stores `decoded` in `*out`: over the scorer `*out` holds when nothing
+/// else shares it and it is exactly an S, else in a new one.
+template <typename S>
+bool StoreScorer(S&& decoded, std::shared_ptr<const Scorer>* out) {
+  if (out->use_count() == 1 && typeid(**out) == typeid(S)) {
+    // Made non-const by make_shared below; `out` is its only owner.
+    *const_cast<S*>(static_cast<const S*>(out->get())) = std::move(decoded);
+  } else {
+    *out = std::make_shared<S>(std::move(decoded));
+  }
+  return true;
+}
+
+}  // namespace
+
+bool DecodeScorer(wire::Reader* r, std::shared_ptr<const Scorer>* out) {
   switch (r->U8()) {
     case kScorerLinear: {
       const uint64_t count = r->Varint();
@@ -109,23 +133,23 @@ std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r) {
       if (!r->ok() || count == 0 || count > kMaxDims ||
           (want != 0 && count != static_cast<uint64_t>(want))) {
         r->Fail();
-        return nullptr;
+        return false;
       }
       std::array<double, kMaxDims> weights;
       for (uint64_t i = 0; i < count; ++i) weights[i] = r->F64();
-      if (!r->ok()) return nullptr;
-      return std::make_shared<LinearScorer>(
-          std::span<const double>(weights.data(), count));
+      if (!r->ok()) return false;
+      return StoreScorer(
+          LinearScorer(std::span<const double>(weights.data(), count)), out);
     }
     case kScorerNearest: {
       Point anchor;
       Norm norm = Norm::kL2;
-      if (!DecodePoint(r, &anchor) || !DecodeNorm(r, &norm)) return nullptr;
-      return std::make_shared<NearestScorer>(anchor, norm);
+      if (!DecodePoint(r, &anchor) || !DecodeNorm(r, &norm)) return false;
+      return StoreScorer(NearestScorer(anchor, norm), out);
     }
     default:
       r->Fail();
-      return nullptr;
+      return false;
   }
 }
 

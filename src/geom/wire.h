@@ -43,6 +43,11 @@ bool DecodeNorm(wire::Reader* r, Norm* out);
 /// keep it alive via shared_ptr.
 void EncodeScorer(const Scorer& s, wire::Buffer* buf);
 std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r);
+/// Decodes into `*out`, reusing the scorer it holds when that is the only
+/// reference and of the decoded kind (a recycled query's), so a warmed
+/// decode allocates nothing. On bad bytes returns false and leaves `*out`
+/// as it was.
+bool DecodeScorer(wire::Reader* r, std::shared_ptr<const Scorer>* out);
 
 }  // namespace ripple
 

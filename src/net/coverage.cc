@@ -80,21 +80,43 @@ std::string Coverage::ToString() const {
 
 void RecordCoverageMetrics(const Coverage& c) {
   if (!obs::Registry::GlobalEnabled()) return;
-  obs::Registry& reg = obs::Registry::Global();
-  reg.GetCounter("net.retry.count").Inc(c.retries);
-  reg.GetCounter("net.timeout.count").Inc(c.timeouts);
-  reg.GetCounter("net.loss.count").Inc(c.messages_lost);
-  reg.GetCounter("net.dup.injected").Inc(c.messages_duplicated);
-  reg.GetCounter("net.dup.suppressed").Inc(c.duplicates_suppressed);
-  reg.GetCounter("net.ack.count").Inc(c.acks);
-  reg.GetCounter("net.late.responses").Inc(c.late_responses);
-  reg.GetCounter("net.crash.drops").Inc(c.crash_drops);
-  reg.GetCounter("net.crash.peers").Inc(c.crashed_peers.size());
-  reg.GetCounter("net.link.unresolved").Inc(c.links_unresolved);
-  reg.GetCounter("net.answer.lost").Inc(c.answers_lost);
-  reg.GetCounter(c.complete() ? "net.query.complete"
-                              : "net.query.partial")
-      .Inc();
+  // Looked up once: the registry never erases an instrument.
+  struct Counters {
+    obs::Registry& reg = obs::Registry::Global();
+    obs::Counter& retries = reg.GetCounter("net.retry.count");
+    obs::Counter& timeouts = reg.GetCounter("net.timeout.count");
+    obs::Counter& lost = reg.GetCounter("net.loss.count");
+    obs::Counter& duplicated = reg.GetCounter("net.dup.injected");
+    obs::Counter& suppressed = reg.GetCounter("net.dup.suppressed");
+    obs::Counter& acks = reg.GetCounter("net.ack.count");
+    obs::Counter& late = reg.GetCounter("net.late.responses");
+    obs::Counter& crash_drops = reg.GetCounter("net.crash.drops");
+    obs::Counter& crash_peers = reg.GetCounter("net.crash.peers");
+    obs::Counter& unresolved = reg.GetCounter("net.link.unresolved");
+    obs::Counter& answers_lost = reg.GetCounter("net.answer.lost");
+  };
+  static Counters k;
+  k.retries.Inc(c.retries);
+  k.timeouts.Inc(c.timeouts);
+  k.lost.Inc(c.messages_lost);
+  k.duplicated.Inc(c.messages_duplicated);
+  k.suppressed.Inc(c.duplicates_suppressed);
+  k.acks.Inc(c.acks);
+  k.late.Inc(c.late_responses);
+  k.crash_drops.Inc(c.crash_drops);
+  k.crash_peers.Inc(c.crashed_peers.size());
+  k.unresolved.Inc(c.links_unresolved);
+  k.answers_lost.Inc(c.answers_lost);
+  // Each outcome's counter appears once a query has it.
+  if (c.complete()) {
+    static obs::Counter& complete =
+        obs::Registry::Global().GetCounter("net.query.complete");
+    complete.Inc();
+  } else {
+    static obs::Counter& partial =
+        obs::Registry::Global().GetCounter("net.query.partial");
+    partial.Inc();
+  }
 }
 
 }  // namespace ripple::net

@@ -94,7 +94,7 @@ class PeerDaemon {
     auto add = [&q](const auto& shard) {
       q.open_sessions += shard.core.open_sessions();
       q.sessions_total += shard.core.sessions_held();
-      q.pending_requests += shard.core.pending().size();
+      q.pending_requests += shard.core.pending_forwards();
     };
     add(topk_);
     add(skyline_);
@@ -216,10 +216,16 @@ class PeerDaemon {
     void EncodeQuery(const Args&... args) {
       EncodeLiveQuery(args...);
     }
-    uint64_t NewRequestId(const Session& requester) {
-      return MakeMessageId(requester.peer, d->next_seq_++);
+    uint64_t NewRequestId(const Session& requester, uint64_t forward) {
+      return d->NewForwardId(requester.peer, PolicyTagOf<Policy>::value,
+                             forward);
     }
-    void Remember(const Envelope& env, int64_t session) {
+    uint64_t ForwardOf(uint64_t id) const {
+      const Route* r = d->RouteOf(id);
+      return r != nullptr && r->tag == PolicyTagOf<Policy>::value ? r->forward
+                                                                  : 0;
+    }
+    void Remember(const Envelope& env, uint64_t session) {
       d->Remember(env.id, session, PolicyTagOf<Policy>::value);
     }
     bool Alive(PeerId) const { return true; }
@@ -237,7 +243,7 @@ class PeerDaemon {
     void OnTimeout(const PendingRequest&, bool retrying) {
       if (retrying) d->stats_.retransmissions += 1;
     }
-    void OnGiveUp(uint64_t, const PendingRequest& rq) {
+    void OnGiveUp(const PendingRequest& rq) {
       d->stats_.links_unresolved += 1;
       RIPPLE_LOG(kWarn, "net: giving up on peer %u after %d attempts",
                  rq.target, rq.attempt);
@@ -256,14 +262,68 @@ class PeerDaemon {
     }
   }
 
-  /// The shard whose forward `id` is. Frames no shard expects go to the
-  /// top-k shard, whose core counts a response as late and still checks
-  /// and journals an ack.
+  /// The shard whose forward `id` is. Frames for ids this daemon never
+  /// sent go to the top-k shard, whose core counts a response as late and
+  /// still checks and journals an ack.
   PolicyTag OwnerOf(uint64_t id) const {
-    if (skyline_.core.Expects(id)) return PolicyTag::kSkyline;
-    if (skyband_.core.Expects(id)) return PolicyTag::kSkyband;
-    if (range_.core.Expects(id)) return PolicyTag::kRange;
-    return PolicyTag::kTopK;
+    const Route* r = RouteOf(id);
+    return r != nullptr ? r->tag : PolicyTag::kTopK;
+  }
+
+  // --- forward ids ----------------------------------------------------------
+
+  /// Where a forward this daemon sent lives: its shard, and its handle in
+  /// that shard's core. `routes_` is indexed by the low bits of the id's
+  /// sequence number; the daemon numbers its forwards consecutively, so
+  /// the live ones collide only when more than the table's size apart,
+  /// and then the table doubles.
+  struct Route {
+    uint64_t id = 0;
+    uint64_t forward = 0;  // 0: never used
+    PolicyTag tag = PolicyTag::kTopK;
+  };
+
+  uint64_t NewForwardId(PeerId sender, PolicyTag tag, uint64_t forward) {
+    const uint32_t seq = next_seq_++;
+    while (RouteLive(routes_[seq & (routes_.size() - 1)])) GrowRoutes();
+    const uint64_t id = MakeMessageId(sender, seq);
+    routes_[seq & (routes_.size() - 1)] = Route{id, forward, tag};
+    return id;
+  }
+
+  /// The route of forward `id`, or nullptr when its entry was overwritten
+  /// (the forward long gone) or the id is not this daemon's.
+  const Route* RouteOf(uint64_t id) const {
+    const Route& r = routes_[static_cast<uint32_t>(id) & (routes_.size() - 1)];
+    return r.forward != 0 && r.id == id ? &r : nullptr;
+  }
+
+  bool RouteLive(const Route& r) {
+    bool live = false;
+    if (r.forward != 0) {
+      WithShard(r.tag,
+                [&](auto& shard) { live = shard.core.Holds(r.forward); });
+    }
+    return live;
+  }
+
+  /// Doubles the table until every live forward has a slot of its own.
+  void GrowRoutes() {
+    std::vector<Route> old = std::move(routes_);
+    for (size_t n = old.size() * 2;; n *= 2) {
+      routes_.assign(n, Route{});
+      bool placed = true;
+      for (const Route& r : old) {
+        if (!RouteLive(r)) continue;
+        Route& slot = routes_[static_cast<uint32_t>(r.id) & (n - 1)];
+        if (slot.forward != 0) {
+          placed = false;
+          break;
+        }
+        slot = r;
+      }
+      if (placed) return;
+    }
   }
 
   double NowMs() const {
@@ -273,9 +333,10 @@ class PeerDaemon {
 
   /// Enters a session's query id into the dedup window; the session whose
   /// id this pushes out can never be replayed again, so its core frees it.
-  void Remember(uint64_t id, int64_t session, PolicyTag tag) {
+  void Remember(uint64_t id, uint64_t session, PolicyTag tag) {
     int64_t evicted = 0;
-    if (!dedup_.Insert(id, (session << 8) | static_cast<int64_t>(tag),
+    if (!dedup_.Insert(id, static_cast<int64_t>(session << 8) |
+                               static_cast<int64_t>(tag),
                        &evicted)) {
       return;
     }
@@ -360,6 +421,7 @@ class PeerDaemon {
   TimerQueue timers_;
   DaemonStats stats_;
   uint32_t next_seq_ = 1;
+  std::vector<Route> routes_ = std::vector<Route>(64);
   Shard<TopKPolicy> topk_;
   Shard<SkylinePolicy> skyline_;
   Shard<SkybandPolicy> skyband_;

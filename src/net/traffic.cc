@@ -24,15 +24,27 @@ std::string WireTraffic::ToString() const {
 
 void RecordTrafficMetrics(const WireTraffic& t) {
   if (!obs::Registry::GlobalEnabled()) return;
-  obs::Registry& reg = obs::Registry::Global();
-  reg.GetCounter("net.bytes_query").Inc(t.bytes_query);
-  reg.GetCounter("net.bytes_response").Inc(t.bytes_response);
-  reg.GetCounter("net.bytes_answer").Inc(t.bytes_answer);
-  reg.GetCounter("net.bytes_ack").Inc(t.bytes_ack);
-  reg.GetCounter("net.bytes_total").Inc(t.total());
-  reg.GetCounter("net.frames_shipped").Inc(t.frames);
-  reg.GetCounter("net.frames_rejected").Inc(t.frames_rejected);
-  reg.GetCounter("net.frames_truncated").Inc(t.frames_truncated);
+  // Looked up once: the registry never erases an instrument.
+  struct Counters {
+    obs::Registry& reg = obs::Registry::Global();
+    obs::Counter& query = reg.GetCounter("net.bytes_query");
+    obs::Counter& response = reg.GetCounter("net.bytes_response");
+    obs::Counter& answer = reg.GetCounter("net.bytes_answer");
+    obs::Counter& ack = reg.GetCounter("net.bytes_ack");
+    obs::Counter& total = reg.GetCounter("net.bytes_total");
+    obs::Counter& shipped = reg.GetCounter("net.frames_shipped");
+    obs::Counter& rejected = reg.GetCounter("net.frames_rejected");
+    obs::Counter& truncated = reg.GetCounter("net.frames_truncated");
+  };
+  static Counters k;
+  k.query.Inc(t.bytes_query);
+  k.response.Inc(t.bytes_response);
+  k.answer.Inc(t.bytes_answer);
+  k.ack.Inc(t.bytes_ack);
+  k.total.Inc(t.total());
+  k.shipped.Inc(t.frames);
+  k.rejected.Inc(t.frames_rejected);
+  k.truncated.Inc(t.frames_truncated);
 }
 
 }  // namespace ripple::net

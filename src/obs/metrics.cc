@@ -181,25 +181,49 @@ Registry& Registry::Global() {
 
 void RecordRouteHops(const char* overlay, uint64_t hops) {
   if (!Registry::GlobalEnabled()) return;
-  Registry& r = Registry::Global();
-  const std::string prefix(overlay);
-  r.GetCounter(prefix + ".route.calls").Inc();
-  r.GetHistogram(prefix + ".route.hops").Observe(static_cast<double>(hops));
+  // Each thread looks an overlay's instruments up once (the registry never
+  // erases one), so a route records without a string or the registry lock.
+  struct Route {
+    std::string overlay;
+    Counter* calls;
+    Histogram* hops;
+  };
+  thread_local std::vector<Route> cache;
+  auto it = std::find_if(cache.begin(), cache.end(), [overlay](const Route& r) {
+    return r.overlay == overlay;
+  });
+  if (it == cache.end()) {
+    Registry& r = Registry::Global();
+    const std::string prefix(overlay);
+    cache.push_back(Route{prefix, &r.GetCounter(prefix + ".route.calls"),
+                          &r.GetHistogram(prefix + ".route.hops")});
+    it = cache.end() - 1;
+  }
+  it->calls->Inc();
+  it->hops->Observe(static_cast<double>(hops));
 }
+
+namespace {
+
+/// Adds `n` to the global kernel counter `name` (created on its first
+/// nonzero flush); `slot` caches the lookup.
+void FlushKernelCounter(const char* name, uint64_t n, Counter** slot) {
+  if (n == 0) return;
+  if (*slot == nullptr) *slot = &Registry::Global().GetCounter(name);
+  (*slot)->Inc(n);
+}
+
+}  // namespace
 
 void FlushKernelCounters() {
   KernelCounters& kc = LocalKernelCounters();
   if (Registry::GlobalEnabled()) {
-    Registry& r = Registry::Global();
-    if (kc.tuples_scanned != 0) {
-      r.GetCounter("kernel.tuples_scanned").Inc(kc.tuples_scanned);
-    }
-    if (kc.dominance_cmps != 0) {
-      r.GetCounter("kernel.dominance_cmps").Inc(kc.dominance_cmps);
-    }
-    if (kc.heap_pushes != 0) {
-      r.GetCounter("kernel.heap_pushes").Inc(kc.heap_pushes);
-    }
+    thread_local Counter* scanned = nullptr;
+    thread_local Counter* cmps = nullptr;
+    thread_local Counter* pushes = nullptr;
+    FlushKernelCounter("kernel.tuples_scanned", kc.tuples_scanned, &scanned);
+    FlushKernelCounter("kernel.dominance_cmps", kc.dominance_cmps, &cmps);
+    FlushKernelCounter("kernel.heap_pushes", kc.heap_pushes, &pushes);
   }
   kc = KernelCounters{};
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <span>
 
+#include "common/arena.h"
 #include "common/check.h"
 
 namespace ripple {
@@ -67,10 +68,13 @@ TopKPolicy::GlobalState TopKPolicy::ComputeGlobalState(
 void TopKPolicy::MergeLocalStates(
     const Query& q, LocalState* mine,
     const std::vector<LocalState>& received) const {
-  std::vector<LocalState> all;
-  all.reserve(received.size() + 1);
-  all.push_back(*mine);
-  all.insert(all.end(), received.begin(), received.end());
+  // The states to sort are copied into the per-query arena.
+  ArenaScope scope(&PerQueryArena());
+  const std::span<TopKState> all(
+      PerQueryArena().AllocateArray<TopKState>(received.size() + 1),
+      received.size() + 1);
+  all[0] = *mine;
+  std::copy(received.begin(), received.end(), all.begin() + 1);
   *mine = MergeStates(all, q.k);
 }
 

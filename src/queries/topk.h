@@ -102,9 +102,9 @@ class TopKPolicy {
     buf->PutVarint(q.k);
     buf->PutF64(q.epsilon);
   }
+  /// Decodes over `*out`: a recycled query's scorer is reused in place.
   bool DecodeQuery(wire::Reader* r, Query* out) const {
-    out->owned_scorer = DecodeScorer(r);
-    if (out->owned_scorer == nullptr) return false;
+    if (!DecodeScorer(r, &out->owned_scorer)) return false;
     out->scorer = out->owned_scorer.get();
     out->k = static_cast<size_t>(r->Varint());
     out->epsilon = r->F64();

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "obs/sink.h"
 #include "overlay/types.h"
 #include "ripple/policy.h"
+#include "ripple/slab.h"
 #include "ripple/wire_codec.h"
 #include "wire/buffer.h"
 #include "wire/frame.h"
@@ -26,10 +26,11 @@ namespace ripple {
 /// One query forward awaiting its response. Retransmissions reuse the
 /// entry (and its message id) and reship `frame` — the encoded bytes of
 /// the first attempt — so every copy is byte-identical and receivers can
-/// dedup by id. The entry is erased once the response is consumed or the
+/// dedup by id. The entry is freed once the response is consumed or the
 /// requester gives up on the link.
 struct PendingRequest {
-  int64_t requester = -1;      // session waiting for the response
+  uint64_t id = 0;             // message id, shared by every copy
+  uint64_t requester = 0;      // handle of the session awaiting the reply
   PeerId from = kInvalidPeer;
   PeerId target = kInvalidPeer;
   wire::TraceContext trace;    // stamped into every copy's header
@@ -58,6 +59,14 @@ struct PendingRequest {
 /// duplicate query; a running one acks instead, which restores the
 /// requester's patience.
 ///
+/// Sessions and forwards live in slabs (ripple/slab.h) and are named by
+/// generation-checked handles: a freed entry keeps its buffers for the
+/// next occupant, and a handle that outlived its entry — a late response,
+/// ack or timer for a forward that is gone — finds nothing. The driver
+/// mints each forward's message id and maps it back to the forward's
+/// handle (`NewRequestId`, `ForwardOf`); a session's handle is what the
+/// driver's dedup window stores.
+///
 /// `Driver` supplies the clock, timers, transport, observability sink,
 /// counters and dedup window through plain member calls (see AsyncEngine
 /// and PeerDaemon for the two drivers). Its `Send(env, bytes)` borrows
@@ -82,7 +91,7 @@ class PeerCore {
   /// One activation of the procedure at one peer. The session owns its
   /// *decoded* query: policy calls run on what came off the wire.
   struct Session {
-    int64_t id = -1;
+    uint64_t id = 0;                  // handle in the core's session slab
     PeerId peer = kInvalidPeer;
     PeerId requester = kInvalidPeer;  // parent peer, client, or none
     uint64_t origin_req = 0;          // id of the forward that opened it
@@ -90,6 +99,7 @@ class PeerCore {
     uint64_t trace_id = 0;
     uint32_t span = obs::kNoSpan;     // kNoSpan when tracing is off
     Query query{};            // Q as decoded at this peer
+    Area area{};              // the region this peer was asked to cover
     GlobalState incoming{};   // S^G as received
     GlobalState global{};     // S^G_w, updated between iterations
     LocalState local{};       // S^L_w
@@ -98,10 +108,11 @@ class PeerCore {
     bool finished = false;
     bool forgotten = false;  // dropped by the dedup window: free at finish
     bool incomplete = false;  // a subtree is missing from the reply
-    // Slow phase: prioritized candidates still to consider.
+    // Slow phase: prioritized candidates still to consider, each a link
+    // of this peer; its restricted area is cut again from `area` when the
+    // walk reaches it, so a candidate holds no area of its own.
     struct Candidate {
-      PeerId target;
-      Area area;
+      uint32_t link;
       double priority;
     };
     std::vector<Candidate> candidates;
@@ -125,6 +136,36 @@ class PeerCore {
       : overlay_(overlay), policy_(policy), codec_(overlay, policy),
         driver_(driver) {}
 
+  /// Points the core at another overlay and policy (a pooled driver's next
+  /// run); only valid while no session or forward is held.
+  void Rebind(const Overlay* overlay, const Policy* policy) {
+    RIPPLE_CHECK(sessions_.live() == 0 && forwards_.live() == 0);
+    overlay_ = overlay;
+    policy_ = policy;
+    codec_ = Codec(overlay, policy);
+  }
+
+  /// Frees every session and forward once a run is over. Entries keep
+  /// their buffers for the next run; returns the bytes the core holds.
+  size_t ReleaseAll() {
+    sessions_.ForEachLive(Scrub);
+    sessions_.ReleaseAll();
+    forwards_.ReleaseAll();
+    bundle_.clear();
+    size_t bytes = buf_.capacity() + bundle_.capacity() * sizeof(LocalState) +
+                   targets_.capacity() * sizeof(targets_[0]);
+    sessions_.ForEachHeld([&bytes](const Session& s) {
+      bytes += sizeof(Session) + s.reply.capacity() +
+               s.reply_parts.capacity() * sizeof(s.reply_parts[0]) +
+               s.candidates.capacity() * sizeof(s.candidates[0]) +
+               s.bundle.capacity() * sizeof(LocalState);
+    });
+    forwards_.ForEachHeld([&bytes](const PendingRequest& rq) {
+      bytes += sizeof(PendingRequest) + rq.frame.capacity();
+    });
+    return bytes;
+  }
+
   const Codec& codec() const { return codec_; }
 
   /// The trace context a frame sent on behalf of `span` carries: the
@@ -141,39 +182,45 @@ class PeerCore {
   /// Opens the initiator's session; its query never crossed a wire.
   void OpenRoot(PeerId peer, Query query, GlobalState state, int r,
                 uint64_t trace_id) {
-    Session& s = NewSession(peer, kInvalidPeer, 0, /*root=*/true, trace_id,
-                            std::move(query), std::move(state), r);
-    Start(s, overlay_->FullArea(), obs::kNoSpan);
+    Session& s = NewSession(peer, kInvalidPeer, 0, /*root=*/true, trace_id);
+    s.query = std::move(query);
+    s.area = overlay_->FullArea();
+    s.incoming = std::move(state);
+    SetRipple(s, r);
+    Start(s, obs::kNoSpan);
   }
 
   /// A query frame whose header decoded to `env`, with `r` positioned at
   /// the codec payload. `wire_bytes` is the datagram's size.
+  /// The query and state are decoded straight into a recycled session,
+  /// so a top-k scorer reuses the object its last occupant decoded.
   void OnQuery(const net::Envelope& env, wire::Reader* r, size_t wire_bytes) {
-    Query q{};
-    GlobalState g{};
-    Area area{};
+    Session& s = NewSession(env.to, env.from, env.id,
+                            net::IsClientId(env.from), env.trace.trace_id);
     int64_t hops = 0;
-    if (!codec_.DecodeQueryPayload(r, &q, &g, &area, &hops) || !r->ok() ||
-        r->remaining() != 0) {
+    if (!codec_.DecodeQueryPayload(r, &s.query, &s.incoming, &s.area,
+                                   &hops) ||
+        !r->ok() || r->remaining() != 0) {
       // Dropped without entering the dedup window: the requester's
       // retransmission (possibly clean this time) must not be suppressed.
+      FreeSession(s);
       driver_->RejectFrame(/*truncated=*/false);
       return;
     }
     sink().Frame(obs::JournalEventKind::kFrameRecv, env.to, env, wire_bytes,
                  driver_->Now());
-    Session& s = NewSession(env.to, env.from, env.id, net::IsClientId(env.from),
-                            env.trace.trace_id, std::move(q), std::move(g),
-                            static_cast<int>(hops));
+    SetRipple(s, static_cast<int>(hops));
     driver_->Remember(env, s.id);
     // The receiver's span parents off whatever the frame header carried.
-    Start(s, std::move(area), env.trace.parent_span);
+    Start(s, env.trace.parent_span);
   }
 
   /// A duplicate of the query that opened session `sid`: replay the
   /// cached reply of a finished session, or ack that it is still running.
-  void Replay(int64_t sid) {
-    Session& s = sessions_.at(sid);
+  void Replay(uint64_t sid) {
+    Session* found = sessions_.Find(sid);
+    RIPPLE_CHECK(found != nullptr && "replaying a freed session");
+    Session& s = *found;
     if (s.finished) {
       SendReply(s, /*retransmit=*/true);
       return;
@@ -195,10 +242,12 @@ class PeerCore {
   /// retransmission timer.
   void OnResponse(const net::Envelope& env,
                   const std::vector<uint8_t>& datagram) {
-    auto it = pending_.find(env.id);
-    if (it == pending_.end()) {
+    const uint64_t fh = driver_->ForwardOf(env.id);
+    PendingRequest* found = forwards_.Find(fh);
+    if (found == nullptr) {
       // A duplicate of a consumed response, or one arriving after the
-      // requester gave up on the link.
+      // requester gave up on the link: either way the forward's slot was
+      // freed, and perhaps reused by a newer forward this must not reach.
       driver_->OnStaleResponse(env.id);
       return;
     }
@@ -238,12 +287,12 @@ class PeerCore {
       driver_->RejectFrame(ferr == wire::FrameError::kTruncated);
       return;
     }
-    PendingRequest& rq = it->second;
+    PendingRequest& rq = *found;
     sink().Frame(obs::JournalEventKind::kFrameRecv, rq.from, first,
                  datagram.size(), driver_->Now());
     driver_->CancelTimer(rq.timer);
-    Session& s = sessions_.at(rq.requester);
-    pending_.erase(it);
+    Session& s = RequesterOf(rq);
+    forwards_.Release(fh);
     s.incomplete |= incomplete;
     if (has_partial) {
       policy_->MergeAnswer(&s.answer, std::move(partial), s.query);
@@ -265,57 +314,98 @@ class PeerCore {
     }
     sink().Frame(obs::JournalEventKind::kFrameRecv, ack.to, ack,
                  datagram.size(), driver_->Now());
-    auto it = pending_.find(id);
-    if (it != pending_.end()) it->second.strikes = 0;
+    if (PendingRequest* rq = forwards_.Find(driver_->ForwardOf(id))) {
+      rq->strikes = 0;
+    }
   }
 
   /// The dedup window no longer remembers session `sid`'s query, so the
   /// session can never be replayed: free it now, or when it finishes.
-  void Forget(int64_t sid) {
-    auto it = sessions_.find(sid);
-    if (it == sessions_.end()) return;
-    if (it->second.finished) {
-      sessions_.erase(it);
+  void Forget(uint64_t sid) {
+    Session* s = sessions_.Find(sid);
+    if (s == nullptr) return;
+    if (s->finished) {
+      FreeSession(*s);
     } else {
-      it->second.forgotten = true;
+      s->forgotten = true;
     }
   }
 
-  bool Expects(uint64_t id) const { return pending_.count(id) != 0; }
-  const std::unordered_map<uint64_t, PendingRequest>& pending() const {
-    return pending_;
+  /// Whether forward `handle` is still awaiting its response.
+  bool Holds(uint64_t handle) const {
+    return forwards_.Find(handle) != nullptr;
   }
-  size_t sessions_held() const { return sessions_.size(); }
+  size_t pending_forwards() const { return forwards_.live(); }
+  /// Calls f(forward) for every forward still awaiting its response.
+  template <typename F>
+  void ForEachPending(F&& f) const {
+    forwards_.ForEachLive(std::forward<F>(f));
+  }
+  size_t sessions_held() const { return sessions_.live(); }
   size_t open_sessions() const {
-    return static_cast<size_t>(
-        std::count_if(sessions_.begin(), sessions_.end(),
-                      [](const auto& kv) { return !kv.second.finished; }));
+    size_t open = 0;
+    sessions_.ForEachLive([&open](const Session& s) { open += !s.finished; });
+    return open;
   }
 
  private:
+  /// A session from the slab with its identity set; the caller fills in
+  /// the query and state, then SetRipple.
   Session& NewSession(PeerId peer, PeerId requester, uint64_t origin_req,
-                      bool root, uint64_t trace_id, Query query,
-                      GlobalState state, int r) {
-    const int64_t id = next_session_++;
-    Session& s = sessions_[id];
+                      bool root, uint64_t trace_id) {
+    uint64_t id;
+    Session& s = sessions_.Acquire(&id);
     s.id = id;
     s.peer = peer;
     s.requester = requester;
     s.origin_req = origin_req;
     s.root = root;
     s.trace_id = trace_id;
-    s.query = std::move(query);
-    s.incoming = std::move(state);
+    s.span = obs::kNoSpan;
+    s.finished = false;
+    s.forgotten = false;
+    s.incomplete = false;
+    return s;
+  }
+
+  static void SetRipple(Session& s, int r) {
     s.r = r;
     s.fast = r <= 0;
-    return s;
+  }
+
+  /// Empties a session's buffers (keeping their capacity) and drops its
+  /// policy values; its query stays, for the next decode to reuse.
+  static void Scrub(Session& s) {
+    s.candidates.clear();
+    s.next_candidate = 0;
+    s.outstanding_children = 0;
+    s.bundle.clear();
+    s.reply.clear();
+    s.reply_parts.clear();
+    s.incoming = GlobalState{};
+    s.global = GlobalState{};
+    s.local = LocalState{};
+    s.answer = Answer{};
+  }
+
+  void FreeSession(Session& s) {
+    Scrub(s);
+    sessions_.Release(s.id);
+  }
+
+  /// The session a live forward reports to: it cannot finish, so cannot
+  /// be freed, while the forward is pending.
+  Session& RequesterOf(const PendingRequest& rq) {
+    Session* s = sessions_.Find(rq.requester);
+    RIPPLE_CHECK(s != nullptr && "forward outlived its session");
+    return *s;
   }
 
   const obs::Sink& sink() const { return driver_->sink(); }
 
   /// Lines 1-2 of the procedure, then the fast fan-out or the first step
   /// of the slow walk.
-  void Start(Session& s, Area area, uint32_t wire_parent_span) {
+  void Start(Session& s, uint32_t wire_parent_span) {
     driver_->OnSessionOpened(s);
     s.span = sink().BeginVisit(s.peer, wire_parent_span, s.r, driver_->Now());
     if (obs::Span* sp = sink().span(s.span)) {
@@ -330,24 +420,27 @@ class PeerCore {
 
     if (s.fast) {
       // Algorithm 1 / Algorithm 3 second loop: forward everywhere at
-      // once with the state snapshot.
-      targets_.clear();
+      // once with the state snapshot. The first `n` entries of `targets_`
+      // are this visit's; each restricted area is cut in place.
+      size_t n = 0;
       for (const auto& link : node.links) {
-        Area restricted;
-        if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
+        if (n == targets_.size()) targets_.emplace_back();
+        auto& [target, restricted] = targets_[n];
+        if (!Overlay::IntersectArea(link.region, s.area, &restricted)) {
+          continue;
+        }
         if (!policy_->IsLinkRelevant(s.query, s.global, restricted)) {
           if (obs::Span* sp = sink().span(s.span)) sp->links_pruned += 1;
           continue;
         }
-        targets_.emplace_back(link.target, std::move(restricted));
+        target = link.target;
+        ++n;
       }
-      if (obs::Span* sp = sink().span(s.span)) {
-        sp->links_forwarded = targets_.size();
-      }
-      if (!targets_.empty()) sink().QueueDepth(s.peer, targets_.size());
-      s.outstanding_children = static_cast<int>(targets_.size());
-      for (auto& [target, restricted] : targets_) {
-        NewRequest(s, target, s.global, std::move(restricted), 0);
+      if (obs::Span* sp = sink().span(s.span)) sp->links_forwarded = n;
+      if (n != 0) sink().QueueDepth(s.peer, n);
+      s.outstanding_children = static_cast<int>(n);
+      for (size_t i = 0; i < n; ++i) {
+        NewRequest(s, targets_[i].first, s.global, targets_[i].second, 0);
       }
       if (s.outstanding_children == 0) FinishSession(s);
       return;
@@ -355,31 +448,33 @@ class PeerCore {
     // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
     // Each candidate goes in after every one of equal or higher priority:
     // a stable sort by descending priority that needs no scratch buffer.
-    s.candidates.reserve(node.links.size());
-    for (const auto& link : node.links) {
-      Area restricted;
-      if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
-      const double priority = policy_->LinkPriority(s.query, restricted);
+    for (uint32_t i = 0; i < node.links.size(); ++i) {
+      if (!Overlay::IntersectArea(node.links[i].region, s.area, &area_)) {
+        continue;
+      }
+      const double priority = policy_->LinkPriority(s.query, area_);
       const auto at = std::upper_bound(
           s.candidates.begin(), s.candidates.end(), priority,
           [](double p, const auto& c) { return p > c.priority; });
-      s.candidates.insert(at, typename Session::Candidate{
-          link.target, std::move(restricted), priority});
+      s.candidates.insert(at, typename Session::Candidate{i, priority});
     }
     AdvanceSlow(s);
   }
 
   /// Slow phase: contact the next relevant candidate or finish.
   void AdvanceSlow(Session& s) {
+    const auto& links = overlay_->GetPeer(s.peer).links;
     while (s.next_candidate < s.candidates.size()) {
-      auto& c = s.candidates[s.next_candidate++];
-      if (!policy_->IsLinkRelevant(s.query, s.global, c.area)) {
+      const auto& link = links[s.candidates[s.next_candidate++].link];
+      // Nonempty, as when the candidate was ranked.
+      Overlay::IntersectArea(link.region, s.area, &area_);
+      if (!policy_->IsLinkRelevant(s.query, s.global, area_)) {
         if (obs::Span* sp = sink().span(s.span)) sp->links_pruned += 1;
         continue;
       }
       if (obs::Span* sp = sink().span(s.span)) sp->links_forwarded += 1;
       sink().QueueDepth(s.peer, 1);
-      NewRequest(s, c.target, s.global, std::move(c.area), s.r - 1);
+      NewRequest(s, link.target, s.global, area_, s.r - 1);
       return;  // wait for the response (or the retry budget)
     }
     FinishSession(s);
@@ -469,10 +564,10 @@ class PeerCore {
       }
     }
     s.reply.assign(buf_.bytes().begin(), buf_.bytes().end());
-    s.bundle = {};
-    s.candidates = {};
+    s.bundle.clear();
+    s.candidates.clear();
     SendReply(s, /*retransmit=*/false);
-    if (s.forgotten) sessions_.erase(s.id);
+    if (s.forgotten) FreeSession(s);
   }
 
   /// The reply's header; it carries the incomplete bit when a subtree
@@ -499,78 +594,82 @@ class PeerCore {
   /// Issues a new query forward from session `s`, snapshotting the
   /// encoded frame so every (re)transmission is byte-identical.
   void NewRequest(Session& s, PeerId target, const GlobalState& state,
-                  Area area, int r) {
-    const uint64_t id = driver_->NewRequestId(s);
-    PendingRequest rq;
+                  const Area& area, int r) {
+    uint64_t fh;
+    PendingRequest& rq = forwards_.Acquire(&fh);
+    rq.id = driver_->NewRequestId(s, fh);
     rq.requester = s.id;
     rq.from = s.peer;
     rq.target = target;
     rq.trace = TraceFor(s.trace_id, s.span);
     rq.tuples = policy_->GlobalStateTupleCount(state);
+    rq.attempt = 0;
+    rq.strikes = 0;
     rq.timeout = driver_->retry().timeout;
-    const net::Envelope env{id, s.peer, target, net::MessageKind::kQuery, 0,
+    rq.timer = 0;
+    const net::Envelope env{rq.id, s.peer, target, net::MessageKind::kQuery, 0,
                             rq.trace};
     buf_.Clear();
     driver_->EncodeQuery(codec_, env, s.query, state, area, r, &buf_);
     rq.frame.assign(buf_.bytes().begin(), buf_.bytes().end());
-    pending_.emplace(id, std::move(rq));
-    Transmit(id);
+    Transmit(fh);
   }
 
-  /// One (re)transmission of forward `id`, covered by a timeout when the
+  /// One (re)transmission of forward `fh`, covered by a timeout when the
   /// driver retransmits. Both drivers' transports only queue deliveries,
   /// so `rq` outlives the Send.
-  void Transmit(uint64_t id) {
-    PendingRequest& rq = pending_.at(id);
+  void Transmit(uint64_t fh) {
+    PendingRequest& rq = *forwards_.Find(fh);
     rq.attempt += 1;
     driver_->OnQuerySent(rq);
-    const net::Envelope env{id, rq.from, rq.target, net::MessageKind::kQuery,
-                            rq.attempt, rq.trace};
+    const net::Envelope env{rq.id, rq.from, rq.target,
+                            net::MessageKind::kQuery, rq.attempt, rq.trace};
     sink().Frame(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
                                 : obs::JournalEventKind::kFrameSend,
                  rq.from, env, rq.frame.size(), driver_->Now());
     driver_->Send(env, rq.frame);
     if (driver_->retransmits()) {
-      rq.timer = driver_->ArmTimer(rq.timeout, [this, id] { OnTimeout(id); });
+      rq.timer = driver_->ArmTimer(rq.timeout, [this, fh] { OnTimeout(fh); });
     }
   }
 
-  void OnTimeout(uint64_t id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingRequest& rq = it->second;
+  void OnTimeout(uint64_t fh) {
+    PendingRequest* found = forwards_.Find(fh);
+    if (found == nullptr) return;  // the forward resolved since
+    PendingRequest& rq = *found;
     // A crashed requester stops timing out; its own parent handles it.
     if (!driver_->Alive(rq.from)) return;
     const bool retrying = rq.strikes < driver_->retry().max_retries;
     driver_->OnTimeout(rq, retrying);
-    obs::Span* sp = sink().span(sessions_.at(rq.requester).span);
+    Session& s = RequesterOf(rq);
+    obs::Span* sp = sink().span(s.span);
     if (sp != nullptr) sp->timeouts += 1;
     if (!retrying) {
       // The retry budget for this link is spent: degrade gracefully.
-      const PendingRequest lost = std::move(rq);
-      pending_.erase(it);
-      driver_->OnGiveUp(id, lost);
-      ChildFailed(sessions_.at(lost.requester));
+      driver_->OnGiveUp(rq);
+      forwards_.Release(fh);
+      ChildFailed(s);
       return;
     }
     rq.strikes += 1;
     rq.timeout = net::BackedOffTimeout(rq.timeout, driver_->retry());
     if (sp != nullptr) sp->retries += 1;
-    Transmit(id);
+    Transmit(fh);
   }
 
   const Overlay* overlay_;
   const Policy* policy_;
   Codec codec_;
   Driver* driver_;
-  std::unordered_map<int64_t, Session> sessions_;
-  std::unordered_map<uint64_t, PendingRequest> pending_;
-  int64_t next_session_ = 0;
+  Slab<Session> sessions_;
+  Slab<PendingRequest> forwards_;
   // Scratch reused across calls, so the message path allocates only what
   // outlives a call: every frame is encoded in `buf_` and kept (when it
-  // must be) as an exact-size snapshot; a response's states are decoded
-  // into `bundle_`; the fast fan-out collects its targets in `targets_`.
+  // must be) as a snapshot in its session or forward; the slow walk cuts
+  // a candidate's area in `area_`; a response's states are decoded into
+  // `bundle_`; the fast fan-out cuts its targets' areas in `targets_`.
   wire::Buffer buf_;
+  Area area_{};
   std::vector<LocalState> bundle_;
   std::vector<std::pair<PeerId, Area>> targets_;
 };

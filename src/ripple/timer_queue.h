@@ -86,6 +86,27 @@ class TimerQueue {
   /// Timers armed and neither fired nor cancelled yet.
   size_t pending() const { return pending_; }
 
+  /// Drops every queued event and restarts the sequence, so a reused
+  /// queue orders events exactly as a new one would. Capacity is kept;
+  /// every outstanding handle goes stale.
+  void Clear() {
+    heap_.clear();
+    free_.clear();
+    for (size_t i = slots_.size(); i > 0; --i) {
+      slots_[i - 1].fn = nullptr;
+      Release(static_cast<uint32_t>(i - 1));
+    }
+    next_seq_ = 0;
+    pending_ = 0;
+  }
+
+  /// Bytes of capacity the queue holds.
+  size_t HeldBytes() const {
+    return heap_.capacity() * sizeof(Entry) +
+           slots_.capacity() * sizeof(Slot) +
+           free_.capacity() * sizeof(uint32_t);
+  }
+
  private:
   struct Entry {
     double at;

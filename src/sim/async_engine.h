@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "ripple/api.h"
 #include "ripple/peer_core.h"
 #include "ripple/policy.h"
+#include "ripple/slab.h"
 #include "ripple/wire_codec.h"
 #include "sim/event_sim.h"
 #include "sim/fault_model.h"
@@ -150,24 +152,49 @@ class AsyncEngine {
     // Head sampling: the tracer follows the request's decision so
     // journal mirroring records exactly the sampled queries.
     sink_.BeginQuery(request.trace_id);
-    Runtime rt(this, &request);
-    rt.Start();
-    rt.sim.Run();
-    Result result = rt.Finalize();
+    std::unique_ptr<Runtime> rt = TakeRuntime();
+    rt->Begin(this, &request);
+    rt->Start();
+    rt->sim.Run();
+    Result result = rt->Finalize();
+    ReturnRuntime(std::move(rt));
     obs::FlushKernelCounters();
     return result;
   }
 
  private:
+  struct Runtime;
+
+  /// A run's scratch outlives it: each thread keeps one idle Runtime of
+  /// this engine type, which a run takes (or, when a run on the thread is
+  /// already using it, makes a new one) and gives back cleared but still
+  /// allocated, so a warmed run allocates almost nothing of its own. A
+  /// Runtime holding more than kMaxPooledBytes after its run is freed
+  /// instead, so one large run cannot pin its memory.
+  static constexpr size_t kMaxPooledBytes = size_t{1} << 20;
+
+  static std::unique_ptr<Runtime>& Idle() {
+    thread_local std::unique_ptr<Runtime> idle;
+    return idle;
+  }
+  static std::unique_ptr<Runtime> TakeRuntime() {
+    std::unique_ptr<Runtime>& idle = Idle();
+    return idle != nullptr ? std::move(idle) : std::make_unique<Runtime>();
+  }
+  static void ReturnRuntime(std::unique_ptr<Runtime> rt) {
+    std::unique_ptr<Runtime>& idle = Idle();
+    if (rt->EndRun(kMaxPooledBytes) && idle == nullptr) idle = std::move(rt);
+  }
+
   /// One query's virtual-time driver of the shared per-peer core
   /// (ripple/peer_core.h). The event queue is its clock and timer source
   /// and the FaultModel its network; it owns what only the simulator has:
   /// QueryStats/Coverage accounting, the datagrams in flight, the per-id
   /// table of forwards and the reliable direct-to-initiator answer
-  /// channel. Datagram buffers are recycled within the run: every send
-  /// and network duplicate copies its bytes into a buffer from `spare`,
-  /// and a buffer goes back there once its delivery is handled or the
-  /// network drops it.
+  /// channel. Datagram buffers are recycled: every send, network
+  /// duplicate and answer frame copies its bytes into a buffer from
+  /// `spare`, and a buffer goes back there once its delivery is handled,
+  /// the network drops it or the run ends — so the list outlives the run.
   struct Runtime {
     using Core = PeerCore<Overlay, Policy, Runtime>;
     using Session = typename Core::Session;
@@ -184,7 +211,7 @@ class AsyncEngine {
     struct PendingAnswer {
       PeerId from = kInvalidPeer;
       wire::TraceContext trace;
-      std::vector<uint8_t> frame;  // encoded answer frame (byte snapshot)
+      std::vector<uint8_t> frame;  // encoded answer frame, from `spare`
       size_t tuples = 0;
       int attempt = 0;
       bool settled = false;  // delivered once, or lost for good
@@ -200,7 +227,8 @@ class AsyncEngine {
     struct RequestNote {
       bool slow_requester = false;
       bool gave_up = false;
-      int64_t session = -1;  // -1 until opened, or when nothing is kept
+      uint64_t forward = 0;  // the forward's handle in the core
+      uint64_t session = 0;  // 0 until opened, or when nothing is kept
     };
 
     /// A datagram the simulated network holds until its delivery event.
@@ -209,26 +237,56 @@ class AsyncEngine {
       std::vector<uint8_t> bytes;
     };
 
-    Runtime(const AsyncEngine* engine, const Request* req)
-        : self(engine),
-          request(req),
-          ft(req->fault.AnyFault() || engine->transport_ != nullptr),
-          fault(req->fault, req->initiator),
-          obs_sink(engine->sink_.Sampled(req->trace_id)),
-          core(engine->overlay_, &engine->policy_, this) {}
+    Runtime() : core(nullptr, nullptr, this) {}
 
-    const AsyncEngine* self;
-    const Request* request;
-    const bool ft;  // fault machinery armed
-    FaultModel fault;
+    /// Binds the (new or recycled) Runtime to one run of `engine`.
+    void Begin(const AsyncEngine* engine, const Request* req) {
+      self = engine;
+      request = req;
+      ft = req->fault.AnyFault() || engine->transport_ != nullptr;
+      fault = FaultModel(req->fault, req->initiator);
+      obs_sink = engine->sink_.Sampled(req->trace_id);
+      core.Rebind(engine->overlay_, &engine->policy_);
+    }
+
+    /// Clears everything the run left for the next one, keeping capacity;
+    /// false when what is kept would exceed `max_bytes`.
+    bool EndRun(size_t max_bytes) {
+      sim.Reset();
+      size_t bytes = core.ReleaseAll();
+      in_flight.ForEachLive(
+          [this](InFlight& d) { Recycle(std::move(d.bytes)); });
+      in_flight.ReleaseAll();
+      for (PendingAnswer& a : answers) Recycle(std::move(a.frame));
+      notes.clear();
+      answers.clear();
+      traffic = {};
+      result = {};
+      answers_outstanding = 0;
+      root_done = false;
+      deadline_hit = false;
+      root_finish_time = 0;
+      last_answer_time = 0;
+      bytes += sim.HeldBytes() + answer_buf.capacity() +
+               notes.capacity() * sizeof(RequestNote) +
+               in_flight.held() * sizeof(InFlight) +
+               answers.capacity() * sizeof(PendingAnswer);
+      for (const auto& b : spare) bytes += b.capacity();
+      return bytes <= max_bytes;
+    }
+
+    const AsyncEngine* self = nullptr;
+    const Request* request = nullptr;
+    bool ft = false;  // fault machinery armed
+    FaultModel fault{net::FaultOptions{}, kInvalidPeer};
     /// The engine's sink, journaling only if the query is sampled.
-    const obs::Sink obs_sink;
+    obs::Sink obs_sink;
     EventSimulator sim;
     Core core;
     net::WireTraffic traffic;
     std::vector<RequestNote> notes;  // indexed by message id
     std::vector<PendingAnswer> answers;
-    std::vector<InFlight> in_flight;  // every datagram sent in this run
+    Slab<InFlight> in_flight;  // datagrams the network holds
     std::vector<std::vector<uint8_t>> spare;  // recycled datagram buffers
     wire::Buffer answer_buf;  // where every answer frame is encoded
     Result result;
@@ -299,13 +357,19 @@ class AsyncEngine {
                      wire::Buffer* buf) {
       codec.EncodeQueryMessage(env, q, g, area, r, buf);
     }
-    uint64_t NewRequestId(const Session& requester) {
-      notes.push_back(RequestNote{.slow_requester = !requester.fast});
+    /// Forward ids are dense: the id indexes `notes`, which holds the
+    /// forward's handle in the core.
+    uint64_t NewRequestId(const Session& requester, uint64_t forward) {
+      notes.push_back(RequestNote{.slow_requester = !requester.fast,
+                                  .forward = forward});
       return notes.size() - 1;
+    }
+    uint64_t ForwardOf(uint64_t id) const {
+      return id < notes.size() ? notes[id].forward : 0;
     }
     /// A window of size 0 remembers nothing; any other size holds the
     /// receiver's one entry for this id.
-    void Remember(const net::Envelope& env, int64_t session) {
+    void Remember(const net::Envelope& env, uint64_t session) {
       if (ft && retry().dedup_window != 0) notes[env.id].session = session;
     }
     bool Alive(PeerId peer) const { return !fault.CrashedAt(peer, sim.now()); }
@@ -352,8 +416,8 @@ class AsyncEngine {
       result.coverage.timeouts += 1;
       if (retrying) result.coverage.retries += 1;
     }
-    void OnGiveUp(uint64_t id, const PendingRequest& rq) {
-      notes[id].gave_up = true;
+    void OnGiveUp(const PendingRequest& rq) {
+      notes[rq.id].gave_up = true;
       result.coverage.links_unresolved += 1;
       NoteUnreachable(rq.target);
       if (fault.CrashedAt(rq.target, sim.now())) NoteCrashed(rq.target);
@@ -414,17 +478,21 @@ class AsyncEngine {
     /// Delivers the datagram at `env.to` after `delay`, dropping it if the
     /// receiver has crashed by then. Every receive path dedups, so
     /// duplicate copies are harmless. The datagram waits in `in_flight`,
-    /// so the event captures only its index.
+    /// so the event captures only its handle.
     void ScheduleDelivery(const net::Envelope& env, double delay,
                           std::vector<uint8_t> bytes) {
-      const size_t idx = in_flight.size();
-      in_flight.push_back(InFlight{env, std::move(bytes)});
-      sim.Schedule(delay, [this, idx] { Deliver(idx); });
+      uint64_t h;
+      InFlight& d = in_flight.Acquire(&h);
+      d.env = env;
+      d.bytes = std::move(bytes);
+      sim.Schedule(delay, [this, h] { Deliver(h); });
     }
 
-    void Deliver(size_t idx) {
-      // Moved out: the buffer is recycled once this delivery is handled.
-      InFlight d = std::move(in_flight[idx]);
+    void Deliver(uint64_t h) {
+      // Moved out and its slot freed first: handling it may send more.
+      // The buffer is recycled once this delivery is handled.
+      InFlight d = std::move(*in_flight.Find(h));
+      in_flight.Release(h);
       const net::Envelope& env = d.env;
       if (ft && fault.CrashedAt(env.to, sim.now())) {
         result.coverage.crash_drops += 1;
@@ -467,7 +535,7 @@ class AsyncEngine {
 
     void DeliverQuery(const net::Envelope& env,
                       const std::vector<uint8_t>& datagram) {
-      if (notes[env.id].session >= 0) {
+      if (notes[env.id].session != 0) {
         // Retransmission or network duplicate of a query we have seen.
         result.coverage.duplicates_suppressed += 1;
         core.Replay(notes[env.id].session);
@@ -515,7 +583,7 @@ class AsyncEngine {
                               0, a.trace};
       answer_buf.Clear();
       core.codec().EncodeAnswerMessage(env, payload, &answer_buf);
-      a.frame.assign(answer_buf.bytes().begin(), answer_buf.bytes().end());
+      a.frame = NewDatagram(answer_buf.bytes());
       ++answers_outstanding;
       TransmitAnswer(idx);
     }
@@ -610,10 +678,10 @@ class AsyncEngine {
     void OnDeadline() {
       if (root_done && answers_outstanding == 0) return;
       deadline_hit = true;
-      for (const auto& [id, rq] : core.pending()) {
+      core.ForEachPending([this](const PendingRequest& rq) {
         result.coverage.links_unresolved += 1;
         NoteUnreachable(rq.target);
-      }
+      });
       sim.Stop();
     }
   };

@@ -59,6 +59,17 @@ class EventSimulator {
   /// lapsed retry timers with nothing left to do.
   void Stop() { stopped_ = true; }
 
+  /// Back to time 0 with nothing queued, keeping the queue's capacity:
+  /// a reset simulator runs a schedule exactly as a new one would.
+  void Reset() {
+    queue_.Clear();
+    now_ = 0;
+    processed_ = 0;
+    stopped_ = false;
+  }
+
+  size_t HeldBytes() const { return queue_.HeldBytes(); }
+
  private:
   TimerQueue queue_;
   Clock now_ = 0;

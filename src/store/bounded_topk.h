@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "common/arena.h"
+#include "common/check.h"
 #include "common/kernel_counters.h"
 
 namespace ripple::store {
@@ -21,6 +24,10 @@ namespace ripple::store {
 ///
 /// Ties on score break toward the smaller id, matching the SelectTopK
 /// oracle, so indexed and scan paths agree byte-for-byte.
+///
+/// The heap is an array of min(k, max_inserts) entries, owned by the
+/// queue or, on the per-peer kernel paths, carved out of an Arena (the
+/// caller's ArenaScope releases it).
 class BoundedTopK {
  public:
   struct Entry {
@@ -30,22 +37,31 @@ class BoundedTopK {
     uint32_t payload = 0;
   };
 
-  explicit BoundedTopK(size_t k) : k_(k) { heap_.reserve(k); }
+  explicit BoundedTopK(size_t k) : k_(k), owned_(k) { heap_ = owned_.data(); }
+  /// A queue that will see at most `max_inserts` candidates, its heap in
+  /// `arena`.
+  BoundedTopK(size_t k, size_t max_inserts, Arena* arena)
+      : k_(k),
+        capacity_(std::min(k, max_inserts)),
+        heap_(arena->AllocateArray<Entry>(capacity_)) {}
+
+  BoundedTopK(const BoundedTopK&) = delete;
+  BoundedTopK& operator=(const BoundedTopK&) = delete;
 
   size_t k() const { return k_; }
-  size_t size() const { return heap_.size(); }
-  bool full() const { return heap_.size() >= k_; }
+  size_t size() const { return size_; }
+  bool full() const { return size_ >= k_; }
 
   /// Admission threshold: the k-th best score once full, -inf before.
   double threshold() const {
-    return full() && k_ > 0 ? heap_.front().score
+    return full() && k_ > 0 ? heap_[0].score
                             : -std::numeric_limits<double>::infinity();
   }
 
   bool WouldAdmit(double score, uint64_t id) const {
     if (k_ == 0) return false;
     if (!full()) return true;
-    const Entry& worst = heap_.front();
+    const Entry& worst = heap_[0];
     return score > worst.score || (score == worst.score && id < worst.id);
   }
 
@@ -54,8 +70,9 @@ class BoundedTopK {
     if (!WouldAdmit(score, id)) return false;
     ++LocalKernelCounters().heap_pushes;
     if (!full()) {
-      heap_.push_back({score, id, payload});
-      SiftUp(heap_.size() - 1);
+      RIPPLE_DCHECK(size_ < capacity_);
+      heap_[size_++] = {score, id, payload};
+      SiftUp(size_ - 1);
       return true;
     }
     heap_[0] = {score, id, payload};
@@ -68,9 +85,9 @@ class BoundedTopK {
   /// can differ only in the sign of zero) the one with the smallest id.
   /// +inf when empty.
   double LowestScore() const {
-    if (heap_.empty()) return std::numeric_limits<double>::infinity();
-    const Entry* low = &heap_.front();
-    for (const Entry& e : heap_) {
+    if (size_ == 0) return std::numeric_limits<double>::infinity();
+    const Entry* low = &heap_[0];
+    for (const Entry& e : std::span<const Entry>(heap_, size_)) {
       if (e.score < low->score || (e.score == low->score && e.id < low->id)) {
         low = &e;
       }
@@ -80,7 +97,7 @@ class BoundedTopK {
 
   /// The kept entries, best first (score desc, id asc). Non-destructive.
   std::vector<Entry> SortedDescending() const {
-    std::vector<Entry> out = heap_;
+    std::vector<Entry> out(heap_, heap_ + size_);
     std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
       if (a.score != b.score) return a.score > b.score;
       return a.id < b.id;
@@ -106,7 +123,7 @@ class BoundedTopK {
   }
 
   void SiftDown(size_t i) {
-    const size_t n = heap_.size();
+    const size_t n = size_;
     while (true) {
       const size_t l = 2 * i + 1;
       const size_t r = l + 1;
@@ -120,7 +137,10 @@ class BoundedTopK {
   }
 
   size_t k_;
-  std::vector<Entry> heap_;
+  size_t capacity_ = k_;
+  std::vector<Entry> owned_;  // the heap, unless it lives in an arena
+  Entry* heap_ = nullptr;
+  size_t size_ = 0;
 };
 
 }  // namespace ripple::store

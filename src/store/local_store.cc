@@ -113,21 +113,24 @@ TupleVec TuplesBestFirst(const store::FlatStore& rows,
 
 TupleVec LocalStore::TopKAbove(const Scorer& scorer, size_t k,
                                double tau) const {
-  store::BoundedTopK queue(k);
+  ArenaScope scope(&PerQueryArena());
+  store::BoundedTopK queue(k, flat_.size(), &PerQueryArena());
   const store::FlatStore& rows = Select(scorer, tau, true, &queue);
   return TuplesBestFirst(rows, queue);
 }
 
 TupleVec LocalStore::BestBelow(const Scorer& scorer, size_t count,
                                double tau) const {
-  store::BoundedTopK queue(count);
+  ArenaScope scope(&PerQueryArena());
+  store::BoundedTopK queue(count, flat_.size(), &PerQueryArena());
   const store::FlatStore& rows = Select(scorer, tau, false, &queue);
   return TuplesBestFirst(rows, queue);
 }
 
 LocalStore::TopKCount LocalStore::CountTopKAbove(const Scorer& scorer,
                                                  size_t k, double tau) const {
-  store::BoundedTopK queue(k);
+  ArenaScope scope(&PerQueryArena());
+  store::BoundedTopK queue(k, flat_.size(), &PerQueryArena());
   Select(scorer, tau, true, &queue);
   return {queue.size(), queue.LowestScore()};
 }
@@ -135,7 +138,8 @@ LocalStore::TopKCount LocalStore::CountTopKAbove(const Scorer& scorer,
 LocalStore::TopKCount LocalStore::CountBestBelow(const Scorer& scorer,
                                                  size_t count,
                                                  double tau) const {
-  store::BoundedTopK queue(count);
+  ArenaScope scope(&PerQueryArena());
+  store::BoundedTopK queue(count, flat_.size(), &PerQueryArena());
   Select(scorer, tau, false, &queue);
   return {queue.size(), queue.LowestScore()};
 }

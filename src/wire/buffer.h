@@ -66,6 +66,7 @@ class Buffer {
   void WriteFixed32At(size_t offset, uint32_t v);
 
   size_t size() const { return size_; }
+  size_t capacity() const { return storage_.size(); }
   bool empty() const { return size_ == 0; }
   const uint8_t* data() const { return storage_.data(); }
   std::span<const uint8_t> bytes() const { return {storage_.data(), size_}; }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/datasets.h"
@@ -13,6 +17,7 @@
 #include "queries/skyline.h"
 #include "queries/topk.h"
 #include "ripple/engine.h"
+#include "ripple/peer_core.h"
 #include "ripple/timer_queue.h"
 #include "sim/event_sim.h"
 
@@ -316,6 +321,130 @@ TEST(AsyncEngineTest, FastCompletionBeatsSlowCompletion) {
     slow_total += engine.Run({.initiator = initiator, .query = q, .ripple = RippleParam::Slow()}).completion_time;
   }
   EXPECT_LT(fast_total, slow_total);
+}
+
+// --- Stale forward handles ---------------------------------------------------
+
+/// A PeerCore driver that keeps every frame and timer for the test to
+/// deliver or fire by hand; cancelling a timer does not drop it, so a
+/// timer can still fire after its forward is gone.
+struct HandDriver {
+  using Core = PeerCore<MidasOverlay, TopKPolicy, HandDriver>;
+  using Session = Core::Session;
+  static constexpr bool kConvergecast = false;
+
+  double Now() const { return 0; }
+  uint64_t ArmTimer(double, std::function<void()> fn) {
+    timers.push_back(std::move(fn));
+    return timers.size();
+  }
+  void CancelTimer(uint64_t) {}
+  bool retransmits() const { return true; }
+  const net::RetryOptions& retry() const { return retry_options; }
+  const obs::Sink& sink() const { return no_sink; }
+  void Send(const net::Envelope& env, std::span<const uint8_t>) {
+    sent.push_back(env);
+  }
+  void EncodeQuery(const Core::Codec& codec, const net::Envelope& env,
+                   const TopKQuery& q, const TopKState& g, const Rect& area,
+                   int r, wire::Buffer* buf) {
+    codec.EncodeQueryMessage(env, q, g, area, r, buf);
+  }
+  uint64_t NewRequestId(const Session&, uint64_t forward) {
+    forwards.push_back(forward);
+    return forwards.size() - 1;
+  }
+  uint64_t ForwardOf(uint64_t id) const {
+    return id < forwards.size() ? forwards[id] : 0;
+  }
+  void Remember(const net::Envelope&, uint64_t) {}
+  bool Alive(PeerId) const { return true; }
+  void RejectFrame(bool) { ADD_FAILURE() << "frame rejected"; }
+  void OnSessionOpened(const Session&) {}
+  void OnQuerySent(const PendingRequest&) {}
+  void OnReplySent(const Session&, bool) {}
+  void OnAckSent(const Session&, size_t) {}
+  void OnTimeout(const PendingRequest&, bool) { timeouts += 1; }
+  void OnGiveUp(const PendingRequest&) { give_ups += 1; }
+  void OnStaleResponse(uint64_t) { stale += 1; }
+  void OnRootFinished() {}
+  void SendAnswer(const Session&, TupleVec&&, size_t) {}
+
+  net::RetryOptions retry_options;
+  obs::Sink no_sink;
+  std::vector<net::Envelope> sent;             // every query sent
+  std::vector<std::function<void()>> timers;   // handle - 1 -> callback
+  std::vector<uint64_t> forwards;              // message id -> handle
+  int timeouts = 0;
+  int give_ups = 0;
+  int stale = 0;
+};
+
+TEST(AsyncEngineTest, LateFramesAndTimersOfAFreedForwardNeverReachItsSlot) {
+  // A slow walk sends one forward at a time, so the second forward takes
+  // the slot the first one freed. The first forward's late response,
+  // stale ack and lapsed timer must all count as stale and leave the new
+  // occupant alone: its strikes, its retransmissions, its session.
+  Net net = MakeNet(32, 400, 2, 641);
+  LinearScorer scorer({1.0, 1.0});
+  const TopKPolicy policy;
+  HandDriver driver;
+  driver.retry_options.max_retries = 1;
+  HandDriver::Core core(&net.overlay, &policy, &driver);
+  const HandDriver::Core::Codec& codec = core.codec();
+  const PeerId root = 0;
+  ASSERT_GE(net.overlay.GetPeer(root).links.size(), 3u);
+  core.OpenRoot(root, TopKQuery{&scorer, 5}, TopKState{},
+                RippleParam::Slow().hops(), 0);
+  ASSERT_EQ(driver.sent.size(), 1u);
+  const net::Envelope first = driver.sent[0];
+
+  // The first child reports nothing found, so the walk goes on to the
+  // next link: the second forward reuses the first one's slot.
+  const auto reply = [&](const net::Envelope& to, net::MessageKind kind) {
+    const net::Envelope env{to.id, to.to, to.from, kind, 0, {}};
+    wire::Buffer buf;
+    if (kind == net::MessageKind::kResponse) {
+      codec.EncodeResponseFrame(env, TopKState{}, &buf);
+    } else {
+      codec.EncodeAckMessage(env, &buf);
+    }
+    return std::pair{env, buf.Take()};
+  };
+  const auto [response_env, response] =
+      reply(first, net::MessageKind::kResponse);
+  core.OnResponse(response_env, response);
+  ASSERT_EQ(driver.sent.size(), 2u);
+  ASSERT_EQ(driver.forwards.size(), 2u);
+  EXPECT_EQ(static_cast<uint32_t>(driver.forwards[0]),
+            static_cast<uint32_t>(driver.forwards[1]));  // same slot
+  EXPECT_NE(driver.forwards[0], driver.forwards[1]);    // new generation
+  ASSERT_EQ(driver.timers.size(), 2u);
+
+  // A network duplicate of the consumed response.
+  core.OnResponse(response_env, response);
+  EXPECT_EQ(driver.stale, 1);
+  EXPECT_EQ(core.pending_forwards(), 1u);
+  EXPECT_EQ(driver.sent.size(), 2u);  // the walk did not move on
+
+  // The first forward's timer, cancelled when its response came in.
+  driver.timers[0]();
+  EXPECT_EQ(driver.timeouts, 0);
+  EXPECT_EQ(driver.sent.size(), 2u);
+
+  // The second forward times out once and is retransmitted (one strike).
+  driver.timers[1]();
+  EXPECT_EQ(driver.timeouts, 1);
+  ASSERT_EQ(driver.sent.size(), 3u);
+  EXPECT_EQ(driver.sent[2].id, driver.sent[1].id);
+
+  // A late ack for the first forward must not restore the second's
+  // patience: its next timeout spends the one retry and gives up.
+  const auto [ack_env, ack] = reply(first, net::MessageKind::kAck);
+  core.OnAck(ack_env.id, ack);
+  driver.timers.back()();
+  EXPECT_EQ(driver.timeouts, 2);
+  EXPECT_EQ(driver.give_ups, 1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -350,6 +351,80 @@ TEST(ExecutorTest, FirstIndexBuildsAfterAnInsertBatchRunOnWorkers) {
     EXPECT_FALSE(want.queries[i].answer.empty()) << "item " << i;
     EXPECT_EQ(AnswerIds(batched.queries[i]), AnswerIds(want.queries[i]))
         << "item " << i;
+  }
+}
+
+TEST(ExecutorTest, AsyncLossyJobsOnTwoWorkersMatchOneWorker) {
+  // Each worker thread keeps its own pool of async run scratch (sessions,
+  // forwards, timers, datagram buffers). The benchmark's lossy top-k and
+  // range mix runs on two workers twice, so the second pass reuses warm
+  // pools; every job must still report exactly what a one-worker run
+  // does. Under TSan this also checks that no pool is shared.
+  const Net net = MakeNet(64, 3000, 2, 23);
+  std::string text;
+  for (int i = 0; i < 2; ++i) {
+    text +=
+        "topk k=10 r=fast\n"
+        "topk k=20 r=2\n"
+        "range radius=0.1 r=slow\n"
+        "topk k=10 r=2\n"
+        "topk k=20 r=slow\n"
+        "range radius=0.1 r=fast\n"
+        "topk k=10 r=slow\n"
+        "topk k=20 r=fast\n"
+        "range radius=0.1 r=2\n";
+  }
+  const auto items = ParseWorkload(text);
+  ASSERT_TRUE(items.ok());
+  CompileOptions copts;
+  copts.seed = 31;
+  copts.async = true;
+  copts.fault.loss_rate = 0.02;
+  copts.fault.dup_rate = 0.01;
+  copts.retry.max_retries = 8;
+  const CompiledWorkload compiled = CompileWorkload(net.overlay, *items, copts);
+  const auto run = [&](int threads) {
+    ExecutorOptions opts;
+    opts.threads = threads;
+    Executor executor(opts);
+    return executor.Run(compiled.jobs, net.overlay.NumPeers());
+  };
+  const WorkloadResult want = run(1);
+  uint64_t faults = 0;
+  for (const QueryOutcome& out : want.queries) {
+    faults += out.coverage.messages_lost + out.coverage.messages_duplicated;
+  }
+  EXPECT_GT(faults, 0u);  // the fault machinery did run
+  for (int pass = 0; pass < 2; ++pass) {
+    const WorkloadResult got = run(2);
+    ASSERT_EQ(got.queries.size(), want.queries.size());
+    for (size_t i = 0; i < want.queries.size(); ++i) {
+      const QueryOutcome& a = got.queries[i];
+      const QueryOutcome& b = want.queries[i];
+      EXPECT_EQ(AnswerIds(a), AnswerIds(b)) << "pass " << pass << " job " << i;
+      EXPECT_EQ(a.complete, b.complete) << "job " << i;
+      EXPECT_EQ(a.completion_time, b.completion_time) << "job " << i;
+      EXPECT_EQ(a.stats.latency_hops, b.stats.latency_hops) << "job " << i;
+      EXPECT_EQ(a.stats.peers_visited, b.stats.peers_visited) << "job " << i;
+      EXPECT_EQ(a.stats.messages, b.stats.messages) << "job " << i;
+      EXPECT_EQ(a.stats.tuples_shipped, b.stats.tuples_shipped) << "job " << i;
+      EXPECT_EQ(a.stats.bytes_on_wire, b.stats.bytes_on_wire) << "job " << i;
+      const net::Coverage& ca = a.coverage;
+      const net::Coverage& cb = b.coverage;
+      EXPECT_EQ(ca.retries, cb.retries) << "job " << i;
+      EXPECT_EQ(ca.timeouts, cb.timeouts) << "job " << i;
+      EXPECT_EQ(ca.messages_lost, cb.messages_lost) << "job " << i;
+      EXPECT_EQ(ca.messages_duplicated, cb.messages_duplicated) << "job " << i;
+      EXPECT_EQ(ca.duplicates_suppressed, cb.duplicates_suppressed)
+          << "job " << i;
+      EXPECT_EQ(ca.acks, cb.acks) << "job " << i;
+      EXPECT_EQ(ca.late_responses, cb.late_responses) << "job " << i;
+      EXPECT_EQ(ca.crash_drops, cb.crash_drops) << "job " << i;
+      EXPECT_EQ(ca.links_unresolved, cb.links_unresolved) << "job " << i;
+      EXPECT_EQ(ca.answers_lost, cb.answers_lost) << "job " << i;
+      EXPECT_EQ(ca.unreachable_peers, cb.unreachable_peers) << "job " << i;
+      EXPECT_EQ(ca.crashed_peers, cb.crashed_peers) << "job " << i;
+    }
   }
 }
 

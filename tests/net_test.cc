@@ -959,6 +959,129 @@ TEST_F(DaemonTest, FinishedSessionsAreFreedOnceTheDedupWindowForgetsThem) {
   EXPECT_LE(depths.dedup_tracked, 8u);
 }
 
+/// Two daemons over one capture wire: `root` serves peer 0, where the
+/// client's queries enter, and `rest` serves the others, so the root's
+/// dedup window holds only client ids (no query revisits peer 0).
+struct SplitDaemons {
+  SplitDaemons(const MidasOverlay* overlay, net::RetryOptions retry)
+      : root(overlay, &wire, {0}, retry),
+        rest(overlay, &wire, {1, 2, 3, 4, 5}, retry) {}
+
+  /// Delivers `d` and everything it causes in order; returns what the
+  /// daemons sent to clients.
+  std::vector<net::Datagram> Serve(net::Datagram d) {
+    std::vector<net::Datagram> replies;
+    wire.sent.push_back(std::move(d));
+    for (int round = 0; round < 64 && !wire.sent.empty(); ++round) {
+      std::vector<net::Datagram> batch = std::move(wire.sent);
+      wire.sent.clear();
+      for (auto& x : batch) {
+        if (net::IsClientId(x.env.to)) {
+          replies.push_back(std::move(x));
+        } else {
+          (x.env.to == 0 ? root : rest).Dispatch(std::move(x));
+        }
+      }
+    }
+    return replies;
+  }
+
+  CaptureTransport wire;
+  net::PeerDaemon<MidasOverlay> root;
+  net::PeerDaemon<MidasOverlay> rest;
+};
+
+TEST_F(DaemonTest, RecycledSessionSlotsReplayTheirOwnReply) {
+  // With an 8-id window the cores free sessions as the windows forget
+  // them, so 32 top-k queries of varied k, r and weights run through
+  // recycled session slots and reply buffers. Every answer must match a
+  // run that recycles nothing, and a duplicate of each of the last 8
+  // client ids — still in the root's window — must replay exactly the
+  // bytes that id was first answered with.
+  net::RetryOptions small;
+  small.dedup_window = 8;
+  SplitDaemons recycled(overlay_.get(), small);
+  SplitDaemons reference(overlay_.get(), net::RetryOptions{});
+  TopKPolicy policy;
+  std::vector<std::unique_ptr<LinearScorer>> scorers;
+  std::vector<net::Datagram> queries;
+  std::vector<std::vector<uint8_t>> first_reply;
+  for (uint32_t i = 0; i < 32; ++i) {
+    scorers.push_back(std::make_unique<LinearScorer>(
+        std::vector<double>{1.0 + 0.1 * (i % 5), 0.2 + 0.3 * (i % 3)}));
+    TopKQuery query;
+    query.scorer = scorers.back().get();
+    query.k = 1 + i % 7;
+    const uint64_t id = net::MakeMessageId(client_, 100 + i);
+    queries.push_back(net::Datagram{
+        net::Envelope{id, client_, 0, net::MessageKind::kQuery, 0, {}},
+        ClientQueryFrame(*overlay_, policy, query, id, client_, 0,
+                         /*r=*/i % 3)});
+    const auto got = recycled.Serve(queries.back());
+    const auto want = reference.Serve(queries.back());
+    ASSERT_EQ(got.size(), 1u) << "query " << i;
+    ASSERT_EQ(want.size(), 1u) << "query " << i;
+    EXPECT_EQ(got[0].env.kind, net::MessageKind::kAnswer);
+    EXPECT_EQ(got[0].bytes, want[0].bytes) << "query " << i;
+    first_reply.push_back(got[0].bytes);
+  }
+  EXPECT_LE(recycled.root.Depths().sessions_total, 8u);
+  EXPECT_LE(recycled.rest.Depths().sessions_total, 8u);
+  EXPECT_EQ(reference.root.Depths().sessions_total, 32u);
+
+  const uint64_t served = recycled.root.stats().queries_served;
+  for (uint32_t i = 24; i < 32; ++i) {
+    const auto replay = recycled.Serve(queries[i]);
+    ASSERT_EQ(replay.size(), 1u) << "query " << i;
+    EXPECT_EQ(replay[0].bytes, first_reply[i]) << "query " << i;
+  }
+  EXPECT_EQ(recycled.root.stats().queries_served, served);
+  EXPECT_EQ(recycled.root.stats().duplicates_suppressed, 8u);
+}
+
+TEST_F(DaemonTest, ForwardsOutstandingAtOnceKeepTheirRoutes) {
+  // The root daemon maps each forward's id to its shard and slot through
+  // a table indexed by the id's sequence number. Here 160 queries are all
+  // open before any child answers, so far more forwards are outstanding
+  // than the table starts with: it must grow without losing a route, and
+  // every query must still get the answer it gets on its own.
+  SplitDaemons all_open(overlay_.get(), net::RetryOptions{});
+  SplitDaemons one_by_one(overlay_.get(), net::RetryOptions{});
+  TopKPolicy policy;
+  LinearScorer scorer(std::vector<double>{1.0, 0.5});
+  TopKQuery query;
+  query.scorer = &scorer;
+  query.k = 3;
+  constexpr uint32_t kQueries = 160;
+  std::vector<std::vector<uint8_t>> want;
+  size_t forwards = 0;
+  for (uint32_t i = 0; i < kQueries; ++i) {
+    const uint64_t id = net::MakeMessageId(client_, 300 + i);
+    const net::Datagram d{
+        net::Envelope{id, client_, 0, net::MessageKind::kQuery, 0, {}},
+        ClientQueryFrame(*overlay_, policy, query, id, client_, 0, /*r=*/0)};
+    const auto replies = one_by_one.Serve(d);
+    ASSERT_EQ(replies.size(), 1u);
+    want.push_back(replies[0].bytes);
+    all_open.root.Dispatch(net::Datagram(d));
+    forwards = all_open.wire.sent.size();
+  }
+  ASSERT_GT(forwards, 64u);
+  EXPECT_EQ(all_open.root.Depths().pending_requests, forwards);
+  std::vector<net::Datagram> held = std::move(all_open.wire.sent);
+  all_open.wire.sent.clear();
+  std::vector<std::vector<uint8_t>> got(kQueries);
+  for (net::Datagram& d : held) {
+    for (net::Datagram& reply : all_open.Serve(std::move(d))) {
+      got[static_cast<uint32_t>(reply.env.id) - 300] = reply.bytes;
+    }
+  }
+  EXPECT_EQ(all_open.root.stats().late_responses, 0u);
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(got[i], want[i]) << "query " << i;
+  }
+}
+
 TEST_F(DaemonTest, AckWithTrailingPayloadIsRejectedAndRestoresNoPatience) {
   // The daemon serves only peer 0, so every child forward goes unanswered
   // and is retransmitted until the budget is spent. A well-formed ack

@@ -98,6 +98,8 @@ DEAD_SYMBOLS=(
   ids_ready_
   SkylineState
   SkybandState
+  'Expects('
+  next_session_
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
