@@ -1,8 +1,9 @@
 #include "baselines/div_baseline.h"
 
-#include "net/frame_cost.h"
 #include "queries/diversify.h"
 #include "store/wire.h"
+#include "wire/buffer.h"
+#include "wire/frame.h"
 
 namespace ripple {
 
@@ -14,10 +15,12 @@ std::optional<Tuple> CanFloodDivService::FindBest(const DivQuery& query,
   double best_phi = tau;
   uint64_t flood_messages = 0;
   uint64_t replies = 0;
-  // Every flood forward carries the query; every reply carries one tuple.
-  const uint64_t forward_bytes = net::MeasureFrameBytes(
-      net::MessageKind::kQuery,
-      [&](wire::Buffer* buf) { DivPolicy{}.EncodeQuery(query, buf); });
+  // Every flood forward carries the query (encoded once, into scratch the
+  // thread reuses); every reply carries one tuple.
+  thread_local wire::Buffer encoded;
+  encoded.Clear();
+  DivPolicy{}.EncodeQuery(query, &encoded);
+  const uint64_t forward_bytes = wire::kFrameHeaderSize + encoded.size();
   uint64_t reply_bytes = 0;
   const uint64_t depth = overlay_->Flood(
       initiator_, [&](PeerId id, uint64_t) {
@@ -37,9 +40,7 @@ std::optional<Tuple> CanFloodDivService::FindBest(const DivQuery& query,
         if (!local.has_value()) return;
         ++replies;
         stats->tuples_shipped += 1;
-        reply_bytes += net::MeasureFrameBytes(
-            net::MessageKind::kAnswer,
-            [&](wire::Buffer* buf) { EncodeTuple(*local, buf); });
+        reply_bytes += wire::kFrameHeaderSize + TupleWireSize(*local);
         if (phi < best_phi ||
             (best.has_value() && phi == best_phi && local->id < best->id)) {
           best_phi = phi;

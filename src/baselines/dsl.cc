@@ -4,10 +4,10 @@
 #include <queue>
 
 #include "geom/dominance.h"
-#include "net/frame_cost.h"
 #include "queries/skyline.h"
 #include "store/local_algos.h"
 #include "store/wire.h"
+#include "wire/frame.h"
 
 namespace ripple {
 
@@ -15,9 +15,8 @@ namespace {
 
 /// Wire cost of one DSL message carrying a tuple set (the DSL skyline
 /// query itself has no parameters, so payloads are all tuples).
-uint64_t TupleFrameBytes(net::MessageKind kind, const TupleVec& tuples) {
-  return net::MeasureFrameBytes(
-      kind, [&](wire::Buffer* buf) { EncodeTupleVec(tuples, buf); });
+uint64_t TupleFrameBytes(const TupleVec& tuples) {
+  return wire::kFrameHeaderSize + TupleVecWireSize(tuples);
 }
 
 /// True when `s` contains a point dominating the entire zone.
@@ -51,7 +50,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
   stats.latency_hops += route_hops;
   stats.messages += route_hops;
   stats.peers_visited += route_hops;  // forwarding peers handle the query
-  stats.bytes_on_wire += route_hops * net::kBareFrameBytes;
+  stats.bytes_on_wire += route_hops * wire::kFrameHeaderSize;
 
   // Phase 2: breadth-first multicast waves from the root.
   struct Incoming {
@@ -100,8 +99,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
     if (!contribution.empty()) {
       stats.messages += 1;  // answer delivery to the initiator
       stats.tuples_shipped += contribution.size();
-      stats.bytes_on_wire +=
-          TupleFrameBytes(net::MessageKind::kAnswer, contribution);
+      stats.bytes_on_wire += TupleFrameBytes(contribution);
       result.skyline = MergeSkylines(std::move(result.skyline),
                                      contribution);
     }
@@ -116,8 +114,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
     const TupleVec dominators =
         SelectDominators(merged, SkylinePolicy::kMaxDominators);
     const TupleVec payload = MergeSkylines(contribution, dominators);
-    const uint64_t payload_bytes =
-        TupleFrameBytes(net::MessageKind::kQuery, payload);
+    const uint64_t payload_bytes = TupleFrameBytes(payload);
     for (PeerId nb : peer.neighbors) {
       const auto& other = overlay.GetPeer(nb);
       if (!IsUpperNeighbor(peer.zone, other.zone)) continue;

@@ -3,10 +3,10 @@
 #include <algorithm>
 
 #include "geom/dominance.h"
-#include "net/frame_cost.h"
 #include "queries/skyline.h"
 #include "store/local_algos.h"
 #include "store/wire.h"
+#include "wire/frame.h"
 
 namespace ripple {
 
@@ -42,7 +42,7 @@ SspResult RunSspSkyline(const BatonOverlay& overlay, PeerId initiator) {
   stats.latency_hops += route_hops;
   stats.messages += route_hops;
   stats.peers_visited += route_hops + 1;  // path peers plus the start peer
-  stats.bytes_on_wire += route_hops * net::kBareFrameBytes;
+  stats.bytes_on_wire += route_hops * wire::kFrameHeaderSize;
 
   // The start peer's local skyline seeds the global set; its points (led
   // by the most dominating one) define the pruned search space. We prune
@@ -80,15 +80,14 @@ SspResult RunSspSkyline(const BatonOverlay& overlay, PeerId initiator) {
       (void)arrived;
       stats.messages += hops;       // query forwards along the path
       stats.peers_visited += hops;  // forwarding peers plus the target
-      stats.bytes_on_wire += hops * net::kBareFrameBytes;
+      stats.bytes_on_wire += hops * wire::kFrameHeaderSize;
       wave_latency = std::max(wave_latency, hops);
       const TupleVec local_sky = overlay.GetPeer(id).store.LocalSkyline();
       if (!local_sky.empty()) {
         stats.messages += 1;  // reply to the querying peer
         stats.tuples_shipped += local_sky.size();
-        stats.bytes_on_wire += net::MeasureFrameBytes(
-            net::MessageKind::kAnswer,
-            [&](wire::Buffer* buf) { EncodeTupleVec(local_sky, buf); });
+        stats.bytes_on_wire +=
+            wire::kFrameHeaderSize + TupleVecWireSize(local_sky);
         sky = MergeSkylines(std::move(sky), local_sky);
       }
     }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -36,8 +35,7 @@ struct Datagram {
 ///    simulated delivery, the wire itself takes zero host time.
 ///  * pull — Poll(out, timeout_ms) pumps one datagram. Transports that
 ///    own real sockets (net::UdpSocketTransport) implement the receive
-///    side here; the base class drains the inbox that Deliver() fills
-///    when no receiver is installed.
+///    side here; the base class has nothing to pull.
 ///
 /// Nothing can cheat past the serialization boundary: objects never
 /// cross, only bytes do. A transport may count, reorder, corrupt or drop
@@ -45,11 +43,11 @@ struct Datagram {
 /// recover through the fault machinery's timers, never through a return
 /// value.
 ///
-/// Transports are single-owner: receiver installation and the inbox are
-/// unsynchronized, so concurrent engines must each use their own
-/// transport instance (the executor builds one engine per job for this
-/// reason). LoopbackTransport's counters are atomic so read-side
-/// aggregation across workers stays well-defined.
+/// Transports are single-owner: receiver installation is unsynchronized,
+/// so concurrent engines must each use their own transport instance (the
+/// executor builds one engine per job for this reason). LoopbackTransport's
+/// counters are atomic so read-side aggregation across workers stays
+/// well-defined.
 class Transport {
  public:
   using Receiver =
@@ -62,38 +60,24 @@ class Transport {
   virtual void Send(const Envelope& env, std::vector<uint8_t> datagram) = 0;
 
   /// Installs (or, with nullptr, removes) the push-delivery callback.
-  /// Datagrams queued in the inbox while no receiver was installed stay
-  /// queued for Poll; only subsequent deliveries go through the callback.
   void SetReceiver(Receiver receiver) { receiver_ = std::move(receiver); }
-  bool has_receiver() const { return static_cast<bool>(receiver_); }
 
   /// Pull-delivery: pops one pending datagram into `*out`, returning
-  /// false when none arrived within `timeout_ms`. The base implementation
-  /// serves the in-memory inbox and never waits (nothing can arrive
-  /// between calls without a Send); socket transports override it with a
-  /// real readiness wait.
-  virtual bool Poll(Datagram* out, int timeout_ms = 0) {
-    (void)timeout_ms;
-    if (inbox_.empty()) return false;
-    *out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return true;
-  }
+  /// false when none arrived within `timeout_ms`. Socket transports
+  /// override it with a real readiness wait; push transports have nothing
+  /// to pull.
+  virtual bool Poll(Datagram*, int /*timeout_ms*/ = 0) { return false; }
 
  protected:
-  /// Hands one arriving datagram to the receive path: the installed
-  /// receiver if any, otherwise the inbox that Poll drains.
+  /// Hands one arriving datagram to the installed receiver. A push
+  /// transport delivering with none installed is an engine bug.
   void Deliver(const Envelope& env, std::vector<uint8_t> bytes) {
-    if (receiver_) {
-      receiver_(env, std::move(bytes));
-    } else {
-      inbox_.push_back(Datagram{env, std::move(bytes)});
-    }
+    RIPPLE_CHECK(receiver_ && "datagram delivered with no receiver");
+    receiver_(env, std::move(bytes));
   }
 
  private:
   Receiver receiver_;
-  std::deque<Datagram> inbox_;
 };
 
 /// Default transport: a loopback wire. Asserts that every sent datagram

@@ -3,10 +3,11 @@
 
 #include <vector>
 
-#include "net/frame_cost.h"
 #include "obs/trace.h"
 #include "overlay/types.h"
 #include "ripple/api.h"
+#include "wire/buffer.h"
+#include "wire/frame.h"
 
 namespace ripple {
 
@@ -54,12 +55,13 @@ typename EngineT::Result RunSeeded(const EngineT& engine,
   result.stats.latency_hops += forwards;
   result.stats.messages += forwards;
   result.stats.peers_visited += hops + walk.size();
+  // A forward's frame: a header plus the query, encoded once into scratch
+  // every seeded run on the thread reuses.
+  thread_local wire::Buffer query;
+  query.Clear();
+  engine.policy().EncodeQuery(seeded.query, &query);
   result.stats.bytes_on_wire +=
-      forwards * net::MeasureFrameBytes(net::MessageKind::kQuery,
-                                        [&](wire::Buffer* buf) {
-                                          engine.policy().EncodeQuery(
-                                              seeded.query, buf);
-                                        });
+      forwards * (wire::kFrameHeaderSize + query.size());
   // Async runs report simulated wall-clock; the sequential bootstrap
   // happens before their clock starts.
   if (result.completion_time > 0) {

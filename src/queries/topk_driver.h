@@ -1,7 +1,8 @@
 #ifndef RIPPLE_QUERIES_TOPK_DRIVER_H_
 #define RIPPLE_QUERIES_TOPK_DRIVER_H_
 
-#include <set>
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "queries/seeded_run.h"
@@ -49,12 +50,18 @@ TopKState TopKSeedWalk(const Overlay& overlay, const TopKPolicy& policy,
                        std::vector<PeerId>* path) {
   TopKState seed;
   PeerId current = start;
-  std::set<PeerId> walked;
+  // The walked peers, in order; at most 64, so a linear search is cheap.
+  std::vector<PeerId> own;
+  std::vector<PeerId>& walked = path != nullptr ? *path : own;
+  const auto first = static_cast<std::ptrdiff_t>(walked.size());
+  const auto was_walked = [&](PeerId p) {
+    return std::find(walked.begin() + first, walked.end(), p) != walked.end();
+  };
   // The walk is bounded; if the network simply has fewer than k tuples the
-  // main run degenerates to (a correct) broadcast anyway.
+  // main run degenerates to (a correct) broadcast anyway. Each step's peer
+  // is new to the walk: `next` is picked among unwalked links.
   for (int step = 0; step < 64; ++step) {
-    if (!walked.insert(current).second) break;
-    if (path != nullptr) path->push_back(current);
+    walked.push_back(current);
     const auto& peer = overlay.GetPeer(current);
     const TopKState local = policy.ComputeLocalState(peer.store, query, seed);
     seed = policy.ComputeGlobalState(query, seed, local);
@@ -64,7 +71,7 @@ TopKState TopKSeedWalk(const Overlay& overlay, const TopKPolicy& policy,
     PeerId next = kInvalidPeer;
     double best = -std::numeric_limits<double>::infinity();
     for (const auto& link : peer.links) {
-      if (walked.count(link.target)) continue;
+      if (was_walked(link.target)) continue;
       const double bound = query.scorer->UpperBound(link.region);
       if (next == kInvalidPeer || bound > best) {
         best = bound;

@@ -10,7 +10,8 @@
 
 namespace ripple {
 
-/// Index-addressed storage for PeerCore's sessions and forwards. Entries
+/// Index-addressed storage for PeerCore's sessions and forwards, the
+/// simulator's datagrams in flight and TimerQueue's callbacks. Entries
 /// live in one vector and are named by a handle, (generation << 32) |
 /// slot. Releasing an entry puts its slot on a free list and moves the
 /// slot's generation on, so a handle that outlived its entry (a late

@@ -8,21 +8,22 @@
 #include <utility>
 #include <vector>
 
+#include "ripple/slab.h"
+
 namespace ripple {
 
 /// Callbacks queued on a `double` clock and fired in (time, seq) order,
-/// FIFO among ties. The queue keeps no clock of its own: EventSimulator
-/// runs it on virtual time (jumping to each event in turn), PeerDaemon on
+/// FIFO among ties. The queue keeps no clock of its own: AsyncEngine runs
+/// it on virtual time (jumping to each event in turn), PeerDaemon on
 /// steady_clock milliseconds (firing whatever is due). Plain events always
 /// fire; Arm() returns a handle that Cancel() revokes lazily — the entry
 /// stays queued and is skipped when it surfaces, so cancelling is O(1)
 /// and never reorders anything.
 ///
-/// The heap holds plain {at, seq, slot} entries; callbacks live in a slab
-/// of slots recycled once their entry leaves the heap. A handle names its
-/// slot and the slot's generation, which moves on at every recycle, so a
-/// stale handle (its timer fired, or was cancelled and its slot reused)
-/// matches nothing.
+/// The heap holds plain {at, seq, handle} entries; callbacks live in a
+/// Slab until their entry leaves the heap, and a timer's handle is its
+/// slab handle, so a stale one (its timer fired, or was cancelled and its
+/// entry reused) matches nothing.
 class TimerQueue {
  public:
   struct Event {
@@ -37,22 +38,16 @@ class TimerQueue {
 
   /// Queues a cancellable timer at time `at`; returns its handle (never 0).
   uint64_t Arm(double at, std::function<void()> fn) {
-    const uint32_t slot = Push(at, std::move(fn), State::kArmed);
     ++pending_;
-    return uint64_t{slots_[slot].gen} << 32 | slot;
+    return Push(at, std::move(fn), State::kArmed);
   }
 
   /// Revokes a timer; firing, double-cancel and handle 0 are no-ops.
   void Cancel(uint64_t handle) {
-    const auto slot = static_cast<uint32_t>(handle);
-    if (slot >= slots_.size()) return;
-    Slot& s = slots_[slot];
-    if (s.gen != static_cast<uint32_t>(handle >> 32) ||
-        s.state != State::kArmed) {
-      return;
-    }
-    s.state = State::kCancelled;
-    s.fn = nullptr;
+    Callback* c = callbacks_.Find(handle);
+    if (c == nullptr || c->state != State::kArmed) return;
+    c->state = State::kCancelled;
+    c->fn = nullptr;
     --pending_;
   }
 
@@ -61,11 +56,11 @@ class TimerQueue {
     SkipCancelled();
     if (heap_.empty() || heap_.front().at > until) return false;
     const Entry top = PopEntry();
-    Slot& s = slots_[top.slot];
-    if (s.state == State::kArmed) --pending_;
+    Callback& c = *callbacks_.Find(top.handle);
+    if (c.state == State::kArmed) --pending_;
     out->at = top.at;
-    out->fn = std::move(s.fn);
-    Release(top.slot);
+    out->fn = std::move(c.fn);
+    callbacks_.Release(top.handle);
     return true;
   }
 
@@ -91,11 +86,8 @@ class TimerQueue {
   /// every outstanding handle goes stale.
   void Clear() {
     heap_.clear();
-    free_.clear();
-    for (size_t i = slots_.size(); i > 0; --i) {
-      slots_[i - 1].fn = nullptr;
-      Release(static_cast<uint32_t>(i - 1));
-    }
+    callbacks_.ForEachLive([](Callback& c) { c.fn = nullptr; });
+    callbacks_.ReleaseAll();
     next_seq_ = 0;
     pending_ = 0;
   }
@@ -103,15 +95,14 @@ class TimerQueue {
   /// Bytes of capacity the queue holds.
   size_t HeldBytes() const {
     return heap_.capacity() * sizeof(Entry) +
-           slots_.capacity() * sizeof(Slot) +
-           free_.capacity() * sizeof(uint32_t);
+           callbacks_.held() * sizeof(Callback);
   }
 
  private:
   struct Entry {
     double at;
     uint64_t seq;
-    uint32_t slot;
+    uint64_t handle;
   };
   /// Heap order: a later (time, seq) sinks.
   static bool Later(const Entry& a, const Entry& b) {
@@ -120,27 +111,19 @@ class TimerQueue {
   }
 
   enum class State : uint8_t { kEvent, kArmed, kCancelled };
-  struct Slot {
+  struct Callback {
     std::function<void()> fn;
-    uint32_t gen = 1;  // never 0, so no handle is 0
     State state = State::kEvent;
   };
 
-  uint32_t Push(double at, std::function<void()> fn, State state) {
-    uint32_t slot;
-    if (free_.empty()) {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_.back();
-      free_.pop_back();
-    }
-    Slot& s = slots_[slot];
-    s.fn = std::move(fn);
-    s.state = state;
-    heap_.push_back(Entry{at, next_seq_++, slot});
+  uint64_t Push(double at, std::function<void()> fn, State state) {
+    uint64_t handle;
+    Callback& c = callbacks_.Acquire(&handle);
+    c.fn = std::move(fn);
+    c.state = state;
+    heap_.push_back(Entry{at, next_seq_++, handle});
     std::push_heap(heap_.begin(), heap_.end(), Later);
-    return slot;
+    return handle;
   }
 
   Entry PopEntry() {
@@ -150,23 +133,15 @@ class TimerQueue {
     return e;
   }
 
-  /// The slot's entry left the heap: invalidate its handles, reuse it.
-  void Release(uint32_t slot) {
-    uint32_t& gen = slots_[slot].gen;
-    if (++gen == 0) gen = 1;
-    free_.push_back(slot);
-  }
-
   void SkipCancelled() {
-    while (!heap_.empty()) {
-      if (slots_[heap_.front().slot].state != State::kCancelled) return;
-      Release(PopEntry().slot);
+    while (!heap_.empty() &&
+           callbacks_.Find(heap_.front().handle)->state == State::kCancelled) {
+      callbacks_.Release(PopEntry().handle);
     }
   }
 
   std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_;
+  Slab<Callback> callbacks_;
   uint64_t next_seq_ = 0;
   size_t pending_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -26,8 +27,8 @@
 #include "ripple/peer_core.h"
 #include "ripple/policy.h"
 #include "ripple/slab.h"
+#include "ripple/timer_queue.h"
 #include "ripple/wire_codec.h"
-#include "sim/event_sim.h"
 #include "sim/fault_model.h"
 #include "wire/buffer.h"
 #include "wire/frame.h"
@@ -155,7 +156,7 @@ class AsyncEngine {
     std::unique_ptr<Runtime> rt = TakeRuntime();
     rt->Begin(this, &request);
     rt->Start();
-    rt->sim.Run();
+    rt->RunEvents();
     Result result = rt->Finalize();
     ReturnRuntime(std::move(rt));
     obs::FlushKernelCounters();
@@ -187,14 +188,15 @@ class AsyncEngine {
   }
 
   /// One query's virtual-time driver of the shared per-peer core
-  /// (ripple/peer_core.h). The event queue is its clock and timer source
-  /// and the FaultModel its network; it owns what only the simulator has:
-  /// QueryStats/Coverage accounting, the datagrams in flight, the per-id
-  /// table of forwards and the reliable direct-to-initiator answer
-  /// channel. Datagram buffers are recycled: every send, network
-  /// duplicate and answer frame copies its bytes into a buffer from
-  /// `spare`, and a buffer goes back there once its delivery is handled,
-  /// the network drops it or the run ends — so the list outlives the run.
+  /// (ripple/peer_core.h). A TimerQueue run on the virtual clock `now` is
+  /// its event and timer source and the FaultModel its network; it owns
+  /// what only the simulator has: QueryStats/Coverage accounting, the
+  /// datagrams in flight, the per-id table of forwards and the reliable
+  /// direct-to-initiator answer channel. Datagram buffers are recycled:
+  /// every send, network duplicate and answer frame copies its bytes into
+  /// a buffer from `spare`, and a buffer goes back there once its delivery
+  /// is handled, the network drops it or the run ends — so the list
+  /// outlives the run.
   struct Runtime {
     using Core = PeerCore<Overlay, Policy, Runtime>;
     using Session = typename Core::Session;
@@ -252,7 +254,9 @@ class AsyncEngine {
     /// Clears everything the run left for the next one, keeping capacity;
     /// false when what is kept would exceed `max_bytes`.
     bool EndRun(size_t max_bytes) {
-      sim.Reset();
+      events.Clear();
+      now = 0;
+      stopped = false;
       size_t bytes = core.ReleaseAll();
       in_flight.ForEachLive(
           [this](InFlight& d) { Recycle(std::move(d.bytes)); });
@@ -267,7 +271,7 @@ class AsyncEngine {
       deadline_hit = false;
       root_finish_time = 0;
       last_answer_time = 0;
-      bytes += sim.HeldBytes() + answer_buf.capacity() +
+      bytes += events.HeldBytes() + answer_buf.capacity() +
                notes.capacity() * sizeof(RequestNote) +
                in_flight.held() * sizeof(InFlight) +
                answers.capacity() * sizeof(PendingAnswer);
@@ -281,7 +285,10 @@ class AsyncEngine {
     FaultModel fault{net::FaultOptions{}, kInvalidPeer};
     /// The engine's sink, journaling only if the query is sampled.
     obs::Sink obs_sink;
-    EventSimulator sim;
+    /// Deliveries, timers and the deadline, fired in (time, seq) order.
+    TimerQueue events;
+    double now = 0;        // the virtual clock: the firing event's time
+    bool stopped = false;  // the query is over; the rest of `events` lapses
     Core core;
     net::WireTraffic traffic;
     std::vector<RequestNote> notes;  // indexed by message id
@@ -311,13 +318,31 @@ class AsyncEngine {
             OnWireDeliver(env, std::move(bytes));
           });
       if (ft && std::isfinite(request->deadline)) {
-        sim.Schedule(request->deadline, [this] { OnDeadline(); });
+        events.Schedule(After(request->deadline), [this] { OnDeadline(); });
       }
       core.OpenRoot(request->initiator, request->query,
                     request->initial_state.has_value()
                         ? *request->initial_state
                         : policy().InitialGlobalState(request->query),
                     request->ripple.hops(), request->trace_id);
+    }
+
+    /// Fires queued events in order, moving the clock to each, until the
+    /// queue drains or the query is over.
+    void RunEvents() {
+      TimerQueue::Event e;
+      while (!stopped &&
+             events.PopDue(std::numeric_limits<double>::infinity(), &e)) {
+        RIPPLE_DCHECK(e.at >= now);
+        now = e.at;
+        e.fn();
+      }
+    }
+
+    /// The virtual time `delay` units from now; never in the past.
+    double After(double delay) const {
+      RIPPLE_CHECK(delay >= 0);
+      return now + delay;
     }
 
     Result Finalize() {
@@ -329,7 +354,7 @@ class AsyncEngine {
       policy().FinalizeAnswer(&result.answer, request->query);
       result.completion_time = std::max(root_finish_time, last_answer_time);
       if (deadline_hit) {
-        result.completion_time = std::max(result.completion_time, sim.now());
+        result.completion_time = std::max(result.completion_time, now);
       }
       result.complete = result.coverage.complete() && !deadline_hit;
       net::RecordCoverageMetrics(result.coverage);
@@ -339,11 +364,11 @@ class AsyncEngine {
 
     // --- PeerCore driver hooks -------------------------------------------
 
-    double Now() const { return sim.now(); }
+    double Now() const { return now; }
     uint64_t ArmTimer(double delay, std::function<void()> fn) {
-      return sim.Arm(delay, std::move(fn));
+      return events.Arm(After(delay), std::move(fn));
     }
-    void CancelTimer(uint64_t id) { sim.Cancel(id); }
+    void CancelTimer(uint64_t id) { events.Cancel(id); }
     /// A perfect network needs no timers (the exact fault-free protocol).
     bool retransmits() const { return ft; }
     const net::RetryOptions& retry() const { return request->retry; }
@@ -372,7 +397,7 @@ class AsyncEngine {
     void Remember(const net::Envelope& env, uint64_t session) {
       if (ft && retry().dedup_window != 0) notes[env.id].session = session;
     }
-    bool Alive(PeerId peer) const { return !fault.CrashedAt(peer, sim.now()); }
+    bool Alive(PeerId peer) const { return !fault.CrashedAt(peer, now); }
 
     /// A received datagram failed to decode. Corruption can only come
     /// from a custom transport, and installing one arms `ft` — on a
@@ -420,7 +445,7 @@ class AsyncEngine {
       notes[rq.id].gave_up = true;
       result.coverage.links_unresolved += 1;
       NoteUnreachable(rq.target);
-      if (fault.CrashedAt(rq.target, sim.now())) NoteCrashed(rq.target);
+      if (fault.CrashedAt(rq.target, now)) NoteCrashed(rq.target);
     }
     void OnStaleResponse(uint64_t id) {
       if (id < notes.size() && notes[id].gave_up) {
@@ -431,7 +456,7 @@ class AsyncEngine {
     }
     void OnRootFinished() {
       root_done = true;
-      root_finish_time = sim.now();
+      root_finish_time = now;
       MaybeStop();
     }
 
@@ -461,8 +486,7 @@ class AsyncEngine {
       if (ft) {
         if (fault.DropMessage()) {
           result.coverage.messages_lost += 1;
-          obs_sink.Frame(obs::JournalEventKind::kDrop, env.from, env, 0,
-                         sim.now());
+          obs_sink.Frame(obs::JournalEventKind::kDrop, env.from, env, 0, now);
           Recycle(std::move(bytes));
           return;  // the sender's timer retransmits
         }
@@ -485,7 +509,7 @@ class AsyncEngine {
       InFlight& d = in_flight.Acquire(&h);
       d.env = env;
       d.bytes = std::move(bytes);
-      sim.Schedule(delay, [this, h] { Deliver(h); });
+      events.Schedule(After(delay), [this, h] { Deliver(h); });
     }
 
     void Deliver(uint64_t h) {
@@ -494,11 +518,10 @@ class AsyncEngine {
       InFlight d = std::move(*in_flight.Find(h));
       in_flight.Release(h);
       const net::Envelope& env = d.env;
-      if (ft && fault.CrashedAt(env.to, sim.now())) {
+      if (ft && fault.CrashedAt(env.to, now)) {
         result.coverage.crash_drops += 1;
         NoteCrashed(env.to);
-        obs_sink.Frame(obs::JournalEventKind::kCrash, env.to, env, 0,
-                       sim.now());
+        obs_sink.Frame(obs::JournalEventKind::kCrash, env.to, env, 0, now);
       } else {
         switch (env.kind) {
           case net::MessageKind::kQuery: DeliverQuery(env, d.bytes); break;
@@ -598,11 +621,11 @@ class AsyncEngine {
                               a.attempt, a.trace};
       obs_sink.Frame(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
                                    : obs::JournalEventKind::kFrameSend,
-                     a.from, env, a.frame.size(), sim.now());
+                     a.from, env, a.frame.size(), now);
       Send(env, a.frame);
       if (ft) {
         answers[idx].timer =
-            sim.Arm(retry().timeout, [this, idx] { OnAnswerTimeout(idx); });
+            ArmTimer(retry().timeout, [this, idx] { OnAnswerTimeout(idx); });
       }
     }
 
@@ -619,7 +642,7 @@ class AsyncEngine {
         return;
       }
       result.coverage.retries += 1;
-      if (fault.CrashedAt(a.from, sim.now())) {
+      if (fault.CrashedAt(a.from, now)) {
         // The sender died holding the only copy.
         result.coverage.answers_lost += 1;
         SettleAnswer(idx);
@@ -649,11 +672,11 @@ class AsyncEngine {
         return;
       }
       obs_sink.Frame(obs::JournalEventKind::kFrameRecv, request->initiator,
-                     env, datagram.size(), sim.now());
+                     env, datagram.size(), now);
       policy().MergeAnswer(&result.answer, std::move(payload),
                            request->query);
-      last_answer_time = std::max(last_answer_time, sim.now());
-      if (ft) sim.Cancel(a.timer);
+      last_answer_time = std::max(last_answer_time, now);
+      if (ft) events.Cancel(a.timer);
       SettleAnswer(idx);
     }
 
@@ -669,7 +692,7 @@ class AsyncEngine {
     /// query is over; surviving events are lapsed retry timers and
     /// convergecast bookkeeping of abandoned subtrees.
     void MaybeStop() {
-      if (root_done && answers_outstanding == 0) sim.Stop();
+      if (root_done && answers_outstanding == 0) stopped = true;
     }
 
     /// The request deadline fired before the root closed: every pending
@@ -682,7 +705,7 @@ class AsyncEngine {
         result.coverage.links_unresolved += 1;
         NoteUnreachable(rq.target);
       });
-      sim.Stop();
+      stopped = true;
     }
   };
 

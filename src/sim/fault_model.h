@@ -15,10 +15,11 @@ namespace ripple {
 ///
 /// Determinism has two layers. Per-message draws (loss/dup/jitter) come
 /// from a sequential xoshiro stream, so they depend on the message order —
-/// which the EventSimulator makes deterministic. Per-peer crash times are
-/// *order-free*: they hash the peer id against the seed, so peer p crashes
-/// at the same time no matter how the query reaches it. Explicit
-/// CrashEvents in the options override the hashed draw for their peer.
+/// which the async engine's (time, seq)-ordered TimerQueue makes
+/// deterministic. Per-peer crash times are *order-free*: they hash the
+/// peer id against the seed, so peer p crashes at the same time no matter
+/// how the query reaches it. Explicit CrashEvents in the options override
+/// the hashed draw for their peer.
 class FaultModel {
  public:
   FaultModel(const net::FaultOptions& options, PeerId protected_peer);

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,59 +20,72 @@
 #include "ripple/engine.h"
 #include "ripple/peer_core.h"
 #include "ripple/timer_queue.h"
-#include "sim/event_sim.h"
 
 namespace ripple {
 namespace {
 
-// --- EventSimulator -----------------------------------------------------------
-
-TEST(EventSimTest, FiresInTimestampOrder) {
-  EventSimulator sim;
-  std::vector<int> order;
-  sim.Schedule(3.0, [&] { order.push_back(3); });
-  sim.Schedule(1.0, [&] { order.push_back(1); });
-  sim.Schedule(2.0, [&] { order.push_back(2); });
-  EXPECT_DOUBLE_EQ(sim.Run(), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventSimTest, TiesAreFifo) {
-  EventSimulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.Schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventSimTest, EventsMayScheduleEvents) {
-  EventSimulator sim;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 10) sim.Schedule(1.0, chain);
-  };
-  sim.Schedule(0.0, chain);
-  EXPECT_DOUBLE_EQ(sim.Run(), 9.0);
-  EXPECT_EQ(depth, 10);
-  EXPECT_EQ(sim.events_processed(), 10u);
-}
-
-TEST(EventSimTest, ClockOnlyMovesForward) {
-  EventSimulator sim;
-  double seen = -1;
-  sim.Schedule(5.0, [&] { seen = sim.now(); });
-  sim.Schedule(2.0, [&] { sim.Schedule(0.5, [&] {}); });
-  sim.Run();
-  EXPECT_DOUBLE_EQ(seen, 5.0);
-}
-
-// --- TimerQueue: the heap and slot slab under EventSimulator -----------------
+// --- TimerQueue: the event queue both drivers run ----------------------------
 
 constexpr double kForever = std::numeric_limits<double>::infinity();
 
-TEST(EventSimTest, StaleHandleOfFiredTimerIsNoOp) {
+TEST(TimerQueueTest, FiresInTimestampOrder) {
+  TimerQueue q;
+  std::vector<int> order;
+  q.Schedule(3.0, [&] { order.push_back(3); });
+  q.Schedule(1.0, [&] { order.push_back(1); });
+  q.Schedule(2.0, [&] { order.push_back(2); });
+  EXPECT_DOUBLE_EQ(q.NextAt(), 1.0);
+  q.RunDue(kForever);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(TimerQueueTest, TiesAreFifo) {
+  TimerQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    q.Schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  q.RunDue(kForever);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(TimerQueueTest, EventsMayScheduleEvents) {
+  // Run on virtual time the way the async engine runs it: the clock jumps
+  // to each event as it pops.
+  TimerQueue q;
+  double now = 0;
+  int depth = 0;
+  std::function<void()> chain = [&] {
+    if (++depth < 10) q.Schedule(now + 1.0, chain);
+  };
+  q.Schedule(0.0, chain);
+  TimerQueue::Event e;
+  size_t fired = 0;
+  while (q.PopDue(kForever, &e)) {
+    now = e.at;
+    ++fired;
+    e.fn();
+  }
+  EXPECT_DOUBLE_EQ(now, 9.0);
+  EXPECT_EQ(depth, 10);
+  EXPECT_EQ(fired, 10u);
+}
+
+TEST(TimerQueueTest, ClockOnlyMovesForward) {
+  TimerQueue q;
+  std::vector<double> times;
+  q.Schedule(5.0, [] {});
+  q.Schedule(2.0, [&] { q.Schedule(2.5, [] {}); });
+  TimerQueue::Event e;
+  EXPECT_FALSE(q.PopDue(1.0, &e));  // nothing due yet
+  while (q.PopDue(kForever, &e)) {
+    times.push_back(e.at);
+    e.fn();
+  }
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 5.0}));
+}
+
+TEST(TimerQueueTest, StaleHandleOfFiredTimerIsNoOp) {
   TimerQueue q;
   std::vector<int> fired;
   const uint64_t a = q.Arm(1.0, [&] { fired.push_back(1); });
@@ -86,7 +100,7 @@ TEST(EventSimTest, StaleHandleOfFiredTimerIsNoOp) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(EventSimTest, StaleHandleOfCancelledTimerSparesItsSlotsNextTimer) {
+TEST(TimerQueueTest, StaleHandleOfCancelledTimerSparesItsSlotsNextTimer) {
   TimerQueue q;
   std::vector<int> fired;
   const uint64_t a = q.Arm(1.0, [&] { fired.push_back(1); });
@@ -102,7 +116,7 @@ TEST(EventSimTest, StaleHandleOfCancelledTimerSparesItsSlotsNextTimer) {
   EXPECT_EQ(fired, (std::vector<int>{2}));
 }
 
-TEST(EventSimTest, PendingIsExactThroughArmCancelAndFire) {
+TEST(TimerQueueTest, PendingIsExactThroughArmCancelAndFire) {
   TimerQueue q;
   std::vector<uint64_t> h;
   for (int i = 0; i < 6; ++i) h.push_back(q.Arm(1.0 + i, [] {}));
@@ -123,21 +137,21 @@ TEST(EventSimTest, PendingIsExactThroughArmCancelAndFire) {
   EXPECT_TRUE(std::isinf(q.NextAt()));
 }
 
-TEST(EventSimTest, ScheduledEventsAndTimersTieInFifoOrder) {
-  EventSimulator sim;
+TEST(TimerQueueTest, ScheduledEventsAndTimersTieInFifoOrder) {
+  TimerQueue q;
   std::vector<int> order;
-  sim.Schedule(1.0, [&] { order.push_back(0); });
-  sim.Arm(1.0, [&] { order.push_back(1); });
-  const uint64_t gone = sim.Arm(1.0, [&] { order.push_back(-1); });
-  sim.Schedule(1.0, [&] { order.push_back(2); });
-  sim.Arm(1.0, [&] { order.push_back(3); });
-  sim.Cancel(gone);
-  sim.Schedule(0.0, [&] {
+  q.Schedule(1.0, [&] { order.push_back(0); });
+  q.Arm(1.0, [&] { order.push_back(1); });
+  const uint64_t gone = q.Arm(1.0, [&] { order.push_back(-1); });
+  q.Schedule(1.0, [&] { order.push_back(2); });
+  q.Arm(1.0, [&] { order.push_back(3); });
+  q.Cancel(gone);
+  q.Schedule(0.0, [&] {
     // Queued later but due at the same time: after everything above.
-    sim.Arm(1.0, [&] { order.push_back(5); });
-    sim.Schedule(1.0, [&] { order.push_back(4); });
+    q.Arm(1.0, [&] { order.push_back(5); });
+    q.Schedule(1.0, [&] { order.push_back(4); });
   });
-  sim.Run();
+  q.RunDue(kForever);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 4}));
 }
 
@@ -445,6 +459,63 @@ TEST(AsyncEngineTest, LateFramesAndTimersOfAFreedForwardNeverReachItsSlot) {
   driver.timers.back()();
   EXPECT_EQ(driver.timeouts, 2);
   EXPECT_EQ(driver.give_ups, 1);
+}
+
+
+// --- Pooled run scratch ------------------------------------------------------
+
+TEST(AsyncEngineTest, WarmRuntimeReplaysAColdRunExactly) {
+  // A run hands its scratch (event queue, clock, sessions, buffers) back
+  // to the thread's pool, and the next run of the engine type takes it.
+  // On a fresh thread the first run is cold; after other queries, one of
+  // them large enough that its scratch is freed instead of pooled, the
+  // same lossy query, on the same fault seed, must replay on warm scratch
+  // exactly.
+  Net net = MakeNet(128, 32000, 3, 641);
+  LinearScorer scorer({-0.5, -0.2, -0.3});
+  using Result = QueryResult<TupleVec>;
+  Result cold;
+  Result warm;
+  uint64_t faults = 0;
+  std::thread([&] {
+    AsyncEngine<MidasOverlay, TopKPolicy> engine(&net.overlay, TopKPolicy{});
+    const auto run = [&](size_t k, RippleParam r, PeerId initiator) {
+      return engine.Run(
+          {.initiator = initiator,
+           .query = TopKQuery{&scorer, k},
+           .ripple = r,
+           .retry = {.max_retries = 8},
+           .fault = {.loss_rate = 0.02, .dup_rate = 0.01, .seed = 9}});
+    };
+    cold = run(10, RippleParam::Hops(2), 5);
+    run(net.all.size(), RippleParam::Slow(), 17);  // too large to pool
+    run(20, RippleParam::Fast(), 40);
+    run(10, RippleParam::Slow(), 77);
+    warm = run(10, RippleParam::Hops(2), 5);
+    faults = cold.coverage.messages_lost + cold.coverage.messages_duplicated;
+  }).join();
+  EXPECT_GT(faults, 0u);  // the fault machinery did run
+  ASSERT_EQ(warm.answer.size(), cold.answer.size());
+  for (size_t i = 0; i < cold.answer.size(); ++i) {
+    EXPECT_EQ(warm.answer[i].id, cold.answer[i].id);
+  }
+  EXPECT_EQ(warm.stats.ToString(), cold.stats.ToString());
+  const net::Coverage& w = warm.coverage;
+  const net::Coverage& c = cold.coverage;
+  EXPECT_EQ(w.retries, c.retries);
+  EXPECT_EQ(w.timeouts, c.timeouts);
+  EXPECT_EQ(w.messages_lost, c.messages_lost);
+  EXPECT_EQ(w.messages_duplicated, c.messages_duplicated);
+  EXPECT_EQ(w.duplicates_suppressed, c.duplicates_suppressed);
+  EXPECT_EQ(w.acks, c.acks);
+  EXPECT_EQ(w.late_responses, c.late_responses);
+  EXPECT_EQ(w.crash_drops, c.crash_drops);
+  EXPECT_EQ(w.links_unresolved, c.links_unresolved);
+  EXPECT_EQ(w.answers_lost, c.answers_lost);
+  EXPECT_EQ(w.unreachable_peers, c.unreachable_peers);
+  EXPECT_EQ(w.crashed_peers, c.crashed_peers);
+  EXPECT_EQ(warm.complete, cold.complete);
+  EXPECT_EQ(warm.completion_time, cold.completion_time);
 }
 
 }  // namespace

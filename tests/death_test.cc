@@ -9,7 +9,11 @@
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "geom/zorder.h"
+#include "net/envelope.h"
+#include "net/transport.h"
 #include "queries/diversify.h"
+#include "wire/buffer.h"
+#include "wire/frame.h"
 
 namespace ripple {
 namespace {
@@ -65,6 +69,16 @@ TEST(DeathTest, UnpreparedDivQueryRefusesToScore) {
   // Phi without Precompute would silently use stale stats; it must abort.
   EXPECT_DEATH(q.Phi(Point{0.1, 0.1}), "RIPPLE_CHECK");
   EXPECT_DEATH(q.PhiLowerBound(Rect::Unit(2)), "RIPPLE_CHECK");
+}
+
+TEST(DeathTest, LoopbackSendWithNoReceiverIsAnEngineBug) {
+  // Push transports deliver only through the receiver; there is no inbox
+  // for a datagram to wait in.
+  net::LoopbackTransport loopback;
+  const net::Envelope env{1, 0, 1, net::MessageKind::kAck, 0};
+  wire::Buffer buf;
+  wire::EndFrame(&buf, net::BeginEnvelopeFrame(env, &buf));
+  EXPECT_DEATH(loopback.Send(env, buf.Take()), "RIPPLE_CHECK");
 }
 
 }  // namespace

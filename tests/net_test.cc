@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -605,13 +606,17 @@ class DaemonBridge : public net::Transport {
       for (net::Datagram& d : batch) {
         if (net::IsClientId(d.env.to)) {
           if (d.env.kind == net::MessageKind::kAnswer) answer = d.bytes;
-          Deliver(d.env, std::move(d.bytes));
+          to_client_.push_back(std::move(d));
         } else if (!withhold_(d)) {
           daemon_->Dispatch(std::move(d));
         }
       }
       if (!wire_->sent.empty()) continue;
-      if (Transport::Poll(out, 0)) return true;
+      if (!to_client_.empty()) {
+        *out = std::move(to_client_.front());
+        to_client_.pop_front();
+        return true;
+      }
       if (std::chrono::steady_clock::now() >= deadline) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       daemon_->ServeOnce(0);
@@ -624,6 +629,7 @@ class DaemonBridge : public net::Transport {
   net::PeerDaemon<MidasOverlay>* daemon_;
   CaptureTransport* wire_;
   std::function<bool(const net::Datagram&)> withhold_;
+  std::deque<net::Datagram> to_client_;  // what the client's Poll returns
 };
 
 TEST_F(DaemonTest, WithheldSubtreeFlagsTheAnswerIncomplete) {

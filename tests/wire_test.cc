@@ -15,7 +15,6 @@
 #include "data/datasets.h"
 #include "geom/wire.h"
 #include "net/envelope.h"
-#include "net/frame_cost.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "overlay/chord/chord.h"
@@ -679,7 +678,6 @@ TEST(WireCodecTest, AckIsBareHeader) {
   wire::Buffer buf;
   const net::Envelope env{1, 0, 1, net::MessageKind::kAck, 0};
   EXPECT_EQ(codec.EncodeAckMessage(env, &buf), wire::kFrameHeaderSize);
-  EXPECT_EQ(net::kBareFrameBytes, wire::kFrameHeaderSize);
 }
 
 // --- Size functions: bound to their encoders ------------------------------

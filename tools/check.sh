@@ -26,6 +26,30 @@ cd "$(dirname "$0")/.."
 
 tools/lint_docs.sh
 
+# Configures and builds the tree under sanitizer $1 in build-san-$1
+# (benchmarks and examples off), leaving BUILD_DIR set to it.
+build_san() {
+  BUILD_DIR="build-san-$1"
+  cmake -B "$BUILD_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DRIPPLE_SANITIZE="$1" \
+    -DRIPPLE_BUILD_BENCHMARKS=OFF \
+    -DRIPPLE_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
+}
+
+# Runs the given ctest labels, in order, under address and then
+# undefined: the two memory-facing sanitizers every labelled suite below
+# gets.
+san_labels() {
+  for kind in address undefined; do
+    build_san "$kind"
+    for label in "$@"; do
+      ctest --test-dir "$BUILD_DIR" --output-on-failure -L "$label"
+    done
+  done
+}
+
 # --bench: run every bench binary at smoke scale (ctest label
 # bench_smoke, serialized writes into build-bench/bench_json/) and gate
 # the merged BENCH_*.json against the committed repo-root baseline.
@@ -57,16 +81,7 @@ fi
 # attacker-shaped bytes, so they get the strictest harness: ASan for
 # the buffer-overrun class, UBSan for the integer/shift class.
 if [[ "${1:-}" == "wire" ]]; then
-  for kind in address undefined; do
-    BUILD_DIR="build-san-$kind"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DRIPPLE_SANITIZE="$kind" \
-      -DRIPPLE_BUILD_BENCHMARKS=OFF \
-      -DRIPPLE_BUILD_EXAMPLES=OFF
-    cmake --build "$BUILD_DIR" -j "$(nproc)"
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L wire
-  done
+  san_labels wire
   echo "check.sh: wire suite clean under address+undefined"
   exit 0
 fi
@@ -78,16 +93,7 @@ fi
 # arena scratch, so ASan covers the buffer class and UBSan the float
 # and integer class.
 if [[ "${1:-}" == "kernels" ]]; then
-  for kind in address undefined; do
-    BUILD_DIR="build-san-$kind"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DRIPPLE_SANITIZE="$kind" \
-      -DRIPPLE_BUILD_BENCHMARKS=OFF \
-      -DRIPPLE_BUILD_EXAMPLES=OFF
-    cmake --build "$BUILD_DIR" -j "$(nproc)"
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
-  done
+  san_labels kernels
   echo "check.sh: kernels suite clean under address+undefined"
   exit 0
 fi
@@ -100,17 +106,7 @@ fi
 # along: the simulator's fault tests drive the same per-peer protocol
 # core (ripple/peer_core.h) the daemon runs.
 if [[ "${1:-}" == "net" ]]; then
-  for kind in address undefined; do
-    BUILD_DIR="build-san-$kind"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DRIPPLE_SANITIZE="$kind" \
-      -DRIPPLE_BUILD_BENCHMARKS=OFF \
-      -DRIPPLE_BUILD_EXAMPLES=OFF
-    cmake --build "$BUILD_DIR" -j "$(nproc)"
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L net
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L fault
-  done
+  san_labels net fault
   echo "check.sh: net and fault suites clean under address+undefined"
   exit 0
 fi
@@ -121,16 +117,7 @@ fi
 # scraped daemon (or an impostor) sent, so they earn both memory-facing
 # sanitizers.
 if [[ "${1:-}" == "monitor" ]]; then
-  for kind in address undefined; do
-    BUILD_DIR="build-san-$kind"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DRIPPLE_SANITIZE="$kind" \
-      -DRIPPLE_BUILD_BENCHMARKS=OFF \
-      -DRIPPLE_BUILD_EXAMPLES=OFF
-    cmake --build "$BUILD_DIR" -j "$(nproc)"
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L monitor
-  done
+  san_labels monitor
   echo "check.sh: monitor suite clean under address+undefined"
   exit 0
 fi
@@ -141,16 +128,7 @@ fi
 # bugs would surface as use-after-evict), UBSan for the key
 # normalization's float/integer handling.
 if [[ "${1:-}" == "cache" ]]; then
-  for kind in address undefined; do
-    BUILD_DIR="build-san-$kind"
-    cmake -B "$BUILD_DIR" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DRIPPLE_SANITIZE="$kind" \
-      -DRIPPLE_BUILD_BENCHMARKS=OFF \
-      -DRIPPLE_BUILD_EXAMPLES=OFF
-    cmake --build "$BUILD_DIR" -j "$(nproc)"
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L cache
-  done
+  san_labels cache
   echo "check.sh: cache suite clean under address+undefined"
   exit 0
 fi
@@ -179,13 +157,7 @@ fi
 # the executor's worker threads are what actually drive the obs layer
 # concurrently.
 if [[ "${1:-}" == "obs" ]]; then
-  BUILD_DIR="build-san-thread"
-  cmake -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DRIPPLE_SANITIZE=thread \
-    -DRIPPLE_BUILD_BENCHMARKS=OFF \
-    -DRIPPLE_BUILD_EXAMPLES=OFF
-  cmake --build "$BUILD_DIR" -j "$(nproc)"
+  build_san thread
   ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'obs|exec'
   echo "check.sh: obs suite clean under thread"
   exit 0
@@ -201,14 +173,7 @@ case "$SANITIZER" in
     ;;
 esac
 
-BUILD_DIR="build-san-$SANITIZER"
-
-cmake -B "$BUILD_DIR" -S . \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DRIPPLE_SANITIZE="$SANITIZER" \
-  -DRIPPLE_BUILD_BENCHMARKS=OFF \
-  -DRIPPLE_BUILD_EXAMPLES=OFF
-cmake --build "$BUILD_DIR" -j "$(nproc)"
+build_san "$SANITIZER"
 
 CTEST_ARGS=(--test-dir "$BUILD_DIR" --output-on-failure)
 if [[ "$SANITIZER" == "thread" ]]; then

@@ -100,6 +100,9 @@ DEAD_SYMBOLS=(
   SkybandState
   'Expects('
   next_session_
+  EventSimulator
+  MeasureFrameBytes
+  kBareFrameBytes
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
