@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the per-peer kernels every
 // distributed query run is built from: local skyline computation, k-d
-// index top-k / argmin, Z-order encode/decompose, phi evaluation,
-// MIDAS overlay maintenance, the SoA kernels swept over dimensionality
-// and score-series shape, wire frame encode/decode, and the async
-// engine's message path (timer queue, one lossy query).
+// index top-k / argmin, a store's write then first read, Z-order
+// encode/decompose, phi evaluation, MIDAS overlay maintenance, the SoA
+// kernels swept over dimensionality and score-series shape, wire frame
+// encode/decode, and the async engine's message path (timer queue, one
+// lossy query).
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "sim/async_engine.h"
 #include "store/kd_index.h"
 #include "store/local_algos.h"
+#include "store/local_store.h"
 
 namespace ripple {
 namespace {
@@ -101,6 +103,39 @@ void BM_KdIndexArgMinPhi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KdIndexArgMinPhi)->Arg(2)->Arg(10)->Arg(50);
+
+// One write into an indexed store, then the first read after it (the
+// top-k local state): the write path a batch of InsertTuples pays per
+// row. Up to kIndexThreshold writes join the index's tail; the next one
+// makes that read rebuild the whole store. Every 2 * (kIndexThreshold +
+// 1) writes the store is reset, untimed, so it stays near its size: 100,
+// 625 and 3,088 rows span a benchmark world's indexed stores.
+void BM_StoreInsertThenRead(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const TupleVec base = MakeTuples(n, 4, 79);
+  const TupleVec writes = MakeTuples(2 * (LocalStore::kIndexThreshold + 1),
+                                     4, 83);
+  const LinearScorer scorer({-0.4, -0.3, -0.2, -0.1});
+  const double floor = -std::numeric_limits<double>::infinity();
+  LocalStore store;
+  size_t next = writes.size();
+  for (auto _ : state) {
+    if (next == writes.size()) {
+      state.PauseTiming();
+      store.Clear();
+      store.AddAll(base);
+      benchmark::DoNotOptimize(store.CountTopKAbove(scorer, 10, floor));
+      next = 0;
+      state.ResumeTiming();
+    }
+    Tuple t = writes[next++];
+    t.id += n;
+    store.Add(t);
+    benchmark::DoNotOptimize(store.CountTopKAbove(scorer, 10, floor));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreInsertThenRead)->Arg(100)->Arg(625)->Arg(3088);
 
 void BM_ZOrderEncode(benchmark::State& state) {
   ZOrder z(5, Rect::Unit(5));

@@ -17,6 +17,8 @@ void KdIndex::Build(const TupleVec& tuples) {
 void KdIndex::Build(const store::FlatStore& src) {
   nodes_.clear();
   rows_.Clear();
+  tree_rows_ = src.size();
+  tree_nodes_ = 0;
   if (src.empty()) return;
   const uint32_t n = static_cast<uint32_t>(src.size());
   // The tree is built over a row permutation (nth_element moves 4-byte
@@ -27,7 +29,41 @@ void KdIndex::Build(const store::FlatStore& src) {
   nodes_.reserve(2 * src.size() / kLeafSize + 2);
   const int root = BuildRec(src, &perm, 0, n, 0);
   RIPPLE_CHECK(root == kRoot);
+  tree_nodes_ = static_cast<int>(nodes_.size());
   rows_ = src.Permuted(perm);
+}
+
+void KdIndex::AppendTail(const Tuple& t) {
+  RIPPLE_CHECK(!empty());
+  const uint32_t row = static_cast<uint32_t>(rows_.size());
+  rows_.Append(t);
+  if (static_cast<int>(nodes_.size()) == tree_nodes_ ||
+      nodes_.back().end - nodes_.back().begin == kLeafSize) {
+    Node leaf;
+    leaf.begin = row;
+    leaf.end = row + 1;
+    leaf.bounds = Rect(t.key, t.key);
+    nodes_.push_back(leaf);
+    return;
+  }
+  Node& leaf = nodes_.back();
+  leaf.end = row + 1;
+  Point lo = leaf.bounds.lo();
+  Point hi = leaf.bounds.hi();
+  for (int d = 0; d < rows_.dims(); ++d) {
+    lo[d] = std::min(lo[d], t.key[d]);
+    hi[d] = std::max(hi[d], t.key[d]);
+  }
+  leaf.bounds = Rect(lo, hi);
+}
+
+Point KdIndex::UpperCorner() const {
+  Point hi = nodes_[kRoot].bounds.hi();
+  ForEachSeed([&](int node) {
+    const Point& h = nodes_[node].bounds.hi();
+    for (int d = 0; d < rows_.dims(); ++d) hi[d] = std::max(hi[d], h[d]);
+  });
+  return hi;
 }
 
 Rect KdIndex::BoundsOf(const store::FlatStore& src,
@@ -92,7 +128,7 @@ void KdIndex::ScoreLeaf(const Scorer& scorer, const Node& n,
 void KdIndex::CollectAtLeast(const Scorer& scorer, double tau,
                              TupleVec* out) const {
   if (empty()) return;
-  CollectRec(kRoot, scorer, tau, out);
+  ForEachSeed([&](int seed) { CollectRec(seed, scorer, tau, out); });
 }
 
 void KdIndex::CollectRec(int node, const Scorer& scorer, double tau,
@@ -117,27 +153,32 @@ size_t KdIndex::CollectBandCandidates(const ArenaColumns& state, size_t k,
                                       uint32_t* out) const {
   size_t n = 0;
   if (empty() || k == 0) return n;
-  // Depth-first, left child first. Every pop pushes at most two nodes and
-  // the median-split tree is balanced, so the stack never holds more
-  // than depth + 1 entries.
+  // Depth-first from each seed, left child first. Every pop pushes at most
+  // two nodes and the median-split tree is balanced, so the stack never
+  // holds more than depth + 1 entries.
   int stack[128];
   int top = 0;
-  stack[top++] = kRoot;
-  while (top > 0) {
-    const Node& nd = nodes_[stack[--top]];
-    if (constraint != nullptr && !nd.bounds.Intersects(*constraint)) continue;
-    // k state tuples dominating the rect's lower corner dominate every row
-    // inside it, so none of them can be in the band.
-    if (state.size() >= k && state.CountDominators(nd.bounds.lo(), k) >= k) {
-      continue;
+  ForEachSeed([&](int seed) {
+    stack[top++] = seed;
+    while (top > 0) {
+      const Node& nd = nodes_[stack[--top]];
+      if (constraint != nullptr && !nd.bounds.Intersects(*constraint)) {
+        continue;
+      }
+      // k state tuples dominating the rect's lower corner dominate every
+      // row inside it, so none of them can be in the band.
+      if (state.size() >= k &&
+          state.CountDominators(nd.bounds.lo(), k) >= k) {
+        continue;
+      }
+      if (nd.left >= 0) {
+        stack[top++] = nd.right;
+        stack[top++] = nd.left;
+        continue;
+      }
+      CollectRowCandidates(rows_, nd.begin, nd.end, constraint, out, &n);
     }
-    if (nd.left >= 0) {
-      stack[top++] = nd.right;
-      stack[top++] = nd.left;
-      continue;
-    }
-    CollectRowCandidates(rows_, nd.begin, nd.end, constraint, out, &n);
-  }
+  });
   return n;
 }
 
@@ -170,7 +211,10 @@ void KdIndex::SelectTopK(const Scorer& scorer, double floor,
   ArenaScope scope(&arena);
   Entry* heap = arena.AllocateArray<Entry>(nodes_.size());
   size_t pending = 0;
-  heap[pending++] = {scorer.UpperBound(nodes_[kRoot].bounds), kRoot};
+  ForEachSeed([&](int seed) {
+    heap[pending++] = {scorer.UpperBound(nodes_[seed].bounds), seed};
+    std::push_heap(heap, heap + pending);
+  });
   KernelCounters& kc = LocalKernelCounters();
   while (pending > 0) {
     std::pop_heap(heap, heap + pending);

@@ -25,6 +25,11 @@ class ArenaColumns;
 /// rectangle bound. The tree is rebuilt from scratch on demand (local data
 /// sets are small — this is a per-peer index, not the distributed one).
 ///
+/// Rows written after a Build join a tail (AppendTail): they sit behind
+/// the tree's rows, grouped into parentless leaves of kLeafSize rows with
+/// tight rects. Every traversal starts from the root and from each tail
+/// leaf, so a tail leaf is pruned like any other leaf.
+///
 /// Rows are held in a store::FlatStore permuted to tree order, so every
 /// leaf is a contiguous [begin, end) sub-range of each coordinate column —
 /// the Scorer traversals evaluate whole leaves with one ScoreBlock call
@@ -46,10 +51,18 @@ class KdIndex {
 
   bool empty() const { return rows_.empty(); }
   size_t size() const { return rows_.size(); }
-  /// The indexed rows in tree order (leaf ranges index into this).
+  /// The indexed rows in tree order, then the tail rows in append order
+  /// (leaf ranges index into this).
   const store::FlatStore& rows() const { return rows_; }
-  /// The tight bounding rect of every row. Requires !empty().
-  const Rect& bounds() const { return nodes_[kRoot].bounds; }
+  /// How many rows AppendTail added since the last Build.
+  size_t tail_size() const { return rows_.size() - tree_rows_; }
+  /// The componentwise max over every row, tree and tail. Requires
+  /// !empty().
+  Point UpperCorner() const;
+
+  /// Appends one row to the tail: into the last tail leaf, or a new one
+  /// every kLeafSize rows. Requires !empty() and a key of rows().dims().
+  void AppendTail(const Tuple& t);
 
   /// Collects every tuple whose score is >= tau (maximization semantics),
   /// pruning subtrees whose rectangle upper bound falls below tau.
@@ -80,7 +93,7 @@ class KdIndex {
                                const Rect* constraint, uint32_t* out) const;
 
   /// Returns the tuple minimizing `cost` among tuples accepted by `admit`,
-  /// pruning subtrees whose rectangle lower bound is not below the current
+  /// pruning subtrees whose rectangle lower bound is above the current
   /// best. Empty optional when no admitted tuple exists; ties broken by
   /// smallest id.
   template <typename CostFn, typename RectLowerFn, typename AdmitFn>
@@ -101,6 +114,14 @@ class KdIndex {
     Rect bounds;  // tight bounding rect of the subtree's rows
   };
 
+  /// Calls `fn(node)` for every traversal seed: the root, then each tail
+  /// leaf in append order.
+  template <typename Fn>
+  void ForEachSeed(Fn&& fn) const {
+    fn(kRoot);
+    for (int i = tree_nodes_; i < static_cast<int>(nodes_.size()); ++i) fn(i);
+  }
+
   int BuildRec(const store::FlatStore& src, std::vector<uint32_t>* perm,
                uint32_t begin, uint32_t end, int depth);
   Rect BoundsOf(const store::FlatStore& src,
@@ -116,6 +137,8 @@ class KdIndex {
 
   store::FlatStore rows_;
   std::vector<Node> nodes_;
+  size_t tree_rows_ = 0;  // rows_[0, tree_rows_) are the tree's
+  int tree_nodes_ = 0;    // nodes_[tree_nodes_, ...) are tail leaves
 };
 
 // ---------------------------------------------------------------------------
@@ -131,14 +154,17 @@ std::optional<Tuple> KdIndex::ArgMin(const CostFn& cost,
   std::optional<Tuple> best;
   double best_cost = std::numeric_limits<double>::infinity();
   KernelCounters& kc = LocalKernelCounters();
-  // Depth-first with pruning; recursion via explicit stack ordered so the
-  // more promising child is visited first.
-  std::vector<int> stack = {kRoot};
+  // Depth-first with pruning from each seed in turn; recursion via
+  // explicit stack ordered so the more promising child is visited first.
+  std::vector<int> stack;
+  ForEachSeed([&](int seed) { stack.insert(stack.begin(), seed); });
   while (!stack.empty()) {
     const int node = stack.back();
     stack.pop_back();
     const Node& n = nodes_[node];
-    if (rect_lower(n.bounds) >= best_cost && best.has_value()) continue;
+    // The cut is strict: a node whose bound TIES the best cost may still
+    // hold an equal-cost tuple with a smaller id.
+    if (best.has_value() && rect_lower(n.bounds) > best_cost) continue;
     if (n.left < 0) {
       kc.tuples_scanned += n.end - n.begin;
       for (uint32_t i = n.begin; i < n.end; ++i) {

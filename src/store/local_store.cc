@@ -12,7 +12,14 @@ namespace ripple {
 
 void LocalStore::Add(const Tuple& t) {
   flat_.Append(t);
-  MarkMutated();
+  // A published index takes the row into its tail while the tail holds
+  // fewer than kIndexThreshold rows; the next write clears it, and the
+  // next read rebuilds the whole store.
+  if (index_ready_.Get() && index_.tail_size() < kIndexThreshold) {
+    index_.AppendTail(t);
+  } else {
+    MarkMutated();
+  }
 }
 
 void LocalStore::AddAll(const TupleVec& ts) {
@@ -156,6 +163,8 @@ TupleVec LocalStore::AllAtLeast(const Scorer& scorer, double tau) const {
       double* scores = arena.AllocateArray<double>(n);
       scorer.ScoreBlock(flat_.cols().data(), flat_.dims(), n, scores);
       LocalKernelCounters().tuples_scanned += n;
+      out.reserve(static_cast<size_t>(std::count_if(
+          scores, scores + n, [tau](double s) { return s >= tau; })));
       for (size_t i = 0; i < n; ++i) {
         if (scores[i] >= tau) out.push_back(flat_.TupleAt(i));
       }
@@ -178,6 +187,8 @@ TupleVec LocalStore::Within(const Point& center, double radius,
   // score == -Distance exactly (negation rounds nothing), so this is
   // Distance <= radius, NaN and signed zeros included.
   const double floor = -radius;
+  out.reserve(static_cast<size_t>(std::count_if(
+      scores, scores + n, [floor](double s) { return s >= floor; })));
   for (size_t i = 0; i < n; ++i) {
     if (scores[i] >= floor) out.push_back(flat_.TupleAt(i));
   }
@@ -199,7 +210,7 @@ TupleVec LocalStore::Skyband(const TupleVec& state, size_t k,
   if (!state.empty()) {
     Point hi;
     if (idx != nullptr) {
-      hi = idx->bounds().hi();
+      hi = idx->UpperCorner();
     } else {
       hi = rows.PointAt(0);
       for (int c = 0; c < dims; ++c) {

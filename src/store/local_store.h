@@ -21,15 +21,22 @@ namespace ripple {
 /// policies need from local data. Rows live in a store::FlatStore (flat
 /// structure-of-arrays: ids plus d contiguous coordinate columns), so the
 /// scan paths batch-score whole columns (Scorer::ScoreBlock) into a
-/// bounded top-k queue instead of walking Tuple records. Mutations
-/// (tuples arriving or handed off during zone splits/merges) invalidate a
-/// lazily rebuilt k-d index; small stores are scanned directly.
+/// bounded top-k queue instead of walking Tuple records. Stores of at
+/// least kIndexThreshold rows are read through a lazily built k-d index;
+/// smaller stores are scanned directly.
+///
+/// A single Add to an indexed store joins the index's write tail (see
+/// KdIndex::AppendTail) while the tail holds fewer than kIndexThreshold
+/// rows, so a write batch does not throw the index away. The write after
+/// that, and every bulk mutation (AddAll, ExtractOutside, Clear),
+/// invalidates the index, and the next read rebuilds it over the whole
+/// store with an empty tail.
 ///
 /// Mutations are single-threaded, but const reads may run concurrently
-/// (executor workers share one overlay): the first read after a mutation
-/// builds the index under a lock and publishes it through a release
-/// flag, so later reads take one acquire load. The index is the only
-/// lazily built state.
+/// (executor workers share one overlay): the first read after an
+/// invalidation builds the index under a lock and publishes it through a
+/// release flag, so later reads take one acquire load. The index is the
+/// only lazily built state.
 class LocalStore {
  public:
   LocalStore() = default;
@@ -47,6 +54,12 @@ class LocalStore {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t i = 0; i < flat_.size(); ++i) fn(flat_.TupleAt(i));
+  }
+
+  /// How many rows sit in the published index's write tail (0 when no
+  /// index is published).
+  size_t tail_size() const {
+    return index_ready_.Get() ? index_.tail_size() : 0;
   }
 
   /// Whether a tuple with this id is stored here (a scan of the id
@@ -127,7 +140,8 @@ class LocalStore {
       const std::function<bool(const Tuple&)>& admit,
       double* best_cost) const;
 
-  /// Below this many tuples a plain scan beats the index.
+  /// Below this many tuples a plain scan beats the index. It also bounds
+  /// an index's write tail: the 33rd tail row invalidates the index.
   static constexpr size_t kIndexThreshold = 32;
 
  private:

@@ -47,9 +47,10 @@ namespace {
 /// set (295.6 before the message path recycled its buffers, 194.2 before
 /// top-k states were counted off the store instead of materialized, 186.1
 /// with the registry recording before sessions, forwards and run scratch
-/// were pooled), and the bound: the measured count plus 10%.
-constexpr double kMeasuredPerQuery = 19.0;
-constexpr double kBoundPerQuery = 20.9;
+/// were pooled, 15.0 before local answers reserved their size), and the
+/// bound: the measured count plus 10%.
+constexpr double kMeasuredPerQuery = 14.5;
+constexpr double kBoundPerQuery = 16.0;
 
 constexpr const char* kPeriod =
     "topk k=10 r=fast\n"

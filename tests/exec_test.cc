@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "exec/compile.h"
 #include "exec/queue.h"
 #include "exec/workload.h"
+#include "geom/scoring.h"
 #include "overlay/midas/midas.h"
 
 namespace ripple::exec {
@@ -298,10 +300,10 @@ TEST(ExecutorTest, AsyncEngineMatchesRecursiveAnswers) {
 }
 
 TEST(ExecutorTest, FirstIndexBuildsAfterAnInsertBatchRunOnWorkers) {
-  // A store builds its k-d index and sorted-id column on the first read
-  // after a write. Here those first reads come from two workers running
-  // skyline and skyband leads at once, right after an InsertTuple batch
-  // with no warm-up — the store-side band kernel reads both. Under TSan
+  // A store builds its k-d index on the first read after a write. Here
+  // those first reads come from two workers running skyline and skyband
+  // leads at once, right after an InsertTuple batch with no warm-up —
+  // the store-side band kernel reads the index. Under TSan
   // this checks their publish-once builds; answers must equal a
   // one-worker unbatched run over an identically written overlay.
   auto written_net = [] {
@@ -350,6 +352,79 @@ TEST(ExecutorTest, FirstIndexBuildsAfterAnInsertBatchRunOnWorkers) {
     EXPECT_TRUE(batched.queries[i].complete) << "item " << i;
     EXPECT_FALSE(want.queries[i].answer.empty()) << "item " << i;
     EXPECT_EQ(AnswerIds(batched.queries[i]), AnswerIds(want.queries[i]))
+        << "item " << i;
+  }
+}
+
+TEST(ExecutorTest, TailWritesIntoIndexedStoresRunOnWorkers) {
+  // Every store is indexed by a read first; then insert batches too small
+  // to fold any store's write tail land in those indexes. Two workers run
+  // skyline, skyband and top-k leads over the tails at once. Under TSan
+  // this checks that tail reads write nothing; answers must equal a
+  // one-worker run over an identically written overlay.
+  auto written_net = [] {
+    Net net = MakeNet(16, 2000, 2, 29);
+    const LinearScorer scorer({-1.0, -1.0});
+    for (const PeerId id : net.overlay.LivePeers()) {
+      (void)net.overlay.GetPeer(id).store.CountTopKAbove(
+          scorer, 1, -std::numeric_limits<double>::infinity());
+    }
+    Rng rng(101);
+    for (int batch = 0; batch < 3; ++batch) {
+      TupleVec rows = data::MakeUniform(40, 2, &rng);
+      for (Tuple& t : rows) {
+        t.id += 1000000 * static_cast<uint64_t>(batch + 1);
+        net.overlay.InsertTuple(t);
+      }
+    }
+    return net;
+  };
+  std::vector<WorkloadItem> items;
+  for (const WorkloadItem::Kind kind :
+       {WorkloadItem::Kind::kSkyline, WorkloadItem::Kind::kSkyband,
+        WorkloadItem::Kind::kTopK}) {
+    for (size_t depth : {size_t{2}, size_t{3}}) {
+      WorkloadItem item;
+      item.kind = kind;
+      item.band = depth;
+      item.k = 5 * depth;
+      items.push_back(item);
+      items.push_back(item);
+    }
+  }
+  CompileOptions copts;
+  copts.seed = 37;
+
+  const Net net = written_net();
+  size_t tailed = 0;
+  for (const PeerId id : net.overlay.LivePeers()) {
+    const LocalStore& store = net.overlay.GetPeer(id).store;
+    EXPECT_LE(store.tail_size(), LocalStore::kIndexThreshold);
+    if (store.tail_size() > 0) ++tailed;
+  }
+  ASSERT_GT(tailed, 0u) << "no store took a write into its tail";
+  ExecutorOptions opts;
+  opts.threads = 2;
+  Executor executor(opts);
+  CompiledWorkload compiled = CompileWorkload(net.overlay, items, copts);
+  const WorkloadResult got =
+      executor.Run(compiled.jobs, net.overlay.NumPeers());
+
+  const Net serial_net = written_net();
+  ExecutorOptions serial_opts;
+  serial_opts.threads = 1;
+  Executor serial(serial_opts);
+  CompiledWorkload serial_compiled =
+      CompileWorkload(serial_net.overlay, items, copts);
+  const WorkloadResult want =
+      serial.Run(serial_compiled.jobs, serial_net.overlay.NumPeers());
+
+  ASSERT_EQ(got.queries.size(), items.size());
+  ASSERT_EQ(want.queries.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_TRUE(got.queries[i].complete) << "item " << i;
+    EXPECT_FALSE(want.queries[i].answer.empty()) << "item " << i;
+    EXPECT_EQ(AnswerIds(got.queries[i]), AnswerIds(want.queries[i]))
         << "item " << i;
   }
 }

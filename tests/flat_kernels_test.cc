@@ -546,6 +546,206 @@ TEST(FlatKernelsAdversarial, WithinMatchesRangeMatches) {
   ResetKernelCounters();
 }
 
+// --- Write tails vs the oracle -----------------------------------------------
+// An indexed store takes single writes into a tail of at most
+// kIndexThreshold rows behind its k-d tree. Every kernel must answer
+// exactly as the oracle does over the same rows, and as the same rows
+// indexed with an empty tail. The rows arrive in two orders: as drawn,
+// and sorted by the first coordinate, so the tail lies beyond the tree's
+// rect and a traversal or an upper corner that skipped it would lose it.
+
+/// A store over `ts` whose last `tail` rows were written one at a time
+/// after a read indexed the rest.
+LocalStore StoreWithTail(const TupleVec& ts, size_t tail) {
+  LocalStore store;
+  store.AddAll(TupleVec(ts.begin(), ts.end() - tail));
+  (void)store.CountTopKAbove(
+      LinearScorer(std::vector<double>(ts[0].key.dims(), -1.0)), 1,
+      -std::numeric_limits<double>::infinity());
+  for (auto it = ts.end() - tail; it != ts.end(); ++it) store.Add(*it);
+  return store;
+}
+
+/// The tail sizes under test, with the 33rd write that folds the tail.
+constexpr size_t kTails[] = {0, 1, 8, 9, LocalStore::kIndexThreshold,
+                             LocalStore::kIndexThreshold + 1};
+
+/// The rows of `ts` in both arrival orders.
+std::vector<TupleVec> TailOrders(const TupleVec& ts) {
+  TupleVec sorted = ts;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Tuple& a, const Tuple& b) {
+                     return a.key[0] < b.key[0];
+                   });
+  return {ts, sorted};
+}
+
+TEST(FlatKernelsAdversarial, TailedTopKAndCountsMatchOracle) {
+  constexpr size_t kRows = 120;
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      for (const TupleVec& ts :
+           TailOrders(AdversarialTuples(shape, kRows, dims, 1800 + dims))) {
+        LocalStore reference;
+        reference.AddAll(ts);
+        const LinearScorer flat(std::vector<double>(dims, -1.0));
+        const LinearScorer skewed = PreferenceScorer(dims, 1900 + dims);
+        for (const size_t tail : kTails) {
+          const LocalStore store = StoreWithTail(ts, tail);
+          ASSERT_EQ(store.tail_size(),
+                    tail > LocalStore::kIndexThreshold ? 0 : tail);
+          for (const LinearScorer* scorer : {&flat, &skewed}) {
+            auto score = [&](const Point& p) { return scorer->Score(p); };
+            for (const double tau : {-std::numeric_limits<double>::infinity(),
+                                     scorer->Score(ts[kRows / 3].key)}) {
+              const std::string where =
+                  std::string(Name(shape)) + " dims=" + std::to_string(dims) +
+                  " tail=" + std::to_string(tail) +
+                  " tau=" + std::to_string(tau);
+              TupleVec above_tau, below_tau;
+              for (const Tuple& t : ts) {
+                (score(t.key) >= tau ? above_tau : below_tau).push_back(t);
+              }
+              for (size_t k : {size_t{1}, size_t{7}, size_t{40}, kRows}) {
+                const TupleVec above = store.TopKAbove(*scorer, k, tau);
+                EXPECT_TRUE(
+                    BitIdentical(above, oracle::TopK(above_tau, score, k)))
+                    << where << " k=" << k;
+                EXPECT_TRUE(BitIdentical(store.BestBelow(*scorer, k, tau),
+                                         oracle::TopK(below_tau, score, k)))
+                    << where << " k=" << k;
+                const LocalStore::TopKCount got =
+                    store.CountTopKAbove(*scorer, k, tau);
+                const LocalStore::TopKCount want =
+                    reference.CountTopKAbove(*scorer, k, tau);
+                EXPECT_EQ(got.count, want.count) << where << " k=" << k;
+                EXPECT_EQ(std::bit_cast<uint64_t>(got.lowest),
+                          std::bit_cast<uint64_t>(want.lowest))
+                    << where << " k=" << k;
+                const LocalStore::TopKCount got_below =
+                    store.CountBestBelow(*scorer, k, tau);
+                const LocalStore::TopKCount want_below =
+                    reference.CountBestBelow(*scorer, k, tau);
+                EXPECT_EQ(got_below.count, want_below.count)
+                    << where << " k=" << k;
+                EXPECT_EQ(std::bit_cast<uint64_t>(got_below.lowest),
+                          std::bit_cast<uint64_t>(want_below.lowest))
+                    << where << " k=" << k;
+              }
+              std::sort(above_tau.begin(), above_tau.end(), TupleIdLess());
+              EXPECT_TRUE(
+                  BitIdentical(store.AllAtLeast(*scorer, tau), above_tau))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, TailedSkybandMatchesOracle) {
+  constexpr size_t kRows = 120;
+  constexpr size_t kStateSource = 120;
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      const TupleVec all = AdversarialTuples(shape, kRows + kStateSource,
+                                             dims, 2000 + dims);
+      const TupleVec others(all.begin() + kRows, all.end());
+      for (const TupleVec& mine :
+           TailOrders(TupleVec(all.begin(), all.begin() + kRows))) {
+        TupleVec shared_source = others;
+        shared_source.insert(shared_source.end(), mine.end() - 40,
+                             mine.end());
+        Point box_hi(dims);
+        box_hi.Fill(0.6);
+        const Rect box(Point(dims), box_hi);
+        for (const size_t tail : kTails) {
+          const LocalStore store = StoreWithTail(mine, tail);
+          for (size_t k : {size_t{1}, size_t{2}, size_t{3}}) {
+            const TupleVec states[] = {TupleVec{}, oracle::Skyband(others, k),
+                                       oracle::Skyband(shared_source, k)};
+            for (size_t s = 0; s < 3; ++s) {
+              const std::string where =
+                  std::string(Name(shape)) + " dims=" + std::to_string(dims) +
+                  " tail=" + std::to_string(tail) +
+                  " k=" + std::to_string(k) + " state=" + std::to_string(s);
+              EXPECT_TRUE(BitIdentical(store.Skyband(states[s], k),
+                                       StoreBandOracle(mine, states[s], k)))
+                  << where;
+              EXPECT_TRUE(
+                  BitIdentical(store.Skyband(states[s], k, &box),
+                               StoreBandOracle(mine, states[s], k, &box)))
+                  << where << " boxed";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, TailedArgMinAndWithinMatchOracle) {
+  constexpr size_t kRows = 120;
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      for (const TupleVec& ts :
+           TailOrders(AdversarialTuples(shape, kRows, dims, 2100 + dims))) {
+        Point center(dims);
+        center.Fill(0.5);
+        center[0] = 1.0;  // nearest the tail in the sorted order
+        for (const size_t tail : kTails) {
+          const LocalStore store = StoreWithTail(ts, tail);
+          for (const Norm norm : {Norm::kL1, Norm::kL2, Norm::kLInf}) {
+            const std::string where =
+                std::string(Name(shape)) + " dims=" + std::to_string(dims) +
+                " tail=" + std::to_string(tail) +
+                " norm=" + std::to_string(static_cast<int>(norm));
+            auto cost = [&](const Point& p) {
+              return Distance(p, center, norm);
+            };
+            auto lower = [&](const Rect& r) { return r.MinDist(center, norm); };
+            for (const uint64_t skip : {uint64_t{1}, uint64_t{3}}) {
+              auto admit = [&](const Tuple& t) { return t.id % skip == 0; };
+              std::optional<Tuple> want;
+              double want_cost = std::numeric_limits<double>::infinity();
+              for (const Tuple& t : ts) {
+                if (!admit(t)) continue;
+                const double c = cost(t.key);
+                if (!want.has_value() || c < want_cost ||
+                    (c == want_cost && t.id < want->id)) {
+                  want = t;
+                  want_cost = c;
+                }
+              }
+              double got_cost = 0.0;
+              const std::optional<Tuple> got =
+                  store.ArgMin(cost, lower, admit, &got_cost);
+              ASSERT_TRUE(got.has_value()) << where;
+              EXPECT_TRUE(BitIdentical({*got}, {*want}))
+                  << where << " skip=" << skip;
+              EXPECT_EQ(std::bit_cast<uint64_t>(got_cost),
+                        std::bit_cast<uint64_t>(want_cost))
+                  << where << " skip=" << skip;
+            }
+            for (size_t i = 0; i < kRows; i += 17) {
+              const double radius = Distance(ts[i].key, center, norm);
+              const RangeQuery q{center, radius, norm};
+              TupleVec want;
+              store.ForEach([&](const Tuple& t) {
+                if (q.Matches(t.key)) want.push_back(t);
+              });
+              EXPECT_TRUE(
+                  BitIdentical(store.Within(center, radius, norm), want))
+                  << where << " radius=" << radius;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- ScoreBlock bit-identity ------------------------------------------------
 
 TEST(ScoreBlockTest, BitIdenticalToScalarScore) {

@@ -335,6 +335,69 @@ TEST(LocalStoreTest, MutationInvalidatesIndex) {
   EXPECT_EQ(got[0].id, 9999u);
 }
 
+TEST(LocalStoreTest, AddBelowTheBoundKeepsTheIndex) {
+  // Up to kIndexThreshold single writes join the published index's tail;
+  // a read in between sees them without a rebuild, so the tail keeps
+  // growing. The next write clears the index, and the read after it
+  // rebuilds the whole store with an empty tail.
+  Rng rng(79);
+  LocalStore store;
+  store.AddAll(RandomTuples(100, 2, &rng));
+  LinearScorer s({1.0, 0.0});
+  EXPECT_EQ(store.tail_size(), 0u);
+  (void)store.TopKAbove(s, 1, 0.0);  // builds the index
+  for (size_t i = 1; i <= LocalStore::kIndexThreshold; ++i) {
+    const double x = 1.0 + static_cast<double>(i);
+    store.Add(Tuple{1000 + i, Point{x, 0.0}});
+    EXPECT_EQ(store.tail_size(), i);
+    const TupleVec got = store.TopKAbove(s, 1, 0.0);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].id, 1000 + i) << "the newest tail row scores best";
+    EXPECT_EQ(store.tail_size(), i) << "the read rebuilt nothing";
+  }
+  store.Add(Tuple{5000, Point{100.0, 0.0}});
+  EXPECT_EQ(store.tail_size(), 0u) << "the write past the bound folds";
+  const TupleVec got = store.TopKAbove(s, 1, 0.0);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 5000u);
+  EXPECT_EQ(store.tail_size(), 0u);
+  EXPECT_EQ(store.size(), 100 + LocalStore::kIndexThreshold + 1);
+  // Bulk writes always clear the index.
+  store.Add(Tuple{5001, Point{0.5, 0.5}});
+  EXPECT_EQ(store.tail_size(), 1u);
+  store.AddAll(RandomTuples(3, 2, &rng, 6000));
+  EXPECT_EQ(store.tail_size(), 0u);
+}
+
+TEST(LocalStoreTest, ArgMinBreaksTiesBySmallestIdOnEveryPath) {
+  // 64 copies of one key, ids 1000 down to 937: every row ties on cost,
+  // so the smallest id must win on the indexed store, below the index
+  // threshold, and with the winner in the write tail.
+  const Point key{0.25, 0.75};
+  const Point q{0.5, 0.5};
+  auto cost = [&](const Point& p) { return L2Distance(p, q); };
+  auto lower = [&](const Rect& r) { return r.MinDist(q, Norm::kL2); };
+  auto admit = [](const Tuple&) { return true; };
+  TupleVec ts;
+  for (uint64_t id = 1000; id >= 937; --id) ts.push_back(Tuple{id, key});
+  LocalStore indexed;
+  indexed.AddAll(ts);
+  LocalStore flat;
+  flat.AddAll(TupleVec(ts.end() - 20, ts.end()));
+  LocalStore tailed;
+  tailed.AddAll(TupleVec(ts.begin(), ts.end() - 8));
+  (void)tailed.ArgMin(cost, lower, admit, nullptr);  // builds the index
+  for (auto it = ts.end() - 8; it != ts.end(); ++it) tailed.Add(*it);
+  ASSERT_EQ(tailed.tail_size(), 8u);
+  for (const LocalStore* store : {&indexed, &flat, &tailed}) {
+    double c = -1.0;
+    const std::optional<Tuple> got = store->ArgMin(cost, lower, admit, &c);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->id, 937u) << "store of " << store->size();
+    EXPECT_EQ(c, cost(key));
+  }
+}
+
 TEST(LocalStoreTest, ContainsIdFollowsMutations) {
   LocalStore store;
   EXPECT_FALSE(store.ContainsId(0));
