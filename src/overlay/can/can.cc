@@ -1,76 +1,19 @@
 #include "overlay/can/can.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace ripple {
 
 CanOverlay::CanOverlay(const CanOptions& options)
-    : options_(options), rng_(options.seed) {
-  RIPPLE_CHECK(options_.dims >= 1 && options_.dims <= kMaxDims);
-  if (options_.domain.dims() == 0) {
-    options_.domain = Rect::Unit(options_.dims);
-  }
-  RIPPLE_CHECK(options_.domain.dims() == options_.dims);
-  const PeerId first = AllocatePeer();
-  peers_[first].zone = options_.domain;
-  peers_[first].alive = true;
-  tree_.push_back(TreeNode{});
-  tree_[root_].rect = options_.domain;
-  tree_[root_].leaf_peer = first;
-  leaf_node_of_peer_[first] = root_;
-  alive_count_ = 1;
-}
-
-PeerId CanOverlay::AllocatePeer() {
-  if (!free_peers_.empty()) {
-    const PeerId id = free_peers_.back();
-    free_peers_.pop_back();
-    peers_[id] = Peer{};
-    leaf_node_of_peer_[id] = -1;
-    return id;
-  }
-  const PeerId id = static_cast<PeerId>(peers_.size());
-  peers_.emplace_back();
-  leaf_node_of_peer_.push_back(-1);
-  return id;
-}
-
-int CanOverlay::AllocateNode() {
-  if (!free_tree_nodes_.empty()) {
-    const int idx = free_tree_nodes_.back();
-    free_tree_nodes_.pop_back();
-    tree_[idx] = TreeNode{};
-    return idx;
-  }
-  tree_.emplace_back();
-  return static_cast<int>(tree_.size()) - 1;
-}
-
-const CanOverlay::Peer& CanOverlay::GetPeer(PeerId id) const {
-  RIPPLE_DCHECK(id < peers_.size() && peers_[id].alive);
-  return peers_[id];
-}
-
-std::vector<PeerId> CanOverlay::LivePeers() const {
-  std::vector<PeerId> out;
-  out.reserve(alive_count_);
-  for (PeerId i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].alive) out.push_back(i);
-  }
-  return out;
-}
-
-PeerId CanOverlay::RandomPeer(Rng* rng) const {
-  RIPPLE_CHECK(alive_count_ > 0);
-  for (;;) {
-    const PeerId id = static_cast<PeerId>(rng->UniformU64(peers_.size()));
-    if (peers_[id].alive) return id;
-  }
+    : options_(options),
+      rng_(options.seed),
+      tree_(ZoneDomain(options.dims, options.domain)),
+      peers_(1) {
+  options_.domain = tree_.domain();
+  peers_[0].zone = options_.domain;
 }
 
 bool CanOverlay::AreNeighbors(const Rect& a, const Rect& b) const {
@@ -100,19 +43,26 @@ void CanOverlay::Unlink(PeerId a, PeerId b) {
   drop(&peers_[b].neighbors, a);
 }
 
+std::vector<PeerId> CanOverlay::Detach(PeerId id) {
+  std::vector<PeerId> old = std::move(peers_[id].neighbors);
+  peers_[id].neighbors.clear();
+  for (PeerId nb : old) Unlink(id, nb);
+  return old;
+}
+
 void CanOverlay::RefreshNeighbors(PeerId peer,
                                   const std::vector<PeerId>& candidates) {
   Peer& p = peers_[peer];
   // Drop stale entries on both sides first.
   const std::vector<PeerId> old = p.neighbors;
   for (PeerId nb : old) {
-    if (!peers_[nb].alive || !AreNeighbors(p.zone, peers_[nb].zone)) {
+    if (!tree_.IsLive(nb) || !AreNeighbors(p.zone, peers_[nb].zone)) {
       Unlink(peer, nb);
     }
   }
   // Add new adjacencies from the candidate set.
   for (PeerId c : candidates) {
-    if (c == peer || !peers_[c].alive) continue;
+    if (c == peer || !tree_.IsLive(c)) continue;
     if (!AreNeighbors(p.zone, peers_[c].zone)) continue;
     if (std::find(p.neighbors.begin(), p.neighbors.end(), c) !=
         p.neighbors.end()) {
@@ -130,35 +80,19 @@ PeerId CanOverlay::Join() {
                                 options_.domain.hi()[d]);
   }
   const PeerId owner = ResponsiblePeer(key);
-  const int node = leaf_node_of_peer_[owner];
-  const PeerId fresh = AllocatePeer();
-  Peer& w = peers_[owner];
-  Peer& n = peers_[fresh];
-
-  const int dim = w.depth % options_.dims;
-  const double mid = 0.5 * (w.zone.lo()[dim] + w.zone.hi()[dim]);
-  const auto [lower, upper] = w.zone.Split(dim, mid);
+  const Rect& zone = peers_[owner].zone;
+  const int dim = peers_[owner].depth % options_.dims;
+  const double mid = 0.5 * (zone.lo()[dim] + zone.hi()[dim]);
   // The newcomer takes the half containing its key point.
-  const bool fresh_takes_lower = lower.ContainsHalfOpen(key, options_.domain);
-  const Rect w_zone = fresh_takes_lower ? upper : lower;
-  const Rect n_zone = fresh_takes_lower ? lower : upper;
+  const bool fresh_takes_lower =
+      zone.Split(dim, mid).first.ContainsHalfOpen(key, options_.domain);
+  const PeerId fresh = tree_.Split(owner, dim, mid, fresh_takes_lower);
+  Peer& n = ResetPeerSlot(&peers_, fresh);
+  Peer& w = peers_[owner];
 
-  const int left_node = AllocateNode();
-  const int right_node = AllocateNode();
-  tree_[left_node] = TreeNode{node, -1, -1, lower,
-                              fresh_takes_lower ? fresh : owner};
-  tree_[right_node] = TreeNode{node, -1, -1, upper,
-                               fresh_takes_lower ? owner : fresh};
-  tree_[node].left = left_node;
-  tree_[node].right = right_node;
-  tree_[node].leaf_peer = kInvalidPeer;
-  leaf_node_of_peer_[owner] = fresh_takes_lower ? right_node : left_node;
-  leaf_node_of_peer_[fresh] = fresh_takes_lower ? left_node : right_node;
-
-  w.zone = w_zone;
-  n.zone = n_zone;
+  w.zone = tree_.Zone(owner);
+  n.zone = tree_.Zone(fresh);
   n.depth = w.depth = w.depth + 1;
-  n.alive = true;
   n.store.AddAll(w.store.ExtractOutside(w.zone, options_.domain));
 
   // Neighbor maintenance: the newcomer's neighbors are a subset of the
@@ -169,112 +103,41 @@ PeerId CanOverlay::Join() {
   candidates.push_back(fresh);
   RefreshNeighbors(owner, candidates);
   RefreshNeighbors(fresh, candidates);
-
-  ++alive_count_;
   return fresh;
 }
 
-void CanOverlay::MergeIntoSibling(PeerId gone, PeerId absorber,
-                                  int parent_node) {
-  Peer& g = peers_[gone];
-  Peer& a = peers_[absorber];
-  a.zone = tree_[parent_node].rect;
+void CanOverlay::MergeIntoSibling(const SplitTree::Departure& plan) {
+  Peer& g = peers_[plan.vacated];
+  Peer& a = peers_[plan.absorber];
+  a.zone = tree_.node(plan.pair).rect;
   a.depth -= 1;
   a.store.AddAll(g.store);
   g.store.Clear();
   // Candidates for the merged zone: both former neighbor sets.
   std::vector<PeerId> candidates = a.neighbors;
-  candidates.insert(candidates.end(), g.neighbors.begin(), g.neighbors.end());
-  // Detach the departing peer from everyone.
-  const std::vector<PeerId> gone_neighbors = g.neighbors;
-  for (PeerId nb : gone_neighbors) Unlink(gone, nb);
-  free_tree_nodes_.push_back(tree_[parent_node].left);
-  free_tree_nodes_.push_back(tree_[parent_node].right);
-  tree_[parent_node].left = -1;
-  tree_[parent_node].right = -1;
-  tree_[parent_node].leaf_peer = absorber;
-  leaf_node_of_peer_[absorber] = parent_node;
-  RefreshNeighbors(absorber, candidates);
+  const std::vector<PeerId> gone = Detach(plan.vacated);
+  candidates.insert(candidates.end(), gone.begin(), gone.end());
+  RefreshNeighbors(plan.absorber, candidates);
 }
 
 Status CanOverlay::Leave(PeerId id) {
-  if (id >= peers_.size() || !peers_[id].alive) {
-    return Status::NotFound("no such live peer");
-  }
-  if (alive_count_ <= 1) {
-    return Status::FailedPrecondition("cannot remove the last peer");
-  }
-  const int node = leaf_node_of_peer_[id];
-  const int parent = tree_[node].parent;
-  const int sibling =
-      tree_[parent].left == node ? tree_[parent].right : tree_[parent].left;
-
-  if (tree_[sibling].IsLeaf()) {
-    MergeIntoSibling(id, tree_[sibling].leaf_peer, parent);
-  } else {
-    // Take-over: find a sibling-leaf pair (u, v) in the sibling subtree;
-    // v vacates (u absorbs) and then assumes the departing peer's zone.
-    int probe = sibling;
-    while (!tree_[tree_[probe].left].IsLeaf() ||
-           !tree_[tree_[probe].right].IsLeaf()) {
-      probe = tree_[tree_[probe].left].IsLeaf() ? tree_[probe].right
-                                                : tree_[probe].left;
-    }
-    const PeerId u = tree_[tree_[probe].left].leaf_peer;
-    const PeerId v = tree_[tree_[probe].right].leaf_peer;
-    MergeIntoSibling(v, u, probe);
-
+  SplitTree::Departure plan;
+  RIPPLE_RETURN_IF_ERROR(tree_.PlanDeparture(id, &plan));
+  MergeIntoSibling(plan);
+  if (plan.takeover()) {
+    // v vacated its leaf (u absorbed it) and now assumes the departing
+    // peer's zone, data and adjacency.
+    const PeerId v = plan.vacated;
     Peer& d = peers_[id];
     Peer& rv = peers_[v];
     rv.zone = d.zone;
     rv.depth = d.depth;
-    rv.store.Clear();
-    rv.store.AddAll(d.store);
+    rv.store.AddAll(d.store);  // emptied when u absorbed it
     d.store.Clear();
-    tree_[node].leaf_peer = v;
-    leaf_node_of_peer_[v] = node;
-    // v inherits the departing peer's adjacency.
-    std::vector<PeerId> candidates = d.neighbors;
-    const std::vector<PeerId> old = d.neighbors;
-    for (PeerId nb : old) Unlink(id, nb);
-    RefreshNeighbors(v, candidates);
+    RefreshNeighbors(v, Detach(id));
   }
-
-  peers_[id].alive = false;
-  peers_[id].neighbors.clear();
-  leaf_node_of_peer_[id] = -1;
-  free_peers_.push_back(id);
-  --alive_count_;
+  tree_.CommitDeparture(plan);
   return Status::OK();
-}
-
-Status CanOverlay::LeaveRandom(Rng* rng) {
-  if (alive_count_ <= 1) {
-    return Status::FailedPrecondition("cannot remove the last peer");
-  }
-  return Leave(RandomPeer(rng));
-}
-
-PeerId CanOverlay::ResponsiblePeer(const Point& p) const {
-  int node = root_;
-  while (!tree_[node].IsLeaf()) {
-    const TreeNode& left = tree_[tree_[node].left];
-    node = left.rect.ContainsHalfOpen(p, options_.domain) ? tree_[node].left
-                                                          : tree_[node].right;
-  }
-  return tree_[node].leaf_peer;
-}
-
-void CanOverlay::InsertTuple(const Tuple& t) {
-  peers_[ResponsiblePeer(t.key)].store.Add(t);
-}
-
-size_t CanOverlay::TotalTuples() const {
-  size_t total = 0;
-  for (const Peer& p : peers_) {
-    if (p.alive) total += p.store.size();
-  }
-  return total;
 }
 
 PeerId CanOverlay::RouteFrom(PeerId from, const Point& p, uint64_t* hops,
@@ -305,24 +168,12 @@ PeerId CanOverlay::RouteFrom(PeerId from, const Point& p, uint64_t* hops,
 }
 
 Status CanOverlay::Validate() const {
-  size_t seen_alive = 0;
-  double volume = 0.0;
-  for (PeerId id = 0; id < peers_.size(); ++id) {
+  RIPPLE_RETURN_IF_ERROR(tree_.Validate(peers_));
+  for (PeerId id : LivePeers()) {
     const Peer& p = peers_[id];
-    if (!p.alive) continue;
-    ++seen_alive;
-    volume += p.zone.Volume();
-    const int node = leaf_node_of_peer_[id];
-    if (node < 0 || !tree_[node].IsLeaf() || tree_[node].leaf_peer != id ||
-        tree_[node].rect != p.zone) {
-      return Status::Internal("tree leaf inconsistent for peer " +
-                              std::to_string(id));
-    }
     // Neighbor lists must be exact and symmetric.
     for (PeerId nb : p.neighbors) {
-      if (nb >= peers_.size() || !peers_[nb].alive) {
-        return Status::Internal("dead neighbor");
-      }
+      if (!tree_.IsLive(nb)) return Status::Internal("dead neighbor");
       if (!AreNeighbors(p.zone, peers_[nb].zone)) {
         return Status::Internal("non-adjacent neighbor entry");
       }
@@ -333,7 +184,7 @@ Status CanOverlay::Validate() const {
     }
     // Exactness: every adjacent live peer must be listed.
     for (PeerId other = 0; other < peers_.size(); ++other) {
-      if (other == id || !peers_[other].alive) continue;
+      if (other == id || !tree_.IsLive(other)) continue;
       const bool adjacent = AreNeighbors(p.zone, peers_[other].zone);
       const bool listed = std::find(p.neighbors.begin(), p.neighbors.end(),
                                     other) != p.neighbors.end();
@@ -343,17 +194,6 @@ Status CanOverlay::Validate() const {
                                 std::to_string(other));
       }
     }
-    const store::FlatStore& rows = p.store.flat();
-    for (size_t r = 0; r < rows.size(); ++r) {
-      if (!p.zone.ContainsHalfOpen(rows.PointAt(r), options_.domain)) {
-        return Status::Internal("tuple outside owning zone");
-      }
-    }
-  }
-  if (seen_alive != alive_count_) return Status::Internal("alive count");
-  if (std::abs(volume - options_.domain.Volume()) >
-      1e-9 * options_.domain.Volume()) {
-    return Status::Internal("zones do not partition the domain");
   }
   return Status::OK();
 }

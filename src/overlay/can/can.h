@@ -3,9 +3,11 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "geom/rect.h"
+#include "overlay/split_tree.h"
 #include "overlay/types.h"
 #include "store/local_store.h"
 
@@ -26,8 +28,8 @@ struct CanOptions {
 ///
 /// CAN hosts the DSL skyline baseline and the adapted streaming
 /// diversification baseline. Zones are maintained with midpoint splits in
-/// round-robin dimension order, so the partition forms a binary split tree
-/// used for O(log n) ownership lookups and for departure take-overs.
+/// round-robin dimension order, so the partition forms a SplitTree used
+/// for O(log n) ownership lookups, peer slots and departure take-overs.
 class CanOverlay {
  public:
   struct Peer {
@@ -35,7 +37,6 @@ class CanOverlay {
     int depth = 0;  // splits from the root, drives the next split dimension
     std::vector<PeerId> neighbors;
     LocalStore store;
-    bool alive = false;
   };
 
   explicit CanOverlay(const CanOptions& options);
@@ -47,11 +48,14 @@ class CanOverlay {
 
   int dims() const { return options_.dims; }
   const Rect& domain() const { return options_.domain; }
-  size_t NumPeers() const { return alive_count_; }
+  size_t NumPeers() const { return tree_.NumPeers(); }
 
-  const Peer& GetPeer(PeerId id) const;
-  std::vector<PeerId> LivePeers() const;
-  PeerId RandomPeer(Rng* rng) const;
+  const Peer& GetPeer(PeerId id) const {
+    RIPPLE_DCHECK(tree_.IsLive(id));
+    return peers_[id];
+  }
+  std::vector<PeerId> LivePeers() const { return tree_.LivePeers(); }
+  PeerId RandomPeer(Rng* rng) const { return tree_.RandomPeer(rng); }
 
   /// Adds a peer: a random point is drawn and the responsible zone is split
   /// in half; the newcomer takes the half containing the point.
@@ -60,11 +64,13 @@ class CanOverlay {
   /// Removes a peer; a take-over peer merges the vacated zone. Fails for
   /// the last live peer.
   Status Leave(PeerId id);
-  Status LeaveRandom(Rng* rng);
+  Status LeaveRandom(Rng* rng) { return Leave(tree_.RandomDeparting(rng)); }
 
-  void InsertTuple(const Tuple& t);
-  PeerId ResponsiblePeer(const Point& p) const;
-  size_t TotalTuples() const;
+  void InsertTuple(const Tuple& t) {
+    peers_[ResponsiblePeer(t.key)].store.Add(t);
+  }
+  PeerId ResponsiblePeer(const Point& p) const { return tree_.Owner(p); }
+  size_t TotalTuples() const { return tree_.TotalTuples(peers_); }
 
   /// Greedy CAN routing from `from` to the peer responsible for `p`;
   /// `hops` (optional) receives the number of forwards. `path` (optional)
@@ -89,17 +95,6 @@ class CanOverlay {
   Status Validate() const;
 
  private:
-  struct TreeNode {
-    int parent = -1;
-    int left = -1;
-    int right = -1;
-    Rect rect;
-    PeerId leaf_peer = kInvalidPeer;
-    bool IsLeaf() const { return left < 0; }
-  };
-
-  PeerId AllocatePeer();
-  int AllocateNode();
   /// True when zones a and b abut along one dimension and overlap with
   /// positive extent along all others.
   bool AreNeighbors(const Rect& a, const Rect& b) const;
@@ -107,18 +102,16 @@ class CanOverlay {
   /// sides' neighbor lists.
   void RefreshNeighbors(PeerId peer, const std::vector<PeerId>& candidates);
   void Unlink(PeerId a, PeerId b);
-  /// Sibling-leaf merge: `absorber` takes over the parent zone of `gone`.
-  void MergeIntoSibling(PeerId gone, PeerId absorber, int parent_node);
+  /// Unlinks `id` from every neighbor; returns its former neighbor list.
+  std::vector<PeerId> Detach(PeerId id);
+  /// Sibling-leaf merge: the plan's absorber takes over the pair's zone,
+  /// the vacated peer's tuples and its adjacency.
+  void MergeIntoSibling(const SplitTree::Departure& plan);
 
   CanOptions options_;
   Rng rng_;
-  std::vector<TreeNode> tree_;
-  std::vector<int> free_tree_nodes_;
-  std::vector<Peer> peers_;
-  std::vector<int> leaf_node_of_peer_;
-  std::vector<PeerId> free_peers_;
-  size_t alive_count_ = 0;
-  int root_ = 0;
+  SplitTree tree_;
+  std::vector<Peer> peers_;  // indexed by peer id; live iff tree_ says so
 };
 
 // ---------------------------------------------------------------------------

@@ -1,113 +1,23 @@
 #include "overlay/midas/midas.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "overlay/midas/patterns.h"
 
 namespace ripple {
 
 MidasOverlay::MidasOverlay(const MidasOptions& options)
-    : options_(options), rng_(options.seed) {
-  RIPPLE_CHECK(options_.dims >= 1 && options_.dims <= kMaxDims);
-  if (options_.domain.dims() == 0) {
-    options_.domain = Rect::Unit(options_.dims);
-  }
-  RIPPLE_CHECK(options_.domain.dims() == options_.dims);
+    : options_(options),
+      rng_(options.seed),
+      tree_(ZoneDomain(options.dims, options.domain)),
+      peers_(1),
+      backlinks_(1) {
   // Bootstrap: a single peer owning the whole domain (the tree root).
-  const PeerId first = AllocatePeer();
-  Peer& p = peers_[first];
-  p.id = BitString();
-  p.zone = options_.domain;
-  p.alive = true;
-  tree_.push_back(TreeNode{});
-  tree_[root_].rect = options_.domain;
-  tree_[root_].leaf_peer = first;
-  leaf_node_of_peer_[first] = root_;
-  alive_count_ = 1;
-}
-
-MidasOverlay::Peer& MidasOverlay::MutablePeer(PeerId id) {
-  RIPPLE_DCHECK(id < peers_.size() && peers_[id].alive);
-  return peers_[id];
-}
-
-const MidasOverlay::Peer& MidasOverlay::GetPeer(PeerId id) const {
-  RIPPLE_DCHECK(id < peers_.size() && peers_[id].alive);
-  return peers_[id];
-}
-
-PeerId MidasOverlay::AllocatePeer() {
-  if (!free_peers_.empty()) {
-    const PeerId id = free_peers_.back();
-    free_peers_.pop_back();
-    peers_[id] = Peer{};
-    backlinks_[id].clear();
-    leaf_node_of_peer_[id] = -1;
-    return id;
-  }
-  const PeerId id = static_cast<PeerId>(peers_.size());
-  peers_.emplace_back();
-  backlinks_.emplace_back();
-  leaf_node_of_peer_.push_back(-1);
-  return id;
-}
-
-int MidasOverlay::TreeNodeOfLeaf(PeerId id) const {
-  return leaf_node_of_peer_[id];
-}
-
-int MidasOverlay::MaxDepth() const {
-  int best = 0;
-  for (const Peer& p : peers_) {
-    if (p.alive) best = std::max(best, p.depth());
-  }
-  return best;
-}
-
-std::vector<PeerId> MidasOverlay::LivePeers() const {
-  std::vector<PeerId> out;
-  out.reserve(alive_count_);
-  for (PeerId i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].alive) out.push_back(i);
-  }
-  return out;
-}
-
-PeerId MidasOverlay::RandomPeer(Rng* rng) const {
-  RIPPLE_CHECK(alive_count_ > 0);
-  for (;;) {
-    const PeerId id =
-        static_cast<PeerId>(rng->UniformU64(peers_.size()));
-    if (peers_[id].alive) return id;
-  }
-}
-
-Rect MidasOverlay::SubtreeRect(const BitString& prefix) const {
-  // Split positions are data-dependent under kDataMedian, so rects come
-  // from the materialized virtual tree: descend following the id bits.
-  int node = root_;
-  for (int t = 0; t < prefix.size(); ++t) {
-    RIPPLE_CHECK(!tree_[node].IsLeaf() &&
-                 "SubtreeRect: prefix deeper than the virtual tree");
-    node = prefix.bit(t) ? tree_[node].right : tree_[node].left;
-  }
-  return tree_[node].rect;
-}
-
-PeerId MidasOverlay::ResponsiblePeer(const Point& p) const {
-  RIPPLE_DCHECK(options_.domain.Contains(p));
-  int node = root_;
-  while (!tree_[node].IsLeaf()) {
-    const TreeNode& left = tree_[tree_[node].left];
-    node = left.rect.ContainsHalfOpen(p, options_.domain) ? tree_[node].left
-                                                          : tree_[node].right;
-  }
-  return tree_[node].leaf_peer;
+  options_.domain = tree_.domain();
+  peers_[0].zone = options_.domain;
 }
 
 PeerId MidasOverlay::RouteFrom(PeerId from, const Point& p, uint64_t* hops,
@@ -133,26 +43,6 @@ PeerId MidasOverlay::RouteFrom(PeerId from, const Point& p, uint64_t* hops,
   }
   RIPPLE_CHECK(false && "MIDAS routing failed to converge");
   return kInvalidPeer;
-}
-
-void MidasOverlay::InsertTuple(const Tuple& t) {
-  MutablePeer(ResponsiblePeer(t.key)).store.Add(t);
-}
-
-size_t MidasOverlay::TotalTuples() const {
-  size_t total = 0;
-  for (const Peer& p : peers_) {
-    if (p.alive) total += p.store.size();
-  }
-  return total;
-}
-
-void MidasOverlay::SetLinkTarget(PeerId owner, int link_index, PeerId target) {
-  Peer& p = MutablePeer(owner);
-  RIPPLE_DCHECK(link_index >= 0 &&
-                link_index < static_cast<int>(p.links.size()));
-  p.links[link_index].target = target;
-  backlinks_[target].push_back(BackRef{owner, link_index});
 }
 
 void MidasOverlay::RemoveBackRef(PeerId target, const BackRef& ref) {
@@ -188,10 +78,11 @@ void MidasOverlay::ApplyPatternRuleAfterSplit(PeerId stay, PeerId fresh) {
 }
 
 int MidasOverlay::NodeOfPrefix(const BitString& prefix) const {
-  int node = root_;
+  int node = SplitTree::kRoot;
   for (int t = 0; t < prefix.size(); ++t) {
-    RIPPLE_CHECK(!tree_[node].IsLeaf());
-    node = prefix.bit(t) ? tree_[node].right : tree_[node].left;
+    RIPPLE_CHECK(!tree_.node(node).IsLeaf() &&
+                 "NodeOfPrefix: prefix deeper than the virtual tree");
+    node = prefix.bit(t) ? tree_.node(node).right : tree_.node(node).left;
   }
   return node;
 }
@@ -202,12 +93,12 @@ PeerId MidasOverlay::FindPatternLeaf(int node, const BitString& prefix,
   if (!PrefixCanMatchBorderPattern(prefix, options_.dims)) {
     return kInvalidPeer;
   }
-  if (tree_[node].IsLeaf()) return tree_[node].leaf_peer;
+  const SplitTree::Node& n = tree_.node(node);
+  if (n.IsLeaf()) return n.leaf_peer;
   // The 0-child keeps every pattern alive; try it first.
-  const PeerId left = FindPatternLeaf(tree_[node].left, prefix.Child(false),
-                                      budget);
+  const PeerId left = FindPatternLeaf(n.left, prefix.Child(false), budget);
   if (left != kInvalidPeer) return left;
-  return FindPatternLeaf(tree_[node].right, prefix.Child(true), budget);
+  return FindPatternLeaf(n.right, prefix.Child(true), budget);
 }
 
 void MidasOverlay::PreferPatternTargets(PeerId peer) {
@@ -221,23 +112,13 @@ void MidasOverlay::PreferPatternTargets(PeerId peer) {
         FindPatternLeaf(NodeOfPrefix(sibling), sibling, &budget);
     if (candidate == kInvalidPeer || candidate == current) continue;
     RemoveBackRef(current, BackRef{peer, i});
-    SetLinkTarget(peer, i, candidate);
+    p.links[i].target = candidate;
+    backlinks_[candidate].push_back(BackRef{peer, i});
   }
 }
 
-PeerId MidasOverlay::Join() {
-  // The MIDAS join protocol: the newcomer contacts a uniformly random
-  // existing peer, which splits its zone.
-  return JoinSplitting(RandomPeer(&rng_));
-}
-
-PeerId MidasOverlay::JoinAt(const Point& key) {
-  return JoinSplitting(ResponsiblePeer(key));
-}
-
 PeerId MidasOverlay::JoinSplitting(PeerId split_peer) {
-  Peer& w = MutablePeer(split_peer);
-  const int node = TreeNodeOfLeaf(split_peer);
+  const Peer& w = GetPeer(split_peer);
   const int depth = w.id.size();
   const int dim = depth % options_.dims;
   double split_value = 0.5 * (w.zone.lo()[dim] + w.zone.hi()[dim]);
@@ -250,44 +131,20 @@ PeerId MidasOverlay::JoinSplitting(PeerId split_peer) {
       split_value = median;
     }
   }
-  const auto [lower, upper] = w.zone.Split(dim, split_value);
-
-  const PeerId fresh_id = AllocatePeer();
-  Peer& w2 = peers_[split_peer];  // re-reference: AllocatePeer may realloc
-  Peer& n = peers_[fresh_id];
 
   // Identities and zones. Which physical peer takes which half is the
   // protocol's free choice (§5.2 builds on exactly this freedom): the
   // splitter keeps a random half and the newcomer takes the other.
   const bool splitter_keeps_lower = rng_.Bernoulli(0.5);
+  const PeerId fresh_id =
+      tree_.Split(split_peer, dim, split_value, !splitter_keeps_lower);
+  Peer& n = ResetPeerSlot(&peers_, fresh_id);
+  ResetPeerSlot(&backlinks_, fresh_id);
+  Peer& w2 = peers_[split_peer];  // re-reference: the slot may realloc
   n.id = w2.id.Child(splitter_keeps_lower);
   w2.id.Append(!splitter_keeps_lower);
-  w2.zone = splitter_keeps_lower ? lower : upper;
-  n.zone = splitter_keeps_lower ? upper : lower;
-  n.alive = true;
-
-  // Virtual tree: the leaf becomes internal with two leaf children.
-  auto alloc_node = [&]() -> int {
-    if (!free_tree_nodes_.empty()) {
-      const int idx = free_tree_nodes_.back();
-      free_tree_nodes_.pop_back();
-      tree_[idx] = TreeNode{};
-      return idx;
-    }
-    tree_.emplace_back();
-    return static_cast<int>(tree_.size()) - 1;
-  };
-  const int left_node = alloc_node();
-  const int right_node = alloc_node();
-  const PeerId lower_peer = splitter_keeps_lower ? split_peer : fresh_id;
-  const PeerId upper_peer = splitter_keeps_lower ? fresh_id : split_peer;
-  tree_[left_node] = TreeNode{node, -1, -1, lower, lower_peer};
-  tree_[right_node] = TreeNode{node, -1, -1, upper, upper_peer};
-  tree_[node].left = left_node;
-  tree_[node].right = right_node;
-  tree_[node].leaf_peer = kInvalidPeer;
-  leaf_node_of_peer_[lower_peer] = left_node;
-  leaf_node_of_peer_[upper_peer] = right_node;
+  w2.zone = tree_.Zone(split_peer);
+  n.zone = tree_.Zone(fresh_id);
 
   // Data handoff: tuples now outside the splitter's shrunk zone move over.
   n.store.AddAll(w2.store.ExtractOutside(w2.zone, options_.domain));
@@ -319,85 +176,49 @@ PeerId MidasOverlay::JoinSplitting(PeerId split_peer) {
   backlinks_[split_peer].push_back(
       BackRef{fresh_id, static_cast<int>(n.links.size()) - 1});
 
-  ++alive_count_;
   RIPPLE_LOG(kDebug, "midas: peer %u joined splitting %u (depth %d, dim %d)",
              fresh_id, split_peer, depth + 1, dim);
   return fresh_id;
 }
 
+void MidasOverlay::MergeIntoSibling(const SplitTree::Departure& plan) {
+  const PeerId gone = plan.vacated, absorber = plan.absorber;
+  Peer& g = peers_[gone];
+  Peer& a = peers_[absorber];
+  // Drop the absorber's deepest link — it pointed at the departing peer.
+  RIPPLE_CHECK(!a.links.empty());
+  RIPPLE_CHECK(a.links.back().target == gone);
+  RemoveBackRef(gone, BackRef{absorber, static_cast<int>(a.links.size()) - 1});
+  a.links.pop_back();
+  // Unregister the departing peer's links.
+  for (int i = 0; i < static_cast<int>(g.links.size()); ++i) {
+    RemoveBackRef(g.links[i].target, BackRef{gone, i});
+  }
+  g.links.clear();
+  // Zone and identity take-over.
+  a.id = a.id.Parent();
+  a.zone = tree_.node(plan.pair).rect;
+  a.store.AddAll(g.store);
+  g.store.Clear();
+  // Everything that pointed at the departing peer now points at the
+  // absorber (regions contained the whole parent subtree already).
+  ReassignBackLinks(gone, absorber);
+}
+
 Status MidasOverlay::Leave(PeerId id) {
-  if (id >= peers_.size() || !peers_[id].alive) {
-    return Status::NotFound("no such live peer");
-  }
-  if (alive_count_ <= 1) {
-    return Status::FailedPrecondition("cannot remove the last peer");
-  }
-
-  const int node = TreeNodeOfLeaf(id);
-  const int parent = tree_[node].parent;
-  RIPPLE_CHECK(parent >= 0);
-  const int sibling_node =
-      tree_[parent].left == node ? tree_[parent].right : tree_[parent].left;
-
-  // Merges sibling leaves `gone` and `absorber` into their parent node
-  // `par`: the absorber takes over the parent zone, the departing peer's
-  // tuples, and the back-links that pointed at it.
-  auto merge_into_sibling = [&](PeerId gone, PeerId absorber, int par) {
-    Peer& g = peers_[gone];
-    Peer& a = peers_[absorber];
-    // Drop the absorber's deepest link — it pointed at the departing peer.
-    RIPPLE_CHECK(!a.links.empty());
-    RIPPLE_CHECK(a.links.back().target == gone);
-    RemoveBackRef(gone, BackRef{absorber,
-                                static_cast<int>(a.links.size()) - 1});
-    a.links.pop_back();
-    // Unregister the departing peer's links.
-    for (int i = 0; i < static_cast<int>(g.links.size()); ++i) {
-      RemoveBackRef(g.links[i].target, BackRef{gone, i});
-    }
-    g.links.clear();
-    // Zone and identity take-over.
-    a.id = a.id.Parent();
-    a.zone = tree_[par].rect;
-    a.store.AddAll(g.store);
-    g.store.Clear();
-    // Everything that pointed at the departing peer now points at the
-    // absorber (regions contained the whole parent subtree already).
-    ReassignBackLinks(gone, absorber);
-    // Collapse the tree node pair.
-    free_tree_nodes_.push_back(tree_[par].left);
-    free_tree_nodes_.push_back(tree_[par].right);
-    tree_[par].left = -1;
-    tree_[par].right = -1;
-    tree_[par].leaf_peer = absorber;
-    leaf_node_of_peer_[absorber] = par;
-  };
-
-  if (tree_[sibling_node].IsLeaf()) {
-    // Case A: the sibling absorbs the departing peer directly.
-    const PeerId absorber = tree_[sibling_node].leaf_peer;
-    merge_into_sibling(id, absorber, parent);
-  } else {
-    // Case B: the sibling subtree is internal. Find a pair of sibling
-    // leaves (u, v) inside it; v vacates its spot (u absorbs it) and then
-    // assumes the departing peer's identity, zone, links and data.
-    int probe = sibling_node;
-    while (!tree_[tree_[probe].left].IsLeaf() ||
-           !tree_[tree_[probe].right].IsLeaf()) {
-      probe = tree_[tree_[probe].left].IsLeaf() ? tree_[probe].right
-                                                : tree_[probe].left;
-    }
-    const PeerId u = tree_[tree_[probe].left].leaf_peer;
-    const PeerId v = tree_[tree_[probe].right].leaf_peer;
-    merge_into_sibling(v, u, probe);
-
-    // v assumes d's position.
+  SplitTree::Departure plan;
+  RIPPLE_RETURN_IF_ERROR(tree_.PlanDeparture(id, &plan));
+  // The sibling leaf absorbs the departing peer directly, or (a take-over)
+  // u absorbs v inside the sibling subtree and v assumes the departing
+  // peer's identity, zone, links and data.
+  MergeIntoSibling(plan);
+  if (plan.takeover()) {
+    const PeerId v = plan.vacated;
     Peer& d = peers_[id];
     Peer& rv = peers_[v];
     rv.id = d.id;
     rv.zone = d.zone;
-    rv.store.Clear();
-    rv.store.AddAll(d.store);
+    rv.store.AddAll(d.store);  // emptied when u absorbed it
     d.store.Clear();
     rv.links = std::move(d.links);
     d.links.clear();
@@ -407,42 +228,19 @@ Status MidasOverlay::Leave(PeerId id) {
       backlinks_[rv.links[i].target].push_back(BackRef{v, i});
     }
     ReassignBackLinks(id, v);
-    tree_[node].leaf_peer = v;
-    leaf_node_of_peer_[v] = node;
   }
-
-  peers_[id].alive = false;
-  leaf_node_of_peer_[id] = -1;
   RIPPLE_CHECK(backlinks_[id].empty());
-  free_peers_.push_back(id);
-  --alive_count_;
+  tree_.CommitDeparture(plan);
   return Status::OK();
 }
 
-Status MidasOverlay::LeaveRandom(Rng* rng) {
-  if (alive_count_ <= 1) {
-    return Status::FailedPrecondition("cannot remove the last peer");
-  }
-  return Leave(RandomPeer(rng));
-}
-
 Status MidasOverlay::Validate() const {
-  size_t seen_alive = 0;
-  double zone_volume = 0.0;
-  for (PeerId id = 0; id < peers_.size(); ++id) {
+  RIPPLE_RETURN_IF_ERROR(tree_.Validate(peers_));
+  for (PeerId id : LivePeers()) {
     const Peer& p = peers_[id];
-    if (!p.alive) continue;
-    ++seen_alive;
-    zone_volume += p.zone.Volume();
-    // Zone must match the id-derived rectangle and the tree leaf.
+    // Zone must match the id-derived rectangle.
     if (p.zone != SubtreeRect(p.id)) {
       return Status::Internal("zone does not match id-derived rect for peer " +
-                              std::to_string(id));
-    }
-    const int node = leaf_node_of_peer_[id];
-    if (node < 0 || !tree_[node].IsLeaf() || tree_[node].leaf_peer != id ||
-        tree_[node].rect != p.zone) {
-      return Status::Internal("tree leaf inconsistent for peer " +
                               std::to_string(id));
     }
     // One link per depth, with the correct region and an in-region target.
@@ -460,7 +258,7 @@ Status MidasOverlay::Validate() const {
         return Status::Internal("link region mismatch for peer " +
                                 std::to_string(id));
       }
-      if (link.target >= peers_.size() || !peers_[link.target].alive) {
+      if (!tree_.IsLive(link.target)) {
         return Status::Internal("link target dead");
       }
       if (!sibling.IsPrefixOf(peers_[link.target].id)) {
@@ -472,25 +270,11 @@ Status MidasOverlay::Validate() const {
         return Status::Internal("missing back-link registration");
       }
     }
-    // Tuples must lie within the zone.
-    const store::FlatStore& rows = p.store.flat();
-    for (size_t r = 0; r < rows.size(); ++r) {
-      if (!p.zone.ContainsHalfOpen(rows.PointAt(r), options_.domain)) {
-        return Status::Internal("tuple outside owning zone");
-      }
-    }
-  }
-  if (seen_alive != alive_count_) {
-    return Status::Internal("alive count mismatch");
-  }
-  if (std::abs(zone_volume - options_.domain.Volume()) >
-      1e-9 * options_.domain.Volume()) {
-    return Status::Internal("zones do not partition the domain");
   }
   // Every registered back-link must correspond to a real link.
   for (PeerId target = 0; target < peers_.size(); ++target) {
     for (const BackRef& ref : backlinks_[target]) {
-      if (ref.from >= peers_.size() || !peers_[ref.from].alive) {
+      if (!tree_.IsLive(ref.from)) {
         return Status::Internal("back-link from dead peer");
       }
       const Peer& from = peers_[ref.from];

@@ -1,13 +1,16 @@
 #ifndef RIPPLE_OVERLAY_MIDAS_MIDAS_H_
 #define RIPPLE_OVERLAY_MIDAS_MIDAS_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bitstring.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "geom/rect.h"
 #include "geom/wire.h"
+#include "overlay/split_tree.h"
 #include "overlay/types.h"
 #include "store/local_store.h"
 
@@ -45,9 +48,9 @@ struct MidasOptions {
 /// RIPPLE region of link i is the rectangle of that sibling subtree, so a
 /// peer's link regions plus its own zone partition the entire domain.
 ///
-/// Splits halve the zone at the midpoint of dimension (depth mod dims),
-/// matching the alternating-dimension structure the border-pattern
-/// optimization of §5.2 relies on.
+/// The tree is a SplitTree. Zones split along dimension (depth mod dims),
+/// the alternating structure §5.2's border patterns rely on, at the
+/// position MidasSplitRule picks.
 ///
 /// This is a simulation-grade implementation: peers live in one process and
 /// the virtual tree is materialized, but all query-time decisions use only
@@ -64,7 +67,6 @@ class MidasOverlay {
     Rect zone;
     std::vector<Link> links;  // links[i] -> sibling subtree at depth i+1
     LocalStore store;
-    bool alive = false;
 
     int depth() const { return id.size(); }
   };
@@ -82,28 +84,37 @@ class MidasOverlay {
   Area FullArea() const { return options_.domain; }
 
   /// Number of live peers.
-  size_t NumPeers() const { return alive_count_; }
+  size_t NumPeers() const { return tree_.NumPeers(); }
 
   /// Maximum live-peer depth == maximum number of links of any peer — the
   /// paper's Delta, upper-bounding the diameter (Lemma 1).
-  int MaxDepth() const;
+  int MaxDepth() const {
+    int best = 0;
+    for (PeerId id : LivePeers()) best = std::max(best, peers_[id].depth());
+    return best;
+  }
 
-  const Peer& GetPeer(PeerId id) const;
+  const Peer& GetPeer(PeerId id) const {
+    RIPPLE_DCHECK(tree_.IsLive(id));
+    return peers_[id];
+  }
 
   /// Ids of all live peers, ascending.
-  std::vector<PeerId> LivePeers() const;
+  std::vector<PeerId> LivePeers() const { return tree_.LivePeers(); }
 
   /// A uniformly random live peer.
-  PeerId RandomPeer(Rng* rng) const;
+  PeerId RandomPeer(Rng* rng) const { return tree_.RandomPeer(rng); }
 
   /// Adds a peer: a uniformly random live peer is contacted and splits its
   /// zone — the MIDAS join protocol. Returns the new peer's id.
-  PeerId Join();
+  PeerId Join() { return JoinSplitting(RandomPeer(&rng_)); }
 
   /// Adds a peer by splitting the zone responsible for `key`. Tests and
   /// benches use explicit keys to construct specific tree shapes (e.g.
   /// perfect trees for verifying Lemmas 1-3 exactly).
-  PeerId JoinAt(const Point& key);
+  PeerId JoinAt(const Point& key) {
+    return JoinSplitting(ResponsiblePeer(key));
+  }
 
   /// Adds a peer by splitting `split_peer`'s zone.
   PeerId JoinSplitting(PeerId split_peer);
@@ -113,13 +124,18 @@ class MidasOverlay {
   Status Leave(PeerId id);
 
   /// Removes a uniformly random live peer (decreasing-stage churn driver).
-  Status LeaveRandom(Rng* rng);
+  Status LeaveRandom(Rng* rng) { return Leave(tree_.RandomDeparting(rng)); }
 
   /// Routes to the peer responsible for `p` and stores the tuple there.
-  void InsertTuple(const Tuple& t);
+  void InsertTuple(const Tuple& t) {
+    peers_[ResponsiblePeer(t.key)].store.Add(t);
+  }
 
   /// The peer responsible for point `p` (zone containment, half-open).
-  PeerId ResponsiblePeer(const Point& p) const;
+  PeerId ResponsiblePeer(const Point& p) const {
+    RIPPLE_DCHECK(options_.domain.Contains(p));
+    return tree_.Owner(p);
+  }
 
   /// Peer-level greedy routing from `from` towards the peer responsible for
   /// `p`, following link regions; `hops` (optional) receives the hop count.
@@ -151,26 +167,21 @@ class MidasOverlay {
   }
   size_t AreaWireSize(const Area& area) const { return RectWireSize(area); }
 
-  /// Rectangle of the virtual-tree node identified by `prefix`.
-  Rect SubtreeRect(const BitString& prefix) const;
+  /// Rectangle of the virtual-tree node identified by `prefix` (split
+  /// positions are data-dependent under kDataMedian, so it is read from
+  /// the materialized tree).
+  Rect SubtreeRect(const BitString& prefix) const {
+    return tree_.node(NodeOfPrefix(prefix)).rect;
+  }
 
   /// Total tuples stored across all live peers.
-  size_t TotalTuples() const;
+  size_t TotalTuples() const { return tree_.TotalTuples(peers_); }
 
   /// Internal consistency check used by tests: verifies the virtual tree,
   /// zone partition, link regions and back-link registry.
   Status Validate() const;
 
  private:
-  struct TreeNode {
-    int parent = -1;
-    int left = -1;   // children; -1 for leaf
-    int right = -1;
-    Rect rect;
-    PeerId leaf_peer = kInvalidPeer;  // valid iff leaf
-    bool IsLeaf() const { return left < 0; }
-  };
-
   struct BackRef {
     PeerId from = kInvalidPeer;
     int link_index = 0;
@@ -179,13 +190,12 @@ class MidasOverlay {
     }
   };
 
-  Peer& MutablePeer(PeerId id);
-  PeerId AllocatePeer();
-  int TreeNodeOfLeaf(PeerId id) const;
+  /// Sibling-leaf merge: the plan's absorber takes over the pair's zone,
+  /// the vacated peer's tuples, and the back-links that pointed at it.
+  void MergeIntoSibling(const SplitTree::Departure& plan);
 
   /// Retargets every back-link of `old_target` to `new_target`.
   void ReassignBackLinks(PeerId old_target, PeerId new_target);
-  void SetLinkTarget(PeerId owner, int link_index, PeerId target);
   void RemoveBackRef(PeerId target, const BackRef& ref);
 
   /// Applies the §5.2 rule after a split of `stay` (kept lower half) and
@@ -209,14 +219,9 @@ class MidasOverlay {
 
   MidasOptions options_;
   Rng rng_;
-  std::vector<TreeNode> tree_;
-  std::vector<int> free_tree_nodes_;
-  std::vector<Peer> peers_;
+  SplitTree tree_;
+  std::vector<Peer> peers_;  // indexed by peer id; live iff tree_ says so
   std::vector<std::vector<BackRef>> backlinks_;  // indexed by target peer
-  std::vector<int> leaf_node_of_peer_;           // tree node of each peer
-  std::vector<PeerId> free_peers_;
-  size_t alive_count_ = 0;
-  int root_ = 0;
 };
 
 }  // namespace ripple

@@ -33,9 +33,13 @@ void KdIndex::Build(const store::FlatStore& src) {
   rows_ = src.Permuted(perm);
 }
 
-void KdIndex::AppendTail(const Tuple& t) {
+void KdIndex::AppendTail(const Tuple& t, size_t tail_bound) {
   RIPPLE_CHECK(!empty());
   const uint32_t row = static_cast<uint32_t>(rows_.size());
+  if (row == tree_rows_) {
+    rows_.Reserve(row + tail_bound);
+    nodes_.reserve(nodes_.size() + (tail_bound + kLeafSize - 1) / kLeafSize);
+  }
   rows_.Append(t);
   if (static_cast<int>(nodes_.size()) == tree_nodes_ ||
       nodes_.back().end - nodes_.back().begin == kLeafSize) {

@@ -62,7 +62,10 @@ class KdIndex {
 
   /// Appends one row to the tail: into the last tail leaf, or a new one
   /// every kLeafSize rows. Requires !empty() and a key of rows().dims().
-  void AppendTail(const Tuple& t);
+  /// The first tail row reserves room for `tail_bound` rows, the most the
+  /// caller appends before it rebuilds, so the exactly sized columns Build
+  /// leaves grow once instead of doubling.
+  void AppendTail(const Tuple& t, size_t tail_bound);
 
   /// Collects every tuple whose score is >= tau (maximization semantics),
   /// pruning subtrees whose rectangle upper bound falls below tau.

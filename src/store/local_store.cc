@@ -16,7 +16,7 @@ void LocalStore::Add(const Tuple& t) {
   // fewer than kIndexThreshold rows; the next write clears it, and the
   // next read rebuilds the whole store.
   if (index_ready_.Get() && index_.tail_size() < kIndexThreshold) {
-    index_.AppendTail(t);
+    index_.AppendTail(t, kIndexThreshold);
   } else {
     MarkMutated();
   }

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "shape_hash.h"
 
 namespace ripple {
 namespace {
@@ -118,6 +119,73 @@ TEST(CanTest, LeaveLastPeerFails) {
   CanOverlay overlay(CanOptions{.dims = 2, .seed = 1});
   EXPECT_EQ(overlay.Leave(overlay.LivePeers()[0]).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Runs a seeded schedule (inserts, joins, departures of both kinds, then
+// three joins that reuse freed ids and tree nodes) and fingerprints every
+// live peer: id, zone, depth, neighbor list in stored order and row order.
+uint64_t CanChurnShape(int dims, DepartureCounts* departures) {
+  CanOverlay overlay(CanOptions{.dims = dims, .seed = 7});
+  Rng rng(29);
+  uint64_t next_tuple = 0;
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Point key(dims);
+      for (int d = 0; d < dims; ++d) key[d] = rng.UniformDouble();
+      overlay.InsertTuple(Tuple{next_tuple++, key});
+    }
+  };
+  insert(200);
+  for (int i = 0; i < 32; ++i) overlay.Join();
+  insert(100);
+  Rng churn(31);
+  while (overlay.NumPeers() > 14) {
+    EXPECT_TRUE(CountDeparture(
+                    overlay, [&] { return overlay.LeaveRandom(&churn); },
+                    departures)
+                    .ok());
+  }
+  for (size_t pick : {size_t{0}, size_t{5}, size_t{9}}) {
+    const PeerId id = overlay.LivePeers()[pick];
+    EXPECT_TRUE(
+        CountDeparture(overlay, [&] { return overlay.Leave(id); }, departures)
+            .ok());
+  }
+  EXPECT_TRUE(overlay.Validate().ok()) << overlay.Validate().ToString();
+
+  ShapeHash h;
+  for (int i = 0; i < 3; ++i) h.Mix(static_cast<uint64_t>(overlay.Join()));
+  EXPECT_TRUE(overlay.Validate().ok()) << overlay.Validate().ToString();
+  h.Mix(static_cast<uint64_t>(overlay.NumPeers()));
+  h.Mix(static_cast<uint64_t>(overlay.TotalTuples()));
+  for (PeerId id : overlay.LivePeers()) {
+    const CanOverlay::Peer& p = overlay.GetPeer(id);
+    h.Mix(static_cast<uint64_t>(id));
+    h.Mix(p.zone);
+    h.Mix(static_cast<uint64_t>(p.depth));
+    h.Mix(static_cast<uint64_t>(p.neighbors.size()));
+    for (PeerId nb : p.neighbors) h.Mix(static_cast<uint64_t>(nb));
+    h.Mix(p.store.flat().ids());
+  }
+  return h.value();
+}
+
+// Recorded before CAN moved onto SplitTree; see MidasTest's twin.
+TEST(CanTest, ChurnShapeIsPinned) {
+  struct Case {
+    int dims;
+    uint64_t shape;
+  };
+  const Case cases[] = {{2, 0xc5d30110aac3ce73ull},
+                         {3, 0x9c8bd2ba2c1e4824ull}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "dims=" << c.dims);
+    DepartureCounts departures;
+    const uint64_t shape = CanChurnShape(c.dims, &departures);
+    EXPECT_GT(departures.sibling_merges, 0);
+    EXPECT_GT(departures.takeovers, 0);
+    EXPECT_EQ(shape, c.shape) << std::hex << "0x" << shape;
+  }
 }
 
 }  // namespace

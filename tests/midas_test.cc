@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "overlay/midas/patterns.h"
+#include "shape_hash.h"
 
 namespace ripple {
 namespace {
@@ -267,6 +268,96 @@ TEST(MidasTest, BorderPatternLinksPreferPatternPeers) {
   MidasOverlay optimized = GrowOverlay(512, 2, 61, /*patterns=*/true);
   EXPECT_GT(pattern_link_fraction(optimized),
             pattern_link_fraction(plain) + 0.05);
+}
+
+// Runs a seeded schedule (inserts, Join and JoinAt, departures of both
+// kinds, then three joins that reuse freed ids and tree nodes) and
+// fingerprints every live peer: id, zone, BitString id, links and row
+// order.
+uint64_t MidasChurnShape(MidasSplitRule rule, bool patterns,
+                         DepartureCounts* departures) {
+  MidasOverlay overlay(MidasOptions{.dims = 2,
+                                    .border_pattern_links = patterns,
+                                    .split_rule = rule,
+                                    .seed = 5});
+  Rng rng(11);
+  uint64_t next_tuple = 0;
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      overlay.InsertTuple(
+          Tuple{next_tuple++, Point{rng.UniformDouble(), rng.UniformDouble()}});
+    }
+  };
+  auto random_point = [&] {
+    return Point{rng.UniformDouble(), rng.UniformDouble()};
+  };
+  insert(200);
+  for (int i = 0; i < 24; ++i) overlay.Join();
+  for (int i = 0; i < 8; ++i) overlay.JoinAt(random_point());
+  insert(100);
+  Rng churn(13);
+  while (overlay.NumPeers() > 14) {
+    EXPECT_TRUE(CountDeparture(
+                    overlay, [&] { return overlay.LeaveRandom(&churn); },
+                    departures)
+                    .ok());
+  }
+  for (size_t pick : {size_t{0}, size_t{5}, size_t{9}}) {
+    const PeerId id = overlay.LivePeers()[pick];
+    EXPECT_TRUE(
+        CountDeparture(overlay, [&] { return overlay.Leave(id); }, departures)
+            .ok());
+  }
+  EXPECT_TRUE(overlay.Validate().ok()) << overlay.Validate().ToString();
+
+  ShapeHash h;
+  h.Mix(static_cast<uint64_t>(overlay.Join()));
+  h.Mix(static_cast<uint64_t>(overlay.JoinAt(random_point())));
+  h.Mix(static_cast<uint64_t>(overlay.Join()));
+  EXPECT_TRUE(overlay.Validate().ok()) << overlay.Validate().ToString();
+  h.Mix(static_cast<uint64_t>(overlay.NumPeers()));
+  h.Mix(static_cast<uint64_t>(overlay.TotalTuples()));
+  for (PeerId id : overlay.LivePeers()) {
+    const MidasOverlay::Peer& p = overlay.GetPeer(id);
+    h.Mix(static_cast<uint64_t>(id));
+    h.Mix(p.zone);
+    h.Mix(static_cast<uint64_t>(p.id.size()));
+    for (int t = 0; t < p.id.size(); ++t) h.Mix(uint64_t{p.id.bit(t)});
+    for (const RectLink& link : p.links) {
+      h.Mix(static_cast<uint64_t>(link.target));
+      h.Mix(link.region);
+      h.Mix(static_cast<uint64_t>(link.depth));
+    }
+    h.Mix(p.store.flat().ids());
+  }
+  return h.value();
+}
+
+// The constants were recorded before CAN and MIDAS moved onto SplitTree;
+// they hold only while peer ids, tree nodes, RNG draws and row order are
+// exactly those of the original per-overlay trees.
+TEST(MidasTest, ChurnShapeIsPinned) {
+  struct Case {
+    MidasSplitRule rule;
+    bool patterns;
+    uint64_t shape;
+  };
+  const Case cases[] = {
+      {MidasSplitRule::kMidpoint, false, 0x640d814217fdf827ull},
+      {MidasSplitRule::kMidpoint, true, 0xe99b9bebc8675d17ull},
+      {MidasSplitRule::kDataMedian, false, 0x1ec3f44ab769c140ull},
+      {MidasSplitRule::kDataMedian, true, 0x76acc0aeb2702b11ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "median=" << (c.rule == MidasSplitRule::kDataMedian)
+                 << " patterns=" << c.patterns);
+    DepartureCounts departures;
+    const uint64_t shape = MidasChurnShape(c.rule, c.patterns, &departures);
+    EXPECT_GT(departures.sibling_merges, 0);
+    EXPECT_GT(departures.takeovers, 0);
+    EXPECT_EQ(shape, c.shape) << std::hex << "0x" << shape;
+  }
 }
 
 TEST(MidasTest, RandomPeerIsLive) {

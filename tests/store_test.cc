@@ -183,6 +183,19 @@ TEST(KdIndexTest, TopKAgreesWithScan) {
   }
 }
 
+TEST(KdIndexTest, FullTailGrowsTheColumnsOnce) {
+  // Build sizes the columns exactly. The first tail row reserves room for
+  // the whole tail, so a full tail does not double every column.
+  Rng rng(83);
+  KdIndex idx(RandomTuples(100, 2, &rng));
+  const size_t bound = LocalStore::kIndexThreshold;
+  for (const Tuple& t : RandomTuples(bound, 2, &rng, 1000)) {
+    idx.AppendTail(t, bound);
+  }
+  ASSERT_EQ(idx.tail_size(), bound);
+  EXPECT_LE(idx.rows().ids().capacity(), 100 + bound);
+}
+
 TEST(KdIndexTest, TopKRespectsFloor) {
   Rng rng(53);
   const TupleVec ts = RandomTuples(300, 2, &rng);

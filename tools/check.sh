@@ -10,6 +10,7 @@
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
 #   tools/check.sh kernels    # per-peer kernels vs the oracle, ASan then UBSan
+#   tools/check.sh overlay    # overlays and their split tree, ASan then UBSan
 #   tools/check.sh net        # live-overlay + fault suites, ASan then UBSan
 #   tools/check.sh monitor    # admin/monitoring plane, ASan then UBSan
 #   tools/check.sh cache      # cache/controller/batching, ASan then UBSan
@@ -95,6 +96,16 @@ fi
 if [[ "${1:-}" == "kernels" ]]; then
   san_labels kernels
   echo "check.sh: kernels suite clean under address+undefined"
+  exit 0
+fi
+
+# overlay: the DHTs (ctest label `overlay`: MIDAS, CAN, BATON, Chord and
+# the split tree under MIDAS and CAN) under the same two sanitizers.
+# Churn reuses freed peer ids and tree nodes by index, so ASan covers a
+# stale or out-of-range slot and UBSan the index arithmetic.
+if [[ "${1:-}" == "overlay" ]]; then
+  san_labels overlay
+  echo "check.sh: overlay suite clean under address+undefined"
   exit 0
 fi
 
