@@ -66,6 +66,24 @@ void BM_ComputeSkyline(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeSkyline)->Arg(128)->Arg(1024)->Arg(8192);
 
+// The state merge of the skyline family: the bands of two halves of a
+// uniform set, merged into the band of the whole. Args: (n, k).
+void BM_MergeBands(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const TupleVec tuples = MakeTuples(n, 4, 23);
+  const TupleVec lower =
+      ComputeKSkyband(TupleVec(tuples.begin(), tuples.begin() + n / 2), k);
+  const TupleVec upper =
+      ComputeKSkyband(TupleVec(tuples.begin() + n / 2, tuples.end()), k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MergeBands(lower, upper, k));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lower.size() + upper.size()));
+}
+BENCHMARK(BM_MergeBands)->Args({8192, 1})->Args({8192, 2});
+
 void BM_KdIndexBuild(benchmark::State& state) {
   const TupleVec tuples =
       MakeTuples(static_cast<size_t>(state.range(0)), 4, 13);

@@ -86,7 +86,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
     // Merge the local skyline with everything received so far (the inbox
     // is folded into a skyline on arrival).
     TupleVec local_sky = peer.store.LocalSkyline();
-    const TupleVec merged = MergeSkylines(local_sky, state[id].points);
+    const TupleVec merged = MergeBands(local_sky, state[id].points, 1);
 
     // The local contribution: local skyline points that survive the merge.
     TupleVec contribution;
@@ -100,8 +100,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
       stats.messages += 1;  // answer delivery to the initiator
       stats.tuples_shipped += contribution.size();
       stats.bytes_on_wire += TupleFrameBytes(contribution);
-      result.skyline = MergeSkylines(std::move(result.skyline),
-                                     contribution);
+      result.skyline = MergeBands(std::move(result.skyline), contribution, 1);
     }
 
     // Forward the surviving local skyline points ("the local skyline
@@ -113,7 +112,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
     // pruning strength in O(1) tuples).
     const TupleVec dominators =
         SelectDominators(merged, SkylinePolicy::kMaxDominators);
-    const TupleVec payload = MergeSkylines(contribution, dominators);
+    const TupleVec payload = MergeBands(contribution, dominators, 1);
     const uint64_t payload_bytes = TupleFrameBytes(payload);
     for (PeerId nb : peer.neighbors) {
       const auto& other = overlay.GetPeer(nb);
@@ -123,7 +122,7 @@ DslResult RunDslSkyline(const CanOverlay& overlay, PeerId initiator) {
       stats.tuples_shipped += payload.size();
       stats.bytes_on_wire += payload_bytes;
       Incoming& in = state[nb];
-      in.points = MergeSkylines(std::move(in.points), payload);
+      in.points = MergeBands(std::move(in.points), payload, 1);
       if (!in.reached) {
         in.reached = true;
         in.wave = wave + 1;

@@ -88,7 +88,7 @@ SspResult RunSspSkyline(const BatonOverlay& overlay, PeerId initiator) {
         stats.tuples_shipped += local_sky.size();
         stats.bytes_on_wire +=
             wire::kFrameHeaderSize + TupleVecWireSize(local_sky);
-        sky = MergeSkylines(std::move(sky), local_sky);
+        sky = MergeBands(std::move(sky), local_sky, 1);
       }
     }
     stats.latency_hops += wave_latency;

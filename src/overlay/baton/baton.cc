@@ -66,9 +66,8 @@ void BatonOverlay::AssignRangesInOrder() {
   const uint64_t space = zorder_.key_space_size();
   const uint64_t n = peers_.size();
   for (uint64_t r = 0; r < n; ++r) {
-    Peer& p = peers_[inorder_[r]];
-    p.range_lo = space / n * r + std::min(r, space % n);
-    p.range_hi = space / n * (r + 1) + std::min(r + 1, space % n);
+    SetRange(&peers_[inorder_[r]], space / n * r + std::min(r, space % n),
+             space / n * (r + 1) + std::min(r + 1, space % n));
   }
   // Adjacent links: in-order neighbors.
   for (uint64_t r = 0; r < n; ++r) {
@@ -109,12 +108,8 @@ void BatonOverlay::RebalanceToData(const TupleVec& tuples) {
     p.store.Clear();
   }
   for (uint64_t r = 0; r < n; ++r) {
-    Peer& p = peers_[inorder_[r]];
-    p.range_lo = bounds[r];
-    p.range_hi = bounds[r + 1];
+    SetRange(&peers_[inorder_[r]], bounds[r], bounds[r + 1]);
   }
-  region_cache_.clear();
-  region_cached_.clear();
   for (const Tuple& t : stored) InsertTuple(t);
 }
 
@@ -197,17 +192,10 @@ PeerId BatonOverlay::RouteToKey(PeerId from, uint64_t key, uint64_t* hops,
   return kInvalidPeer;
 }
 
-const std::vector<Rect>& BatonOverlay::RegionOf(PeerId id) const {
-  if (region_cache_.empty()) {
-    region_cache_.resize(peers_.size());
-    region_cached_.assign(peers_.size(), 0);
-  }
-  if (!region_cached_[id]) {
-    const Peer& p = peers_[id];
-    region_cache_[id] = zorder_.DecomposeInterval(p.range_lo, p.range_hi - 1);
-    region_cached_[id] = 1;
-  }
-  return region_cache_[id];
+void BatonOverlay::SetRange(Peer* p, uint64_t lo, uint64_t hi) const {
+  p->range_lo = lo;
+  p->range_hi = hi;
+  p->region = zorder_.DecomposeInterval(lo, hi - 1);
 }
 
 Status BatonOverlay::Validate() const {

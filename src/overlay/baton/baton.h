@@ -40,6 +40,9 @@ class BatonOverlay {
     int pos = 0;        // position within the level, 0-based
     uint64_t range_lo = 0;  // key range [range_lo, range_hi)
     uint64_t range_hi = 0;
+    /// The Z-curve decomposition of the key range into maximal aligned
+    /// rectangles, set wherever the range is.
+    std::vector<Rect> region;
     PeerId parent = kInvalidPeer;
     PeerId left_child = kInvalidPeer;
     PeerId right_child = kInvalidPeer;
@@ -94,8 +97,9 @@ class BatonOverlay {
 
   /// The multi-dimensional region a peer is responsible for: the Z-curve
   /// decomposition of its key range into maximal aligned rectangles.
-  /// Computed lazily and cached (ranges are immutable after construction).
-  const std::vector<Rect>& RegionOf(PeerId id) const;
+  const std::vector<Rect>& RegionOf(PeerId id) const {
+    return GetPeer(id).region;
+  }
 
   /// Structural self-check: ranges partition the key space in in-order
   /// sequence, links are symmetric, routing tables match positions.
@@ -113,14 +117,14 @@ class BatonOverlay {
   }
 
   void AssignRangesInOrder();
+  /// Gives `p` the key range [lo, hi) and that range's region.
+  void SetRange(Peer* p, uint64_t lo, uint64_t hi) const;
 
   ZOrder zorder_;
   std::vector<Peer> peers_;
   /// Peers sorted by range_lo for O(log n) ownership lookups in the
   /// simulator (a real peer routes instead).
   std::vector<PeerId> inorder_;
-  mutable std::vector<std::vector<Rect>> region_cache_;
-  mutable std::vector<uint8_t> region_cached_;
 };
 
 }  // namespace ripple

@@ -27,15 +27,8 @@ struct SkybandQuery {
 /// others. Counting within a partial set can only undercount dominators,
 /// so the state is a superset of the true band restricted to seen tuples
 /// — pruning stays sound.
-class SkybandPolicy : public BandPolicy<SkybandQuery> {
+class SkybandPolicy : public BandPolicy<SkybandQuery, 64> {
  public:
-  static constexpr size_t kMaxDominators = 64;
-
-  GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,
-                                 const LocalState& l) const;
-  void MergeLocalStates(const Query& q, LocalState* mine,
-                        const std::vector<LocalState>& received) const;
-
   template <typename Area>
   bool IsLinkRelevant(const Query& q, const GlobalState& g,
                       const Area& area) const {
@@ -52,12 +45,15 @@ class SkybandPolicy : public BandPolicy<SkybandQuery> {
     return !prunable;
   }
 
+  /// Appends: the answers are counted once, in FinalizeAnswer. Folding
+  /// each of the thousands of per-peer answers into a running band
+  /// (MergeBands) would count the band against every one of them.
   void MergeAnswer(Answer* acc, Answer&& local, const Query& q) const;
-  /// Exact extraction: the k-skyband of everything collected. Correct
-  /// because any tuple with >= band global dominators has >= band
-  /// dominators inside the band itself (dominators of dominators also
-  /// dominate, so dominator counts are self-contained), and the collected
-  /// set is a superset of the band.
+  /// Exact extraction: the k-skyband of everything collected, in one
+  /// ComputeKSkyband pass. Correct because any tuple with >= band global
+  /// dominators has >= band dominators inside the band itself (dominators
+  /// of dominators also dominate, so dominator counts are
+  /// self-contained), and the collected set is a superset of the band.
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
   // Query codec: [varint band][norm].

@@ -25,31 +25,9 @@ TupleVec StoredTuples(const LocalStore& store, const TupleVec& by_id) {
   return out;
 }
 
-SkylinePolicy::GlobalState SkylinePolicy::ComputeGlobalState(
-    const Query&, const GlobalState& g, const LocalState& l) const {
-  GlobalState out;
-  out.tuples = MergeSkylines(l.tuples, g.tuples);
-  // Refresh the bounded dominator subset: the min-sum tuples are the only
-  // ones that can dominate whole regions.
-  out.dominators = SelectDominators(out.tuples, kMaxDominators);
-  return out;
-}
-
-void SkylinePolicy::MergeLocalStates(
-    const Query&, LocalState* mine,
-    const std::vector<LocalState>& received) const {
-  TupleVec merged = std::move(mine->tuples);
-  for (const LocalState& s : received) {
-    merged = MergeSkylines(std::move(merged), s.tuples);
-  }
-  mine->tuples = std::move(merged);
-}
-
 void SkylinePolicy::MergeAnswer(Answer* acc, Answer&& local,
                                 const Query&) const {
-  // Every per-peer contribution is itself mutually non-dominated, so the
-  // accumulator can stay a skyline throughout.
-  *acc = MergeSkylines(std::move(*acc), local);
+  *acc = MergeBands(std::move(*acc), local, 1);
 }
 
 void SkylinePolicy::FinalizeAnswer(Answer* acc, const Query&) const {

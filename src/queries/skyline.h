@@ -59,16 +59,20 @@ struct BandState {
 /// order: each stored id is looked up in `by_id`.
 TupleVec StoredTuples(const LocalStore& store, const TupleVec& by_id);
 
-/// What the skyline and skyband policies share (Algorithms 10, 12, 15 and
-/// the codecs): the local state is one LocalStore::Skyband call at the
-/// query's band, the local answer is the stored tuples of the local state,
-/// and priority is the distance to the query's reference corner. A policy
-/// adds its query codec, its link-relevance rule, its merge steps and its
-/// kMaxDominators. `Query` offers Band(), Constraint(), Origin(dims) and
-/// `norm`.
-template <typename Q>
+/// What the skyline and skyband policies share (Algorithms 10-13, 15 and
+/// the state codecs): the local state is one LocalStore::Skyband call at
+/// the query's band, the global state and the merged local states are the
+/// band of the union (MergeBands), the local answer is the stored tuples
+/// of the local state, and priority is the distance to the query's
+/// reference corner. A policy adds its query codec, its link-relevance
+/// rule and its answer merge, and sets `MaxDominators`, the size of the
+/// global state's dominator subset. `Query` offers Band(), Constraint(),
+/// Origin(dims) and `norm`.
+template <typename Q, size_t MaxDominators>
 class BandPolicy {
  public:
+  static constexpr size_t kMaxDominators = MaxDominators;
+
   using Query = Q;
   using LocalState = BandState;
   using GlobalState = BandState;
@@ -85,6 +89,27 @@ class BandPolicy {
   LocalState ComputeLocalState(const LocalStore& store, const Query& q,
                                const GlobalState& g) const {
     return {store.Skyband(g.tuples, q.Band(), q.Constraint()), {}};
+  }
+
+  /// Algorithm 11: the band of (local ∪ global), with the bounded
+  /// dominator subset refreshed — the min-sum tuples are the only ones
+  /// that can dominate whole regions.
+  GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,
+                                 const LocalState& l) const {
+    GlobalState out;
+    out.tuples = MergeBands(l.tuples, g.tuples, q.Band());
+    out.dominators = SelectDominators(out.tuples, kMaxDominators);
+    return out;
+  }
+
+  /// Algorithm 13: the band of the union of all states, folded one
+  /// received state at a time (each fold's result is again a band of
+  /// itself, and a tuple a fold drops keeps its >= band dominators).
+  void MergeLocalStates(const Query& q, LocalState* mine,
+                        const std::vector<LocalState>& received) const {
+    for (const LocalState& s : received) {
+      mine->tuples = MergeBands(std::move(mine->tuples), s.tuples, q.Band());
+    }
   }
 
   /// Algorithm 12: the *local* tuples of the local state, in its id order.
@@ -134,18 +159,8 @@ class BandPolicy {
 };
 
 /// RIPPLE policy for skyline queries — Algorithms 10-15.
-class SkylinePolicy : public BandPolicy<SkylineQuery> {
+class SkylinePolicy : public BandPolicy<SkylineQuery, 32> {
  public:
-  static constexpr size_t kMaxDominators = 32;
-
-  /// Algorithm 11: skyline of (global ∪ local).
-  GlobalState ComputeGlobalState(const Query& q, const GlobalState& g,
-                                 const LocalState& l) const;
-
-  /// Algorithm 13: skyline of the union of all states.
-  void MergeLocalStates(const Query& q, LocalState* mine,
-                        const std::vector<LocalState>& received) const;
-
   /// Algorithm 14: prune an area when some state tuple dominates all of
   /// it; constrained queries additionally prune areas outside the box.
   template <typename Area>
@@ -170,8 +185,11 @@ class SkylinePolicy : public BandPolicy<SkylineQuery> {
     return true;
   }
 
+  /// Every per-peer contribution is a skyline of itself, so the
+  /// accumulator stays a skyline throughout: MergeBands at band 1.
   void MergeAnswer(Answer* acc, Answer&& local, const Query& q) const;
-  /// The initiator's final skyline over everything received.
+  /// The accumulator already is the skyline of everything received; this
+  /// only puts it in id order.
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
   // Query codec: [norm][u8 has_constraint][rect?].

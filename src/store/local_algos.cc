@@ -62,7 +62,8 @@ TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
   return out;
 }
 
-TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
+TupleVec MergeBands(TupleVec a, const TupleVec& b, size_t k) {
+  if (k == 0) return {};
   if (!SortedById(a)) std::sort(a.begin(), a.end(), TupleIdLess());
   if (b.empty()) return a;
   TupleVec b_sorted;
@@ -77,38 +78,44 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
   const int dims = a[0].key.dims();
   Arena& arena = PerQueryArena();
   ArenaScope scope(&arena);
-  ArenaColumns a_cols(&arena, dims, a.size());
-  for (const Tuple& t : a) a_cols.Append(t.key);
-  ArenaColumns b_cols(&arena, dims, bs.size());
-  for (const Tuple& t : bs) b_cols.Append(t.key);
-  KernelCounters& kc = LocalKernelCounters();
-  // Survivors of a: not dominated by any b tuple. Compacted to the front
-  // of `a`, so they stay in id order.
-  size_t a_survivors = 0;
-  for (Tuple& t : a) {
-    ++kc.tuples_scanned;
-    if (b_cols.CountDominators(t.key, 1) == 0) {
-      a[a_survivors++] = std::move(t);
-    }
-  }
-  a.resize(a_survivors);
-  // Survivors of b: not dominated by any a tuple. (Testing against all of
-  // a equals testing against a's survivors: if a removed a-tuple s
-  // dominated t in b, then s's own b-dominator would dominate t by
-  // transitivity — impossible, b is mutually non-dominated.) Ids already
-  // kept in the a-pass are skipped by a two-pointer walk over the two id
-  // orders; duplicated tuples always survive the a-pass, since nothing in
-  // b dominates a tuple b itself contains.
-  uint32_t* b_keep = arena.AllocateArray<uint32_t>(bs.size());
-  size_t b_survivors = 0;
+  // b∖a: the ids a holds are skipped by a two-pointer walk over the two
+  // id orders, so a tuple in both inputs is counted once, on a's side.
+  uint32_t* b_only = arena.AllocateArray<uint32_t>(bs.size());
+  size_t nb = 0;
   size_t ai = 0;
   for (size_t i = 0; i < bs.size(); ++i) {
     const uint64_t id = bs[i].id;
     while (ai < a.size() && a[ai].id < id) ++ai;
     if (ai < a.size() && a[ai].id == id) continue;
+    b_only[nb++] = static_cast<uint32_t>(i);
+  }
+  ArenaColumns a_cols(&arena, dims, a.size());
+  for (const Tuple& t : a) a_cols.Append(t.key);
+  ArenaColumns b_cols(&arena, dims, nb);
+  for (size_t i = 0; i < nb; ++i) b_cols.Append(bs[b_only[i]].key);
+  KernelCounters& kc = LocalKernelCounters();
+  // Fewer than k dominators in a ∪ b∖a: the other side's first, then,
+  // only when some but fewer than k were found there, the own side's.
+  auto in_band = [&](const Point& p, const ArenaColumns& other,
+                     const ArenaColumns& own) {
     ++kc.tuples_scanned;
-    if (a_cols.CountDominators(bs[i].key, 1) == 0) {
-      b_keep[b_survivors++] = static_cast<uint32_t>(i);
+    const size_t cross = other.CountDominators(p, k);
+    if (cross == 0) return true;
+    if (cross >= k) return false;
+    return own.CountDominators(p, k - cross) < k - cross;
+  };
+  // Survivors of a, compacted to its front so they stay in id order.
+  size_t a_survivors = 0;
+  for (Tuple& t : a) {
+    if (in_band(t.key, b_cols, a_cols)) a[a_survivors++] = std::move(t);
+  }
+  a.resize(a_survivors);
+  // Survivors of b∖a, counted against all of a: a dominator that a's own
+  // pass removed still dominates, and the union counts it.
+  size_t b_survivors = 0;
+  for (size_t i = 0; i < nb; ++i) {
+    if (in_band(bs[b_only[i]].key, a_cols, b_cols)) {
+      b_only[b_survivors++] = b_only[i];
     }
   }
   if (b_survivors == 0) return a;
@@ -117,12 +124,12 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
   out.reserve(a.size() + b_survivors);
   size_t bi = 0;
   for (Tuple& t : a) {
-    while (bi < b_survivors && bs[b_keep[bi]].id < t.id) {
-      out.push_back(bs[b_keep[bi++]]);
+    while (bi < b_survivors && bs[b_only[bi]].id < t.id) {
+      out.push_back(bs[b_only[bi++]]);
     }
     out.push_back(std::move(t));
   }
-  while (bi < b_survivors) out.push_back(bs[b_keep[bi++]]);
+  while (bi < b_survivors) out.push_back(bs[b_only[bi++]]);
   return out;
 }
 

@@ -69,23 +69,30 @@ inline TupleVec ComputeSkyline(TupleVec tuples) {
   return ComputeKSkyband(std::move(tuples), 1);
 }
 
-/// Merges two sets that are EACH already skylines (mutually non-dominated
-/// within themselves) into the skyline of their union, using only
-/// cross-dominance checks — O(|a| * |b|) instead of re-running the full
-/// computation over the union. Tuples present in both inputs (by id) are
-/// kept once. Result sorted by id. This is the work-horse of distributed
-/// skyline state maintenance, where every incoming state is itself a
-/// skyline; at d >= 8, where skylines span half the dataset, the full
-/// recomputation would be quadratic in the data size per peer. The
-/// cross-dominance tests are CountDominatorsColumns calls with limit 1.
+/// Merges two sets that are EACH already a k-band of themselves (every
+/// tuple has fewer than `k` dominators within its own input) into the
+/// k-skyband of their union: exactly ComputeKSkyband(a ∪ b, k), each id
+/// once, sorted by id, at the cost of the cross pairs plus the few
+/// in-side counts below. This is the "band of the union" of the skyline
+/// family's state functions (Algorithms 11 and 13, k = 1 for skylines);
+/// every state and local answer of the family meets the precondition, and
+/// re-counting the union from scratch would be quadratic in the running
+/// state at every merge.
+///
+/// The ids of b that a holds are dropped from b by a two-pointer walk
+/// (each id is counted once). Each tuple of a counts its dominators in
+/// b∖a, stopping at k; with none it survives without counting within a,
+/// since the precondition bounds that count; with c < k it counts within
+/// a, stopping at k - c. Each tuple of b∖a does the same against all of a,
+/// then within b∖a. With k = 1 no tuple ever counts within its own side.
+/// The counts are CountDominatorsColumns calls.
 ///
 /// Every skyline and skyband state is kept in ascending id order, so the
-/// inputs normally arrive sorted: the shared ids are skipped by a
-/// two-pointer walk and the two survivor runs are merged linearly, with
-/// no re-sort. An input out of id order (a hostile decoded state) is
-/// sorted first, after an O(n) check, so the output is the same either
-/// way for inputs with distinct ids.
-TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
+/// inputs normally arrive sorted and the two survivor runs are merged
+/// linearly, with no re-sort. An input out of id order (a hostile decoded
+/// state) is sorted first, after an O(n) check. Inputs that break the
+/// precondition or repeat ids get a result in id order, not the band.
+TupleVec MergeBands(TupleVec a, const TupleVec& b, size_t k);
 
 /// Fills `out` with the tuples of `state` that can dominate some row of a
 /// store whose rows are all <= `hi` componentwise, in ascending (sum, id)

@@ -89,6 +89,29 @@ TEST(BatonTest, RegionContainsOwnTuples) {
   }
 }
 
+TEST(BatonTest, RegionsFollowRebalancedRanges) {
+  BatonOverlay overlay(29, BatonOptions{.dims = 2});
+  Rng rng(17);
+  TupleVec tuples;
+  for (uint64_t i = 0; i < 400; ++i) {
+    // Skewed towards the origin, so the quantile ranges differ from the
+    // uniform slices.
+    const double x = rng.UniformDouble(), y = rng.UniformDouble();
+    tuples.push_back(Tuple{i, Point{x * x * 0.3, y * y * 0.3}});
+  }
+  const std::vector<Rect> before = overlay.RegionOf(0);
+  overlay.RebalanceToData(tuples);
+  EXPECT_NE(overlay.RegionOf(0), before);
+  double volume = 0.0;
+  for (PeerId id = 0; id < overlay.NumPeers(); ++id) {
+    const auto& p = overlay.GetPeer(id);
+    EXPECT_EQ(overlay.RegionOf(id),
+              overlay.zorder().DecomposeInterval(p.range_lo, p.range_hi - 1));
+    for (const Rect& r : overlay.RegionOf(id)) volume += r.Volume();
+  }
+  EXPECT_NEAR(volume, 1.0, 1e-9);
+}
+
 TEST(BatonTest, AdjacentLinksFollowInOrder) {
   BatonOverlay overlay(31, BatonOptions{.dims = 2});
   for (PeerId id = 0; id < overlay.NumPeers(); ++id) {

@@ -4,6 +4,7 @@
 #include "baselines/ssp.h"
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "obs/metrics.h"
 #include "oracle/oracle.h"
 #include "overlay/baton/baton.h"
 #include "overlay/can/can.h"
@@ -12,6 +13,8 @@
 #include "queries/skyband.h"
 #include "queries/skyline.h"
 #include "ripple/engine.h"
+#include "shape_hash.h"
+#include "sim/async_engine.h"
 #include "store/local_algos.h"
 
 namespace ripple {
@@ -229,6 +232,184 @@ TEST(SumTieTest, SspOverBatonSeesThroughTies) {
   BatonOverlay overlay(64, BatonOptions{.dims = 2});
   for (const Tuple& t : tuples) overlay.InsertTuple(t);
   ExpectSameSet(RunSspSkyline(overlay, 0).skyline, oracle::Skyline(tuples));
+}
+
+// --- Pinned runs of the skyline family ---------------------------------------
+// Answers, costs and skyline kernel work of fixed runs on both engines.
+// Every state merge of the family goes through one band merge; a change to
+// it that moves an answer, a message, a byte or a skyline's counted work
+// shows as a changed constant here.
+
+void MixRun(const TupleVec& answer, const QueryStats& stats, ShapeHash* h) {
+  std::vector<uint64_t> ids;
+  for (const Tuple& t : answer) ids.push_back(t.id);
+  h->Mix(ids);
+  h->Mix(stats.messages);
+  h->Mix(stats.tuples_shipped);
+  h->Mix(stats.bytes_on_wire);
+  h->Mix(stats.peers_visited);
+  h->Mix(stats.latency_hops);
+}
+
+struct RunPin {
+  uint64_t hash = 0;            // answer ids and stats of every run
+  uint64_t dominance_cmps = 0;  // kernel.* totals over the runs
+  uint64_t tuples_scanned = 0;
+};
+
+uint64_t GlobalCounter(const char* name) {
+  return obs::Registry::Global().GetCounter(name).value();
+}
+
+/// Runs `q` from `initiator` at r = fast, 2 and slow on the recursive
+/// engine and the fault-free async engine.
+template <typename Policy, typename Overlay>
+RunPin PinRuns(const Overlay& overlay, const typename Policy::Query& q,
+               PeerId initiator) {
+  Engine<Overlay, Policy> sync(&overlay, Policy{});
+  AsyncEngine<Overlay, Policy> async(&overlay, Policy{});
+  obs::Registry::EnableGlobal(true);
+  const uint64_t cmps = GlobalCounter("kernel.dominance_cmps");
+  const uint64_t scanned = GlobalCounter("kernel.tuples_scanned");
+  ShapeHash h;
+  for (const RippleParam r :
+       {RippleParam::Fast(), RippleParam::Hops(2), RippleParam::Slow()}) {
+    const QueryRequest<Policy> req{
+        .initiator = initiator, .query = q, .ripple = r};
+    const auto s = sync.Run(req);
+    MixRun(s.answer, s.stats, &h);
+    const auto a = async.Run(req);
+    MixRun(a.answer, a.stats, &h);
+  }
+  RunPin pin;
+  pin.hash = h.value();
+  pin.dominance_cmps = GlobalCounter("kernel.dominance_cmps") - cmps;
+  pin.tuples_scanned = GlobalCounter("kernel.tuples_scanned") - scanned;
+  obs::Registry::EnableGlobal(false);
+  return pin;
+}
+
+/// The skyline (plain and boxed) and skyband (bands 2 and 3) pins of one
+/// overlay, in that order. Skyband pins carry no kernel totals.
+template <typename Overlay>
+std::vector<RunPin> PinFamily(const Overlay& overlay, int dims,
+                              PeerId initiator) {
+  SkylineQuery boxed;
+  Point lo(dims), hi(dims);
+  lo.Fill(0.1);
+  hi.Fill(0.85);
+  boxed.constraint = Rect(lo, hi);
+  std::vector<RunPin> pins;
+  pins.push_back(PinRuns<SkylinePolicy>(overlay, SkylineQuery{}, initiator));
+  pins.push_back(PinRuns<SkylinePolicy>(overlay, boxed, initiator));
+  for (size_t band : {2u, 3u}) {
+    RunPin pin = PinRuns<SkybandPolicy>(
+        overlay, SkybandQuery{.band = band}, initiator);
+    pin.dominance_cmps = pin.tuples_scanned = 0;
+    pins.push_back(pin);
+  }
+  return pins;
+}
+
+void ExpectPins(const std::vector<RunPin>& got,
+                const std::vector<RunPin>& want, const char* overlay) {
+  static const char* const kQueries[] = {"skyline", "skyline-box",
+                                         "skyband-2", "skyband-3"};
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].hash, want[i].hash)
+        << overlay << " " << kQueries[i] << ": 0x" << std::hex << got[i].hash;
+    EXPECT_EQ(got[i].dominance_cmps, want[i].dominance_cmps)
+        << overlay << " " << kQueries[i];
+    EXPECT_EQ(got[i].tuples_scanned, want[i].tuples_scanned)
+        << overlay << " " << kQueries[i];
+  }
+}
+
+Net MakeMedianNet(size_t peers, size_t tuples, int dims, uint64_t seed) {
+  MidasOptions opt;
+  opt.dims = dims;
+  opt.seed = seed;
+  opt.split_rule = MidasSplitRule::kDataMedian;
+  Net net{MidasOverlay(opt), {}};
+  Rng rng(seed ^ 0xabc);
+  net.all = data::MakeUniform(tuples, dims, &rng);
+  for (const Tuple& t : net.all) net.overlay.InsertTuple(t);
+  while (net.overlay.NumPeers() < peers) net.overlay.Join();
+  return net;
+}
+
+TEST(BandFamilyPinTest, MidasMedianDims2) {
+  const Net net = MakeMedianNet(128, 2000, 2, 331);
+  ExpectPins(PinFamily(net.overlay, 2, 17),
+             {{0xa63ce0cfc3473b29ull, 16670, 6587},
+              {0xf8e6299af87330d3ull, 8526, 5070},
+              {0x4e905b0000e372f6ull, 0, 0},
+              {0x9925dc25a0adaec7ull, 0, 0}},
+             "midas-2");
+}
+
+TEST(BandFamilyPinTest, MidasMedianDims4) {
+  const Net net = MakeMedianNet(128, 2000, 4, 333);
+  ExpectPins(PinFamily(net.overlay, 4, 41),
+             {{0xd58f9537fe65938cull, 558328, 68161},
+              {0x1c5903b2520732e9ull, 250570, 47648},
+              {0x5860a11c69baece3ull, 0, 0},
+              {0xe1b7d9ffe343f393ull, 0, 0}},
+             "midas-4");
+}
+
+TEST(BandFamilyPinTest, ChordDims2) {
+  Rng rng(335);
+  ChordOverlay overlay(64, ChordOptions{.dims = 2, .seed = 337});
+  for (const Tuple& t : data::MakeUniform(1500, 2, &rng)) {
+    overlay.InsertTuple(t);
+  }
+  ExpectPins(PinFamily(overlay, 2, 5),
+             {{0x0d85f4117c33347aull, 15608, 5549},
+              {0x5a9d912fb7384941ull, 12192, 4941},
+              {0x63d8a0663d43997eull, 0, 0},
+              {0x54f078cfde4e36beull, 0, 0}},
+             "chord-2");
+}
+
+uint64_t BaselineHash(const TupleVec& skyline, const QueryStats& stats) {
+  ShapeHash h;
+  MixRun(skyline, stats, &h);
+  return h.value();
+}
+
+TEST(BandFamilyPinTest, DslOverCan) {
+  Rng rng(339);
+  CanOverlay overlay(CanOptions{.dims = 3, .seed = 341});
+  while (overlay.NumPeers() < 96) overlay.Join();
+  for (const Tuple& t : data::MakeUniform(2000, 3, &rng)) {
+    overlay.InsertTuple(t);
+  }
+  const uint64_t want[] = {0x2c0723d998890dfbull, 0x1b85c9bf789df238ull};
+  const PeerId initiators[] = {0, 57};
+  for (size_t i = 0; i < 2; ++i) {
+    const DslResult got = RunDslSkyline(overlay, initiators[i]);
+    EXPECT_EQ(BaselineHash(got.skyline, got.stats), want[i])
+        << "initiator " << initiators[i] << ": 0x" << std::hex
+        << BaselineHash(got.skyline, got.stats);
+  }
+}
+
+TEST(BandFamilyPinTest, SspOverBaton) {
+  Rng rng(343);
+  BatonOverlay overlay(96, BatonOptions{.dims = 3});
+  for (const Tuple& t : data::MakeUniform(2000, 3, &rng)) {
+    overlay.InsertTuple(t);
+  }
+  const uint64_t want[] = {0xe4da130c42fd301full, 0x00662725103b2747ull};
+  const PeerId initiators[] = {0, 57};
+  for (size_t i = 0; i < 2; ++i) {
+    const SspResult got = RunSspSkyline(overlay, initiators[i]);
+    EXPECT_EQ(BaselineHash(got.skyline, got.stats), want[i])
+        << "initiator " << initiators[i] << ": 0x" << std::hex
+        << BaselineHash(got.skyline, got.stats);
+  }
 }
 
 }  // namespace

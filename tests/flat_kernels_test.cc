@@ -16,6 +16,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -125,7 +126,7 @@ TEST(FlatKernelsProperty, SkylineKernelsMatchOracle) {
           ComputeSkyline(TupleVec(ts.begin(), ts.begin() + 125));
       const TupleVec b = ComputeSkyline(TupleVec(ts.begin() + 125, ts.end()));
       EXPECT_TRUE(
-          BitIdentical(MergeSkylines(a, b), oracle::MergeSkylines(a, b)))
+          BitIdentical(MergeBands(a, b, 1), oracle::MergeBands(a, b, 1)))
           << "dims=" << dims << " series=" << Name(series);
     }
   }
@@ -266,7 +267,7 @@ TEST(FlatKernelsAdversarial, SkylineSkybandAndMergeMatchOracle) {
         const TupleVec b =
             ComputeSkyline(TupleVec(ts.begin() + n / 2, ts.end()));
         EXPECT_TRUE(
-            BitIdentical(MergeSkylines(a, b), oracle::MergeSkylines(a, b)))
+            BitIdentical(MergeBands(a, b, 1), oracle::MergeBands(a, b, 1)))
             << where;
         LocalStore store;
         store.AddAll(ts);
@@ -372,22 +373,89 @@ TEST(FlatKernelsAdversarial, MergeSkylinesToleratesUnsortedAndDuplicateIds) {
       const std::string where =
           std::string(Name(shape)) + " dims=" + std::to_string(dims);
       // Honest inputs sharing tuples, in id order and shuffled.
-      const TupleVec want = oracle::MergeSkylines(a, b);
-      EXPECT_TRUE(BitIdentical(MergeSkylines(a, b), want)) << where;
+      const TupleVec want = oracle::MergeBands(a, b, 1);
+      EXPECT_TRUE(BitIdentical(MergeBands(a, b, 1), want)) << where;
       TupleVec ra = a, rb = b;
       std::reverse(ra.begin(), ra.end());
       std::rotate(rb.begin(), rb.begin() + rb.size() / 2, rb.end());
-      EXPECT_TRUE(BitIdentical(MergeSkylines(ra, rb), want)) << where;
-      EXPECT_TRUE(BitIdentical(MergeSkylines(ra, TupleVec{}), a)) << where;
-      EXPECT_TRUE(BitIdentical(MergeSkylines(TupleVec{}, rb), b)) << where;
+      EXPECT_TRUE(BitIdentical(MergeBands(ra, rb, 1), want)) << where;
+      EXPECT_TRUE(BitIdentical(MergeBands(ra, TupleVec{}, 1), a)) << where;
+      EXPECT_TRUE(BitIdentical(MergeBands(TupleVec{}, rb, 1), b)) << where;
       // Repeated ids, with equal and with different keys: no crash, and
       // the output stays in id order.
       TupleVec da = a, db = b;
       da.insert(da.end(), a.begin(), a.end());
       for (const Tuple& t : a) db.push_back(Tuple{t.id, ts[t.id % 7].key});
-      const TupleVec got = MergeSkylines(da, db);
+      const TupleVec got = MergeBands(da, db, 1);
       EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), TupleIdLess()))
           << where;
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, MergeBandsMatchesOracle) {
+  // Bands of overlapping and of disjoint slices, merged both ways round,
+  // in id order and shuffled: exactly the band of the union, a shared
+  // tuple counted once.
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      const TupleVec ts = AdversarialTuples(shape, 180, dims, 1700 + dims);
+      for (size_t k = 1; k <= 4; ++k) {
+        const TupleVec lo = ComputeKSkyband(
+            TupleVec(ts.begin(), ts.begin() + 100), k);
+        const TupleVec hi =
+            ComputeKSkyband(TupleVec(ts.begin() + 70, ts.end()), k);
+        const TupleVec head =
+            ComputeKSkyband(TupleVec(ts.begin(), ts.begin() + 70), k);
+        const std::pair<const TupleVec*, const TupleVec*> pairs[] = {
+            {&lo, &hi}, {&hi, &lo}, {&head, &hi}, {&lo, &head}};
+        for (const auto& [a, b] : pairs) {
+          const std::string where = std::string(Name(shape)) +
+                                    " dims=" + std::to_string(dims) +
+                                    " k=" + std::to_string(k) +
+                                    " |a|=" + std::to_string(a->size()) +
+                                    " |b|=" + std::to_string(b->size());
+          const TupleVec want = oracle::MergeBands(*a, *b, k);
+          EXPECT_TRUE(BitIdentical(MergeBands(*a, *b, k), want)) << where;
+          TupleVec ra = *a, rb = *b;
+          std::reverse(ra.begin(), ra.end());
+          std::rotate(rb.begin(), rb.begin() + rb.size() / 3, rb.end());
+          EXPECT_TRUE(BitIdentical(MergeBands(ra, rb, k), want)) << where;
+        }
+        EXPECT_TRUE(BitIdentical(MergeBands(lo, TupleVec{}, k), lo));
+        EXPECT_TRUE(BitIdentical(MergeBands(TupleVec{}, hi, k), hi));
+        EXPECT_TRUE(MergeBands(lo, hi, 0).empty());
+      }
+    }
+  }
+}
+
+TEST(FlatKernelsAdversarial, MergeBandsSurvivesHostileInputs) {
+  // Repeated ids, different keys under one id, and inputs that are not
+  // bands of themselves: no crash, and the output stays in id order.
+  for (Shape shape : kAllShapes) {
+    for (int dims : {1, 2, 4, kMaxDims}) {
+      const TupleVec ts = AdversarialTuples(shape, 120, dims, 1800 + dims);
+      const TupleVec raw_a(ts.begin(), ts.begin() + 70);
+      const TupleVec raw_b(ts.begin() + 40, ts.end());
+      TupleVec repeated = raw_a;
+      repeated.insert(repeated.end(), raw_a.begin(), raw_a.end());
+      TupleVec rekeyed = raw_b;
+      for (const Tuple& t : raw_a) {
+        rekeyed.push_back(Tuple{t.id, ts[(t.id * 5) % ts.size()].key});
+      }
+      std::reverse(rekeyed.begin(), rekeyed.end());
+      for (size_t k = 1; k <= 4; ++k) {
+        const std::string where = std::string(Name(shape)) +
+                                  " dims=" + std::to_string(dims) +
+                                  " k=" + std::to_string(k);
+        for (const TupleVec& got :
+             {MergeBands(raw_a, raw_b, k), MergeBands(repeated, rekeyed, k),
+              MergeBands(rekeyed, repeated, k)}) {
+          EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), TupleIdLess()))
+              << where;
+        }
+      }
     }
   }
 }

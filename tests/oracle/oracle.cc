@@ -25,10 +25,10 @@ TupleVec Skyband(const TupleVec& tuples, size_t k) {
 
 TupleVec Skyline(const TupleVec& tuples) { return Skyband(tuples, 1); }
 
-TupleVec MergeSkylines(const TupleVec& a, const TupleVec& b) {
+TupleVec MergeBands(const TupleVec& a, const TupleVec& b, size_t k) {
   TupleVec all = a;
   all.insert(all.end(), b.begin(), b.end());
-  return Skyline(all);
+  return Skyband(all, k);
 }
 
 TupleVec TopK(TupleVec tuples,

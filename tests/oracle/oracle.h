@@ -18,8 +18,9 @@ TupleVec Skyband(const TupleVec& tuples, size_t k);
 /// The 1-skyband.
 TupleVec Skyline(const TupleVec& tuples);
 
-/// The skyline of the union of `a` and `b`.
-TupleVec MergeSkylines(const TupleVec& a, const TupleVec& b);
+/// The k-skyband of the union of `a` and `b`, a tuple in both counted
+/// once.
+TupleVec MergeBands(const TupleVec& a, const TupleVec& b, size_t k);
 
 /// The first `k` tuples under (score descending, id ascending).
 TupleVec TopK(TupleVec tuples,

@@ -77,7 +77,7 @@ TEST(SkylineTest, MergeSkylinesEqualsJointSkyline) {
     TupleVec a(all.begin(), all.begin() + 150);
     TupleVec b(all.begin() + 150, all.end());
     const TupleVec merged =
-        MergeSkylines(ComputeSkyline(a), ComputeSkyline(b));
+        MergeBands(ComputeSkyline(a), ComputeSkyline(b), 1);
     EXPECT_EQ(merged, ComputeSkyline(all));
   }
 }
@@ -88,17 +88,17 @@ TEST(SkylineTest, MergeSkylinesHandlesOverlap) {
   const TupleVec sky = ComputeSkyline(all);
   // Merging a skyline with itself (and with a superset-ish overlap) must
   // not duplicate or drop anything.
-  EXPECT_EQ(MergeSkylines(sky, sky), sky);
+  EXPECT_EQ(MergeBands(sky, sky, 1), sky);
   TupleVec half(sky.begin(), sky.begin() + sky.size() / 2);
-  EXPECT_EQ(MergeSkylines(half, sky), sky);
+  EXPECT_EQ(MergeBands(half, sky, 1), sky);
 }
 
 TEST(SkylineTest, MergeSkylinesEmptySides) {
   Rng rng(103);
   const TupleVec sky = ComputeSkyline(RandomTuples(50, 2, &rng));
-  EXPECT_EQ(MergeSkylines({}, sky), sky);
-  EXPECT_EQ(MergeSkylines(sky, {}), sky);
-  EXPECT_TRUE(MergeSkylines({}, {}).empty());
+  EXPECT_EQ(MergeBands({}, sky, 1), sky);
+  EXPECT_EQ(MergeBands(sky, {}, 1), sky);
+  EXPECT_TRUE(MergeBands({}, {}, 1).empty());
 }
 
 // --- Floating-point sum ties -------------------------------------------------
@@ -136,13 +136,13 @@ TEST(SumTieTest, MergeOfPartSkylinesKeepsOnlyTheDominator) {
   left.push_back(Tuple{10, Point{0.9, 0.9}});
   const TupleVec right = {Tuple{11, Point{0.1, 0.95}},
                           Tuple{12, Point{0.95, 0.96}}};
-  EXPECT_EQ(Ids(MergeSkylines(ComputeSkyline(left), ComputeSkyline(right))),
+  EXPECT_EQ(Ids(MergeBands(ComputeSkyline(left), ComputeSkyline(right), 1)),
             (std::vector<uint64_t>{2, 11}));
   // Directly: the cross-dominance tests see through the tie both ways.
   const TupleVec a = {SumTieTuples()[0]};
   const TupleVec b = {SumTieTuples()[1]};
-  EXPECT_EQ(Ids(MergeSkylines(a, b)), std::vector<uint64_t>{2});
-  EXPECT_EQ(Ids(MergeSkylines(b, a)), std::vector<uint64_t>{2});
+  EXPECT_EQ(Ids(MergeBands(a, b, 1)), std::vector<uint64_t>{2});
+  EXPECT_EQ(Ids(MergeBands(b, a, 1)), std::vector<uint64_t>{2});
 }
 
 // --- SelectTopK -------------------------------------------------------------

@@ -89,7 +89,9 @@ fi
 
 # kernels: the per-peer kernels and their definition-level oracle (ctest
 # label `kernels`: dominance, skyline/skyband, top-k, k-d index, flat
-# store) under the same two sanitizers as `wire`. The property suite
+# store, and every caller of the band merge: both skyline-family
+# policies on the engines, DSL and SSP) under the same two sanitizers as
+# `wire`. The property suite
 # feeds zeros, subnormals and tied sums through column arithmetic and
 # arena scratch, so ASan covers the buffer class and UBSan the float
 # and integer class.

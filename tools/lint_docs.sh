@@ -81,7 +81,7 @@ DEAD_SYMBOLS=(
   AdaptiveOptions
   FromLegacy
   ComputeSkylineScalar
-  MergeSkylinesScalar
+  MergeSkylines
   SelectTopKScalar
   AnyDominatesColumns
   SetTracer
